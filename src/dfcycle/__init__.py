@@ -28,7 +28,6 @@ from .descfun import (
 )
 from .qualdf import df_qualitative, phi_tilde, psi_tilde
 from .linsys import (
-    FrequencyResponsePoint,
     LinearPlant,
     PlantError,
     PoleOnAxisError,
@@ -36,7 +35,6 @@ from .linsys import (
     freq_response,
     h_of_jw,
     nyquist_contour,
-    nyquist_samples,
     phase_crossovers,
 )
 from .cycles import (
@@ -62,7 +60,6 @@ __all__ = [
     "AmbiguousStabilityError",
     "CrossoverAnalysis",
     "DescribingFunctionCurve",
-    "FrequencyResponsePoint",
     "LimitCycleEstimate",
     "LinearPlant",
     "NonlinearityError",
@@ -88,7 +85,6 @@ __all__ = [
     "loop_matrices",
     "measure_oscillation",
     "nyquist_contour",
-    "nyquist_samples",
     "phase_crossovers",
     "phi",
     "phi_tilde",

@@ -1,7 +1,8 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
-Exit codes: 0 success, 2 malformed input (JSON schema or grid), 3 analysis
-ran but the plant has no phase crossover.
+Exit codes: 0 success, 2 malformed input (JSON schema or grid) or a plant
+unusable at the sampled frequencies (a pole on the imaginary axis), 3
+analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -17,13 +18,22 @@ import numpy as np
 from . import sim, svg
 from .cycles import analyze, find_intersections
 from .descfun import df_exact, df_oracle_curve
-from .linsys import LinearPlant, PlantError, nyquist_samples, phase_crossovers
+from .linsys import (
+    LinearPlant,
+    PlantError,
+    PoleOnAxisError,
+    SingularFrequencyError,
+    freq_response,
+    phase_crossovers,
+)
 from .piecewise import NonlinearityError, PiecewiseNonlinearity
 from .qualdf import df_qualitative
 
 SCHEMA_VERSION = 1
 EXIT_SCHEMA = 2
 EXIT_NO_CROSSOVER = 3
+# Raised when the plant cannot be evaluated at a frequency the command samples.
+FREQUENCY_ERRORS = (PoleOnAxisError, SingularFrequencyError)
 
 
 def _fail(message: str) -> None:
@@ -160,7 +170,10 @@ def cmd_analyze(
     nl = _load_nonlinearity(nl_file)
     plant = _load_plant(plant_file)
 
-    crossovers = analyze(plant, nl)
+    try:
+        crossovers = analyze(plant, nl)
+    except FREQUENCY_ERRORS as exc:
+        _fail(f"{plant_file}: {exc}")
 
     ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
@@ -250,14 +263,17 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
     if not (0 < lo < hi):
         _fail(f"invalid omega range ({lo}, {hi})")
     ws = np.logspace(math.log10(lo), math.log10(hi), points)
-    pts = nyquist_samples(plant, ws)
-    marks = phase_crossovers(plant, (lo, hi)) if mark_neg_axis else []
+    try:
+        g = freq_response(plant, ws)
+        marks = phase_crossovers(plant, (lo, hi)) if mark_neg_axis else []
+    except FREQUENCY_ERRORS as exc:
+        _fail(f"{plant_file}: {exc}")
 
     if out_path and out_path.endswith(".svg"):
         series = [
             svg.Series(
-                [p.value.real for p in pts],
-                [p.value.imag for p in pts],
+                list(g.real),
+                list(g.imag),
                 label="G(jw)",
                 color="#2040c0",
                 points=[(-1.0 / km, 0.0) for _, km in marks],
@@ -269,9 +285,7 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
         return
 
     lines = ["omega,re,im"]
-    lines.extend(
-        f"{_num(p.omega)},{_num(p.value.real)},{_num(p.value.imag)}" for p in pts
-    )
+    lines.extend(f"{_num(w)},{_num(v.real)},{_num(v.imag)}" for w, v in zip(ws, g))
     for w, km in marks:
         lines.append(f"# crossover omega={_num(w)} gain_margin={_num(km)}")
     text = "\n".join(lines) + "\n"

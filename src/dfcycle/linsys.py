@@ -29,12 +29,6 @@ class SingularFrequencyError(ValueError):
 
 
 @dataclass(frozen=True)
-class FrequencyResponsePoint:
-    omega: float
-    value: complex
-
-
-@dataclass(frozen=True)
 class LinearPlant:
     """Proper rational transfer function ``G(s) = k * num(s) / den(s)``.
 
@@ -81,12 +75,18 @@ class LinearPlant:
     def with_gain(self, k: float) -> "LinearPlant":
         return LinearPlant(self.num, self.den, k)
 
-    def transfer(self, s: complex) -> complex:
+    def transfer(self, s: complex | np.ndarray) -> complex | np.ndarray:
+        """G(s) at a scalar or, elementwise, at an array of complex s.
+
+        A scalar s gives a NumPy complex scalar.  Raises ``PoleOnAxisError``
+        naming the first s at which the denominator is negligible.
+        """
         num = np.polyval(self.num, s)
         den = np.polyval(self.den, s)
-        scale = max(abs(np.polyval(np.abs(self.den), abs(s))), 1.0)
-        if abs(den) <= 1e-14 * scale:
-            raise PoleOnAxisError(f"pole at s = {s}")
+        scale = np.maximum(np.abs(np.polyval(np.abs(self.den), np.abs(s))), 1.0)
+        on_pole = np.abs(den) <= 1e-14 * scale
+        if on_pole.any():
+            raise PoleOnAxisError(f"pole at s = {np.asarray(s)[on_pole][0]}")
         return self.k * num / den
 
     @cached_property
@@ -134,17 +134,13 @@ class LinearPlant:
         return {"num": list(self.num), "den": list(self.den), "k": self.k}
 
 
-def freq_response(plant: LinearPlant, omega: float) -> complex:
-    """G(j*omega) for omega > 0."""
-    if omega <= 0:
+def freq_response(
+    plant: LinearPlant, omega: float | np.ndarray
+) -> complex | np.ndarray:
+    """G(j*omega) at a scalar or an array of frequencies, all > 0."""
+    if np.any(np.asarray(omega) <= 0):
         raise ValueError("frequency must be positive")
     return plant.transfer(1j * omega)
-
-
-def nyquist_samples(plant: LinearPlant, omega_grid) -> list[FrequencyResponsePoint]:
-    """Frequency response sampled pointwise over a positive frequency grid."""
-    return [FrequencyResponsePoint(float(w), freq_response(plant, float(w)))
-            for w in np.asarray(omega_grid, dtype=float)]
 
 
 def phase_crossovers(
@@ -163,7 +159,7 @@ def phase_crossovers(
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = np.logspace(math.log10(lo), math.log10(hi), n_scan)
-    G = np.array([plant.transfer(1j * w) for w in ws])
+    G = plant.transfer(1j * ws)
     im = G.imag
 
     out: list[tuple[float, float]] = []
@@ -207,7 +203,7 @@ def nyquist_contour(
     (the standard indentation image).
     """
     ws = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-    g = np.array([plant.transfer(1j * w) for w in ws])
+    g = plant.transfer(1j * ws)
     parts = [g, np.conj(g)[::-1]]
     q = plant.origin_poles
     if q > 0:

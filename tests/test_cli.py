@@ -15,6 +15,7 @@ NL_B = {"x": [3, 6, 10, 19], "y": [3, 3, 10, 10]}
 NL_FIG = {"x": [2, 5, 5, 9, 9, 13, 19], "y": [0, 4, 2, 4, 6, 6, 8]}
 PLANT_A = {"num": [-1, 2], "den": [1, 1, 0]}
 PLANT_B = {"num": [1], "den": [1, 4, 3, 0]}
+PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
 
 
 @pytest.fixture
@@ -135,6 +136,17 @@ class TestAnalyze:
         plant = write(tmp_path, "plant.json", {"num": [1, 2, 3], "den": [1, 1]})
         assert runner.invoke(main, ["analyze", nl, plant]).exit_code == 2
 
+    def test_pole_on_axis_exits_2(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", PLANT_OSC)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: {plant}: pole at s = ")
+        assert complex(line.rsplit(" ", 1)[1]) == pytest.approx(1j)
+        assert res.stdout == ""
+
 
 class TestNyquist:
     def test_csv_header(self, runner, tmp_path):
@@ -167,3 +179,13 @@ class TestNyquist:
         plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 1.0})
         res = runner.invoke(main, ["nyquist", plant, "--omega-range", "5", "1"])
         assert res.exit_code == 2
+
+    def test_pole_on_axis_exits_2(self, runner, tmp_path):
+        plant = write(tmp_path, "plant.json", PLANT_OSC)
+        res = runner.invoke(
+            main, ["nyquist", plant, "--omega-range", "0.5", "2", "--points", "3"]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [f"error: {plant}: pole at s = 1j"]
+        assert res.stdout == ""

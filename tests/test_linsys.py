@@ -16,7 +16,6 @@ from dfcycle.linsys import (
     PoleOnAxisError,
     h_of_jw,
     nyquist_contour,
-    nyquist_samples,
     phase_crossovers,
 )
 
@@ -59,11 +58,21 @@ class TestTransfer:
         with pytest.raises(PoleOnAxisError):
             plant_a(1.0).transfer(0.0j)
 
-    def test_nyquist_samples_match_transfer(self):
-        p = plant_b(5.0)
-        ws = np.logspace(-1, 1, 7)
-        for pt in nyquist_samples(p, ws):
-            assert pt.value == pytest.approx(p.transfer(1.0j * pt.omega))
+    def test_array_matches_scalar_calls(self):
+        rhp_zero = LinearPlant(num=(-1.0, 3.0), den=(1.0, 3.0, 2.0, 0.0), k=4.0)
+        s = 1.0j * np.logspace(-3, 3, 501)
+        for p in (plant_a(2.5), plant_b(15.0), rhp_zero):
+            expected = np.array([p.transfer(v) for v in s])
+            assert np.array_equal(p.transfer(s), expected)
+
+    def test_array_pole_names_the_point(self):
+        p = LinearPlant(num=(1.0,), den=(1.0, 0.0, 1.0, 0.0))  # poles at 0, +-j
+        with pytest.raises(PoleOnAxisError, match=r"pole at s = 1j$"):
+            p.transfer(np.array([0.5j, 1.0j, 2.0j]))
+
+    def test_scalar_gives_complex_scalar(self):
+        g = plant_b(5.0).transfer(1.0j)
+        assert isinstance(g, np.complex128)  # not a 0-d array
 
 
 class TestStateSpace:
@@ -125,6 +134,36 @@ class TestCrossovers:
         # first-order lag never reaches -180 degrees
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert phase_crossovers(p) == []
+
+    @given(
+        st.lists(st.floats(0.2, 5.0), min_size=1, max_size=3),
+        st.one_of(st.none(), st.floats(0.5, 5.0)),
+        st.floats(0.5, 40.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_polynomial_roots(self, lags, rhp_zero, k):
+        # G(jw) is real where Im N(jw) conj D(jw), a real polynomial in w, is 0
+        den = np.poly([0.0] + [-p for p in lags])
+        num = np.array([1.0]) if rhp_zero is None else np.array([-1.0, rhp_zero])
+        plant = LinearPlant(num=tuple(num), den=tuple(den), k=k)
+
+        def in_w(c):  # coefficients of c(j*w) as a polynomial in w
+            return c * 1j ** np.arange(len(c) - 1, -1, -1)
+
+        im = np.polymul(in_w(num), np.conj(in_w(den))).imag
+        expected = []
+        for r in np.roots(np.trim_zeros(im, "f")):
+            w = r.real
+            if abs(r.imag) > 1e-9 * abs(r) or not 1e-3 < w < 1e3:
+                continue
+            g = k * np.polyval(num, 1j * w) / np.polyval(den, 1j * w)
+            if g.real < 0:
+                expected.append((w, 1.0 / abs(g)))
+        found = phase_crossovers(plant)
+        assert len(found) == len(expected)
+        for (w, km), (w_ref, km_ref) in zip(found, sorted(expected)):
+            assert w == pytest.approx(w_ref, abs=1e-6)
+            assert km == pytest.approx(km_ref, abs=1e-6)
 
 
 class TestContour:
