@@ -1,8 +1,9 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
-Exit codes: 0 success, 2 malformed input (JSON schema or grid) or a plant
-unusable at the sampled frequencies (a pole on the imaginary axis), 3
-analysis ran but the plant has no phase crossover.
+Exit codes: 0 success, 2 malformed input (JSON schema or grid), a plant
+unusable at the sampled frequencies (a pole on the imaginary axis), a plant
+with direct feedthrough under ``--simulate``, or an oracle quadrature that
+does not converge, 3 analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import sim, svg
 from .cycles import analyze, find_intersections
-from .descfun import df_exact, df_oracle_curve
+from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
     LinearPlant,
     PlantError,
@@ -114,7 +115,10 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
     if mode in ("qualitative", "both"):
         curves.append(df_qualitative(nl, xs))
     if mode == "oracle":
-        curves.append(df_oracle_curve(nl, xs[xs > 0]))
+        try:
+            curves.append(df_oracle_curve(nl, xs[xs > 0]))
+        except QuadratureError as exc:
+            _fail(f"{nl_file}: {exc}")
 
     if out_path and out_path.endswith(".svg"):
         series = [
@@ -202,7 +206,10 @@ def cmd_analyze(
                 if first_ellipse is None:
                     first_ellipse = cd["ellipse"]
             if do_simulate:
-                cd["simulation"] = _verify(plant, nl, cyc)
+                try:
+                    cd["simulation"] = _verify(plant, nl, cyc)
+                except sim.AlgebraicLoopError as exc:
+                    _fail(f"{plant_file}: {exc}")
             entry["cycles"].append(cd)
         report["crossovers"].append(entry)
 

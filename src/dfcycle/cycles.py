@@ -21,6 +21,14 @@ from .piecewise import PiecewiseNonlinearity
 STABLE = "stable"
 UNSTABLE = "unstable"
 
+# Log-grid points of the F(X) = K scan, the |F - K| that ends a bisection,
+# and bisection steps per bracket.
+N_GRID = 4096
+VALUE_TOL = 1e-10
+MAX_ITER = 200
+# Relative offset of the two stability probes from the cycle amplitude.
+DELTA = 1e-3
+
 
 class AmbiguousStabilityError(RuntimeError):
     """Both amplitude probes gave the same enclosure verdict."""
@@ -76,7 +84,7 @@ def winding_number(contour: np.ndarray, point: complex) -> int:
     return int(np.sum(up)) - int(np.sum(down))
 
 
-def _scan_roots(f, grid, value_tol, max_iter=200):
+def _scan_roots(f, grid):
     vals = f(grid)
     roots = []
     for i in range(len(grid) - 1):
@@ -88,10 +96,10 @@ def _scan_roots(f, grid, value_tol, max_iter=200):
             continue
         a, b = grid[i], grid[i + 1]
         mid = a
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             mid = 0.5 * (a + b)
             fm = float(f(mid))
-            if abs(fm) <= value_tol:
+            if abs(fm) <= VALUE_TOL:
                 break
             if (fm > 0) == (fa > 0):
                 a, fa = mid, fm
@@ -108,14 +116,12 @@ def find_intersections(
     gain_margin: float,
     *,
     x_max: float | None = None,
-    n_grid: int = 4096,
-    value_tol: float = 1e-10,
 ) -> list[float]:
     """All amplitudes with F(X) = gain_margin, ascending.
 
     With a nonlinearity the exact describing function is scanned on a dense
     log grid up to ``x_max`` (default 100x the last breakpoint) and each sign
-    change is bisected down to ``|F - K| <= value_tol``.  With a sampled
+    change is bisected down to ``|F - K| <= VALUE_TOL``.  With a sampled
     curve, crossings are located by linear interpolation between samples
     (amplitude accuracy limited by the sampling; counts are exact wherever
     the grid resolves the curve's rises and falls).
@@ -139,12 +145,12 @@ def find_intersections(
             ref = nl.max_breakpoint
             x_max = 100.0 * ref if ref > 0 else 100.0
         lo = x_max * 1e-7
-        grid = np.logspace(math.log10(lo), math.log10(x_max), n_grid)
+        grid = np.logspace(math.log10(lo), math.log10(x_max), N_GRID)
 
         def f(x):
             return df_value(nl, x) - gain_margin
 
-        roots = _scan_roots(f, grid, value_tol)
+        roots = _scan_roots(f, grid)
 
     dedup: list[float] = []
     for r in sorted(roots):
@@ -159,19 +165,18 @@ def classify(
     X: float,
     omega: float,
     *,
-    delta: float = 1e-3,
     contour: np.ndarray | None = None,
 ) -> str:
     """Stable/unstable verdict for a candidate cycle amplitude.
 
-    Probes -1/F at X*(1 +/- delta): the cycle is stable when the outward
+    Probes -1/F at X*(1 +/- DELTA): the cycle is stable when the outward
     probe escapes the closed Nyquist contour while the inward probe remains
     enclosed, and unstable in the mirrored case.
     """
     if contour is None:
         contour = nyquist_contour(plant)
     probes = {}
-    for tag, xs in (("below", X * (1.0 - delta)), ("above", X * (1.0 + delta))):
+    for tag, xs in (("below", X * (1.0 - DELTA)), ("above", X * (1.0 + DELTA))):
         F = df_value(nl, xs)
         if F <= 0:
             raise AmbiguousStabilityError(X, omega, None, None)
@@ -184,36 +189,27 @@ def classify(
 
 
 def ellipse_estimate(
-    plant: LinearPlant,
-    omega: float,
-    Y1: float,
-    phi1: float = 0.0,
+    plant: LinearPlant, omega: float, Y1: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Basis vectors x(0) and x(pi/2w) of the steady-state state ellipse.
 
     Componentwise the steady state is ``A(w) sin(wt + ph)`` with amplitude
-    ``A = Y1 |H(jw)|`` and phase ``ph = arg H(jw) + phi1``; the two returned
+    ``A = Y1 |H(jw)|`` and phase ``ph = arg H(jw)``; the two returned
     vectors are ``A sin(ph)`` and ``A cos(ph)``.
     """
     h = h_of_jw(plant, omega)
     amp = Y1 * np.abs(h)
-    ph = np.angle(h) + phi1
+    ph = np.angle(h)
     return amp * np.sin(ph), amp * np.cos(ph)
 
 
-def analyze(
-    plant: LinearPlant,
-    nl: PiecewiseNonlinearity,
-    *,
-    omega_range: tuple[float, float] = (1e-3, 1e3),
-    x_max: float | None = None,
-) -> list[CrossoverAnalysis]:
+def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
     """Full limit-cycle estimation for every phase crossover of the plant."""
     results = []
     contour = nyquist_contour(plant)
-    for omega, K in phase_crossovers(plant, omega_range):
+    for omega, K in phase_crossovers(plant):
         cycles = []
-        for X in find_intersections(nl, K, x_max=x_max):
+        for X in find_intersections(nl, K):
             stability = classify(plant, nl, X, omega, contour=contour)
             Y1 = df_value(nl, X) * X
             x0, xq = ellipse_estimate(plant, omega, Y1)

@@ -4,7 +4,9 @@ Closed forms are built from two primitives: the dead-zone factor ``phi`` and
 the relay factor ``psi``.  The full curve is the superposition of one term per
 slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
 same value by adaptive quadrature of the first Fourier harmonic and serves as
-an independent cross-check of the closed forms.
+an independent cross-check of the closed forms: it splits the period where
+X sin t meets a breakpoint and integrates each panel's own linear piece of y,
+read from ``evaluate`` and the vertex geometry, never from the decomposition.
 """
 
 from __future__ import annotations
@@ -146,8 +148,15 @@ def df_derivative(component: PrimitiveComponent, X: float) -> float:
 
 # -- quadrature oracle ----------------------------------------------------
 
+# Simpson tolerance per panel, the largest |a1| accepted relative to 1 + |b1|,
+# and the deepest refinement before a panel is given up.
+TOL = 1e-10
+SYMMETRY_TOL = 1e-8
+MAX_DEPTH = 48
 
-def _adaptive_simpson(f, a, b, fa, fb, tol, max_depth):
+
+def _adaptive_simpson(f, a, b):
+    fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -173,55 +182,34 @@ def _adaptive_simpson(f, a, b, fa, fb, tol, max_depth):
             m, b, fm, frm, fb, right, tol / 2.0, depth - 1
         )
 
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, TOL, MAX_DEPTH)
 
 
-def _one_sided(nl: PiecewiseNonlinearity, x: float, from_below: bool) -> float:
-    """One-sided limit of y at x; the odd extension swaps the sides for x < 0."""
-    if x < 0:
-        return -_one_sided(nl, -x, not from_below)
-    if from_below and x > 0:
-        return nl.evaluate(x, left=True)
-    if from_below:  # x == 0 approached from below: odd image of the right limit
-        return -nl.evaluate(0.0)
-    return nl.evaluate(x)
-
-
-def _integrate_piecewise(nl, X, weight, splits, tol, max_depth):
+def _integrate_piecewise(nl, X, weight, splits):
     """Integrate ``y(X sin t) * weight(t)`` over consecutive split panels.
 
-    Endpoint values are one-sided limits taken from inside each panel, so a
-    jump of y sitting exactly on a split never leaks into the neighbouring
-    panel (which would stall the adaptive refinement).
+    Between two splits X sin t stays on one linear piece of y.  Each panel
+    takes that piece once, at its midpoint (the value there and the slope of
+    the segment holding it), and integrates the piece's line at every t, the
+    panel ends included, so a jump of y sitting on a split never leaks into
+    the panel.
     """
-
-    def f(t: float) -> float:
-        return nl.evaluate(X * math.sin(t)) * weight(t)
-
-    def f_end(t: float, right_end: bool) -> float:
-        c = math.cos(t)
-        if abs(c) < 1e-14:
-            below = math.sin(t) > 0  # |x| at an extremum: approached from inside
-        else:
-            below = (c > 0) if right_end else (c < 0)
-        return _one_sided(nl, X * math.sin(t), below) * weight(t)
-
     total = 0.0
     for a, b in zip(splits, splits[1:]):
         if b <= a:
             continue
-        total += _adaptive_simpson(f, a, b, f_end(a, False), f_end(b, True), tol, max_depth)
+        x_mid = X * math.sin(0.5 * (a + b))
+        y_mid = nl.evaluate(x_mid)
+        m = next((s for _, xe, s in nl.segments if abs(x_mid) < xe), nl.last_slope)
+
+        def f(t: float) -> float:
+            return (y_mid + m * (X * math.sin(t) - x_mid)) * weight(t)
+
+        total += _adaptive_simpson(f, a, b)
     return total
 
 
-def df_oracle(
-    nl: PiecewiseNonlinearity,
-    X: float,
-    *,
-    tol: float = 1e-10,
-    symmetry_tol: float = 1e-8,
-    max_depth: int = 48,
-) -> float:
+def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     """Describing function by quadrature of the first Fourier harmonic.
 
     Integrates ``(4/(pi X)) * y(X sin t) sin t`` over a quarter period, with
@@ -235,7 +223,7 @@ def df_oracle(
     marks = sorted({xj for xj in (v[0] for v in nl.vertices) if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    quarter = _integrate_piecewise(nl, X, math.sin, thetas, tol, max_depth)
+    quarter = _integrate_piecewise(nl, X, math.sin, thetas)
     b1 = (4.0 / math.pi) * quarter
     value = b1 / X
 
@@ -246,18 +234,18 @@ def df_oracle(
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
     splits = sorted(full_marks)
 
-    a1 = _integrate_piecewise(nl, X, math.cos, splits, tol, max_depth) / math.pi
-    if abs(a1) > symmetry_tol * (1.0 + abs(b1)):
+    a1 = _integrate_piecewise(nl, X, math.cos, splits) / math.pi
+    if abs(a1) > SYMMETRY_TOL * (1.0 + abs(b1)):
         raise QuadratureError(
             f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e}"
         )
     return value
 
 
-def df_oracle_curve(nl: PiecewiseNonlinearity, grid, **kwargs) -> DescribingFunctionCurve:
+def df_oracle_curve(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
     """Oracle sampled over a grid (slow; for cross-checks and CLI use)."""
     grid = _validate_grid(nl, grid)
     if np.any(grid == 0):
         raise ValueError("the quadrature oracle requires strictly positive amplitudes")
-    F = np.array([df_oracle(nl, x, **kwargs) for x in grid])
+    F = np.array([df_oracle(nl, x) for x in grid])
     return DescribingFunctionCurve(grid, F, "oracle")

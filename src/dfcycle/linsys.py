@@ -15,6 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
+# Frequency interval of the crossover scan and of the Nyquist contour.
+OMEGA_RANGE = (1e-3, 1e3)
+# Log-grid points of the crossover scan and bisection steps per bracket.
+N_SCAN = 4000
+MAX_ITER = 200
+
 
 class PlantError(ValueError):
     """Raised when plant coefficients are unusable."""
@@ -145,10 +151,7 @@ def freq_response(
 
 def phase_crossovers(
     plant: LinearPlant,
-    omega_range: tuple[float, float] = (1e-3, 1e3),
-    *,
-    n_scan: int = 4000,
-    max_iter: int = 200,
+    omega_range: tuple[float, float] = OMEGA_RANGE,
 ) -> list[tuple[float, float]]:
     """Negative-real-axis crossings of G(j*omega) as (omega, gain margin).
 
@@ -158,7 +161,7 @@ def phase_crossovers(
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
-    ws = np.logspace(math.log10(lo), math.log10(hi), n_scan)
+    ws = np.logspace(math.log10(lo), math.log10(hi), N_SCAN)
     G = plant.transfer(1j * ws)
     im = G.imag
 
@@ -170,7 +173,7 @@ def phase_crossovers(
         b = ws[i + 1]
         g_mid = G[i]
         mid = a
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             mid = 0.5 * (a + b)
             g_mid = plant.transfer(1j * mid)
             if abs(g_mid.imag) <= 1e-12 * abs(g_mid):
@@ -189,20 +192,17 @@ def phase_crossovers(
     return dedup
 
 
-def nyquist_contour(
-    plant: LinearPlant,
-    omega_min: float = 1e-3,
-    omega_max: float = 1e3,
-    n: int = 8192,
-) -> np.ndarray:
+def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     """Closed Nyquist polygon of G for winding-number enclosure tests.
 
-    The positive-frequency branch is mirrored by conjugation; a pole of G at
-    the origin opens the contour, which is closed with a large clockwise arc
-    of pi radians per origin pole at ten times the innermost sample radius
-    (the standard indentation image).
+    The positive-frequency branch, ``n`` log-spaced samples over
+    ``OMEGA_RANGE``, is mirrored by conjugation; a pole of G at the origin
+    opens the contour, which is closed with a large clockwise arc of pi
+    radians per origin pole at ten times the innermost sample radius (the
+    standard indentation image).
     """
-    ws = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    lo, hi = OMEGA_RANGE
+    ws = np.logspace(math.log10(lo), math.log10(hi), n)
     g = plant.transfer(1j * ws)
     parts = [g, np.conj(g)[::-1]]
     q = plant.origin_poles

@@ -169,20 +169,14 @@ class PiecewiseNonlinearity:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, x: float, *, left: bool = False) -> float:
-        """Value y(x) with odd extension; right limit at jumps.
-
-        ``left=True`` returns the left limit instead, which only differs at a
-        jump abscissa (used by the quadrature oracle to integrate one-sided).
-        """
+    def evaluate(self, x: float) -> float:
+        """Value y(x) with odd extension; right limit at jumps."""
         if x < 0:
-            return -self.evaluate(-x, left=left)
+            return -self.evaluate(-x)
         xs = self._xs
         ys = self._ys
         # rightmost vertex with vx <= x; ties (jump) resolved to the right
         i = bisect_right(xs, x) - 1
-        if left and i > 0 and xs[i] == x:
-            i -= 1
         if i >= len(xs) - 1:
             return ys[-1] + self.last_slope * (x - xs[-1])
         m = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) if xs[i + 1] > xs[i] else 0.0

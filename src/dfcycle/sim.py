@@ -21,6 +21,10 @@ SUSTAINED = "sustained_oscillation"
 DIVERGED = "diverged"
 
 DIVERGENCE_NORM = 1e8
+# Largest relative change of the amplitude between the two halves of the
+# analysis window, and the fewest zero crossings, of a sustained oscillation.
+DRIFT_TOL = 0.02
+MIN_CROSSINGS = 4
 
 
 class AlgebraicLoopError(ValueError):
@@ -125,31 +129,21 @@ def simulate(
     return SimResult(t, traj, x, SUSTAINED, amplitude=amp, frequency=freq)
 
 
-def measure_oscillation(
-    t: np.ndarray,
-    x: np.ndarray,
-    window: float | None = None,
-    *,
-    drift_tol: float = 0.02,
-    min_crossings: int = 4,
-) -> tuple[float, float] | None:
+def measure_oscillation(t: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:
     """Amplitude and angular frequency of a sustained oscillation, or None.
 
-    The leading transient (everything before the analysis window, default the
-    second half of the record) is discarded.  Zero crossings are located by
-    linear interpolation; the mean rising-to-rising gap gives the period.
+    The first half of the record is discarded as transient; the second half
+    is the analysis window.  Zero crossings are located by linear
+    interpolation; the mean rising-to-rising gap gives the period.
     Returns None when there are too few crossings or the half peak-to-peak
-    amplitude drifts more than ``drift_tol`` between the two halves of the
+    amplitude drifts more than ``DRIFT_TOL`` between the two halves of the
     window.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if len(t) < 8:
         return None
-    if window is None:
-        start = t[0] + 0.5 * (t[-1] - t[0])
-    else:
-        start = t[-1] - window
+    start = t[0] + 0.5 * (t[-1] - t[0])
     sel = t >= start
     if np.count_nonzero(sel) < 8:
         return None
@@ -157,7 +151,7 @@ def measure_oscillation(
 
     sign = np.sign(xw)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(flips) < min_crossings:
+    if len(flips) < MIN_CROSSINGS:
         return None
     # linear interpolation of each crossing instant
     tc = tw[flips] - xw[flips] * (tw[flips + 1] - tw[flips]) / (
@@ -178,6 +172,6 @@ def measure_oscillation(
     amp = half_ptp(xw)
     if amp == 0.0:
         return None
-    if abs(a2 - a1) > drift_tol * max(a1, a2):
+    if abs(a2 - a1) > DRIFT_TOL * max(a1, a2):
         return None
     return amp, 2.0 * math.pi / period

@@ -16,6 +16,9 @@ NL_FIG = {"x": [2, 5, 5, 9, 9, 13, 19], "y": [0, 4, 2, 4, 6, 6, 8]}
 PLANT_A = {"num": [-1, 2], "den": [1, 1, 0]}
 PLANT_B = {"num": [1], "den": [1, 4, 3, 0]}
 PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
+PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
+NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
+NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e300}  # oracle drowns in rounding
 
 
 @pytest.fixture
@@ -95,6 +98,15 @@ class TestDf:
         res = runner.invoke(main, ["df", nl, "--grid", "-1", "5"])
         assert res.exit_code == 2
 
+    def test_oracle_failure_exits_2(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", NL_STEEP)
+        res = runner.invoke(main, ["df", nl, "--grid", "1.5", "3", "--mode", "oracle"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: {nl}: adaptive Simpson did not converge")
+        assert res.stdout == ""
+
 
 class TestAnalyze:
     def test_two_cycle_report(self, runner, tmp_path):
@@ -145,6 +157,17 @@ class TestAnalyze:
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: {plant}: pole at s = ")
         assert complex(line.rsplit(" ", 1)[1]) == pytest.approx(1j)
+        assert res.stdout == ""
+
+    def test_simulate_feedthrough_exits_2(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", NL_SAT)
+        plant = write(tmp_path, "plant.json", PLANT_FEEDTHROUGH)
+        res = runner.invoke(main, ["analyze", nl, plant, "--simulate"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: plant must be strictly proper (D = 0) for the feedback loop"
+        ]
         assert res.stdout == ""
 
 

@@ -153,6 +153,28 @@ class TestOracle:
         with pytest.raises(ValueError):
             df_oracle(nl_a, 0.0)
 
+    def test_split_rounding_past_a_jump(self):
+        # df_curves benchmark input (seed 1, round 120): a split of the
+        # full-period a1 integral rounds to the wrong side of the jump at 1.17
+        nl = PiecewiseNonlinearity(
+            x=(0.9185094198521655, 1.1685094198521655, 1.1685094198521655, 9.903184902277374),
+            y=(0.6500387041947204, 0.6084919229642956, -1.66906167122439, -2.0178469832443247),
+            final_slope=-0.8926329155914454,
+        )
+        X = 8.495517905453662
+        assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-9)
+
+    def test_amplitude_just_above_a_breakpoint(self):
+        # X is about 1e-15 relative above the breakpoint 3.5587784291319564;
+        # the a1 panel next to the jump's split (t near -3.055) must converge
+        nl = PiecewiseNonlinearity(
+            x=(0.30772920475220944, 0.30772920475220944, 3.5587784291319564, 5.042896257636302),
+            y=(0.17434891886241566, 2.5959643889092385, 3.0829676432366426, 2.1986520821986364),
+            final_slope=-0.6141560030306685,
+        )
+        X = 3.5587784291319604
+        assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-6)
+
 
 class TestCurveContainer:
     def test_grid_must_be_sorted(self, nl_a):

@@ -58,7 +58,6 @@ class TestEvaluate:
     def test_right_limit_at_jump(self):
         nl = PiecewiseNonlinearity(x=(1.0, 1.0, 2.0), y=(1.0, 3.0, 4.0))
         assert nl.evaluate(1.0) == pytest.approx(3.0)
-        assert nl.evaluate(1.0, left=True) == pytest.approx(1.0)
 
     def test_tail_uses_final_slope(self):
         nl = PiecewiseNonlinearity(x=(1.0,), y=(2.0,), final_slope=0.5)
