@@ -1,9 +1,10 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
 Exit codes: 0 success, 2 malformed input (JSON schema or grid), a plant
-unusable at the sampled frequencies (a pole on the imaginary axis), a plant
-with direct feedthrough under ``--simulate``, or an oracle quadrature that
-does not converge, 3 analysis ran but the plant has no phase crossover.
+unusable at the sampled frequencies (a pole on the imaginary axis), a
+predicted cycle whose stability its two amplitude probes cannot decide, a
+plant with direct feedthrough under ``--simulate``, or an oracle quadrature
+that does not converge, 3 analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import click
 import numpy as np
 
 from . import sim, svg
-from .cycles import analyze, find_intersections
+from .cycles import AmbiguousStabilityError, analyze, find_intersections
 from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
     LinearPlant,
@@ -35,6 +36,8 @@ EXIT_SCHEMA = 2
 EXIT_NO_CROSSOVER = 3
 # Raised when the plant cannot be evaluated at a frequency the command samples.
 FREQUENCY_ERRORS = (PoleOnAxisError, SingularFrequencyError)
+# Initial states of ``analyze --simulate``, as multiples of each cycle's x(0).
+VERIFY_SCALES = (0.5, 1.5)
 
 
 def _fail(message: str) -> None:
@@ -178,6 +181,11 @@ def cmd_analyze(
         crossovers = analyze(plant, nl)
     except FREQUENCY_ERRORS as exc:
         _fail(f"{plant_file}: {exc}")
+    except AmbiguousStabilityError as exc:
+        _fail(
+            f"{plant_file}: cannot classify the stability of the cycle at "
+            f"X = {exc.X}, omega = {exc.omega}"
+        )
 
     ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
@@ -237,11 +245,11 @@ def cmd_analyze(
         sys.exit(EXIT_NO_CROSSOVER)
 
 
-def _verify(plant, nl, cyc, scales=(0.5, 1.5)) -> list[dict]:
+def _verify(plant, nl, cyc) -> list[dict]:
     T, dt = sim.default_horizon(cyc.omega)
     runs = []
     basis = np.asarray(cyc.ellipse_x0)
-    for scale in scales:
+    for scale in VERIFY_SCALES:
         result = sim.simulate(plant, nl, scale * basis, T, dt)
         runs.append(
             {

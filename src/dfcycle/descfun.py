@@ -148,14 +148,20 @@ def df_derivative(component: PrimitiveComponent, X: float) -> float:
 
 # -- quadrature oracle ----------------------------------------------------
 
-# Simpson tolerance per panel, the largest |a1| accepted relative to 1 + |b1|,
+# Simpson tolerance per panel (scaled by the integrand's size there when that
+# exceeds 1), the largest |a1| accepted relative to 1 + |b1|,
 # and the deepest refinement before a panel is given up.
 TOL = 1e-10
 SYMMETRY_TOL = 1e-8
 MAX_DEPTH = 48
 
 
-def _adaptive_simpson(f, a, b):
+def _adaptive_simpson(f, a, b, where):
+    """Integral of f over [a, b]; ``where`` names the integral in an error.
+
+    The starting tolerance scales with the integrand's size on the panel, so
+    a steep map does not refine below its own rounding noise.
+    """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -176,16 +182,18 @@ def _adaptive_simpson(f, a, b):
             return left + right + err / 15.0
         if depth <= 0:
             raise QuadratureError(
-                f"adaptive Simpson did not converge on [{a}, {b}] (residual {err:.3e})"
+                f"adaptive Simpson did not converge on [{a}, {b}] "
+                f"(residual {err:.3e}) {where}"
             )
         return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
             m, b, fm, frm, fb, right, tol / 2.0, depth - 1
         )
 
-    return recurse(a, b, fa, fm, fb, whole, TOL, MAX_DEPTH)
+    tol = TOL * max(1.0, abs(fa), abs(fm), abs(fb))
+    return recurse(a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
 
 
-def _integrate_piecewise(nl, X, weight, splits):
+def _integrate_piecewise(nl, X, weight, splits, name):
     """Integrate ``y(X sin t) * weight(t)`` over consecutive split panels.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
@@ -194,6 +202,7 @@ def _integrate_piecewise(nl, X, weight, splits):
     panel ends included, so a jump of y sitting on a split never leaks into
     the panel.
     """
+    where = f"in the {name} integral at X = {X}"
     total = 0.0
     for a, b in zip(splits, splits[1:]):
         if b <= a:
@@ -205,7 +214,7 @@ def _integrate_piecewise(nl, X, weight, splits):
         def f(t: float) -> float:
             return (y_mid + m * (X * math.sin(t) - x_mid)) * weight(t)
 
-        total += _adaptive_simpson(f, a, b)
+        total += _adaptive_simpson(f, a, b, where)
     return total
 
 
@@ -219,11 +228,12 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     """
     if X <= 0:
         raise ValueError("amplitude must be positive")
+    X = float(X)  # Python floats overflow to inf without a NumPy warning
 
     marks = sorted({xj for xj in (v[0] for v in nl.vertices) if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    quarter = _integrate_piecewise(nl, X, math.sin, thetas)
+    quarter = _integrate_piecewise(nl, X, math.sin, thetas, "quarter-period b1")
     b1 = (4.0 / math.pi) * quarter
     value = b1 / X
 
@@ -234,7 +244,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
     splits = sorted(full_marks)
 
-    a1 = _integrate_piecewise(nl, X, math.cos, splits) / math.pi
+    a1 = _integrate_piecewise(nl, X, math.cos, splits, "full-period a1") / math.pi
     if abs(a1) > SYMMETRY_TOL * (1.0 + abs(b1)):
         raise QuadratureError(
             f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e}"

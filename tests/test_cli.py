@@ -8,6 +8,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from dfcycle import cycles
 from dfcycle.cli import main
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
@@ -18,7 +19,7 @@ PLANT_B = {"num": [1], "den": [1, 4, 3, 0]}
 PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
 PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
 NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
-NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e300}  # oracle drowns in rounding
+NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # the integrand overflows
 
 
 @pytest.fixture
@@ -105,6 +106,7 @@ class TestDf:
         assert isinstance(res.exception, SystemExit)
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: {nl}: adaptive Simpson did not converge")
+        assert "X = 1.5" in line
         assert res.stdout == ""
 
 
@@ -157,6 +159,23 @@ class TestAnalyze:
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: {plant}: pole at s = ")
         assert complex(line.rsplit(" ", 1)[1]) == pytest.approx(1j)
+        assert res.stdout == ""
+
+    def test_ambiguous_stability_exits_2(self, runner, tmp_path, monkeypatch):
+        def ambiguous(plant, nl, X, omega, **kwargs):
+            raise cycles.AmbiguousStabilityError(X, omega, True, True)
+
+        monkeypatch.setattr(cycles, "classify", ambiguous)
+        nl = write(tmp_path, "nl.json", NL_A)
+        plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith(
+            f"error: {plant}: cannot classify the stability of the cycle at X = "
+        )
+        assert "omega = 1.41421" in line
         assert res.stdout == ""
 
     def test_simulate_feedthrough_exits_2(self, runner, tmp_path):

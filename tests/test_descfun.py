@@ -164,6 +164,14 @@ class TestOracle:
         X = 8.495517905453662
         assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-9)
 
+    def test_steep_final_slope_converges_quickly(self):
+        # the Simpson tolerance scales with the integrand, so a steep map
+        # does not refine below its own rounding noise
+        nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e10)
+        start = time.monotonic()
+        assert df_oracle(nl, 1.5) == pytest.approx(df_value(nl, 1.5), rel=1e-9)
+        assert time.monotonic() - start < 1.0
+
     def test_amplitude_just_above_a_breakpoint(self):
         # X is about 1e-15 relative above the breakpoint 3.5587784291319564;
         # the a1 panel next to the jump's split (t near -3.055) must converge

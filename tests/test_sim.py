@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity
+from dfcycle.cycles import analyze
 from dfcycle.sim import (
     CONVERGED,
     DIVERGED,
+    DIVERGENCE_NORM,
     SUSTAINED,
+    _pieces,
     default_horizon,
     loop_matrices,
     measure_oscillation,
@@ -20,9 +23,56 @@ from dfcycle.sim import (
 
 from conftest import plant_a, plant_b
 
+NL_A = PiecewiseNonlinearity(x=(2, 7, 20, 20, 25), y=(0, 4.5, 7.21, 4.21, 5.25))
+NL_B = PiecewiseNonlinearity(x=(3, 6, 10, 19), y=(3, 3, 10, 10))
+RELAY = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
+
 
 def linear_gain(m: float) -> PiecewiseNonlinearity:
     return PiecewiseNonlinearity(x=(0.0,), y=(0.0,), final_slope=m)
+
+
+def reference_rk4(plant, nl, x0, T, dt):
+    """Classical RK4 on plain lists, every stage through ``nl.evaluate``.
+
+    Returns the states (truncated at the first one past the divergence
+    norm) and the verdict read from them.
+    """
+    A, B, C = loop_matrices(plant)
+    A, B, C = A.tolist(), B.tolist(), C.tolist()
+
+    def rhs(s):
+        u = nl.evaluate(sum(c * v for c, v in zip(C, s)))
+        return [sum(a * v for a, v in zip(row, s)) + b * u for row, b in zip(A, B)]
+
+    def shift(s, k, a):
+        return [v + a * w for v, w in zip(s, k)]
+
+    h = dt
+    s = [float(v) for v in x0]
+    traj = [s]
+    for _ in range(int(round(T / dt))):
+        k1 = rhs(s)
+        k2 = rhs(shift(s, k1, 0.5 * h))
+        k3 = rhs(shift(s, k2, 0.5 * h))
+        k4 = rhs(shift(s, k3, h))
+        s = [v + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for v, a, b, c, d in zip(s, k1, k2, k3, k4)]
+        traj.append(s)
+        if max(abs(v) for v in s) > DIVERGENCE_NORM:
+            return np.array(traj), DIVERGED
+    traj = np.array(traj)
+    t = np.arange(len(traj)) * dt
+    measured = measure_oscillation(t, traj @ np.array(C))
+    return traj, CONVERGED if measured is None else SUSTAINED
+
+
+def cycle_start(plant, nl, scale, periods):
+    """(x0, T, dt): ``scale`` times the predicted cycle's x(0), over ``periods``."""
+    (co,) = analyze(plant, nl)
+    (cyc,) = co.cycles
+    _, dt = default_horizon(cyc.omega)
+    return scale * np.asarray(cyc.ellipse_x0), periods * 2.0 * math.pi / cyc.omega, dt
 
 
 class TestLoopSetup:
@@ -97,6 +147,59 @@ class TestVerdicts:
     def test_requires_enough_steps(self, nl_b):
         with pytest.raises(ValueError):
             simulate(plant_b(30.0), nl_b, np.zeros(3), 1.0, 0.5)
+
+
+class TestAgainstReference:
+    """The folded, piece-affine stepper against a plain-list RK4."""
+
+    @pytest.mark.parametrize(
+        "plant, nl, scale, periods, verdict",
+        [
+            (plant_b(30.0), NL_B, 0.5, 20, SUSTAINED),
+            (plant_b(30.0), NL_B, 1.5, 20, SUSTAINED),
+            (plant_a(6.0), NL_A, 0.3, 40, CONVERGED),
+            (plant_a(6.0), NL_A, 2.0, 40, DIVERGED),  # crosses the jump at 20
+        ],
+        ids=["b-inner", "b-outer", "a-inner", "a-outer"],
+    )
+    def test_predicted_cycles(self, plant, nl, scale, periods, verdict):
+        x0, T, dt = cycle_start(plant, nl, scale, periods)
+        self.check(plant, nl, x0, T, dt, verdict)
+
+    def test_relay_jump_at_origin(self):
+        T, dt = default_horizon(math.sqrt(3.0))
+        res = self.check(plant_b(1.0), RELAY, [0.1, 0.2, 0.0], T / 10.0, dt, SUSTAINED)
+        assert res.full_steps > 0
+
+    def test_linear_gain_takes_no_full_step(self):
+        p = LinearPlant(num=(1.0,), den=(1.0, 3.0, 2.0))
+        res = self.check(p, linear_gain(0.5), [1.0, 1.0], 40.0, 0.01, CONVERGED)
+        assert res.full_steps == 0
+
+    def test_full_steps_only_near_breakpoints(self):
+        x0, T, dt = cycle_start(plant_b(30.0), NL_B, 0.5, 20)
+        res = simulate(plant_b(30.0), NL_B, x0, T, dt)
+        assert 0 < res.full_steps < 0.1 * (len(res.t) - 1)
+
+    @pytest.mark.parametrize("nl", [NL_A, NL_B, RELAY, linear_gain(0.7)])
+    def test_piece_lines_match_evaluate(self, nl):
+        # vertices and midpoints on both sides: right limit at a jump, odd
+        piece_of, line = _pieces(nl)
+        xs = sorted({v[0] for v in nl.vertices} | {1.0, 50.0})
+        probes = xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+        for x in probes + [-x for x in probes]:
+            m, b = line(int(piece_of(x)))
+            assert m * x + b == pytest.approx(nl.evaluate(x), rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def check(plant, nl, x0, T, dt, verdict):
+        ref, ref_verdict = reference_rk4(plant, nl, x0, T, dt)
+        res = simulate(plant, nl, x0, T, dt)
+        assert ref_verdict == res.verdict == verdict
+        assert len(res.t) == len(ref)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(res.states - ref) / scale) <= 1e-9
+        return res
 
 
 class TestMeasurement:
