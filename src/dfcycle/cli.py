@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 malformed input (JSON schema or grid), a plant
 unusable at the sampled frequencies (a pole on the imaginary axis), a
 predicted cycle whose stability its two amplitude probes cannot decide, a
 plant with direct feedthrough under ``--simulate``, or an oracle quadrature
-that does not converge, 3 analysis ran but the plant has no phase crossover.
+that is not finite or fails its symmetry check, 3 analysis ran but the plant
+has no phase crossover.
 """
 
 from __future__ import annotations

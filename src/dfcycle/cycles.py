@@ -206,8 +206,9 @@ def ellipse_estimate(
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
     """Full limit-cycle estimation for every phase crossover of the plant."""
     results = []
+    crossovers = phase_crossovers(plant)  # rejects an overflowing G first
     contour = nyquist_contour(plant)
-    for omega, K in phase_crossovers(plant):
+    for omega, K in crossovers:
         cycles = []
         for X in find_intersections(nl, K):
             stability = classify(plant, nl, X, omega, contour=contour)

@@ -3,10 +3,11 @@
 Closed forms are built from two primitives: the dead-zone factor ``phi`` and
 the relay factor ``psi``.  The full curve is the superposition of one term per
 slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
-same value by adaptive quadrature of the first Fourier harmonic and serves as
-an independent cross-check of the closed forms: it splits the period where
+same value by quadrature of the first Fourier harmonic and serves as an
+independent cross-check of the closed forms: it splits the period where
 X sin t meets a breakpoint and integrates each panel's own linear piece of y,
-read from ``evaluate`` and the vertex geometry, never from the decomposition.
+read from ``evaluate`` and the vertex geometry, never from the decomposition,
+with one fixed 16-node Gauss-Legendre rule per panel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .piecewise import PiecewiseNonlinearity, PrimitiveComponent, PrimitiveKind
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The quadrature oracle gave a non-finite integral or a nonzero a1."""
 
 
 @dataclass(frozen=True)
@@ -148,49 +149,25 @@ def df_derivative(component: PrimitiveComponent, X: float) -> float:
 
 # -- quadrature oracle ----------------------------------------------------
 
-# Simpson tolerance per panel (scaled by the integrand's size there when that
-# exceeds 1), the largest |a1| accepted relative to 1 + |b1|,
-# and the deepest refinement before a panel is given up.
-TOL = 1e-10
+# The largest |a1| accepted relative to 1 + |b1|.
 SYMMETRY_TOL = 1e-8
-MAX_DEPTH = 48
 
 
-def _adaptive_simpson(f, a, b, where):
-    """Integral of f over [a, b]; ``where`` names the integral in an error.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule moved to [0, 1].
 
-    The starting tolerance scales with the integrand's size on the panel, so
-    a steep map does not refine below its own rounding noise.
+    Golub & Welsch (Math. Comp. 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the Legendre recurrence, the weights the squared first
+    components of its eigenvectors.  The rule is exact for polynomials of
+    degree 2n - 1, and its weights sum to 1, so a panel's weighted sum cannot
+    overflow before the integral does.
     """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    k = np.arange(1.0, n)
+    roots, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return 0.5 * (1.0 + roots), vectors[0] ** 2
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        # tol halves each level and can fall below rounding noise; accept once
-        # the residual is at machine level relative to the panel contribution
-        if abs(err) <= 15.0 * tol or abs(err) <= 1e-15 * (1.0 + abs(left) + abs(right)):
-            return left + right + err / 15.0
-        if depth <= 0:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{a}, {b}] "
-                f"(residual {err:.3e}) {where}"
-            )
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
 
-    tol = TOL * max(1.0, abs(fa), abs(fm), abs(fb))
-    return recurse(a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
+_NODES, _WEIGHTS = _gauss_legendre(16)
 
 
 def _integrate_piecewise(nl, X, weight, splits, name):
@@ -198,23 +175,26 @@ def _integrate_piecewise(nl, X, weight, splits, name):
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
     takes that piece once, at its midpoint (the value there and the slope of
-    the segment holding it), and integrates the piece's line at every t, the
-    panel ends included, so a jump of y sitting on a split never leaks into
-    the panel.
+    the segment holding it), and integrates the piece's line with the
+    Gauss-Legendre rule, whose nodes lie inside the panel, so a jump of y
+    sitting on a split never leaks into the panel.  All panels are evaluated
+    as one array.
     """
-    where = f"in the {name} integral at X = {X}"
-    total = 0.0
-    for a, b in zip(splits, splits[1:]):
-        if b <= a:
-            continue
-        x_mid = X * math.sin(0.5 * (a + b))
-        y_mid = nl.evaluate(x_mid)
-        m = next((s for _, xe, s in nl.segments if abs(x_mid) < xe), nl.last_slope)
-
-        def f(t: float) -> float:
-            return (y_mid + m * (X * math.sin(t) - x_mid)) * weight(t)
-
-        total += _adaptive_simpson(f, a, b, where)
+    splits = np.array(splits)
+    a, width = splits[:-1], np.diff(splits)
+    x_mid = X * np.sin(a + 0.5 * width)
+    y_mid = np.array([nl.evaluate(x) for x in x_mid.tolist()])
+    ends = [xe for _, xe, _ in nl.segments]
+    slopes = np.array([s for _, _, s in nl.segments] + [nl.last_slope])
+    m = slopes[np.searchsorted(ends, np.abs(x_mid), side="right")]
+    t = a[:, None] + width[:, None] * _NODES
+    with np.errstate(all="ignore"):
+        f = (y_mid[:, None] + m[:, None] * (X * np.sin(t) - x_mid[:, None])) * weight(t)
+        total = float(width @ (f @ _WEIGHTS))
+    if not math.isfinite(total):
+        raise QuadratureError(
+            f"quadrature gave a non-finite value in the {name} integral at X = {X}"
+        )
     return total
 
 
@@ -223,19 +203,20 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
 
     Integrates ``(4/(pi X)) * y(X sin t) sin t`` over a quarter period, with
     the domain split at ``arcsin(Xj/X)`` for every breakpoint Xj <= X, where
-    the integrand kinks or jumps.  The cosine coefficient a1 is computed over
-    the full period as a symmetry self-check and must vanish.
+    the integrand kinks or jumps, and a 16-node Gauss-Legendre rule on each
+    panel.  The cosine coefficient a1 is computed over the full period as a
+    symmetry self-check and must vanish.  Raises ``QuadratureError`` when an
+    integral is not finite or a1 does not vanish.
     """
     if X <= 0:
         raise ValueError("amplitude must be positive")
-    X = float(X)  # Python floats overflow to inf without a NumPy warning
 
     marks = sorted({xj for xj in (v[0] for v in nl.vertices) if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    quarter = _integrate_piecewise(nl, X, math.sin, thetas, "quarter-period b1")
-    b1 = (4.0 / math.pi) * quarter
-    value = b1 / X
+    quarter = _integrate_piecewise(nl, X, np.sin, thetas, "quarter-period b1")
+    value = (4.0 / math.pi) * (quarter / X)  # finite wherever F(X) is
+    b1 = value * X
 
     # a1 over the full period; kinks occur wherever |X sin t| hits a breakpoint
     full_marks = {-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi}
@@ -244,7 +225,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
     splits = sorted(full_marks)
 
-    a1 = _integrate_piecewise(nl, X, math.cos, splits, "full-period a1") / math.pi
+    a1 = _integrate_piecewise(nl, X, np.cos, splits, "full-period a1") / math.pi
     if abs(a1) > SYMMETRY_TOL * (1.0 + abs(b1)):
         raise QuadratureError(
             f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e}"
@@ -253,7 +234,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
 
 
 def df_oracle_curve(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
-    """Oracle sampled over a grid (slow; for cross-checks and CLI use)."""
+    """Quadrature oracle sampled over a grid (for cross-checks and CLI use)."""
     grid = _validate_grid(nl, grid)
     if np.any(grid == 0):
         raise ValueError("the quadrature oracle requires strictly positive amplitudes")

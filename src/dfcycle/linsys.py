@@ -31,7 +31,7 @@ class PoleOnAxisError(ValueError):
 
 
 class SingularFrequencyError(ValueError):
-    """State-space resolvent is singular at the requested frequency."""
+    """State-space resolvent is singular, or G is not finite, at the frequency."""
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,20 @@ def phase_crossovers(
 
     Sign changes of Im G on a log grid are bracketed and bisected until
     ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
+    Raises ``SingularFrequencyError`` naming the first scanned omega at which
+    G overflows.
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = np.logspace(math.log10(lo), math.log10(hi), N_SCAN)
-    G = plant.transfer(1j * ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = plant.transfer(1j * ws)
+    overflow = ~np.isfinite(G)
+    if overflow.any():
+        raise SingularFrequencyError(
+            f"G(j omega) is not finite at omega = {ws[overflow][0]}"
+        )
     im = G.imag
 
     out: list[tuple[float, float]] = []

@@ -96,6 +96,11 @@ class PiecewiseNonlinearity:
                 raise NonlinearityError(f"repeated abscissa {a} with no jump")
         if self.final_slope is not None and not math.isfinite(self.final_slope):
             raise NonlinearityError("final_slope must be finite")
+        for x0, x1, m in self.segments:
+            if not math.isfinite(m):
+                raise NonlinearityError(
+                    f"slope of the segment from {x0} to {x1} is not finite"
+                )
 
     def _vertex_xs(self) -> list[float]:
         xs = list(self.x)

@@ -20,6 +20,8 @@ PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
 PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
 NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
 NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # the integrand overflows
+NL_SLOPE_OVERFLOW = {"x": [1e-300, 1], "y": [1e300, 1]}  # first slope is 1e600
+PLANT_OVERFLOW = {"num": [1e300], "den": [1, 4, 3, 0], "k": 1e10}  # G(jw) overflows
 
 
 @pytest.fixture
@@ -105,8 +107,8 @@ class TestDf:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         [line] = res.stderr.splitlines()
-        assert line.startswith(f"error: {nl}: adaptive Simpson did not converge")
-        assert "X = 1.5" in line
+        assert line.startswith(f"error: {nl}: quadrature gave a non-finite value")
+        assert "X = 3.0" in line
         assert res.stdout == ""
 
 
@@ -176,6 +178,28 @@ class TestAnalyze:
             f"error: {plant}: cannot classify the stability of the cycle at X = "
         )
         assert "omega = 1.41421" in line
+        assert res.stdout == ""
+
+    def test_overflowing_slope_exits_2(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", NL_SLOPE_OVERFLOW)
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 5})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [
+            f"error: {nl}: slope of the segment from 0.0 to 1e-300 is not finite"
+        ]
+        assert res.stdout == ""
+
+    def test_overflowing_plant_exits_2(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", {"x": [3], "y": [3]})
+        plant = write(tmp_path, "plant.json", PLANT_OVERFLOW)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: G(j omega) is not finite at omega = 0.001"
+        ]
         assert res.stdout == ""
 
     def test_simulate_feedthrough_exits_2(self, runner, tmp_path):

@@ -18,8 +18,8 @@ from dfcycle import (
     df_exact,
     df_value,
 )
+from dfcycle import descfun
 from dfcycle.descfun import (
-    QuadratureError,
     df_derivative,
     df_oracle,
     phi,
@@ -165,12 +165,42 @@ class TestOracle:
         assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-9)
 
     def test_steep_final_slope_converges_quickly(self):
-        # the Simpson tolerance scales with the integrand, so a steep map
-        # does not refine below its own rounding noise
+        # a steep outer piece is one line per panel, which the fixed rule
+        # integrates to rounding error in one array evaluation
         nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e10)
         start = time.monotonic()
         assert df_oracle(nl, 1.5) == pytest.approx(df_value(nl, 1.5), rel=1e-9)
         assert time.monotonic() - start < 1.0
+
+    def test_rule_is_exact_to_degree_31(self):
+        for k in range(32):
+            exact = 1.0 / (k + 1)  # integral of u^k over [0, 1]
+            assert descfun._WEIGHTS @ descfun._NODES**k == pytest.approx(exact, rel=1e-14)
+
+    def test_huge_final_slope_is_finite(self):
+        # y reaches 5e307 at X = 1.5; the integral stays below the float limit
+        nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e308)
+        assert df_oracle(nl, 1.5) == pytest.approx(df_value(nl, 1.5), rel=1e-9)
+
+    def test_value_near_the_largest_float(self):
+        # b1 = X F(X) = 1.8e308 overflows, F(X) itself does not
+        nl = PiecewiseNonlinearity(x=(1.0,), y=(1.5e308,), final_slope=0.0)
+        assert df_oracle(nl, 2.0) == pytest.approx(df_value(nl, 2.0), rel=1e-9)
+
+    def test_independent_of_the_decomposition(self, nl_a, monkeypatch):
+        relay = PiecewiseNonlinearity(x=(0.0, 2.0), y=(1.0, 1.5))  # origin jump
+        cases = [(nl_a, X) for X in (1.0, 6.89, 20.02, 30.0)]
+        cases += [(relay, X) for X in (0.5, 2.0, 5.0)]
+        expected = [df_value(nl, X) for nl, X in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the closed forms")
+
+        monkeypatch.setattr(PiecewiseNonlinearity, "decompose", forbidden)
+        monkeypatch.setattr(descfun, "phi", forbidden)
+        monkeypatch.setattr(descfun, "psi", forbidden)
+        for (nl, X), f in zip(cases, expected):
+            assert df_oracle(nl, X) == pytest.approx(f, rel=1e-9)
 
     def test_amplitude_just_above_a_breakpoint(self):
         # X is about 1e-15 relative above the breakpoint 3.5587784291319564;

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
     PoleOnAxisError,
+    SingularFrequencyError,
     h_of_jw,
     nyquist_contour,
     phase_crossovers,
@@ -129,6 +130,11 @@ class TestCrossovers:
             w, km = found[0]
             assert w == pytest.approx(math.sqrt(3.0), abs=1e-6)
             assert km == pytest.approx(12.0 / k, abs=1e-6)
+
+    def test_overflowing_response_names_the_frequency(self):
+        p = LinearPlant(num=(1e300,), den=(1.0, 4.0, 3.0, 0.0), k=1e10)
+        with pytest.raises(SingularFrequencyError, match=r"at omega = 0\.001$"):
+            phase_crossovers(p)
 
     def test_no_crossover_plant(self):
         # first-order lag never reaches -180 degrees

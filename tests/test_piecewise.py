@@ -44,6 +44,10 @@ class TestValidation:
         with pytest.raises(NonlinearityError):
             PiecewiseNonlinearity(x=(1.0, 1.0, 1.0), y=(1.0, 2.0, 3.0))
 
+    def test_rejects_overflowing_slope(self):
+        with pytest.raises(NonlinearityError, match="from 0.0 to 1e-300 is not finite"):
+            PiecewiseNonlinearity(x=(1e-300, 1.0), y=(1e300, 1.0))
+
     def test_pure_gain_via_final_slope(self):
         nl = PiecewiseNonlinearity(x=(0.0,), y=(0.0,), final_slope=3.0)
         assert nl.evaluate(2.0) == pytest.approx(6.0)
