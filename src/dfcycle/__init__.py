@@ -26,7 +26,7 @@ from .descfun import (
     phi,
     psi,
 )
-from .qualdf import df_qualitative, phi_tilde, psi_tilde
+from .qualdf import df_qualitative, phi_tilde
 from .linsys import (
     LinearPlant,
     PlantError,
@@ -40,6 +40,7 @@ from .linsys import (
 from .cycles import (
     AmbiguousStabilityError,
     CrossoverAnalysis,
+    IntersectionError,
     LimitCycleEstimate,
     analyze,
     classify,
@@ -60,6 +61,7 @@ __all__ = [
     "AmbiguousStabilityError",
     "CrossoverAnalysis",
     "DescribingFunctionCurve",
+    "IntersectionError",
     "LimitCycleEstimate",
     "LinearPlant",
     "NonlinearityError",
@@ -89,7 +91,6 @@ __all__ = [
     "phi",
     "phi_tilde",
     "psi",
-    "psi_tilde",
     "simulate",
     "winding_number",
 ]

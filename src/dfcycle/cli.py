@@ -1,11 +1,14 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
 Exit codes: 0 success, 2 malformed input (JSON schema or grid), a plant
-unusable at the sampled frequencies (a pole on the imaginary axis), a
-predicted cycle whose stability its two amplitude probes cannot decide, a
-plant with direct feedthrough under ``--simulate``, or an oracle quadrature
-that is not finite or fails its symmetry check, 3 analysis ran but the plant
-has no phase crossover.
+unusable at the sampled frequencies (a pole on the imaginary axis, or a
+G(j omega) that is not finite, in ``analyze`` and ``nyquist``), a describing
+function F(X) that is not finite (``df``, ``analyze``), an F(X) = K that
+holds on a plateau of amplitudes instead of at isolated ones, a predicted
+cycle whose stability its two amplitude probes cannot decide, a plant with
+direct feedthrough under ``--simulate``, or an oracle quadrature that is not
+finite or fails its symmetry check, 3 analysis ran but the plant has no phase
+crossover.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import click
 import numpy as np
 
 from . import sim, svg
-from .cycles import AmbiguousStabilityError, analyze, find_intersections
+from .cycles import AmbiguousStabilityError, IntersectionError, analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
     LinearPlant,
@@ -66,6 +69,15 @@ def _load_plant(path: str) -> LinearPlant:
 
 def _num(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _curve(nl_file: str, make, nl: PiecewiseNonlinearity, grid):
+    """``make(nl, grid)``, failing with one line on a non-finite F or oracle."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return make(nl, grid)
+    except (ValueError, QuadratureError) as exc:
+        _fail(f"{nl_file}: {exc}")
 
 
 def _default_grid(nl: PiecewiseNonlinearity) -> tuple[float, float]:
@@ -115,14 +127,11 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
 
     curves = []
     if mode in ("exact", "both"):
-        curves.append(df_exact(nl, xs))
+        curves.append(_curve(nl_file, df_exact, nl, xs))
     if mode in ("qualitative", "both"):
-        curves.append(df_qualitative(nl, xs))
+        curves.append(_curve(nl_file, df_qualitative, nl, xs))
     if mode == "oracle":
-        try:
-            curves.append(df_oracle_curve(nl, xs[xs > 0]))
-        except QuadratureError as exc:
-            _fail(f"{nl_file}: {exc}")
+        curves.append(_curve(nl_file, df_oracle_curve, nl, xs[xs > 0]))
 
     if out_path and out_path.endswith(".svg"):
         series = [
@@ -182,6 +191,8 @@ def cmd_analyze(
         crossovers = analyze(plant, nl)
     except FREQUENCY_ERRORS as exc:
         _fail(f"{plant_file}: {exc}")
+    except IntersectionError as exc:
+        _fail(f"{nl_file}: {exc}")
     except AmbiguousStabilityError as exc:
         _fail(
             f"{plant_file}: cannot classify the stability of the cycle at "
@@ -190,7 +201,7 @@ def cmd_analyze(
 
     ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
-    df_curve = df_exact(nl, df_grid)
+    df_curve = _curve(nl_file, df_exact, nl, df_grid)
 
     report: dict = {
         "schema": SCHEMA_VERSION,

@@ -16,18 +16,21 @@ import numpy as np
 
 from .descfun import DescribingFunctionCurve, df_value
 from .linsys import LinearPlant, h_of_jw, nyquist_contour, phase_crossovers
+from .linsys import _bisect_sign_changes, _brackets
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 
-# Log-grid points of the F(X) = K scan, the |F - K| that ends a bisection,
-# and bisection steps per bracket.
+# Log-grid points of the F(X) = K scan and the |F - K| that ends a bisection.
 N_GRID = 4096
 VALUE_TOL = 1e-10
-MAX_ITER = 200
 # Relative offset of the two stability probes from the cycle amplitude.
 DELTA = 1e-3
+
+
+class IntersectionError(ValueError):
+    """F(X) = K has no isolated roots: F is not finite, or equals K on a plateau."""
 
 
 class AmbiguousStabilityError(RuntimeError):
@@ -84,33 +87,6 @@ def winding_number(contour: np.ndarray, point: complex) -> int:
     return int(np.sum(up)) - int(np.sum(down))
 
 
-def _scan_roots(f, grid):
-    vals = f(grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(grid[i])
-            continue
-        if fa * fb >= 0.0:
-            continue
-        a, b = grid[i], grid[i + 1]
-        mid = a
-        for _ in range(MAX_ITER):
-            mid = 0.5 * (a + b)
-            fm = float(f(mid))
-            if abs(fm) <= VALUE_TOL:
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append(mid)
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return roots
-
-
 def find_intersections(
     source: PiecewiseNonlinearity | DescribingFunctionCurve,
     gain_margin: float,
@@ -119,41 +95,51 @@ def find_intersections(
 ) -> list[float]:
     """All amplitudes with F(X) = gain_margin, ascending.
 
-    With a nonlinearity the exact describing function is scanned on a dense
-    log grid up to ``x_max`` (default 100x the last breakpoint) and each sign
-    change is bisected down to ``|F - K| <= VALUE_TOL``.  With a sampled
-    curve, crossings are located by linear interpolation between samples
-    (amplitude accuracy limited by the sampling; counts are exact wherever
-    the grid resolves the curve's rises and falls).
+    v = F - K is sampled on a grid: with a nonlinearity, a dense log grid up
+    to ``x_max`` (default 100x the last breakpoint); with a sampled curve,
+    its own samples.  As in ``phase_crossovers``, a bracket opens wherever
+    ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a sample with v = 0 is a root.
+    A nonlinearity's brackets are bisected together down to
+    ``|F - K| <= VALUE_TOL``; a curve's are interpolated linearly (amplitude
+    accuracy limited by the sampling; counts are exact wherever the grid
+    resolves the curve's rises and falls).  Raises ``IntersectionError`` when
+    F is not finite on the grid, or v = 0 at two consecutive samples.
     """
     if gain_margin <= 0:
         raise ValueError("gain margin must be positive")
 
     if isinstance(source, DescribingFunctionCurve):
         X, F = source.X, source.F - gain_margin
-        roots = []
-        for i in range(len(X) - 1):
-            if F[i] == 0.0:
-                roots.append(float(X[i]))
-            elif F[i] * F[i + 1] < 0.0:
-                roots.append(float(X[i] - F[i] * (X[i + 1] - X[i]) / (F[i + 1] - F[i])))
-        if len(F) and F[-1] == 0.0:
-            roots.append(float(X[-1]))
+        i = _brackets(F)
+        roots = X[i] - F[i] * (X[i + 1] - X[i]) / (F[i + 1] - F[i])
     else:
         nl = source
         if x_max is None:
             ref = nl.max_breakpoint
             x_max = 100.0 * ref if ref > 0 else 100.0
         lo = x_max * 1e-7
-        grid = np.logspace(math.log10(lo), math.log10(x_max), N_GRID)
+        X = np.logspace(math.log10(lo), math.log10(x_max), N_GRID)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = df_value(nl, X) - gain_margin
+        overflow = ~np.isfinite(F)
+        if overflow.any():
+            raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
+        roots, _ = _bisect_sign_changes(
+            lambda x: df_value(nl, x) - gain_margin,
+            X,
+            F,
+            lambda v: v,
+            lambda v: np.abs(v) <= VALUE_TOL,
+        )
 
-        def f(x):
-            return df_value(nl, x) - gain_margin
-
-        roots = _scan_roots(f, grid)
-
+    zero = F == 0.0
+    if (zero[:-1] & zero[1:]).any():
+        raise IntersectionError(
+            f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
+            f"consecutive amplitudes in X = [{X[zero][0]}, {X[zero][-1]}]"
+        )
     dedup: list[float] = []
-    for r in sorted(roots):
+    for r in sorted(roots.tolist() + X[zero].tolist()):
         if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
             dedup.append(r)
     return dedup

@@ -43,8 +43,9 @@ class DescribingFunctionCurve:
             raise ValueError("X must be strictly increasing")
         if np.any(X < 0):
             raise ValueError("amplitudes must be >= 0")
-        if not np.all(np.isfinite(F[X > 0])):
-            raise ValueError("F must be finite for X > 0")
+        overflow = ~np.isfinite(F) & (X > 0)
+        if overflow.any():
+            raise ValueError(f"F is not finite at X = {X[overflow][0]}")
         if self.provenance not in ("exact", "qualitative", "oracle"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
 

@@ -17,7 +17,8 @@ import numpy as np
 
 # Frequency interval of the crossover scan and of the Nyquist contour.
 OMEGA_RANGE = (1e-3, 1e3)
-# Log-grid points of the crossover scan and bisection steps per bracket.
+# Log-grid points of the crossover scan, and bisection steps per bracket of
+# both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
 N_SCAN = 4000
 MAX_ITER = 200
 
@@ -143,10 +144,53 @@ class LinearPlant:
 def freq_response(
     plant: LinearPlant, omega: float | np.ndarray
 ) -> complex | np.ndarray:
-    """G(j*omega) at a scalar or an array of frequencies, all > 0."""
-    if np.any(np.asarray(omega) <= 0):
+    """G(j*omega) at a scalar or an array of frequencies, all > 0.
+
+    Raises ``SingularFrequencyError`` naming the first omega at which G
+    overflows.
+    """
+    ws = np.asarray(omega)
+    if np.any(ws <= 0):
         raise ValueError("frequency must be positive")
-    return plant.transfer(1j * omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = plant.transfer(1j * omega)
+    overflow = ~np.isfinite(g)
+    if overflow.any():
+        raise SingularFrequencyError(
+            f"G(j omega) is not finite at omega = {ws[overflow][0]}"
+        )
+    return g
+
+
+def _brackets(v: np.ndarray) -> np.ndarray:
+    """Left ends i of the sign changes: ``v[i] != 0 and v[i] * v[i+1] <= 0``."""
+    return np.nonzero((v[:-1] != 0.0) & (v[:-1] * v[1:] <= 0.0))[0]
+
+
+def _bisect_sign_changes(f, grid, vals, sign, done):
+    """Bisect every bracket of ``sign(vals)``, ``vals = f(grid)``, at once.
+
+    ``f`` takes the array of all live midpoints.  A bracket freezes at the
+    first midpoint whose value meets ``done``, or after ``MAX_ITER``
+    halvings.  Returns the final midpoints and their values, in grid order.
+    """
+    v = sign(vals)
+    i = _brackets(v)
+    a, b, sa = grid[i], grid[i + 1], v[i]
+    x, fx = grid[i], vals[i]
+    live = np.arange(len(i))
+    for _ in range(MAX_ITER):
+        if not live.size:
+            break
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        x[live], fx[live] = mid, fm
+        sm = sign(fm)
+        left = (sm > 0) == (sa > 0)
+        a, sa, b = np.where(left, mid, a), np.where(left, sm, sa), np.where(left, b, mid)
+        go = ~done(fm)
+        live, a, b, sa = live[go], a[go], b[go], sa[go]
+    return x, fx
 
 
 def phase_crossovers(
@@ -155,46 +199,27 @@ def phase_crossovers(
 ) -> list[tuple[float, float]]:
     """Negative-real-axis crossings of G(j*omega) as (omega, gain margin).
 
-    Sign changes of Im G on a log grid are bracketed and bisected until
-    ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
-    Raises ``SingularFrequencyError`` naming the first scanned omega at which
-    G overflows.
+    Im G is sampled on a log grid, and a bracket opens wherever
+    ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
+    bisected together until ``|Im G| <= 1e-12 * |G|``; crossings with
+    Re G >= 0 are discarded.  Raises ``SingularFrequencyError`` naming the
+    first scanned omega at which G overflows.
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = np.logspace(math.log10(lo), math.log10(hi), N_SCAN)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = plant.transfer(1j * ws)
-    overflow = ~np.isfinite(G)
-    if overflow.any():
-        raise SingularFrequencyError(
-            f"G(j omega) is not finite at omega = {ws[overflow][0]}"
-        )
-    im = G.imag
-
-    out: list[tuple[float, float]] = []
-    for i in range(len(ws) - 1):
-        if im[i] == 0.0 or im[i] * im[i + 1] > 0.0:
-            continue
-        a, fa = ws[i], im[i]
-        b = ws[i + 1]
-        g_mid = G[i]
-        mid = a
-        for _ in range(MAX_ITER):
-            mid = 0.5 * (a + b)
-            g_mid = plant.transfer(1j * mid)
-            if abs(g_mid.imag) <= 1e-12 * abs(g_mid):
-                break
-            if (g_mid.imag > 0) == (fa > 0):
-                a, fa = mid, g_mid.imag
-            else:
-                b = mid
-        if g_mid.real < 0:
-            out.append((float(mid), float(1.0 / abs(g_mid))))
+    mids, g = _bisect_sign_changes(
+        lambda w: plant.transfer(1j * w),
+        ws,
+        freq_response(plant, ws),
+        np.imag,
+        lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
+    )
+    neg = g.real < 0
     # collapse brackets that refined to the same crossing
     dedup: list[tuple[float, float]] = []
-    for w, km in out:
+    for w, km in zip(mids[neg].tolist(), (1.0 / np.abs(g[neg])).tolist()):
         if not dedup or abs(w - dedup[-1][0]) > 1e-9 * w:
             dedup.append((w, km))
     return dedup

@@ -31,11 +31,6 @@ def phi_tilde(X, Xj: float):
     return val if val.ndim else float(val)
 
 
-def psi_tilde(X, Xj: float):
-    """Impulsive factor: identical to the exact relay factor ``psi(Xj, X)``."""
-    return psi(Xj, X)
-
-
 def _events(nl: PiecewiseNonlinearity):
     """Breakpoints as (Xj, slope after Xj, jump amplitude at Xj)."""
     jump_at = dict(nl.jumps)
@@ -65,7 +60,7 @@ def segment_anchor_values(nl: PiecewiseNonlinearity) -> list[float]:
         if x_next is not None:
             prev = prev + (mj - prev) * phi_tilde(x_next, xj)
             if yj != 0.0:
-                prev += yj * psi_tilde(x_next, xj)
+                prev += yj * psi(xj, x_next)
     return anchors
 
 
@@ -74,7 +69,7 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
 
     Piecewise construction: F~ = m0 up to the first breakpoint; on each
     half-open range (Xj, X_{j+1}] the curve is
-    ``F_{j0} + (mj - F_{j0}) * phi_tilde(X, Xj) [+ Yj * psi_tilde(X, Xj)]``
+    ``F_{j0} + (mj - F_{j0}) * phi_tilde(X, Xj) [+ Yj * psi(Xj, X)]``
     where F_{j0} chains from the previous segment's endpoint.
     """
     grid = _validate_grid(nl, grid)
@@ -92,6 +87,6 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
         Xs = grid[mask]
         vals = f0 + (mj - f0) * (1.0 - (xj / Xs if xj > 0 else 0.0))
         if yj != 0.0:
-            vals = vals + yj * psi_tilde(Xs, xj)
+            vals = vals + yj * psi(xj, Xs)
         F[mask] = vals
     return DescribingFunctionCurve(grid, F, "qualitative")

@@ -8,7 +8,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from dfcycle import cycles
+from dfcycle import LinearPlant, cycles, phase_crossovers
 from dfcycle.cli import main
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
@@ -22,6 +22,8 @@ NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
 NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # the integrand overflows
 NL_SLOPE_OVERFLOW = {"x": [1e-300, 1], "y": [1e300, 1]}  # first slope is 1e600
 PLANT_OVERFLOW = {"num": [1e300], "den": [1, 4, 3, 0], "k": 1e10}  # G(jw) overflows
+PLANT_STATIC = {"num": [1], "den": [1]}  # G(jw) is real at every frequency
+NL_TALL = {"x": [1e-300, 1e-300], "y": [0, 1e300]}  # F(X) overflows above the jump
 
 
 @pytest.fixture
@@ -111,6 +113,15 @@ class TestDf:
         assert "X = 3.0" in line
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("mode", ["exact", "qualitative", "oracle"])
+    def test_overflowing_df_exits_2(self, runner, tmp_path, mode):
+        nl = write(tmp_path, "nl.json", NL_TALL)
+        res = runner.invoke(main, ["df", nl, "--mode", mode])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [f"error: {nl}: F is not finite at X = 1.01e-300"]
+        assert res.stdout == ""
+
 
 class TestAnalyze:
     def test_two_cycle_report(self, runner, tmp_path):
@@ -146,6 +157,42 @@ class TestAnalyze:
         assert res.exit_code == 3
         report = json.loads(res.output)
         assert report["crossovers"] == [] and len(report["df"]["X"]) > 0
+
+    def test_real_plant_exits_3(self, runner, tmp_path):
+        # Im G = 0 everywhere is no crossover, not a plateau error
+        nl = write(tmp_path, "nl.json", NL_SAT)
+        plant = write(tmp_path, "plant.json", PLANT_STATIC)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 3
+        assert json.loads(res.output)["crossovers"] == []
+
+    def test_plateau_at_the_gain_margin_exits_2(self, runner, tmp_path):
+        (_, km), = phase_crossovers(LinearPlant(**PLANT_B, k=5))
+        nl = write(tmp_path, "nl.json", {"x": [1.0], "y": [km], "final_slope": 0.0})
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 5})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: {nl}: F(X) = K = {km} on a plateau: ")
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "plant_desc, X",
+        [
+            ({**PLANT_B, "k": 5}, "1.003943799283937e-300"),
+            (PLANT_STATIC, "1.0033333333333333e-300"),
+        ],
+    )
+    def test_overflowing_describing_function_exits_2(self, runner, tmp_path, plant_desc, X):
+        # with a crossover the F(X) = K scan refuses F, without one the report's curve
+        nl = write(tmp_path, "nl.json", NL_TALL)
+        plant = write(tmp_path, "plant.json", plant_desc)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [f"error: {nl}: F is not finite at X = {X}"]
+        assert res.stdout == ""
 
     def test_bad_plant_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
@@ -254,4 +301,15 @@ class TestNyquist:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.splitlines() == [f"error: {plant}: pole at s = 1j"]
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--mark-neg-axis"]])
+    def test_overflowing_plant_exits_2(self, runner, tmp_path, extra):
+        plant = write(tmp_path, "plant.json", PLANT_OVERFLOW)
+        res = runner.invoke(main, ["nyquist", plant, *extra])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: G(j omega) is not finite at omega = 0.001"
+        ]
         assert res.stdout == ""

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, df_exact, df_value
+from dfcycle import DescribingFunctionCurve, LinearPlant, PiecewiseNonlinearity
+from dfcycle import df_exact, df_value
 from dfcycle.cycles import (
+    IntersectionError,
     analyze,
     classify,
     ellipse_estimate,
@@ -71,6 +73,28 @@ class TestIntersections:
     def test_sorted_ascending(self, nl_b):
         roots = find_intersections(nl_b, 0.8)
         assert roots == sorted(roots)
+
+    def test_exact_sample_root_counted_once(self):
+        curve = DescribingFunctionCurve(
+            np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.5]), "exact"
+        )
+        assert find_intersections(curve, 1.0) == [2.0]
+
+    def test_plateau_at_the_gain_margin_raises(self):
+        # unit saturation: F = 1 exactly on every amplitude below X = 1
+        sat = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=0.0)
+        with pytest.raises(
+            IntersectionError, match=r"K = 1\.0 on a plateau: .* X = \[9\.99+e-06, 1\.0\]$"
+        ):
+            find_intersections(sat, 1.0)
+        with pytest.raises(IntersectionError, match="plateau"):
+            find_intersections(df_exact(sat, np.linspace(0.1, 3.0, 30)), 1.0)
+        assert len(find_intersections(sat, 0.5)) == 1
+
+    def test_overflowing_describing_function_raises(self):
+        tall = PiecewiseNonlinearity(x=(1e-300, 1e-300), y=(0.0, 1e300))
+        with pytest.raises(IntersectionError, match=r"^F is not finite at X = 1\.00"):
+            find_intersections(tall, 2.4)
 
 
 class TestClassification:

@@ -141,6 +141,10 @@ class TestCrossovers:
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert phase_crossovers(p) == []
 
+    def test_real_response_has_no_crossover(self):
+        # Im G is exactly 0 at every frequency, so no bracket opens
+        assert phase_crossovers(LinearPlant(num=(2.0,), den=(1.0,))) == []
+
     @given(
         st.lists(st.floats(0.2, 5.0), min_size=1, max_size=3),
         st.one_of(st.none(), st.floats(0.5, 5.0)),

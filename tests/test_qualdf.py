@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -14,7 +13,6 @@ from dfcycle import df_exact, df_value
 from dfcycle.qualdf import (
     df_qualitative,
     phi_tilde,
-    psi_tilde,
     segment_anchor_values,
 )
 
@@ -32,12 +30,6 @@ class TestBuildingBlocks:
     def test_phi_tilde_rejects_amplitude_below_threshold(self):
         with pytest.raises(ValueError):
             phi_tilde(1.0, 2.0)
-
-    def test_psi_tilde_peak(self):
-        Xj = 3.0
-        assert psi_tilde(math.sqrt(2.0) * Xj, Xj) == pytest.approx(
-            2.0 / (math.pi * Xj), rel=1e-14
-        )
 
 
 class TestCurve:
