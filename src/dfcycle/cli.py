@@ -1,8 +1,9 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
-Exit codes: 0 success, 2 malformed input (JSON schema or grid), a plant
-unusable at the sampled frequencies (a pole on the imaginary axis, or a
-G(j omega) that is not finite, in ``analyze`` and ``nyquist``), a describing
+Exit codes: 0 success, 2 malformed input (JSON schema, a value that is not a
+number, or grid), a pole of the plant on the imaginary axis (anywhere on it in
+``analyze``, at a sampled frequency in ``nyquist``), a G(j omega) that is not
+finite at a sampled frequency (``analyze``, ``nyquist``), a describing
 function F(X) that is not finite (``df``, ``analyze``), an F(X) = K that
 holds on a plateau of amplitudes instead of at isolated ones, a predicted
 cycle whose stability its two amplitude probes cannot decide, a plant with
@@ -26,19 +27,18 @@ from .cycles import AmbiguousStabilityError, IntersectionError, analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
     LinearPlant,
-    PlantError,
     PoleOnAxisError,
     SingularFrequencyError,
     freq_response,
     phase_crossovers,
 )
-from .piecewise import NonlinearityError, PiecewiseNonlinearity
+from .piecewise import PiecewiseNonlinearity
 from .qualdf import df_qualitative
 
 SCHEMA_VERSION = 1
 EXIT_SCHEMA = 2
 EXIT_NO_CROSSOVER = 3
-# Raised when the plant cannot be evaluated at a frequency the command samples.
+# Raised for a pole on the imaginary axis, or a G(j omega) that is not finite.
 FREQUENCY_ERRORS = (PoleOnAxisError, SingularFrequencyError)
 # Initial states of ``analyze --simulate``, as multiples of each cycle's x(0).
 VERIFY_SCALES = (0.5, 1.5)
@@ -49,22 +49,24 @@ def _fail(message: str) -> None:
     sys.exit(EXIT_SCHEMA)
 
 
-def _load_nonlinearity(path: str) -> PiecewiseNonlinearity:
+def _load(cls, path: str):
+    """``cls.from_json`` of the file at ``path``, failing with one line.
+
+    A ``ValueError`` or ``TypeError`` covers the schema errors
+    (``NonlinearityError``, ``PlantError``) and a value ``float`` refuses.
+    """
     try:
-        return PiecewiseNonlinearity.from_json(Path(path).read_text())
-    except OSError as exc:
-        _fail(f"{path}: {exc}")
-    except NonlinearityError as exc:
+        return cls.from_json(Path(path).read_text())
+    except (OSError, ValueError, TypeError) as exc:
         _fail(f"{path}: {exc}")
 
 
-def _load_plant(path: str) -> LinearPlant:
-    try:
-        return LinearPlant.from_json(Path(path).read_text())
-    except OSError as exc:
-        _fail(f"{path}: {exc}")
-    except PlantError as exc:
-        _fail(f"{path}: {exc}")
+def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or echo it to stdout when there is none."""
+    if out_path:
+        Path(out_path).write_text(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _num(v: float) -> str:
@@ -121,7 +123,7 @@ def main() -> None:
               help="Output file; .csv or .svg decides the format (default: CSV to stdout).")
 def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
     """Sample the describing function of the nonlinearity in NL_FILE."""
-    nl = _load_nonlinearity(nl_file)
+    nl = _load(PiecewiseNonlinearity, nl_file)
     dx, xm = grid if grid else _default_grid(nl)
     xs = _make_grid(nl, dx, xm)
 
@@ -144,9 +146,8 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
             )
             for c in curves
         ]
-        Path(out_path).write_text(
-            svg.line_plot(series, title="describing function", xlabel="X", ylabel="F")
-        )
+        plot = svg.line_plot(series, title="describing function", xlabel="X", ylabel="F")
+        _emit(plot, out_path)
         return
 
     lines = []
@@ -160,11 +161,7 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
             lines.extend(
                 f"{_num(x)},{_num(f)},{c.provenance}" for x, f in zip(c.X, c.F)
             )
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 @main.command("analyze")
@@ -184,8 +181,8 @@ def cmd_analyze(
     out_path: str | None,
 ) -> None:
     """Estimate limit cycles of NL_FILE in feedback with PLANT_FILE."""
-    nl = _load_nonlinearity(nl_file)
-    plant = _load_plant(plant_file)
+    nl = _load(PiecewiseNonlinearity, nl_file)
+    plant = _load(LinearPlant, plant_file)
 
     try:
         crossovers = analyze(plant, nl)
@@ -248,11 +245,7 @@ def cmd_analyze(
     else:
         report["notes"].append("no phase crossover: no limit cycle predicted")
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
     if not crossovers:
         sys.exit(EXIT_NO_CROSSOVER)
 
@@ -285,7 +278,7 @@ def _verify(plant, nl, cyc) -> list[dict]:
               help="Output file; .csv or .svg decides the format (default: CSV to stdout).")
 def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> None:
     """Sample the Nyquist curve of PLANT_FILE."""
-    plant = _load_plant(plant_file)
+    plant = _load(LinearPlant, plant_file)
     lo, hi = omega_range
     if not (0 < lo < hi):
         _fail(f"invalid omega range ({lo}, {hi})")
@@ -306,20 +299,14 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
                 points=[(-1.0 / km, 0.0) for _, km in marks],
             )
         ]
-        Path(out_path).write_text(
-            svg.line_plot(series, title="Nyquist", xlabel="Re", ylabel="Im")
-        )
+        _emit(svg.line_plot(series, title="Nyquist", xlabel="Re", ylabel="Im"), out_path)
         return
 
     lines = ["omega,re,im"]
     lines.extend(f"{_num(w)},{_num(v.real)},{_num(v.imag)}" for w, v in zip(ws, g))
     for w, km in marks:
         lines.append(f"# crossover omega={_num(w)} gain_margin={_num(km)}")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 if __name__ == "__main__":

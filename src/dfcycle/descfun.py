@@ -6,8 +6,8 @@ slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
 same value by quadrature of the first Fourier harmonic and serves as an
 independent cross-check of the closed forms: it splits the period where
 X sin t meets a breakpoint and integrates each panel's own linear piece of y,
-read from ``evaluate`` and the vertex geometry, never from the decomposition,
-with one fixed 16-node Gauss-Legendre rule per panel.
+read from the nonlinearity's piece table (``pieces``), never from the
+decomposition, with one fixed 16-node Gauss-Legendre rule per panel.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ def phi(X, X1: float):
     X = np.asarray(X, dtype=float)
     if np.any(X <= 0):
         raise ValueError("amplitude must be positive")
-    if X1 == 0:
-        out = np.ones_like(X)
-        return out if out.ndim else float(out)
     u = np.minimum(X1 / X, 1.0)
     inner = np.arcsin(u) + u * np.sqrt(1.0 - u * u)
     val = np.where(X >= X1, 1.0 - (2.0 / math.pi) * inner, 0.0)
@@ -175,19 +172,19 @@ def _integrate_piecewise(nl, X, weight, splits, name):
     """Integrate ``y(X sin t) * weight(t)`` over consecutive split panels.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
-    takes that piece once, at its midpoint (the value there and the slope of
-    the segment holding it), and integrates the piece's line with the
-    Gauss-Legendre rule, whose nodes lie inside the panel, so a jump of y
-    sitting on a split never leaks into the panel.  All panels are evaluated
-    as one array.
+    looks that piece up once in ``nl.pieces``, at its midpoint, and
+    integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
+    inside the panel, so a jump of y sitting on a split never leaks into the
+    panel.  All panels are evaluated as one array.
     """
     splits = np.array(splits)
     a, width = splits[:-1], np.diff(splits)
     x_mid = X * np.sin(a + 0.5 * width)
-    y_mid = np.array([nl.evaluate(x) for x in x_mid.tolist()])
-    ends = [xe for _, xe, _ in nl.segments]
-    slopes = np.array([s for _, _, s in nl.segments] + [nl.last_slope])
-    m = slopes[np.searchsorted(ends, np.abs(x_mid), side="right")]
+    xs, ys, slopes = map(np.array, nl.pieces)
+    i = nl.piece(x_mid)
+    m = slopes[i]
+    y_mid = ys[i] + m * (np.abs(x_mid) - xs[i])
+    y_mid = np.where(x_mid < 0, -y_mid, y_mid)
     t = a[:, None] + width[:, None] * _NODES
     with np.errstate(all="ignore"):
         f = (y_mid[:, None] + m[:, None] * (X * np.sin(t) - x_mid[:, None])) * weight(t)
@@ -212,7 +209,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     if X <= 0:
         raise ValueError("amplitude must be positive")
 
-    marks = sorted({xj for xj in (v[0] for v in nl.vertices) if 0.0 < xj < X})
+    marks = sorted({xj for xj in nl.pieces[0] if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
     quarter = _integrate_piecewise(nl, X, np.sin, thetas, "quarter-period b1")

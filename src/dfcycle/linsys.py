@@ -28,11 +28,11 @@ class PlantError(ValueError):
 
 
 class PoleOnAxisError(ValueError):
-    """Frequency response requested at (or numerically on) an imaginary pole."""
+    """G has a pole where it is sampled, or on the imaginary axis of its contour."""
 
 
 class SingularFrequencyError(ValueError):
-    """State-space resolvent is singular, or G is not finite, at the frequency."""
+    """G is not finite at the frequency."""
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,16 @@ class LinearPlant:
         A scalar s gives a NumPy complex scalar.  Raises ``PoleOnAxisError``
         naming the first s at which the denominator is negligible.
         """
-        num = np.polyval(self.num, s)
+        return self.k * np.polyval(self.num, s) / self._den_at(s)
+
+    def _den_at(self, s: complex | np.ndarray) -> complex | np.ndarray:
+        """den(s), checked: ``PoleOnAxisError`` where it is negligible."""
         den = np.polyval(self.den, s)
         scale = np.maximum(np.abs(np.polyval(np.abs(self.den), np.abs(s))), 1.0)
         on_pole = np.abs(den) <= 1e-14 * scale
         if on_pole.any():
             raise PoleOnAxisError(f"pole at s = {np.asarray(s)[on_pole][0]}")
-        return self.k * num / den
+        return den
 
     @cached_property
     def state_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -232,8 +235,13 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     ``OMEGA_RANGE``, is mirrored by conjugation; a pole of G at the origin
     opens the contour, which is closed with a large clockwise arc of pi
     radians per origin pole at ten times the innermost sample radius (the
-    standard indentation image).
+    standard indentation image).  Any other pole r on the imaginary axis
+    (``|Re r| <= 1e-9 |r|``) raises ``PoleOnAxisError``, sampled or not.
     """
+    r = np.roots(plant.den)
+    on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
+    if on_axis.size:
+        raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
     lo, hi = OMEGA_RANGE
     ws = np.logspace(math.log10(lo), math.log10(hi), n)
     g = plant.transfer(1j * ws)
@@ -250,13 +258,10 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
 
 
 def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:
-    """State resolvent ``(j*omega*I - A)^(-1) B`` of the realization."""
-    A, B, _, _ = plant.state_space
-    M = 1j * omega * np.eye(len(B)) - A
-    try:
-        h = np.linalg.solve(M, B.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularFrequencyError(
-            f"omega = {omega} is an eigenvalue frequency of the realization"
-        ) from exc
-    return h
+    """State resolvent ``(j*omega*I - A)^(-1) B`` of the realization.
+
+    In controllable canonical form it is ``[1, s, ..., s^(n-1)] den[0] / den(s)``
+    at s = j omega (Kailath, *Linear Systems*, 1980).
+    """
+    s = 1j * omega
+    return s ** np.arange(plant.order) * (plant.den[0] / plant._den_at(s))

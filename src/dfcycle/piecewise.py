@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 
 class NonlinearityError(ValueError):
     """Raised when breakpoint data does not describe a valid nonlinearity."""
@@ -84,10 +86,9 @@ class PiecewiseNonlinearity:
             raise NonlinearityError("abscissae must be >= 0")
         if any(b < a for a, b in zip(self.x, self.x[1:])):
             raise NonlinearityError("abscissae must be nondecreasing")
-        counts: dict[float, int] = {}
-        for v in self._vertex_xs():
-            counts[v] = counts.get(v, 0) + 1
-            if counts[v] > 2:
+        xs = self.pieces[0]
+        for v, w in zip(xs, xs[2:]):
+            if v == w:
                 raise NonlinearityError(
                     f"abscissa {v} repeated more than twice (merge coincident jumps)"
                 )
@@ -102,12 +103,6 @@ class PiecewiseNonlinearity:
                     f"slope of the segment from {x0} to {x1} is not finite"
                 )
 
-    def _vertex_xs(self) -> list[float]:
-        xs = list(self.x)
-        if not (xs[0] == 0.0 and self.y[0] == 0.0):
-            xs.insert(0, 0.0)
-        return xs
-
     # -- derived geometry -------------------------------------------------
 
     @cached_property
@@ -119,22 +114,48 @@ class PiecewiseNonlinearity:
         return tuple(pts)
 
     @cached_property
+    def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """The linear pieces of y on x >= 0 as (xs, ys, slopes), from the vertices.
+
+        Piece i is ``ys[i] + slopes[i] * (x - xs[i])`` on ``[xs[i], xs[i+1])``:
+        slope 0.0 across a jump (zero width), and ``last_slope`` beyond the
+        last vertex.  Every other slope derives from this table.
+        """
+        xs, ys = zip(*self.vertices)
+        slopes, last = [], 0.0  # last: the slope of the last segment so far
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            m = (y1 - y0) / (x1 - x0) if x1 > x0 else 0.0
+            slopes.append(m)
+            last = m if x1 > x0 else last
+        if self.final_slope is not None:
+            last = self.final_slope
+        return xs, ys, (*slopes, last)
+
+    def piece(self, x):
+        """Index into ``pieces`` of the piece holding |x|, for a scalar or an array.
+
+        The right limit is taken at a jump, and -x lies on the piece of x
+        (odd extension).
+        """
+        # the number of piece ends at or left of |x|, since xs[0] = 0 <= |x|
+        return self._ends.searchsorted(np.abs(x), side="right")
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        return np.array(self.pieces[0][1:])
+
+    @cached_property
     def segments(self) -> tuple[tuple[float, float, float], ...]:
         """Finite linear pieces as (start x, end x, slope)."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x1 > x0:
-                out.append((x0, x1, (y1 - y0) / (x1 - x0)))
-        return tuple(out)
+        xs, _, slopes = self.pieces
+        return tuple((x0, x1, m) for x0, x1, m in zip(xs, xs[1:], slopes) if x1 > x0)
 
     @cached_property
     def jumps(self) -> tuple[tuple[float, float], ...]:
         """Discontinuities as (abscissa Xj, amplitude Yj)."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x1 == x0:
-                out.append((x0, y1 - y0))
-        return tuple(out)
+        xs, ys, _ = self.pieces
+        pairs = zip(xs, xs[1:], ys, ys[1:])
+        return tuple((x0, y1 - y0) for x0, x1, y0, y1 in pairs if x1 == x0)
 
     @cached_property
     def initial_slope(self) -> float:
@@ -145,12 +166,8 @@ class PiecewiseNonlinearity:
 
     @cached_property
     def last_slope(self) -> float:
-        """Slope extending beyond the last vertex (m_r)."""
-        if self.final_slope is not None:
-            return self.final_slope
-        if self.segments:
-            return self.segments[-1][2]
-        return 0.0
+        """Slope beyond the last vertex (m_r): final_slope, else the last segment's."""
+        return self.pieces[2][-1]
 
     @cached_property
     def breakpoints(self) -> tuple[float, ...]:
@@ -175,25 +192,12 @@ class PiecewiseNonlinearity:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, x: float) -> float:
-        """Value y(x) with odd extension; right limit at jumps."""
+        """Value y(x) on its line of ``pieces`` (odd extension, right limit at jumps)."""
         if x < 0:
             return -self.evaluate(-x)
-        xs = self._xs
-        ys = self._ys
-        # rightmost vertex with vx <= x; ties (jump) resolved to the right
+        xs, ys, slopes = self.pieces
         i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            return ys[-1] + self.last_slope * (x - xs[-1])
-        m = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) if xs[i + 1] > xs[i] else 0.0
-        return ys[i] + m * (x - xs[i])
-
-    @cached_property
-    def _xs(self) -> tuple[float, ...]:
-        return tuple(v[0] for v in self.vertices)
-
-    @cached_property
-    def _ys(self) -> tuple[float, ...]:
-        return tuple(v[1] for v in self.vertices)
+        return ys[i] + slopes[i] * (x - xs[i])
 
     # -- decomposition ----------------------------------------------------
 

@@ -34,15 +34,11 @@ def phi_tilde(X, Xj: float):
 def _events(nl: PiecewiseNonlinearity):
     """Breakpoints as (Xj, slope after Xj, jump amplitude at Xj)."""
     jump_at = dict(nl.jumps)
-    out = []
-    for xj in nl.breakpoints:
-        m_after = nl.last_slope
-        for xs, xe, m in nl.segments:
-            if xs <= xj < xe:
-                m_after = m
-                break
-        out.append((xj, m_after, jump_at.get(xj, 0.0)))
-    return out
+    slopes = nl.pieces[2]
+    return [
+        (xj, slopes[i], jump_at.get(xj, 0.0))
+        for xj, i in zip(nl.breakpoints, nl.piece(nl.breakpoints).tolist())
+    ]
 
 
 def segment_anchor_values(nl: PiecewiseNonlinearity) -> list[float]:

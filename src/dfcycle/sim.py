@@ -189,30 +189,24 @@ def _folded_step(
 
 
 def _pieces(nl: PiecewiseNonlinearity):
-    """Piece lookup of y under ``evaluate``'s conventions, and each piece's line.
+    """Labels of the linear pieces of y, and each piece's line, from ``nl.pieces``.
 
-    ``piece_of(x)`` labels each abscissa by its vertex interval (right limit
-    at a jump) and its sign (odd extension); without a jump at the origin
-    the two central pieces are one line and share a label.
+    ``piece_of(x)`` labels each abscissa by ``nl.piece`` (right limit at a
+    jump) and its sign (odd extension); without a jump at the origin the two
+    central pieces are one line and share a label.
     ``line(label)`` is (m, b) with y = m x + b on that piece.
     """
-    xs = [v[0] for v in nl.vertices]
-    ys = [v[1] for v in nl.vertices]
-    vx = np.array(xs)
+    xs, ys, slopes = nl.pieces
 
     def piece_of(x):
-        i = vx.searchsorted(np.abs(x), side="right")
-        # interval 1 is [0, first vertex): one line through the origin on
-        # both sides (with a jump at the origin searchsorted never gives 1)
-        return 2 * i + ((x < 0) & (i > 1))
+        i = nl.piece(x)
+        # piece 0 is [0, first vertex): one line through the origin on both
+        # sides (with a jump at the origin nl.piece never gives 0)
+        return 2 * i + ((x < 0) & (i > 0))
 
     def line(label: int) -> tuple[float, float]:
         i, negative = divmod(label, 2)
-        i -= 1
-        if i == len(xs) - 1:
-            m = nl.last_slope
-        else:
-            m = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        m = slopes[i]
         b = ys[i] - m * xs[i]
         return m, -b if negative else b
 

@@ -17,6 +17,8 @@ NL_FIG = {"x": [2, 5, 5, 9, 9, 13, 19], "y": [0, 4, 2, 4, 6, 6, 8]}
 PLANT_A = {"num": [-1, 2], "den": [1, 1, 0]}
 PLANT_B = {"num": [1], "den": [1, 4, 3, 0]}
 PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
+PLANT_PM2J = {"num": [1], "den": [1, 0, 4]}  # G(jw) is real wherever it is sampled
+PLANT_DOUBLE_J = {"num": [1], "den": [1, 0, 2, 0, 1, 0]}  # s (s^2 + 1)^2
 PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
 NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
 NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # the integrand overflows
@@ -208,6 +210,30 @@ class TestAnalyze:
         [line] = res.stderr.splitlines()
         assert line.startswith(f"error: {plant}: pole at s = ")
         assert complex(line.rsplit(" ", 1)[1]) == pytest.approx(1j)
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("plant_data, pole", [(PLANT_PM2J, "2j"), (PLANT_DOUBLE_J, "1j")])
+    def test_unsampled_axis_pole_exits_2(self, runner, tmp_path, plant_data, pole):
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", plant_data)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [f"error: {plant}: pole at s = {pole}"]
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize(
+        "nl_data, plant_data",
+        [(NL_B, {"num": ["a"], "den": [1, 1]}), ({"x": [None], "y": [1]}, PLANT_B)],
+    )
+    def test_value_that_is_not_a_number_exits_2(self, runner, tmp_path, nl_data, plant_data):
+        nl = write(tmp_path, "nl.json", nl_data)
+        plant = write(tmp_path, "plant.json", plant_data)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ")
         assert res.stdout == ""
 
     def test_ambiguous_stability_exits_2(self, runner, tmp_path, monkeypatch):

@@ -1,0 +1,30 @@
+"""The package depends on numpy and click only, outside the standard library."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import dfcycle, dfcycle.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_imports_only_numpy_and_click():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(out.stdout.split()) == {"click", "dfcycle", "numpy"}

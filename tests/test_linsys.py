@@ -111,6 +111,19 @@ class TestStateSpace:
         ref = np.linalg.solve(1.0j * math.sqrt(3.0) * np.eye(len(A)) - A, B).ravel()
         np.testing.assert_allclose(H, ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("w", [0.01, 0.7, 40.0])
+    def test_h_of_jw_with_leading_coefficient(self, w):
+        # den[0] = 2 is normalized away in the realization
+        p = LinearPlant(num=(3.0, -1.0), den=(2.0, 3.0, 5.0, 7.0, 0.0))
+        A, B, _, _ = p.state_space
+        ref = np.linalg.solve(1.0j * w * np.eye(len(A)) - A, B)
+        np.testing.assert_allclose(h_of_jw(p, w), ref, rtol=1e-12)
+
+    def test_h_of_jw_at_a_pole(self):
+        p = LinearPlant(num=(1.0,), den=(1.0, 0.0, 4.0))
+        with pytest.raises(PoleOnAxisError, match=r"pole at s = 2j$"):
+            h_of_jw(p, 2.0)
+
 
 class TestCrossovers:
     def test_first_case_study(self):
@@ -186,6 +199,24 @@ class TestContour:
         n = 512
         c = nyquist_contour(p, n=n)
         np.testing.assert_allclose(c[:n], np.conj(c[2 * n - 1 : n - 1 : -1]), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "den, pole",
+        [
+            ((1.0, 0.0, 4.0), "2j"),  # G(jw) is real wherever it is sampled
+            (tuple(np.polymul([1.0, 0.0], np.polymul([1.0, 0.0, 1.0], [1.0, 0.0, 1.0]))), "1j"),
+            (tuple(np.polymul([1.0, 1.0, 0.0], [1.0, 0.0, 9.0])), "3j"),
+        ],
+    )
+    def test_rejects_axis_pole_away_from_the_origin(self, den, pole):
+        # np.roots puts the double poles of s (s^2 + 1)^2 about 6e-12 off the axis
+        with pytest.raises(PoleOnAxisError, match=rf"^pole at s = {pole}$"):
+            nyquist_contour(LinearPlant(num=(1.0,), den=den))
+
+    def test_keeps_lightly_damped_poles(self):
+        # s^2 + 2e-6 s + 1: poles 1e-6 off the axis, relative
+        c = nyquist_contour(LinearPlant(num=(1.0,), den=(1.0, 2e-6, 1.0, 0.0)))
+        assert np.all(np.isfinite(c))
 
 
 class TestSerialization:

@@ -82,6 +82,53 @@ class TestEvaluate:
             assert nl.evaluate(-x) == pytest.approx(-nl.evaluate(x), abs=1e-12)
 
 
+class TestPieceTable:
+    def test_right_limit_at_jump(self, nl_a):
+        xs, ys, _ = nl_a.pieces
+        i = nl_a.piece(20.0)
+        assert (xs[i], ys[i]) == (20.0, 4.21)
+        assert nl_a.piece(np.nextafter(20.0, 0.0)) == i - 2
+
+    def test_odd_symmetric(self, nl_a):
+        x = np.linspace(0.0, 40.0, 81)
+        np.testing.assert_array_equal(nl_a.piece(-x), nl_a.piece(x))
+
+    def test_jump_at_origin(self):
+        relay = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
+        xs, ys, slopes = relay.pieces
+        assert (xs, ys, slopes) == ((0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+        np.testing.assert_array_equal(relay.piece(np.array([-2.0, -1e-300, 0.0, 3.0])), 1)
+
+    def test_last_piece_beyond_last_vertex(self, nl_b):
+        xs, _, slopes = nl_b.pieces
+        assert nl_b.piece(19.0) == nl_b.piece(1e9) == len(xs) - 1
+        assert slopes[-1] == nl_b.last_slope == 0.0
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lines_through_the_vertices(self, seed, keep_final_slope):
+        rng = random.Random(seed)
+        nl = random_nonlinearity(rng)
+        if not keep_final_slope:
+            nl = PiecewiseNonlinearity(nl.x, nl.y)
+        pts = list(zip(nl.x, nl.y))
+        if pts[0] != (0.0, 0.0):
+            pts.insert(0, (0.0, 0.0))
+        xs, ys, slopes = nl.pieces
+        assert list(zip(xs, ys)) == pts
+        assert len(slopes) == len(pts)
+        segment_slopes = []
+        for (x0, y0), (x1, y1), m in zip(pts, pts[1:], slopes):
+            if x1 == x0:
+                assert m == 0.0
+                continue
+            segment_slopes.append((y1 - y0) / (x1 - x0))
+            assert m == pytest.approx(segment_slopes[-1], rel=1e-12)
+            assert y0 + m * (x1 - x0) == pytest.approx(y1, rel=1e-12, abs=1e-12)
+        expected = nl.final_slope if keep_final_slope else segment_slopes[-1]
+        assert slopes[-1] == pytest.approx(expected, rel=1e-12)
+
+
 class TestDecompose:
     def test_case_study_components(self, nl_b):
         m0, comps = nl_b.decompose()
