@@ -1,15 +1,16 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
 Exit codes: 0 success, 2 malformed input (JSON schema, a value that is not a
-number, or grid), a pole of the plant on the imaginary axis (anywhere on it in
-``analyze``, at a sampled frequency in ``nyquist``), a G(j omega) that is not
-finite at a sampled frequency (``analyze``, ``nyquist``), a describing
-function F(X) that is not finite (``df``, ``analyze``), an F(X) = K that
-holds on a plateau of amplitudes instead of at isolated ones, a predicted
-cycle whose stability its two amplitude probes cannot decide, a plant with
-direct feedthrough under ``--simulate``, or an oracle quadrature that is not
-finite or fails its symmetry check, 3 analysis ran but the plant has no phase
-crossover.
+number, a string or a boolean where a number or an array is expected, or a
+grid, also a default one past the largest float), a pole of the plant on the
+imaginary axis (anywhere on it in ``analyze``, at a sampled frequency in
+``nyquist``), a G(j omega) that is not finite at a sampled frequency
+(``analyze``, ``nyquist``), a describing function F(X) that is not finite
+(``df``, ``analyze``), an F(X) = K that holds on a plateau of amplitudes
+instead of at isolated ones, a predicted cycle whose stability its two
+amplitude probes cannot decide, a plant with direct feedthrough under
+``--simulate``, or an oracle quadrature that is not finite or fails its
+symmetry check, 3 analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def _load(cls, path: str):
     """``cls.from_json`` of the file at ``path``, failing with one line.
 
     A ``ValueError`` or ``TypeError`` covers the schema errors
-    (``NonlinearityError``, ``PlantError``) and a value ``float`` refuses.
+    (``NonlinearityError``, ``PlantError``) and a value ``float`` refuses;
+    an ``OverflowError`` is a JSON integer too large for a float.
     """
     try:
         return cls.from_json(Path(path).read_text())
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         _fail(f"{path}: {exc}")
 
 
@@ -82,13 +84,16 @@ def _curve(nl_file: str, make, nl: PiecewiseNonlinearity, grid):
         _fail(f"{nl_file}: {exc}")
 
 
-def _default_grid(nl: PiecewiseNonlinearity) -> tuple[float, float]:
+def _grid_scale(nl_file: str, nl: PiecewiseNonlinearity) -> float:
+    """The largest breakpoint Xr (1 without one); default grids end at 3 Xr."""
     ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
-    return ref / 100.0, 3.0 * ref
+    if not math.isfinite(3.0 * ref):
+        _fail(f"{nl_file}: a grid up to 3 * {ref} is past the largest float")
+    return ref
 
 
 def _make_grid(nl: PiecewiseNonlinearity, dx: float, xm: float) -> np.ndarray:
-    if dx <= 0 or xm <= 0 or xm < dx:
+    if not 0 < dx <= xm < math.inf:
         _fail(f"invalid grid: step {dx}, max {xm}")
     n = int(math.floor(xm / dx + 1e-9))
     grid = dx * np.arange(0, n + 1)
@@ -124,8 +129,10 @@ def main() -> None:
 def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
     """Sample the describing function of the nonlinearity in NL_FILE."""
     nl = _load(PiecewiseNonlinearity, nl_file)
-    dx, xm = grid if grid else _default_grid(nl)
-    xs = _make_grid(nl, dx, xm)
+    if not grid:
+        ref = _grid_scale(nl_file, nl)
+        grid = ref / 100.0, 3.0 * ref
+    xs = _make_grid(nl, *grid)
 
     curves = []
     if mode in ("exact", "both"):
@@ -196,7 +203,7 @@ def cmd_analyze(
             f"X = {exc.X}, omega = {exc.omega}"
         )
 
-    ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
+    ref = _grid_scale(nl_file, nl)
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
     df_curve = _curve(nl_file, df_exact, nl, df_grid)
 

@@ -78,10 +78,16 @@ class CrossoverAnalysis:
 def winding_number(contour: np.ndarray, point: complex) -> int:
     """Signed winding number of a closed polygonal contour around a point."""
     v = np.asarray(contour) - point
-    x0, y0 = v.real[:-1], v.imag[:-1]
-    x1, y1 = v.real[1:], v.imag[1:]
+    x, y = v.real, v.imag
     # orientation of each edge against the horizontal ray from the origin
-    cross = x0 * y1 - x1 * y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = x[:-1] * y[1:] - x[1:] * y[:-1]
+        if not np.isfinite(cross).all():
+            # a power-of-2 scale is exact and keeps the products finite
+            shift = -math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]
+            x, y = np.ldexp(x, shift), np.ldexp(y, shift)
+            cross = x[:-1] * y[1:] - x[1:] * y[:-1]
+    y0, y1 = y[:-1], y[1:]
     up = (y0 <= 0.0) & (y1 > 0.0) & (cross > 0.0)
     down = (y0 > 0.0) & (y1 <= 0.0) & (cross < 0.0)
     return int(np.sum(up)) - int(np.sum(down))
@@ -103,7 +109,7 @@ def find_intersections(
     ``|F - K| <= VALUE_TOL``; a curve's are interpolated linearly (amplitude
     accuracy limited by the sampling; counts are exact wherever the grid
     resolves the curve's rises and falls).  Raises ``IntersectionError`` when
-    F is not finite on the grid, or v = 0 at two consecutive samples.
+    the grid or F on it is not finite, or v = 0 at two consecutive samples.
     """
     if gain_margin <= 0:
         raise ValueError("gain margin must be positive")
@@ -117,6 +123,10 @@ def find_intersections(
         if x_max is None:
             ref = nl.max_breakpoint
             x_max = 100.0 * ref if ref > 0 else 100.0
+        if not math.isfinite(x_max):
+            raise IntersectionError(
+                f"the amplitude grid is not finite: it ends at {x_max}"
+            )
         lo = x_max * 1e-7
         X = np.logspace(math.log10(lo), math.log10(x_max), N_GRID)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ class PoleOnAxisError(ValueError):
 
 
 class SingularFrequencyError(ValueError):
-    """G is not finite at the frequency."""
+    """G, or the gain margin 1/|G|, is not finite at the frequency."""
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,14 @@ class LinearPlant:
             raise PlantError(
                 "plant descriptor must be an object with 'num' and 'den' arrays"
             ) from exc
-        if not isinstance(num, Sequence) or not isinstance(den, Sequence):
+        if not isinstance(num, (list, tuple)) or not isinstance(den, (list, tuple)):
             raise PlantError("'num' and 'den' must be arrays of numbers")
-        return cls(tuple(num), tuple(den), float(data.get("k", 1.0)))
+        k = data.get("k", 1.0)
+        # float() takes a string of digits and a bool, which are not JSON numbers
+        for v in (*num, *den, k):
+            if isinstance(v, (str, bool)):
+                raise PlantError(f"'num', 'den' and 'k' must be numbers, not {v!r}")
+        return cls(tuple(num), tuple(den), k)
 
     @classmethod
     def from_json(cls, text: str) -> "LinearPlant":
@@ -166,8 +170,13 @@ def freq_response(
 
 
 def _brackets(v: np.ndarray) -> np.ndarray:
-    """Left ends i of the sign changes: ``v[i] != 0 and v[i] * v[i+1] <= 0``."""
-    return np.nonzero((v[:-1] != 0.0) & (v[:-1] * v[1:] <= 0.0))[0]
+    """Left ends i of the sign changes: ``v[i] != 0 and v[i] * v[i+1] <= 0``.
+
+    The product is taken of the signs, so that it cannot overflow or
+    underflow to 0.
+    """
+    s = np.sign(v)
+    return np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
 
 
 def _bisect_sign_changes(f, grid, vals, sign, done):
@@ -206,23 +215,38 @@ def phase_crossovers(
     ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
     bisected together until ``|Im G| <= 1e-12 * |G|``; crossings with
     Re G >= 0 are discarded.  Raises ``SingularFrequencyError`` naming the
-    first scanned omega at which G overflows.
+    first scanned or bisected omega at which G overflows, or the first
+    crossing whose gain margin 1/|G| overflows or underflows to 0.
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = np.logspace(math.log10(lo), math.log10(hi), N_SCAN)
-    mids, g = _bisect_sign_changes(
-        lambda w: plant.transfer(1j * w),
-        ws,
-        freq_response(plant, ws),
-        np.imag,
-        lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids, g = _bisect_sign_changes(
+            lambda w: plant.transfer(1j * w),
+            ws,
+            freq_response(plant, ws),
+            np.imag,
+            lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
+        )
+    overflow = ~np.isfinite(g)
+    if overflow.any():
+        raise SingularFrequencyError(
+            f"G(j omega) is not finite at omega = {mids[overflow][0]}"
+        )
     neg = g.real < 0
+    mids = mids[neg]
+    with np.errstate(over="ignore", divide="ignore"):
+        margins = 1.0 / np.abs(g[neg])
+    bad = ~(np.isfinite(margins) & (margins > 0.0))
+    if bad.any():
+        raise SingularFrequencyError(
+            f"the gain margin 1/|G| is {margins[bad][0]} at omega = {mids[bad][0]}"
+        )
     # collapse brackets that refined to the same crossing
     dedup: list[tuple[float, float]] = []
-    for w, km in zip(mids[neg].tolist(), (1.0 / np.abs(g[neg])).tolist()):
+    for w, km in zip(mids.tolist(), margins.tolist()):
         if not dedup or abs(w - dedup[-1][0]) > 1e-9 * w:
             dedup.append((w, km))
     return dedup
@@ -236,7 +260,8 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     opens the contour, which is closed with a large clockwise arc of pi
     radians per origin pole at ten times the innermost sample radius (the
     standard indentation image).  Any other pole r on the imaginary axis
-    (``|Re r| <= 1e-9 |r|``) raises ``PoleOnAxisError``, sampled or not.
+    (``|Re r| <= 1e-9 |r|``) raises ``PoleOnAxisError``, sampled or not, and
+    a contour point that overflows raises ``SingularFrequencyError``.
     """
     r = np.roots(plant.den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
@@ -244,16 +269,22 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
     lo, hi = OMEGA_RANGE
     ws = np.logspace(math.log10(lo), math.log10(hi), n)
-    g = plant.transfer(1j * ws)
-    parts = [g, np.conj(g)[::-1]]
-    q = plant.origin_poles
-    if q > 0:
-        start = np.conj(g[0])
-        theta0 = np.angle(start)
-        radius = 10.0 * abs(g[0])
-        sweep = theta0 - np.linspace(0.0, q * math.pi, 64 * q + 1)
-        parts.append(radius * np.exp(1j * sweep))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = plant.transfer(1j * ws)
+        parts = [g, np.conj(g)[::-1]]
+        q = plant.origin_poles
+        if q > 0:
+            start = np.conj(g[0])
+            theta0 = np.angle(start)
+            radius = 10.0 * abs(g[0])
+            sweep = theta0 - np.linspace(0.0, q * math.pi, 64 * q + 1)
+            parts.append(radius * np.exp(1j * sweep))
     contour = np.concatenate(parts)
+    overflow = ~np.isfinite(contour)
+    if overflow.any():
+        raise SingularFrequencyError(
+            f"the Nyquist contour is not finite: it reaches {contour[overflow][0]}"
+        )
     return np.append(contour, contour[0])
 
 

@@ -15,7 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -232,9 +231,16 @@ class PiecewiseNonlinearity:
             raise NonlinearityError(
                 "nonlinearity descriptor must be an object with 'x' and 'y' arrays"
             ) from exc
-        if not isinstance(x, Sequence) or not isinstance(y, Sequence):
+        if not isinstance(x, (list, tuple)) or not isinstance(y, (list, tuple)):
             raise NonlinearityError("'x' and 'y' must be arrays of numbers")
-        return cls(tuple(x), tuple(y), data.get("final_slope"))
+        final_slope = data.get("final_slope")
+        # float() takes a string of digits and a bool, which are not JSON numbers
+        for v in (*x, *y, final_slope):
+            if isinstance(v, (str, bool)):
+                raise NonlinearityError(
+                    f"'x', 'y' and 'final_slope' must be numbers, not {v!r}"
+                )
+        return cls(tuple(x), tuple(y), final_slope)
 
     @classmethod
     def from_json(cls, text: str) -> "PiecewiseNonlinearity":

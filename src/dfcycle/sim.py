@@ -13,11 +13,18 @@ the step is an affine map of s.  A run of steps whose stages all stay on one
 piece is advanced by one product with that map's precomputed powers; only a
 step whose stages straddle a breakpoint is taken stage by stage through
 ``nl.evaluate``.  Both are the same RK4 step, up to rounding.
+
+The pieces are one table over the whole real line, one entry per signed
+piece: its line and the half-open interval ``lo <= x < hi`` of the floats
+that lie on it.  A batch finds the piece of C s by one bisection of the
+table's starts and keeps the steps before the first one with a stage
+abscissa below ``lo`` or at or above ``hi``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +86,13 @@ def simulate(
     """Fixed-step RK4 integration of the closed loop from state x0.
 
     Every step is the classical RK4 step, folded into the matrices of
-    ``_folded_step``.  A run of steps whose stage abscissae all stay on
-    one linear piece of y advances by one product with the powers of that
-    piece's affine step; a step whose stages straddle a breakpoint is taken
-    stage by stage through ``nl.evaluate`` and counted in ``full_steps``.
+    ``_folded_step``.  Each batch looks up the piece of y holding C s in the
+    signed-interval table of ``_pieces`` (one bisection of its starts),
+    computes up to ``RUN_STEPS`` steps on that piece with one product, and
+    accepts the steps before the first one with a stage abscissa below the
+    piece's ``lo`` or at or above its ``hi``.  That step straddles a
+    breakpoint: it is taken stage by stage through ``nl.evaluate`` and
+    counted in ``full_steps``.
 
     Divergence (state norm above 1e8) truncates the run with a ``diverged``
     verdict.  Otherwise the trailing half of the trajectory decides between
@@ -100,16 +110,19 @@ def simulate(
         raise ValueError(f"initial state must have shape ({n},)")
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
-    piece_of, line = _pieces(nl)
+    table = _pieces(nl)
+    starts = [lo for lo, _, _, _ in table]
     piece_maps: dict[int, np.ndarray] = {}
-    Cm_rows = Cm.tolist()
+    _, (c10, *_), (c20, c21, *_), (c30, c31, c32, _) = Cm.tolist()
     evaluate = nl.evaluate
 
     def full_step(s):
-        u: list[float] = []
-        for x, c in zip((R @ s).tolist(), Cm_rows):
-            u.append(evaluate(x + sum(a * v for a, v in zip(c, u))))
-        return Phi @ s + G @ np.array(u)
+        r0, r1, r2, r3 = (R @ s).tolist()
+        u0 = evaluate(r0)
+        u1 = evaluate(r1 + c10 * u0)
+        u2 = evaluate(r2 + (c20 * u0 + c21 * u1))
+        u3 = evaluate(r3 + (c30 * u0 + c31 * u1 + c32 * u2))
+        return Phi @ s + G @ np.array([u0, u1, u2, u3])
 
     steps = int(round(T / dt))
     traj = np.empty((steps + 1, n))
@@ -120,19 +133,22 @@ def simulate(
     full_steps = 0
     diverged_at = None
     while k < steps:
-        piece = int(piece_of(C_loop @ s))
+        piece = bisect_right(starts, float(C_loop @ s)) - 1
+        lo, hi, m, b = table[piece]
         if piece not in piece_maps:
-            piece_maps[piece] = _run_map(R, Cm, Phi, G, *line(piece))
+            piece_maps[piece] = _run_map(R, Cm, Phi, G, m, b)
         todo = min(RUN_STEPS, steps - k)
         affine[:n] = s
         out = (piece_maps[piece][: todo * (n + 4)] @ affine).reshape(todo, n + 4)
-        # accept the steps before the first one with a stage off the piece
-        off = (piece_of(out[:, n:]) != piece).any(axis=1)
-        run = int(off.argmax()) if off.any() else todo
+        # accept the steps before the first one with a stage off [lo, hi)
+        off = (out[:, n:] < lo) | (out[:, n:] >= hi)
+        first = int(off.argmax())  # row-major: first // 4 is its step
+        run = first // 4 if off.item(first) else todo
         if run:
-            traj[k + 1 : k + 1 + run] = out[:run, :n]
-            big = np.abs(out[:run, :n]).max(axis=1) > DIVERGENCE_NORM
-            if big.any():
+            states = out[:run, :n]
+            traj[k + 1 : k + 1 + run] = states
+            if np.abs(states).max() > DIVERGENCE_NORM:
+                big = np.abs(states).max(axis=1) > DIVERGENCE_NORM
                 diverged_at = k + 1 + int(big.argmax())
                 break
             k += run
@@ -188,29 +204,39 @@ def _folded_step(
     return x[:, :n], x[:, n:], end[:, :n], end[:, n:]
 
 
-def _pieces(nl: PiecewiseNonlinearity):
-    """Labels of the linear pieces of y, and each piece's line, from ``nl.pieces``.
+def _pieces(nl: PiecewiseNonlinearity) -> list[tuple[float, float, float, float]]:
+    """The linear pieces of y over the whole real line, as (lo, hi, m, b) in order.
 
-    ``piece_of(x)`` labels each abscissa by ``nl.piece`` (right limit at a
-    jump) and its sign (odd extension); without a jump at the origin the two
-    central pieces are one line and share a label.
-    ``line(label)`` is (m, b) with y = m x + b on that piece.
+    Each entry holds the floats ``lo <= x < hi`` on which y = m x + b, with
+    ``nl.piece``'s conventions: the right limit at a jump, and the odd
+    extension, so -x lies on the piece of x.  A piece [a, b) of ``nl.pieces``
+    thus gives [a, b) and, for the negative side, the floats of (-b, -a],
+    which are [nextafter(-b, +inf), nextafter(-a, +inf)); at a = 0 (a jump
+    at the origin) that side ends at 0.0, so -0.0 stays on [0, b).  Without a
+    jump at the origin the two central pieces are one line and one entry.
+    Pieces of zero width (a jump) get no entry.  The first entry starts at
+    -inf and the last ends at +inf.
     """
     xs, ys, slopes = nl.pieces
-
-    def piece_of(x):
-        i = nl.piece(x)
-        # piece 0 is [0, first vertex): one line through the origin on both
-        # sides (with a jump at the origin nl.piece never gives 0)
-        return 2 * i + ((x < 0) & (i > 0))
-
-    def line(label: int) -> tuple[float, float]:
-        i, negative = divmod(label, 2)
-        m = slopes[i]
-        b = ys[i] - m * xs[i]
-        return m, -b if negative else b
-
-    return piece_of, line
+    ends = (*xs[1:], math.inf)
+    right = [
+        (lo, hi, m, y - m * lo)
+        for lo, hi, y, m in zip(xs, ends, ys, slopes)
+        if lo < hi
+    ]
+    left = [
+        (
+            -math.inf if hi == math.inf else math.nextafter(-hi, math.inf),
+            math.nextafter(-lo, math.inf) if lo > 0.0 else 0.0,
+            m,
+            -b,
+        )
+        for lo, hi, m, b in reversed(right)
+    ]
+    if nl.has_origin_jump:
+        return left + right
+    # one central piece (-xs[1], xs[1]) through the origin
+    return left[:-1] + [(left[-1][0], *right[0][1:])] + right[1:]
 
 
 def _run_map(R, Cm, Phi, G, m: float, b: float) -> np.ndarray:

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, cycles, phase_crossovers
 from dfcycle.cli import main
@@ -26,6 +29,21 @@ NL_SLOPE_OVERFLOW = {"x": [1e-300, 1], "y": [1e300, 1]}  # first slope is 1e600
 PLANT_OVERFLOW = {"num": [1e300], "den": [1, 4, 3, 0], "k": 1e10}  # G(jw) overflows
 PLANT_STATIC = {"num": [1], "den": [1]}  # G(jw) is real at every frequency
 NL_TALL = {"x": [1e-300, 1e-300], "y": [0, 1e300]}  # F(X) overflows above the jump
+# JSON values that float() accepts but that are not numbers or arrays
+PLANTS_NOT_NUMBERS = [
+    {"num": "1", "den": "143", "k": True},
+    {"num": [1], "den": [1, 4, 3, 0], "k": True},
+    {"num": [1], "den": [1, 4, 3, 0], "k": "2"},
+    {"num": ["1"], "den": [1, 4, 3, 0]},
+    {"num": [1], "den": [1, 4, 3, False]},
+]
+NLS_NOT_NUMBERS = [
+    {"x": "36", "y": "36"},
+    {"x": [3], "y": [3], "final_slope": True},
+    {"x": [3], "y": [3], "final_slope": "0"},
+    {"x": [3, 6], "y": [3, "3"]},
+    {"x": [True], "y": [1]},
+]
 
 
 @pytest.fixture
@@ -339,3 +357,139 @@ class TestNyquist:
             f"error: {plant}: G(j omega) is not finite at omega = 0.001"
         ]
         assert res.stdout == ""
+
+
+def assert_one_line_exit_2(res):
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert res.stdout == ""
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("plant_data", PLANTS_NOT_NUMBERS)
+    def test_nyquist_refuses(self, runner, tmp_path, plant_data):
+        plant = write(tmp_path, "plant.json", plant_data)
+        assert_one_line_exit_2(runner.invoke(main, ["nyquist", plant, "--points", "8"]))
+
+    @pytest.mark.parametrize("plant_data", PLANTS_NOT_NUMBERS)
+    def test_analyze_refuses_plant(self, runner, tmp_path, plant_data):
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", plant_data)
+        assert_one_line_exit_2(runner.invoke(main, ["analyze", nl, plant]))
+
+    @pytest.mark.parametrize("nl_data", NLS_NOT_NUMBERS)
+    def test_analyze_refuses_nonlinearity(self, runner, tmp_path, nl_data):
+        nl = write(tmp_path, "nl.json", nl_data)
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 15})
+        assert_one_line_exit_2(runner.invoke(main, ["analyze", nl, plant]))
+
+    @pytest.mark.parametrize("nl_data", NLS_NOT_NUMBERS)
+    def test_df_refuses(self, runner, tmp_path, nl_data):
+        nl = write(tmp_path, "nl.json", nl_data)
+        assert_one_line_exit_2(runner.invoke(main, ["df", nl]))
+
+    @pytest.mark.parametrize("grid", [["1", "inf"], ["nan", "5"]])
+    def test_df_grid_that_is_not_finite(self, runner, tmp_path, grid):
+        nl = write(tmp_path, "nl.json", NL_B)
+        assert_one_line_exit_2(runner.invoke(main, ["df", nl, "--grid", *grid]))
+
+    @pytest.mark.parametrize(
+        "command, nl_data, plant_data, message",
+        [
+            ("df", {"x": [1e308], "y": [1]}, None, "a grid up to 3 * 1e+308 is past"),
+            ("analyze", {"x": [1e308], "y": [1]}, {"num": [1], "den": [1, 1]},
+             "a grid up to 3 * 1e+308 is past"),
+            ("analyze", {"x": [1e307], "y": [1]}, {**PLANT_B, "k": 5},
+             "the amplitude grid is not finite: it ends at inf"),
+            ("analyze", NL_B, {**PLANT_B, "k": 1e-310},
+             "the gain margin 1/|G| is inf at omega = 1.73"),
+            ("analyze", NL_B, {**PLANT_B, "k": 1e305}, "the Nyquist contour is not finite"),
+        ],
+    )
+    def test_past_the_largest_float(self, runner, tmp_path, command, nl_data, plant_data, message):
+        args = [command, write(tmp_path, "nl.json", nl_data)]
+        if plant_data is not None:
+            args.append(write(tmp_path, "plant.json", plant_data))
+        res = runner.invoke(main, args)
+        assert_one_line_exit_2(res)
+        assert message in res.stderr
+
+    def test_integer_too_large_for_a_float(self, runner, tmp_path):
+        plant = tmp_path / "plant.json"
+        plant.write_text('{"num": [1], "den": [1, 1, 0], "k": 1' + "0" * 400 + "}")
+        assert_one_line_exit_2(runner.invoke(main, ["nyquist", str(plant)]))
+
+
+def either(*strategies):
+    """One of ``strategies``, each as often (``one_of`` weighs by leaf branches)."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+# Numbers of every size, and the JSON values that are not numbers.
+SIZES = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1e-300, 1e-12, 1e12, 1e300, 1.7e308, 5e-324]),
+    st.floats(0.0, 1.7e308),
+)
+FINITE = st.one_of(st.integers(-5, 5), SIZES, SIZES.map(lambda v: -v))
+NUMBERS = either(
+    FINITE,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400)]),  # too large for a float
+)
+VALUES = either(NUMBERS, st.text(max_size=3), st.booleans(), st.none())
+ARRAYS = either(st.lists(VALUES, max_size=6), VALUES)
+MODERATE = st.floats(0.01, 100.0)
+
+
+@st.composite
+def lag_plants(draw, sizes):
+    """Up to two integrators, up to three lags and maybe a pole pair at +-j w on the axis."""
+    poles = [0.0] * draw(st.integers(0, 2)) + [-v for v in draw(st.lists(sizes, max_size=3))]
+    w = draw(st.lists(sizes, max_size=1))
+    den = np.atleast_1d(np.poly(poles + [1j * v for v in w] + [-1j * v for v in w]).real)
+    num = draw(st.sampled_from([[1.0], [-1.0, 2.0], [1.0, 1.0]]))
+    return {"num": num, "den": den.tolist(), "k": draw(either(sizes, NUMBERS))}
+
+
+@st.composite
+def nonlinearities(draw, sizes):
+    """Sorted breakpoints, each repeated (a jump) or not, with values of either sign."""
+    x = sorted(draw(st.lists(sizes, min_size=1, max_size=4)))
+    x = [v for v in x for _ in range(draw(st.integers(1, 2)))]
+    y = draw(st.lists(either(sizes, sizes.map(lambda v: -v)), min_size=len(x), max_size=len(x)))
+    nl = {"x": x, "y": y}
+    if draw(st.booleans()):
+        nl["final_slope"] = draw(FINITE)
+    return nl
+
+
+PLANTS = either(
+    lag_plants(MODERATE),
+    lag_plants(SIZES),
+    st.fixed_dictionaries({"num": ARRAYS, "den": ARRAYS}, optional={"k": VALUES}),
+    VALUES,
+)
+NONLINEARITIES = either(
+    nonlinearities(MODERATE),
+    nonlinearities(SIZES),
+    st.fixed_dictionaries({"x": ARRAYS, "y": ARRAYS}, optional={"final_slope": VALUES}),
+    VALUES,
+)
+
+
+@given(PLANTS, NONLINEARITIES)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_descriptors_end_in_a_documented_exit(tmp_path, plant_data, nl_data):
+    """df, nyquist and analyze end in 0, 2 or 3, with at most one stderr line."""
+    runner = CliRunner()
+    plant = write(tmp_path, "plant.json", plant_data)
+    nl = write(tmp_path, "nl.json", nl_data)
+    for args in (["df", nl], ["nyquist", plant, "--points", "64"], ["analyze", nl, plant]):
+        res = runner.invoke(main, args)
+        assert res.exit_code in (0, 2, 3), (args, res.exception, res.stderr)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) <= 1

@@ -46,6 +46,14 @@ class TestWindingNumber:
     def test_point_near_but_outside(self):
         assert winding_number(closed_circle(1.0, 4097), 1.001 + 0.0j) == 0
 
+    @pytest.mark.parametrize("radius", [1e160, 1e300])
+    def test_huge_contour(self, radius):
+        # the edge cross products would overflow without the exact rescale
+        circle = radius * closed_circle(2.0, 513)
+        assert winding_number(circle, 0.0j) == 2
+        assert winding_number(circle, 0.5 * radius + 0.0j) == 2
+        assert winding_number(circle, -1.001 * radius + 0.0j) == 0
+
 
 class TestIntersections:
     def test_first_case_counts(self, nl_a):
@@ -95,6 +103,12 @@ class TestIntersections:
         tall = PiecewiseNonlinearity(x=(1e-300, 1e-300), y=(0.0, 1e300))
         with pytest.raises(IntersectionError, match=r"^F is not finite at X = 1\.00"):
             find_intersections(tall, 2.4)
+
+    def test_grid_past_the_largest_float_raises(self):
+        # the default grid ends at 100 times the last breakpoint
+        wide = PiecewiseNonlinearity(x=(1e307,), y=(1.0,))
+        with pytest.raises(IntersectionError, match=r"grid is not finite: it ends at inf$"):
+            find_intersections(wide, 2.4)
 
 
 class TestClassification:

@@ -149,6 +149,16 @@ class TestCrossovers:
         with pytest.raises(SingularFrequencyError, match=r"at omega = 0\.001$"):
             phase_crossovers(p)
 
+    def test_tiny_gain_opens_no_spurious_bracket(self):
+        # Im G ~ 1e-200 at neighbouring samples: their product underflows to 0
+        [(w, km)] = phase_crossovers(plant_b(1e-200))
+        assert w == pytest.approx(math.sqrt(3.0), abs=1e-6)
+        assert km == pytest.approx(1.2e201, rel=1e-6)
+
+    def test_overflowing_gain_margin_names_the_frequency(self):
+        with pytest.raises(SingularFrequencyError, match=r"1/\|G\| is inf at omega = 1\.73"):
+            phase_crossovers(plant_b(1e-310))
+
     def test_no_crossover_plant(self):
         # first-order lag never reaches -180 degrees
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
@@ -213,6 +223,11 @@ class TestContour:
         with pytest.raises(PoleOnAxisError, match=rf"^pole at s = {pole}$"):
             nyquist_contour(LinearPlant(num=(1.0,), den=den))
 
+    def test_overflowing_indentation_arc_raises(self):
+        # |G(j 0.001)| is finite, ten times it is not
+        with pytest.raises(SingularFrequencyError, match=r"^the Nyquist contour is not finite"):
+            nyquist_contour(plant_b(1e305))
+
     def test_keeps_lightly_damped_poles(self):
         # s^2 + 2e-6 s + 1: poles 1e-6 off the axis, relative
         c = nyquist_contour(LinearPlant(num=(1.0,), den=(1.0, 2e-6, 1.0, 0.0)))
@@ -232,3 +247,18 @@ class TestSerialization:
     def test_rejects_bad_json(self):
         with pytest.raises(PlantError):
             LinearPlant.from_json("[1, 2")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"num": "1", "den": "143"},
+            {"num": [1.0], "den": b"\x01\x01"},
+            {"num": [1.0], "den": [1.0, 1.0], "k": True},
+            {"num": [1.0], "den": [1.0, 1.0], "k": "2"},
+            {"num": ["1"], "den": [1.0, 1.0]},
+            {"num": [1.0], "den": [True, 1.0]},
+        ],
+    )
+    def test_rejects_strings_and_booleans(self, data):
+        with pytest.raises(PlantError):
+            LinearPlant.from_dict(data)

@@ -171,6 +171,21 @@ class TestSerialization:
         with pytest.raises(NonlinearityError):
             PiecewiseNonlinearity.from_dict({"x": [1.0]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"x": "3", "y": "3"},
+            {"x": [3.0], "y": b"\x03"},
+            {"x": [3.0], "y": [3.0], "final_slope": True},
+            {"x": [3.0], "y": [3.0], "final_slope": "0"},
+            {"x": [3.0, 6.0], "y": [3.0, "3"]},
+            {"x": [True], "y": [1.0]},
+        ],
+    )
+    def test_from_dict_rejects_strings_and_booleans(self, data):
+        with pytest.raises(NonlinearityError):
+            PiecewiseNonlinearity.from_dict(data)
+
     def test_from_json_rejects_garbage(self):
         with pytest.raises(NonlinearityError):
             PiecewiseNonlinearity.from_json("not json")

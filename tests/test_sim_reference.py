@@ -1,0 +1,183 @@
+"""The signed-interval piece table of ``simulate`` against the label loop.
+
+``simulate`` finds the piece of C s by bisecting one table of half-open
+intervals and accepts a batch's steps up to the first stage abscissa outside
+its piece's interval.  The reference below is the loop it replaced: it labels
+C s and every stage abscissa through ``nl.piece`` and the sign, and takes a
+straddling step through a generic stage loop.  Both run the same folded
+matrices in the same order, so states, verdicts and step counts must be
+equal exactly.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfcycle import LinearPlant, PiecewiseNonlinearity
+from dfcycle.sim import (
+    CONVERGED,
+    DIVERGED,
+    DIVERGENCE_NORM,
+    RUN_STEPS,
+    SUSTAINED,
+    _folded_step,
+    _run_map,
+    default_horizon,
+    loop_matrices,
+    measure_oscillation,
+    simulate,
+)
+
+from conftest import plant_a, plant_b, random_nonlinearity
+from test_sim import NL_A, NL_B, RELAY, cycle_start
+
+
+def reference_pieces(nl):
+    xs, ys, slopes = nl.pieces
+
+    def piece_of(x):
+        i = nl.piece(x)
+        # piece 0 is [0, first vertex): one line through the origin on both
+        # sides (with a jump at the origin nl.piece never gives 0)
+        return 2 * i + ((x < 0) & (i > 0))
+
+    def line(label: int) -> tuple[float, float]:
+        i, negative = divmod(label, 2)
+        m = slopes[i]
+        b = ys[i] - m * xs[i]
+        return m, -b if negative else b
+
+    return piece_of, line
+
+
+def reference_simulate(plant, nl, x0, T, dt):
+    """(states, verdict, full_steps) of the labelling loop."""
+    A, B, C_loop = loop_matrices(plant)
+    n = len(B)
+    x0 = np.asarray(x0, dtype=float)
+
+    R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
+    piece_of, line = reference_pieces(nl)
+    piece_maps: dict[int, np.ndarray] = {}
+    Cm_rows = Cm.tolist()
+    evaluate = nl.evaluate
+
+    def full_step(s):
+        u: list[float] = []
+        for x, c in zip((R @ s).tolist(), Cm_rows):
+            u.append(evaluate(x + sum(a * v for a, v in zip(c, u))))
+        return Phi @ s + G @ np.array(u)
+
+    steps = int(round(T / dt))
+    traj = np.empty((steps + 1, n))
+    traj[0] = x0
+    s = x0
+    affine = np.ones(n + 1)  # [s, 1]
+    k = 0
+    full_steps = 0
+    diverged_at = None
+    while k < steps:
+        piece = int(piece_of(C_loop @ s))
+        if piece not in piece_maps:
+            piece_maps[piece] = _run_map(R, Cm, Phi, G, *line(piece))
+        todo = min(RUN_STEPS, steps - k)
+        affine[:n] = s
+        out = (piece_maps[piece][: todo * (n + 4)] @ affine).reshape(todo, n + 4)
+        # accept the steps before the first one with a stage off the piece
+        off = (piece_of(out[:, n:]) != piece).any(axis=1)
+        run = int(off.argmax()) if off.any() else todo
+        if run:
+            traj[k + 1 : k + 1 + run] = out[:run, :n]
+            big = np.abs(out[:run, :n]).max(axis=1) > DIVERGENCE_NORM
+            if big.any():
+                diverged_at = k + 1 + int(big.argmax())
+                break
+            k += run
+            s = traj[k]
+        if run < todo:
+            s = full_step(s)
+            full_steps += 1
+            k += 1
+            traj[k] = s
+            if np.abs(s).max() > DIVERGENCE_NORM:
+                diverged_at = k
+                break
+
+    if diverged_at is not None:
+        return traj[: diverged_at + 1], DIVERGED, full_steps
+    t = np.arange(len(traj)) * dt
+    measured = measure_oscillation(t, traj @ np.asarray(C_loop))
+    return traj, CONVERGED if measured is None else SUSTAINED, full_steps
+
+
+def assert_matches_reference(plant, nl, x0, T, dt):
+    states, verdict, full_steps = reference_simulate(plant, nl, x0, T, dt)
+    res = simulate(plant, nl, x0, T, dt)
+    assert res.verdict == verdict
+    assert len(res.t) == len(states)
+    assert res.full_steps == full_steps
+    assert np.array_equal(res.states, states)
+    return res
+
+
+@pytest.mark.parametrize(
+    "plant, nl, scale, periods, verdict",
+    [
+        (plant_b(30.0), NL_B, 0.5, 20, SUSTAINED),
+        (plant_b(30.0), NL_B, 1.5, 20, SUSTAINED),
+        (plant_a(6.0), NL_A, 0.3, 40, CONVERGED),
+        (plant_a(6.0), NL_A, 2.0, 40, DIVERGED),  # crosses the jump at 20
+    ],
+    ids=["b-inner", "b-outer", "a-inner", "a-outer"],
+)
+def test_predicted_cycles_match_reference(plant, nl, scale, periods, verdict):
+    x0, T, dt = cycle_start(plant, nl, scale, periods)
+    assert assert_matches_reference(plant, nl, x0, T, dt).verdict == verdict
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_relay_from_zero_loop_signal_matches_reference(first):
+    # C s = 0 at the start lies on the right limit of the jump at the origin
+    plant = plant_b(1.0)
+    _, _, C_loop = loop_matrices(plant)
+    x0 = np.array([first, 0.2, 0.1])
+    assert C_loop @ x0 == 0.0
+    T, dt = default_horizon(math.sqrt(3.0))
+    res = assert_matches_reference(plant, RELAY, x0, T / 10.0, dt)
+    assert res.full_steps > 0
+
+
+@pytest.mark.parametrize("start", [2.75, 3.0])
+def test_stage_exactly_on_a_jump_matches_reference(start):
+    # a double integrator in a dead zone moves C s by exactly h per step, so
+    # from 2.75 the last stage of the first step lands on the jump at 3, and
+    # from 3.0 the first stage starts on it
+    plant = LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0))
+    relay = PiecewiseNonlinearity(x=(3.0, 3.0), y=(0.0, 1.0), final_slope=0.0)
+    res = assert_matches_reference(plant, relay, [-start, -1.0], 25.0, 0.25)
+    assert res.full_steps > 0
+
+
+@given(
+    st.lists(st.floats(0.2, 5.0), min_size=1, max_size=3),
+    st.floats(0.5, 40.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 30.0),
+    st.sampled_from([None, 0.0, -0.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_random_loops_match_reference(lags, k, seed, scale, zero):
+    # integrator plus one to three lags: C_loop s is -k s[0]
+    den = np.poly([0.0] + [-p for p in lags])
+    plant = LinearPlant(num=(1.0,), den=tuple(den), k=k)
+    nl = random_nonlinearity(random.Random(seed), max_breakpoints=6)
+    x0 = scale * np.random.default_rng(seed).standard_normal(plant.order)
+    if zero is not None:
+        x0[0] = zero  # C s is zero
+    assert_matches_reference(plant, nl, x0, 20.0, 0.01)
