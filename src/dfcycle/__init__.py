@@ -31,7 +31,6 @@ from .linsys import (
     LinearPlant,
     PlantError,
     PoleOnAxisError,
-    SingularFrequencyError,
     freq_response,
     h_of_jw,
     nyquist_contour,
@@ -72,7 +71,6 @@ __all__ = [
     "PrimitiveKind",
     "QuadratureError",
     "SimResult",
-    "SingularFrequencyError",
     "analyze",
     "classify",
     "df_derivative",

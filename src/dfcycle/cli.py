@@ -1,16 +1,19 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
 Exit codes: 0 success, 2 malformed input (JSON schema, a value that is not a
-number, a string or a boolean where a number or an array is expected, or a
-grid, also a default one past the largest float), a pole of the plant on the
-imaginary axis (anywhere on it in ``analyze``, at a sampled frequency in
-``nyquist``), a G(j omega) that is not finite at a sampled frequency
-(``analyze``, ``nyquist``), a describing function F(X) that is not finite
-(``df``, ``analyze``), an F(X) = K that holds on a plateau of amplitudes
-instead of at isolated ones, a predicted cycle whose stability its two
-amplitude probes cannot decide, a plant with direct feedthrough under
-``--simulate``, or an oracle quadrature that is not finite or fails its
-symmetry check, 3 analysis ran but the plant has no phase crossover.
+number, a string or a boolean where a number or an array is expected, an
+invalid grid, also a default one past the largest float or one of more than
+``MAX_POINTS`` samples, a ``nyquist`` point count outside 1 to
+``MAX_POINTS``, or an omega range that is not positive, increasing and
+finite), a pole of the plant on the imaginary axis (anywhere on it in
+``analyze``, at a sampled frequency in ``nyquist``), a G(j omega) that is
+not finite at a sampled frequency (``analyze``, ``nyquist``), a describing
+function F(X) that is not finite (``df``, ``analyze``), an F(X) = K that
+holds on a plateau of amplitudes instead of at isolated ones, a predicted
+cycle whose stability its two amplitude probes cannot decide, a plant with
+direct feedthrough under ``--simulate``, or an oracle quadrature that is not
+finite or fails its symmetry check, 3 analysis ran but the plant has no
+phase crossover.
 """
 
 from __future__ import annotations
@@ -26,23 +29,17 @@ import numpy as np
 from . import sim, svg
 from .cycles import AmbiguousStabilityError, IntersectionError, analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
-from .linsys import (
-    LinearPlant,
-    PoleOnAxisError,
-    SingularFrequencyError,
-    freq_response,
-    phase_crossovers,
-)
+from .linsys import LinearPlant, PoleOnAxisError, freq_response, phase_crossovers
 from .piecewise import PiecewiseNonlinearity
 from .qualdf import df_qualitative
 
 SCHEMA_VERSION = 1
 EXIT_SCHEMA = 2
 EXIT_NO_CROSSOVER = 3
-# Raised for a pole on the imaginary axis, or a G(j omega) that is not finite.
-FREQUENCY_ERRORS = (PoleOnAxisError, SingularFrequencyError)
 # Initial states of ``analyze --simulate``, as multiples of each cycle's x(0).
 VERIFY_SCALES = (0.5, 1.5)
+# Most samples of one ``df`` grid or one ``nyquist`` curve.
+MAX_POINTS = 1_000_000
 
 
 def _fail(message: str) -> None:
@@ -95,7 +92,10 @@ def _grid_scale(nl_file: str, nl: PiecewiseNonlinearity) -> float:
 def _make_grid(nl: PiecewiseNonlinearity, dx: float, xm: float) -> np.ndarray:
     if not 0 < dx <= xm < math.inf:
         _fail(f"invalid grid: step {dx}, max {xm}")
-    n = int(math.floor(xm / dx + 1e-9))
+    steps = xm / dx + 1e-9
+    if steps >= MAX_POINTS:
+        _fail(f"invalid grid: step {dx}, max {xm} gives more than {MAX_POINTS} points")
+    n = int(math.floor(steps))
     grid = dx * np.arange(0, n + 1)
     if nl.has_origin_jump:
         grid = grid[grid > 0]
@@ -116,7 +116,8 @@ def main() -> None:
     nargs=2,
     type=float,
     default=None,
-    help="Sample step and maximum amplitude (default: Xr/100, 3*Xr).",
+    help="Sample step and maximum amplitude (default: Xr/100, 3*Xr), "
+    f"at most {MAX_POINTS} samples.",
 )
 @click.option(
     "--mode",
@@ -193,7 +194,7 @@ def cmd_analyze(
 
     try:
         crossovers = analyze(plant, nl)
-    except FREQUENCY_ERRORS as exc:
+    except PoleOnAxisError as exc:
         _fail(f"{plant_file}: {exc}")
     except IntersectionError as exc:
         _fail(f"{nl_file}: {exc}")
@@ -278,7 +279,8 @@ def _verify(plant, nl, cyc) -> list[dict]:
 @click.argument("plant_file", type=click.Path())
 @click.option("--omega-range", nargs=2, type=float, default=(1e-3, 1e3),
               show_default=True, help="Positive frequency interval to sample.")
-@click.option("--points", type=int, default=1024, show_default=True)
+@click.option("--points", type=int, default=1024, show_default=True,
+              help=f"Number of frequencies to sample (1 to {MAX_POINTS}).")
 @click.option("--mark-neg-axis", is_flag=True,
               help="Mark the negative-real-axis crossings on the plot/CSV.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
@@ -287,13 +289,15 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
     """Sample the Nyquist curve of PLANT_FILE."""
     plant = _load(LinearPlant, plant_file)
     lo, hi = omega_range
-    if not (0 < lo < hi):
+    if not (0 < lo < hi < math.inf):
         _fail(f"invalid omega range ({lo}, {hi})")
+    if not 1 <= points <= MAX_POINTS:
+        _fail(f"invalid point count {points}: need 1 to {MAX_POINTS}")
     ws = np.logspace(math.log10(lo), math.log10(hi), points)
     try:
         g = freq_response(plant, ws)
         marks = phase_crossovers(plant, (lo, hi)) if mark_neg_axis else []
-    except FREQUENCY_ERRORS as exc:
+    except PoleOnAxisError as exc:
         _fail(f"{plant_file}: {exc}")
 
     if out_path and out_path.endswith(".svg"):

@@ -6,7 +6,7 @@ slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
 same value by quadrature of the first Fourier harmonic and serves as an
 independent cross-check of the closed forms: it splits the period where
 X sin t meets a breakpoint and integrates each panel's own linear piece of y,
-read from the nonlinearity's piece table (``pieces``), never from the
+read from the nonlinearity's signed line table (``lines``), never from the
 decomposition, with one fixed 16-node Gauss-Legendre rule per panel.
 """
 
@@ -172,7 +172,7 @@ def _integrate_piecewise(nl, X, weight, splits, name):
     """Integrate ``y(X sin t) * weight(t)`` over consecutive split panels.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
-    looks that piece up once in ``nl.pieces``, at its midpoint, and
+    looks that piece up once in ``nl.lines``, at its midpoint, and
     integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
     inside the panel, so a jump of y sitting on a split never leaks into the
     panel.  All panels are evaluated as one array.
@@ -180,11 +180,9 @@ def _integrate_piecewise(nl, X, weight, splits, name):
     splits = np.array(splits)
     a, width = splits[:-1], np.diff(splits)
     x_mid = X * np.sin(a + 0.5 * width)
-    xs, ys, slopes = map(np.array, nl.pieces)
-    i = nl.piece(x_mid)
-    m = slopes[i]
-    y_mid = ys[i] + m * (np.abs(x_mid) - xs[i])
-    y_mid = np.where(x_mid < 0, -y_mid, y_mid)
+    lines = np.array(nl.lines)
+    _, _, x0, y0, m = lines[np.searchsorted(lines[:, 0], x_mid, side="right") - 1].T
+    y_mid = y0 + m * (x_mid - x0)
     t = a[:, None] + width[:, None] * _NODES
     with np.errstate(all="ignore"):
         f = (y_mid[:, None] + m[:, None] * (X * np.sin(t) - x_mid[:, None])) * weight(t)

@@ -27,11 +27,8 @@ class PlantError(ValueError):
 
 
 class PoleOnAxisError(ValueError):
-    """G has a pole where it is sampled, or on the imaginary axis of its contour."""
-
-
-class SingularFrequencyError(ValueError):
-    """G, or the gain margin 1/|G|, is not finite at the frequency."""
+    """G has a pole where it is sampled, or on the imaginary axis of its contour,
+    or G, the gain margin 1/|G| or the contour is not finite at the frequency."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def freq_response(
 ) -> complex | np.ndarray:
     """G(j*omega) at a scalar or an array of frequencies, all > 0.
 
-    Raises ``SingularFrequencyError`` naming the first omega at which G
+    Raises ``PoleOnAxisError`` naming the first omega at which G
     overflows.
     """
     ws = np.asarray(omega)
@@ -163,7 +160,7 @@ def freq_response(
         g = plant.transfer(1j * omega)
     overflow = ~np.isfinite(g)
     if overflow.any():
-        raise SingularFrequencyError(
+        raise PoleOnAxisError(
             f"G(j omega) is not finite at omega = {ws[overflow][0]}"
         )
     return g
@@ -214,7 +211,7 @@ def phase_crossovers(
     Im G is sampled on a log grid, and a bracket opens wherever
     ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
     bisected together until ``|Im G| <= 1e-12 * |G|``; crossings with
-    Re G >= 0 are discarded.  Raises ``SingularFrequencyError`` naming the
+    Re G >= 0 are discarded.  Raises ``PoleOnAxisError`` naming the
     first scanned or bisected omega at which G overflows, or the first
     crossing whose gain margin 1/|G| overflows or underflows to 0.
     """
@@ -232,7 +229,7 @@ def phase_crossovers(
         )
     overflow = ~np.isfinite(g)
     if overflow.any():
-        raise SingularFrequencyError(
+        raise PoleOnAxisError(
             f"G(j omega) is not finite at omega = {mids[overflow][0]}"
         )
     neg = g.real < 0
@@ -241,7 +238,7 @@ def phase_crossovers(
         margins = 1.0 / np.abs(g[neg])
     bad = ~(np.isfinite(margins) & (margins > 0.0))
     if bad.any():
-        raise SingularFrequencyError(
+        raise PoleOnAxisError(
             f"the gain margin 1/|G| is {margins[bad][0]} at omega = {mids[bad][0]}"
         )
     # collapse brackets that refined to the same crossing
@@ -260,8 +257,8 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     opens the contour, which is closed with a large clockwise arc of pi
     radians per origin pole at ten times the innermost sample radius (the
     standard indentation image).  Any other pole r on the imaginary axis
-    (``|Re r| <= 1e-9 |r|``) raises ``PoleOnAxisError``, sampled or not, and
-    a contour point that overflows raises ``SingularFrequencyError``.
+    (``|Re r| <= 1e-9 |r|``), sampled or not, or a contour point that
+    overflows raises ``PoleOnAxisError``.
     """
     r = np.roots(plant.den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
@@ -282,7 +279,7 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     contour = np.concatenate(parts)
     overflow = ~np.isfinite(contour)
     if overflow.any():
-        raise SingularFrequencyError(
+        raise PoleOnAxisError(
             f"the Nyquist contour is not finite: it reaches {contour[overflow][0]}"
         )
     return np.append(contour, contour[0])

@@ -5,6 +5,11 @@ interpreted as odd, y(-x) = -y(x).  A repeated abscissa encodes a vertical
 jump.  Every such map is the sum of an initial linear gain, dead-zone terms
 (one per slope change) and relay terms (one per jump); :func:`PiecewiseNonlinearity.decompose`
 produces that sum.
+
+``pieces`` holds the linear pieces of y on x >= 0, whence the geometry;
+``lines`` is the one signed table over the real line (right limit at a jump,
+odd extension) in which evaluation, the simulator, the quadrature oracle and
+the qualitative curve look x up.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 
 class NonlinearityError(ValueError):
@@ -130,18 +133,45 @@ class PiecewiseNonlinearity:
             last = self.final_slope
         return xs, ys, (*slopes, last)
 
-    def piece(self, x):
-        """Index into ``pieces`` of the piece holding |x|, for a scalar or an array.
+    @cached_property
+    def lines(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """The linear pieces of y over the whole real line, as (lo, hi, x0, y0, m).
 
-        The right limit is taken at a jump, and -x lies on the piece of x
-        (odd extension).
+        Entry k is ``y0 + m * (x - x0)`` on the floats ``lo <= x < hi``, with
+        the right limit at a jump and the odd extension, so -x lies on the
+        line of x mirrored.  Its anchor (x0, y0) is the vertex (xs[i], ys[i])
+        of a piece [a, b) of ``pieces``, or (-xs[i], -ys[i]) on the negative
+        side, which holds the floats of (-b, -a]: [nextafter(-b, +inf),
+        nextafter(-a, +inf)).  At a = 0 (a jump at the origin) that side ends
+        at 0.0, so -0.0 stays on [0, b).  Without a jump at the origin the two
+        central pieces are one line and one entry.  Pieces of zero width (a
+        jump) get no entry.  The first entry starts at -inf and the last ends
+        at +inf.
         """
-        # the number of piece ends at or left of |x|, since xs[0] = 0 <= |x|
-        return self._ends.searchsorted(np.abs(x), side="right")
+        xs, ys, slopes = self.pieces
+        ends = (*xs[1:], math.inf)
+        right = [
+            (lo, hi, lo, y, m) for lo, hi, y, m in zip(xs, ends, ys, slopes) if lo < hi
+        ]
+        left = [
+            (
+                -math.inf if hi == math.inf else math.nextafter(-hi, math.inf),
+                math.nextafter(-lo, math.inf) if lo > 0.0 else 0.0,
+                -x0,
+                -y0,
+                m,
+            )
+            for lo, hi, x0, y0, m in reversed(right)
+        ]
+        if self.has_origin_jump:
+            return (*left, *right)
+        # one central entry (-xs[1], xs[1]) through the origin
+        return (*left[:-1], (left[-1][0], *right[0][1:]), *right[1:])
 
     @cached_property
-    def _ends(self) -> np.ndarray:
-        return np.array(self.pieces[0][1:])
+    def line_starts(self) -> tuple[float, ...]:
+        """The ``lo`` of every entry of ``lines``, for a bisection."""
+        return tuple(lo for lo, *_ in self.lines)
 
     @cached_property
     def segments(self) -> tuple[tuple[float, float, float], ...]:
@@ -190,13 +220,18 @@ class PiecewiseNonlinearity:
 
     # -- evaluation -------------------------------------------------------
 
+    def line_at(self, x: float) -> tuple[float, float, float, float, float]:
+        """The entry of ``lines`` whose floats ``lo <= x < hi`` hold x."""
+        return self.lines[bisect_right(self.line_starts, x) - 1]
+
     def evaluate(self, x: float) -> float:
-        """Value y(x) on its line of ``pieces`` (odd extension, right limit at jumps)."""
-        if x < 0:
-            return -self.evaluate(-x)
-        xs, ys, slopes = self.pieces
-        i = bisect_right(xs, x) - 1
-        return ys[i] + slopes[i] * (x - xs[i])
+        """Value y(x) on its entry of ``lines`` (odd extension, right limit at jumps).
+
+        The lookup is ``line_at``'s, written out: the RK4 check calls this
+        per stage, and the extra call would cost about half as much again.
+        """
+        _, _, x0, y0, m = self.lines[bisect_right(self.line_starts, x) - 1]
+        return y0 + m * (x - x0)
 
     # -- decomposition ----------------------------------------------------
 

@@ -34,11 +34,7 @@ def phi_tilde(X, Xj: float):
 def _events(nl: PiecewiseNonlinearity):
     """Breakpoints as (Xj, slope after Xj, jump amplitude at Xj)."""
     jump_at = dict(nl.jumps)
-    slopes = nl.pieces[2]
-    return [
-        (xj, slopes[i], jump_at.get(xj, 0.0))
-        for xj, i in zip(nl.breakpoints, nl.piece(nl.breakpoints).tolist())
-    ]
+    return [(xj, nl.line_at(xj)[4], jump_at.get(xj, 0.0)) for xj in nl.breakpoints]
 
 
 def segment_anchor_values(nl: PiecewiseNonlinearity) -> list[float]:
@@ -81,7 +77,7 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
         if not np.any(mask):
             continue
         Xs = grid[mask]
-        vals = f0 + (mj - f0) * (1.0 - (xj / Xs if xj > 0 else 0.0))
+        vals = f0 + (mj - f0) * phi_tilde(Xs, xj)
         if yj != 0.0:
             vals = vals + yj * psi(xj, Xs)
         F[mask] = vals

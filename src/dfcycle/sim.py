@@ -14,10 +14,10 @@ piece is advanced by one product with that map's precomputed powers; only a
 step whose stages straddle a breakpoint is taken stage by stage through
 ``nl.evaluate``.  Both are the same RK4 step, up to rounding.
 
-The pieces are one table over the whole real line, one entry per signed
-piece: its line and the half-open interval ``lo <= x < hi`` of the floats
-that lie on it.  A batch finds the piece of C s by one bisection of the
-table's starts and keeps the steps before the first one with a stage
+The pieces are the nonlinearity's signed line table ``nl.lines``, one entry
+per signed piece: its line and the half-open interval ``lo <= x < hi`` of the
+floats that lie on it.  A batch finds the piece of C s by one bisection of
+the table's starts and keeps the steps before the first one with a stage
 abscissa below ``lo`` or at or above ``hi``.
 """
 
@@ -87,7 +87,7 @@ def simulate(
 
     Every step is the classical RK4 step, folded into the matrices of
     ``_folded_step``.  Each batch looks up the piece of y holding C s in the
-    signed-interval table of ``_pieces`` (one bisection of its starts),
+    signed line table ``nl.lines`` (one bisection of its starts),
     computes up to ``RUN_STEPS`` steps on that piece with one product, and
     accepts the steps before the first one with a stage abscissa below the
     piece's ``lo`` or at or above its ``hi``.  That step straddles a
@@ -110,8 +110,7 @@ def simulate(
         raise ValueError(f"initial state must have shape ({n},)")
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
-    table = _pieces(nl)
-    starts = [lo for lo, _, _, _ in table]
+    lines, starts = nl.lines, nl.line_starts
     piece_maps: dict[int, np.ndarray] = {}
     _, (c10, *_), (c20, c21, *_), (c30, c31, c32, _) = Cm.tolist()
     evaluate = nl.evaluate
@@ -134,9 +133,9 @@ def simulate(
     diverged_at = None
     while k < steps:
         piece = bisect_right(starts, float(C_loop @ s)) - 1
-        lo, hi, m, b = table[piece]
+        lo, hi, x0, y0, m = lines[piece]
         if piece not in piece_maps:
-            piece_maps[piece] = _run_map(R, Cm, Phi, G, m, b)
+            piece_maps[piece] = _run_map(R, Cm, Phi, G, m, y0 - m * x0)
         todo = min(RUN_STEPS, steps - k)
         affine[:n] = s
         out = (piece_maps[piece][: todo * (n + 4)] @ affine).reshape(todo, n + 4)
@@ -202,41 +201,6 @@ def _folded_step(
     end = unit + (h / 6.0) * (slopes[0] + 2.0 * slopes[1] + 2.0 * slopes[2] + slopes[3])
     x = np.array([C_loop @ stage for stage in stages])
     return x[:, :n], x[:, n:], end[:, :n], end[:, n:]
-
-
-def _pieces(nl: PiecewiseNonlinearity) -> list[tuple[float, float, float, float]]:
-    """The linear pieces of y over the whole real line, as (lo, hi, m, b) in order.
-
-    Each entry holds the floats ``lo <= x < hi`` on which y = m x + b, with
-    ``nl.piece``'s conventions: the right limit at a jump, and the odd
-    extension, so -x lies on the piece of x.  A piece [a, b) of ``nl.pieces``
-    thus gives [a, b) and, for the negative side, the floats of (-b, -a],
-    which are [nextafter(-b, +inf), nextafter(-a, +inf)); at a = 0 (a jump
-    at the origin) that side ends at 0.0, so -0.0 stays on [0, b).  Without a
-    jump at the origin the two central pieces are one line and one entry.
-    Pieces of zero width (a jump) get no entry.  The first entry starts at
-    -inf and the last ends at +inf.
-    """
-    xs, ys, slopes = nl.pieces
-    ends = (*xs[1:], math.inf)
-    right = [
-        (lo, hi, m, y - m * lo)
-        for lo, hi, y, m in zip(xs, ends, ys, slopes)
-        if lo < hi
-    ]
-    left = [
-        (
-            -math.inf if hi == math.inf else math.nextafter(-hi, math.inf),
-            math.nextafter(-lo, math.inf) if lo > 0.0 else 0.0,
-            m,
-            -b,
-        )
-        for lo, hi, m, b in reversed(right)
-    ]
-    if nl.has_origin_jump:
-        return left + right
-    # one central piece (-xs[1], xs[1]) through the origin
-    return left[:-1] + [(left[-1][0], *right[0][1:])] + right[1:]
 
 
 def _run_map(R, Cm, Phi, G, m: float, b: float) -> np.ndarray:

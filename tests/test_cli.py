@@ -11,8 +11,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant, cycles, phase_crossovers
-from dfcycle.cli import main
+from dfcycle import LinearPlant, cli, cycles, phase_crossovers
+from dfcycle.cli import MAX_POINTS, main
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
 NL_B = {"x": [3, 6, 10, 19], "y": [3, 3, 10, 10]}
@@ -415,6 +415,38 @@ class TestMalformedInput:
         res = runner.invoke(main, args)
         assert_one_line_exit_2(res)
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["df", "nl", "--grid", "1e-300", "1"], f"gives more than {MAX_POINTS} points"),
+            (["df", "nl", "--grid", "1e-320", "1e300"], f"gives more than {MAX_POINTS} points"),
+            (["nyquist", "plant", "--points", "-1"], "invalid point count -1"),
+            (["nyquist", "plant", "--points", "0", "--out", "n.svg"], "invalid point count 0"),
+            (["nyquist", "plant", "--omega-range", "1", "inf"], "invalid omega range (1.0, inf)"),
+        ],
+    )
+    def test_sample_count_past_the_limit(self, runner, tmp_path, args, message):
+        files = {
+            "nl": write(tmp_path, "nl.json", NL_B),
+            "plant": write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5}),
+            "n.svg": str(tmp_path / "n.svg"),
+        }
+        res = runner.invoke(main, [files.get(a, a) for a in args])
+        assert_one_line_exit_2(res)
+        assert message in res.stderr
+        assert not (tmp_path / "n.svg").exists()
+
+    def test_point_limit_is_inclusive(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_POINTS", 10)
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
+        res = runner.invoke(main, ["df", nl, "--grid", "0.1", "0.9"])
+        assert res.exit_code == 0 and len(res.stdout.splitlines()) == 1 + 10
+        assert_one_line_exit_2(runner.invoke(main, ["df", nl, "--grid", "0.1", "1"]))
+        res = runner.invoke(main, ["nyquist", plant, "--points", "10"])
+        assert res.exit_code == 0 and len(res.stdout.splitlines()) == 1 + 10
+        assert_one_line_exit_2(runner.invoke(main, ["nyquist", plant, "--points", "11"]))
 
     def test_integer_too_large_for_a_float(self, runner, tmp_path):
         plant = tmp_path / "plant.json"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
     PoleOnAxisError,
-    SingularFrequencyError,
     h_of_jw,
     nyquist_contour,
     phase_crossovers,
@@ -146,7 +145,7 @@ class TestCrossovers:
 
     def test_overflowing_response_names_the_frequency(self):
         p = LinearPlant(num=(1e300,), den=(1.0, 4.0, 3.0, 0.0), k=1e10)
-        with pytest.raises(SingularFrequencyError, match=r"at omega = 0\.001$"):
+        with pytest.raises(PoleOnAxisError, match=r"at omega = 0\.001$"):
             phase_crossovers(p)
 
     def test_tiny_gain_opens_no_spurious_bracket(self):
@@ -156,7 +155,7 @@ class TestCrossovers:
         assert km == pytest.approx(1.2e201, rel=1e-6)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
-        with pytest.raises(SingularFrequencyError, match=r"1/\|G\| is inf at omega = 1\.73"):
+        with pytest.raises(PoleOnAxisError, match=r"1/\|G\| is inf at omega = 1\.73"):
             phase_crossovers(plant_b(1e-310))
 
     def test_no_crossover_plant(self):
@@ -225,7 +224,7 @@ class TestContour:
 
     def test_overflowing_indentation_arc_raises(self):
         # |G(j 0.001)| is finite, ten times it is not
-        with pytest.raises(SingularFrequencyError, match=r"^the Nyquist contour is not finite"):
+        with pytest.raises(PoleOnAxisError, match=r"^the Nyquist contour is not finite"):
             nyquist_contour(plant_b(1e305))
 
     def test_keeps_lightly_damped_poles(self):

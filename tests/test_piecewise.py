@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,11 @@ from hypothesis import strategies as st
 from dfcycle import NonlinearityError, PiecewiseNonlinearity, PrimitiveKind
 
 from conftest import random_nonlinearity
+
+NL_A = PiecewiseNonlinearity(x=(2, 7, 20, 20, 25), y=(0, 4.5, 7.21, 4.21, 5.25))
+NL_B = PiecewiseNonlinearity(x=(3, 6, 10, 19), y=(3, 3, 10, 10))
+RELAY = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
+LINEAR = PiecewiseNonlinearity(x=(0.0,), y=(0.0,), final_slope=0.7)
 
 
 class TestValidation:
@@ -82,27 +88,110 @@ class TestEvaluate:
             assert nl.evaluate(-x) == pytest.approx(-nl.evaluate(x), abs=1e-12)
 
 
+def line_of(nl, x):
+    """The one entry of ``nl.lines`` whose interval holds x, by a linear scan."""
+    (entry,) = [e for e in nl.lines if e[0] <= x < e[1]]
+    return entry
+
+
+def vertex_map(nl):
+    """y(x) from the vertex list alone, with the right limit at a jump and the
+    odd extension, as ``(k, negative, m, y)``: the vertex k that anchors x's
+    line, whether x lies on the mirrored side of it, the line's slope and y(x).
+    """
+    pts = list(zip(nl.x, nl.y))
+    if pts[0] != (0.0, 0.0):
+        pts.insert(0, (0.0, 0.0))
+    finite = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]) if x1 > x0]
+    tail = nl.final_slope if nl.final_slope is not None else (finite or [0.0])[-1]
+
+    def y(x):
+        a = abs(x)
+        k = max(j for j, (xv, _) in enumerate(pts) if xv <= a)
+        (x0, y0), nxt = pts[k], pts[k + 1 : k + 2]
+        m = (nxt[0][1] - y0) / (nxt[0][0] - x0) if nxt else tail
+        value = y0 + m * (a - x0)
+        # without a jump at the origin the line of vertex 0 is one line
+        return k, x < 0 and k > 0, m, -value if x < 0 else value
+
+    return y
+
+
+def check_lines(nl):
+    """Every entry of ``nl.lines`` against ``vertex_map``, exactly."""
+    table = nl.lines
+    assert nl.line_starts == tuple(lo for lo, *_ in table)
+    assert table[0][0] == -math.inf and table[-1][1] == math.inf
+    assert all(lo < hi for lo, hi, *_ in table)
+    assert all(hi == lo for (_, hi, *_), (lo, *_) in zip(table, table[1:]))
+    # vertices and midpoints on both sides, signed zeros, beyond the last
+    # vertex, and each bound with its neighbouring floats
+    at = sorted({v[0] for v in nl.vertices} | {1.0, 2.0 * nl.max_breakpoint + 50.0})
+    probes = at + [0.5 * (a + b) for a, b in zip(at, at[1:])]
+    probes += [-x for x in probes] + [0.0, -0.0]
+    for v in nl.line_starts[1:]:
+        probes += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    y = vertex_map(nl)
+    holders: dict[int, set] = {}
+    for x in probes:
+        k, negative, m_ref, y_ref = y(x)
+        label = table.index(line_of(nl, x))
+        assert nl.line_at(x) == table[label]
+        _, _, x0, y0, m = table[label]
+        xv, yv = nl.vertices[k]
+        assert (x0, y0, m) == ((-xv, -yv, m_ref) if negative else (xv, yv, m_ref))
+        assert y0 + m * (x - x0) == y_ref == nl.evaluate(x)
+        holders.setdefault(label, set()).add((k, negative))
+    # every entry is hit and holds exactly one signed piece, a different one
+    # for each entry: entries and signed pieces are one-to-one
+    assert sorted(holders) == list(range(len(table)))
+    assert all(len(pieces) == 1 for pieces in holders.values())
+    assert len(set.union(*holders.values())) == len(table)
+
+
 class TestPieceTable:
     def test_right_limit_at_jump(self, nl_a):
-        xs, ys, _ = nl_a.pieces
-        i = nl_a.piece(20.0)
-        assert (xs[i], ys[i]) == (20.0, 4.21)
-        assert nl_a.piece(np.nextafter(20.0, 0.0)) == i - 2
+        lo, hi, x0, y0, _ = line_of(nl_a, 20.0)
+        assert (lo, x0, y0) == (20.0, 20.0, 4.21)
+        _, hi, x0, y0, _ = line_of(nl_a, math.nextafter(20.0, 0.0))
+        assert (hi, x0, y0) == (20.0, 7.0, 4.5)
 
     def test_odd_symmetric(self, nl_a):
-        x = np.linspace(0.0, 40.0, 81)
-        np.testing.assert_array_equal(nl_a.piece(-x), nl_a.piece(x))
+        for x in np.linspace(0.25, 40.0, 80).tolist():
+            lo, hi, x0, y0, m = line_of(nl_a, x)
+            nlo, nhi, nx0, ny0, nm = line_of(nl_a, -x)
+            assert (nx0, ny0, nm) == (-x0, -y0, m)
+            if lo > 0.0:  # the central entry holds both sides
+                assert nhi == math.nextafter(-lo, math.inf)
+                assert nlo == (math.nextafter(-hi, math.inf) if hi < math.inf else -math.inf)
 
     def test_jump_at_origin(self):
         relay = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
         xs, ys, slopes = relay.pieces
         assert (xs, ys, slopes) == ((0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-        np.testing.assert_array_equal(relay.piece(np.array([-2.0, -1e-300, 0.0, 3.0])), 1)
+        assert relay.lines == ((-math.inf, 0.0, -0.0, -1.0, 0.0), (0.0, math.inf, 0.0, 1.0, 0.0))
+        assert [line_of(relay, x) for x in (-2.0, -1e-300, -0.0, 0.0, 3.0)] == [
+            relay.lines[0], relay.lines[0], relay.lines[1], relay.lines[1], relay.lines[1]
+        ]
 
     def test_last_piece_beyond_last_vertex(self, nl_b):
-        xs, _, slopes = nl_b.pieces
-        assert nl_b.piece(19.0) == nl_b.piece(1e9) == len(xs) - 1
-        assert slopes[-1] == nl_b.last_slope == 0.0
+        assert line_of(nl_b, 19.0) == line_of(nl_b, 1e9) == nl_b.lines[-1]
+        assert nl_b.lines[-1] == (19.0, math.inf, 19.0, 10.0, 0.0)
+        assert line_of(nl_b, -1e9) == nl_b.lines[0]
+        assert nl_b.lines[0] == (-math.inf, math.nextafter(-19.0, 0.0), -19.0, -10.0, 0.0)
+        assert nl_b.pieces[2][-1] == nl_b.last_slope == 0.0
+
+    @pytest.mark.parametrize("nl", [NL_A, NL_B, RELAY, LINEAR])
+    def test_lines_match_the_vertex_map(self, nl):
+        check_lines(nl)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_lines_match_the_vertex_map(self, seed, origin_jump):
+        nl = random_nonlinearity(random.Random(seed))
+        if origin_jump:
+            nl = PiecewiseNonlinearity((0.0, *nl.x), (0.5, *nl.y), nl.final_slope)
+        check_lines(nl)
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import df_exact, df_value
+from dfcycle import PiecewiseNonlinearity, df_exact, df_value
 from dfcycle.qualdf import (
     df_qualitative,
     phi_tilde,
@@ -61,6 +61,30 @@ class TestCurve:
         q = df_qualitative(nl_a, np.array([6.89, 19.89]))
         assert q.F[0] == pytest.approx(0.63875, abs=1e-5)
         assert q.F[1] == pytest.approx(0.36134, abs=1e-5)
+
+    def test_case_studies_bit_identical(self, nl_a, nl_b):
+        # the values of the inlined ramp 1 - Xj/X that phi_tilde replaced, to
+        # the last bit; the third map adds a relay at the origin (Xj = 0)
+        grid = 0.75 + 2.5 * np.arange(12)
+        relay = PiecewiseNonlinearity(
+            x=(0, 0, 2, 5, 5, 9, 9, 13, 19), y=(0, 1, 0, 4, 2, 4, 6, 6, 8)
+        )
+        frozen = {
+            nl_a: [0.0, 0.34615384615384615, 0.5869565217391305, 0.5770396270396271,
+                   0.4913237924865832, 0.4379535558780842, 0.40152625152625154,
+                   0.37507903055848263, 0.3059435310660347, 0.25540668482748646,
+                   0.2330122929290995, 0.22047191733262386],
+            nl_b: [1.0, 0.9230769230769231, 0.5217391304347826, 0.8409090909090908,
+                   0.9302325581395349, 0.7547169811320755, 0.6349206349206349,
+                   0.547945205479452, 0.4819277108433735, 0.4301075268817205,
+                   0.38834951456310685, 0.35398230088495575],
+            relay: [1.1976527263135504, 0.5968942188928705, 0.5896942670828803,
+                    0.46942097509324165, 0.5161413683047663, 0.45862440820106765,
+                    0.43873693599984, 0.4242980863194966, 0.41333847752598296,
+                    0.40473577384935394, 0.39780349807109955, 0.39209817375802286],
+        }
+        for nl, F in frozen.items():
+            assert np.array_equal(df_qualitative(nl, grid).F, F)
 
     def test_anchor_chain_first_case(self, nl_a):
         anchors = segment_anchor_values(nl_a)

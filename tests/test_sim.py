@@ -14,7 +14,6 @@ from dfcycle.sim import (
     DIVERGED,
     DIVERGENCE_NORM,
     SUSTAINED,
-    _pieces,
     default_horizon,
     loop_matrices,
     measure_oscillation,
@@ -180,36 +179,6 @@ class TestAgainstReference:
         x0, T, dt = cycle_start(plant_b(30.0), NL_B, 0.5, 20)
         res = simulate(plant_b(30.0), NL_B, x0, T, dt)
         assert 0 < res.full_steps < 0.1 * (len(res.t) - 1)
-
-    @pytest.mark.parametrize("nl", [NL_A, NL_B, RELAY, linear_gain(0.7)])
-    def test_piece_lines_match_evaluate(self, nl):
-        table = _pieces(nl)
-        bounds = [lo for lo, _, _, _ in table[1:]]
-        assert table[0][0] == -math.inf and table[-1][1] == math.inf
-        assert all(hi == lo for (_, hi, _, _), (lo, _, _, _) in zip(table, table[1:]))
-        # vertices and midpoints on both sides, signed zeros, beyond the last
-        # vertex, and each bound with its neighbouring floats
-        at = sorted({v[0] for v in nl.vertices} | {1.0, 2.0 * nl.max_breakpoint + 50.0})
-        probes = at + [0.5 * (a + b) for a, b in zip(at, at[1:])]
-        probes += [-x for x in probes] + [0.0, -0.0]
-        for v in bounds:
-            probes += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
-        xs, ys, slopes = nl.pieces
-        holders: dict[int, set] = {}
-        for x in probes:
-            (label,) = [j for j, (lo, hi, _, _) in enumerate(table) if lo <= x < hi]
-            _, _, m, b = table[label]
-            # right limit at a jump, odd extension
-            assert m * x + b == pytest.approx(nl.evaluate(x), rel=1e-12, abs=1e-12)
-            i = int(nl.piece(x))
-            negative = x < 0 and i > 0  # no jump at the origin: one central piece
-            c = ys[i] - slopes[i] * xs[i]
-            assert (m, b) == (slopes[i], -c if negative else c)
-            holders.setdefault(label, set()).add((i, negative))
-        # every entry is hit and holds exactly one signed piece of nl.piece
-        assert sorted(holders) == list(range(len(table)))
-        assert all(len(pieces) == 1 for pieces in holders.values())
-        assert len(set.union(*holders.values())) == len(table)
 
     @staticmethod
     def check(plant, nl, x0, T, dt, verdict):

@@ -1,12 +1,12 @@
-"""The signed-interval piece table of ``simulate`` against the label loop.
+"""``simulate``'s lookups in the signed line table against the label loop.
 
-``simulate`` finds the piece of C s by bisecting one table of half-open
-intervals and accepts a batch's steps up to the first stage abscissa outside
-its piece's interval.  The reference below is the loop it replaced: it labels
-C s and every stage abscissa through ``nl.piece`` and the sign, and takes a
-straddling step through a generic stage loop.  Both run the same folded
-matrices in the same order, so states, verdicts and step counts must be
-equal exactly.
+``simulate`` finds the piece of C s by bisecting the signed line table
+``nl.lines`` and accepts a batch's steps up to the first stage abscissa
+outside its piece's interval.  The reference below is the loop it replaced:
+it labels C s and every stage abscissa by its own search of |x| in the
+vertex abscissae of ``nl.pieces`` and the sign, and takes a straddling step
+through a generic stage loop.  Both run the same folded matrices in the same
+order, so states, verdicts and step counts must be equal exactly.
 """
 
 from __future__ import annotations
@@ -40,11 +40,14 @@ from test_sim import NL_A, NL_B, RELAY, cycle_start
 
 def reference_pieces(nl):
     xs, ys, slopes = nl.pieces
+    ends = np.array(xs[1:])
 
     def piece_of(x):
-        i = nl.piece(x)
+        # the number of piece ends at or left of |x|, since xs[0] = 0 <= |x|:
+        # the right limit at a jump, and -x on the piece of x
+        i = ends.searchsorted(np.abs(x), side="right")
         # piece 0 is [0, first vertex): one line through the origin on both
-        # sides (with a jump at the origin nl.piece never gives 0)
+        # sides (with a jump at the origin i is never 0)
         return 2 * i + ((x < 0) & (i > 0))
 
     def line(label: int) -> tuple[float, float]:
