@@ -7,13 +7,13 @@ invalid grid, also a default one past the largest float or one of more than
 ``MAX_POINTS``, or an omega range that is not positive, increasing and
 finite), a pole of the plant on the imaginary axis (anywhere on it in
 ``analyze``, at a sampled frequency in ``nyquist``), a G(j omega) that is
-not finite at a sampled frequency (``analyze``, ``nyquist``), a describing
-function F(X) that is not finite (``df``, ``analyze``), an F(X) = K that
-holds on a plateau of amplitudes instead of at isolated ones, a predicted
-cycle whose stability its two amplitude probes cannot decide, a plant with
-direct feedthrough under ``--simulate``, or an oracle quadrature that is not
-finite or fails its symmetry check, 3 analysis ran but the plant has no
-phase crossover.
+not finite, or whose denominator overflows, at a sampled frequency
+(``analyze``, ``nyquist``), a describing function F(X) that is not finite
+(``df``, ``analyze``), an F(X) = K that holds on a plateau of amplitudes
+instead of at isolated ones, a predicted cycle whose stability its two
+amplitude probes cannot decide, a plant with direct feedthrough under
+``--simulate``, or an oracle quadrature that is not finite or fails its
+symmetry check, 3 analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ import numpy as np
 from . import sim, svg
 from .cycles import AmbiguousStabilityError, IntersectionError, analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
-from .linsys import LinearPlant, PoleOnAxisError, freq_response, phase_crossovers
+from .linsys import (
+    LinearPlant,
+    PoleOnAxisError,
+    freq_response,
+    log_grid,
+    phase_crossovers,
+)
 from .piecewise import PiecewiseNonlinearity
 from .qualdf import df_qualitative
 
@@ -293,7 +299,7 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
         _fail(f"invalid omega range ({lo}, {hi})")
     if not 1 <= points <= MAX_POINTS:
         _fail(f"invalid point count {points}: need 1 to {MAX_POINTS}")
-    ws = np.logspace(math.log10(lo), math.log10(hi), points)
+    ws = log_grid(lo, hi, points)
     try:
         g = freq_response(plant, ws)
         marks = phase_crossovers(plant, (lo, hi)) if mark_neg_axis else []

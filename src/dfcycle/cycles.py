@@ -16,7 +16,7 @@ import numpy as np
 
 from .descfun import DescribingFunctionCurve, df_value
 from .linsys import LinearPlant, h_of_jw, nyquist_contour, phase_crossovers
-from .linsys import _bisect_sign_changes, _brackets
+from .linsys import _bisect_sign_changes, _brackets, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
@@ -128,7 +128,7 @@ def find_intersections(
                 f"the amplitude grid is not finite: it ends at {x_max}"
             )
         lo = x_max * 1e-7
-        X = np.logspace(math.log10(lo), math.log10(x_max), N_GRID)
+        X = log_grid(lo, x_max, N_GRID)
         with np.errstate(over="ignore", invalid="ignore"):
             F = df_value(nl, X) - gain_margin
         overflow = ~np.isfinite(F)

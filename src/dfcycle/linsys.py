@@ -28,7 +28,8 @@ class PlantError(ValueError):
 
 class PoleOnAxisError(ValueError):
     """G has a pole where it is sampled, or on the imaginary axis of its contour,
-    or G, the gain margin 1/|G| or the contour is not finite at the frequency."""
+    or G, the gain margin 1/|G| or the contour is not finite at the frequency,
+    or the denominator of G overflows there."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,18 @@ class LinearPlant:
         return self.k * np.polyval(self.num, s) / self._den_at(s)
 
     def _den_at(self, s: complex | np.ndarray) -> complex | np.ndarray:
-        """den(s), checked: ``PoleOnAxisError`` where it is negligible."""
+        """den(s), checked: ``PoleOnAxisError`` where it is negligible against
+        the sum of its terms' sizes (a pole), or where that sum overflows, which
+        leaves no size to compare den(s) with."""
         den = np.polyval(self.den, s)
         scale = np.maximum(np.abs(np.polyval(np.abs(self.den), np.abs(s))), 1.0)
-        on_pole = np.abs(den) <= 1e-14 * scale
-        if on_pole.any():
-            raise PoleOnAxisError(f"pole at s = {np.asarray(s)[on_pole][0]}")
+        # also holds wherever the scale is inf, unless den(s) is nan
+        bad = np.abs(den) <= 1e-14 * scale
+        if bad.any():
+            at, size = np.asarray(s)[bad][0], np.asarray(scale)[bad][0]
+            if size == math.inf:
+                raise PoleOnAxisError(f"the denominator overflows at s = {at}")
+            raise PoleOnAxisError(f"pole at s = {at}")
         return den
 
     @cached_property
@@ -143,6 +150,20 @@ class LinearPlant:
 
     def to_dict(self) -> dict:
         return {"num": list(self.num), "den": list(self.den), "k": self.k}
+
+
+def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` >= 1 log-spaced points from lo to hi, 0 < lo < hi < inf.
+
+    ``np.logspace`` takes ``10 ** log10(hi)``, which can round past the
+    largest float; that end point is hi itself instead of inf.  (Every
+    other point is a whole grid step below it.)
+    """
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(lo), math.log10(hi), n)
+    if grid[-1] == math.inf:
+        grid[-1] = hi
+    return grid
 
 
 def freq_response(
@@ -218,7 +239,7 @@ def phase_crossovers(
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
-    ws = np.logspace(math.log10(lo), math.log10(hi), N_SCAN)
+    ws = log_grid(lo, hi, N_SCAN)
     with np.errstate(over="ignore", invalid="ignore"):
         mids, g = _bisect_sign_changes(
             lambda w: plant.transfer(1j * w),

@@ -17,8 +17,11 @@ step whose stages straddle a breakpoint is taken stage by stage through
 The pieces are the nonlinearity's signed line table ``nl.lines``, one entry
 per signed piece: its line and the half-open interval ``lo <= x < hi`` of the
 floats that lie on it.  A batch finds the piece of C s by one bisection of
-the table's starts and keeps the steps before the first one with a stage
-abscissa below ``lo`` or at or above ``hi``.
+the table's starts and makes one test of its product against the piece's
+stacked bound vectors: ``lo <= x < hi`` on each stage abscissa and
+``|s_i| <= DIVERGENCE_NORM`` on each state.  The first element off its
+bounds ends the batch, at a step that straddles a breakpoint or at a state
+that diverges.
 """
 
 from __future__ import annotations
@@ -89,13 +92,14 @@ def simulate(
     ``_folded_step``.  Each batch looks up the piece of y holding C s in the
     signed line table ``nl.lines`` (one bisection of its starts),
     computes up to ``RUN_STEPS`` steps on that piece with one product, and
-    accepts the steps before the first one with a stage abscissa below the
-    piece's ``lo`` or at or above its ``hi``.  That step straddles a
-    breakpoint: it is taken stage by stage through ``nl.evaluate`` and
-    counted in ``full_steps``.
+    tests it once against the piece's bound vectors from ``_run_map``.  A
+    step with a stage abscissa below the piece's ``lo`` or at or above its
+    ``hi`` straddles a breakpoint: the batch ends before it, and it is taken
+    stage by stage through ``nl.evaluate`` and counted in ``full_steps``.
 
-    Divergence (state norm above 1e8) truncates the run with a ``diverged``
-    verdict.  Otherwise the trailing half of the trajectory decides between
+    Divergence (a state component of magnitude above 1e8) truncates the run
+    with a ``diverged`` verdict; the same bound test finds it in a batch.
+    Otherwise the trailing half of the trajectory decides between
     ``sustained_oscillation`` (with measured amplitude and frequency) and
     ``converged_to_origin``.
     """
@@ -110,18 +114,20 @@ def simulate(
         raise ValueError(f"initial state must have shape ({n},)")
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
+    R_Phi = np.vstack([R, Phi])
     lines, starts = nl.lines, nl.line_starts
-    piece_maps: dict[int, np.ndarray] = {}
+    piece_maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     _, (c10, *_), (c20, c21, *_), (c30, c31, c32, _) = Cm.tolist()
     evaluate = nl.evaluate
 
     def full_step(s):
-        r0, r1, r2, r3 = (R @ s).tolist()
+        r = R_Phi @ s
+        r0, r1, r2, r3 = r[:4].tolist()
         u0 = evaluate(r0)
         u1 = evaluate(r1 + c10 * u0)
         u2 = evaluate(r2 + (c20 * u0 + c21 * u1))
         u3 = evaluate(r3 + (c30 * u0 + c31 * u1 + c32 * u2))
-        return Phi @ s + G @ np.array([u0, u1, u2, u3])
+        return r[4:] + G @ np.array([u0, u1, u2, u3])
 
     steps = int(round(T / dt))
     traj = np.empty((steps + 1, n))
@@ -133,22 +139,28 @@ def simulate(
     diverged_at = None
     while k < steps:
         piece = bisect_right(starts, float(C_loop @ s)) - 1
-        lo, hi, x0, y0, m = lines[piece]
         if piece not in piece_maps:
-            piece_maps[piece] = _run_map(R, Cm, Phi, G, m, y0 - m * x0)
+            piece_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
+        run_map, low, high = piece_maps[piece]
         todo = min(RUN_STEPS, steps - k)
+        size = todo * (n + 4)
         affine[:n] = s
-        out = (piece_maps[piece][: todo * (n + 4)] @ affine).reshape(todo, n + 4)
-        # accept the steps before the first one with a stage off [lo, hi)
-        off = (out[:, n:] < lo) | (out[:, n:] >= hi)
-        first = int(off.argmax())  # row-major: first // 4 is its step
-        run = first // 4 if off.item(first) else todo
+        out = run_map[:size] @ affine
+        # the first state past the norm or stage abscissa off [lo, hi)
+        bad = out < low[:size]
+        bad |= out >= high[:size]
+        first = int(bad.argmax())
+        run, row = divmod(first, n + 4)
+        if not bad.item(first):
+            run = todo
+        elif row < n and not bad[first - row + n : first - row + n + 4].any():
+            # a block's state comes before its step's abscissae: step run + 1
+            # stays on the piece, and its state diverges
+            run += 1
+            diverged_at = k + run
         if run:
-            states = out[:run, :n]
-            traj[k + 1 : k + 1 + run] = states
-            if np.abs(states).max() > DIVERGENCE_NORM:
-                big = np.abs(states).max(axis=1) > DIVERGENCE_NORM
-                diverged_at = k + 1 + int(big.argmax())
+            traj[k + 1 : k + 1 + run] = out.reshape(todo, n + 4)[:run, :n]
+            if diverged_at is not None:
                 break
             k += run
             s = traj[k]
@@ -157,7 +169,7 @@ def simulate(
             full_steps += 1
             k += 1
             traj[k] = s
-            if np.abs(s).max() > DIVERGENCE_NORM:
+            if any(abs(v) > DIVERGENCE_NORM for v in s.tolist()):
                 diverged_at = k
                 break
 
@@ -203,15 +215,21 @@ def _folded_step(
     return x[:, :n], x[:, n:], end[:, :n], end[:, n:]
 
 
-def _run_map(R, Cm, Phi, G, m: float, b: float) -> np.ndarray:
-    """Stacked affine maps of 1..RUN_STEPS steps on the piece y = m x + b.
+def _run_map(
+    R, Cm, Phi, G, line: tuple[float, float, float, float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(map, low, high): 1..RUN_STEPS steps on the piece ``line`` of ``nl.lines``.
 
-    On the piece the stage inputs solve ``(I - m Cm) u = m R s + b``, a unit
-    lower-triangular system, so u = U s + v and one step is the affine map
-    ``s' = (Phi + G U) s + G v``.  Row block k (of n + 4 rows), applied to
-    [s, 1], gives the state after k + 1 steps and then the four stage
-    abscissae of step k + 1.
+    On the piece y = m x + b the stage inputs solve ``(I - m Cm) u = m R s + b``,
+    a unit lower-triangular system, so u = U s + v and one step is the affine
+    map ``s' = (Phi + G U) s + G v``.  Row block k of ``map`` (of n + 4 rows),
+    applied to [s, 1], gives the state after k + 1 steps and then the four
+    stage abscissae of step k + 1.  ``low <= map @ [s, 1] < high`` row by row
+    holds where each state lies within ``DIVERGENCE_NORM`` and each stage
+    abscissa within the piece's [lo, hi).
     """
+    lo, hi, x0, y0, m = line
+    b = y0 - m * x0
     n = Phi.shape[0]
     U = np.empty((4, n))
     v = np.empty(4)
@@ -222,13 +240,16 @@ def _run_map(R, Cm, Phi, G, m: float, b: float) -> np.ndarray:
     step[:n, :n] = Phi + G @ U
     step[:n, n] = G @ v
     stages = np.hstack([R + Cm @ U, (Cm @ v)[:, None]])
-    power = np.eye(n + 1)
-    blocks = []
-    for _ in range(RUN_STEPS):
-        abscissae = stages @ power
-        power = step @ power
-        blocks += [power[:n], abscissae]
-    return np.vstack(blocks)
+    powers = np.empty((RUN_STEPS + 1, n + 1, n + 1))
+    powers[0] = np.eye(n + 1)
+    for k in range(RUN_STEPS):
+        np.matmul(step, powers[k], out=powers[k + 1])
+    blocks = np.empty((RUN_STEPS, n + 4, n + 1))
+    blocks[:, :n] = powers[1:, :n]
+    np.matmul(stages, powers[:-1], out=blocks[:, n:])
+    low = np.tile([-DIVERGENCE_NORM] * n + [lo] * 4, RUN_STEPS)
+    high = np.tile([np.nextafter(DIVERGENCE_NORM, math.inf)] * n + [hi] * 4, RUN_STEPS)
+    return blocks.reshape(-1, n + 1), low, high
 
 
 def measure_oscillation(t: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ class TestAnalyze:
         assert res.stderr.splitlines() == [f"error: {nl}: F is not finite at X = {X}"]
         assert res.stdout == ""
 
+    def test_amplitude_grid_up_to_the_largest_float(self, runner, tmp_path):
+        # the F(X) = K scan runs up to 100 times the breakpoint, the largest float
+        nl = write(tmp_path, "nl.json", {"x": [1.7976931348623157e306], "y": [1]})
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 5})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["cycles"] == []
+
     def test_bad_plant_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
         plant = write(tmp_path, "plant.json", {"num": [1, 2, 3], "den": [1, 1]})
@@ -357,6 +367,37 @@ class TestNyquist:
             f"error: {plant}: G(j omega) is not finite at omega = 0.001"
         ]
         assert res.stdout == ""
+
+
+    @pytest.mark.parametrize("extra", [[], ["--mark-neg-axis"]])
+    @pytest.mark.parametrize(
+        "hi, at",
+        [("1e300", "1e+200j"), (repr(sys.float_info.max), "3.1852513365224594e+205j")],
+    )
+    def test_denominator_overflow_exits_2(self, runner, tmp_path, hi, at, extra):
+        # den(s) = s^2 + s overflows from omega = 1e200 on; the poles are 0 and -1
+        plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
+        args = ["nyquist", plant, "--omega-range", "1", hi, "--points", "4", *extra]
+        res = runner.invoke(main, args)
+        assert_one_line_exit_2(res)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: the denominator overflows at s = {at}"
+        ]
+
+    @pytest.mark.parametrize("extra", [[], ["--mark-neg-axis"]])
+    def test_omega_range_up_to_the_largest_float(self, runner, tmp_path, extra):
+        plant = write(tmp_path, "plant.json", {"num": [1], "den": [1, 1]})
+        big = sys.float_info.max
+        args = ["nyquist", plant, "--omega-range", "1", repr(big), "--points", "4", *extra]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        rows = [tuple(map(float, l.split(","))) for l in res.stdout.splitlines()[1:]]
+        assert [w for w, _, _ in rows][::3] == [1.0, big]
+        for w, re, im in rows:
+            # G(jw) = 1 / (1 + jw), in a form that does not overflow
+            assert re == pytest.approx(1.0 / w / (w + 1.0 / w), rel=1e-12)
+            assert im == pytest.approx(-1.0 / (w + 1.0 / w), rel=1e-12)
 
 
 def assert_one_line_exit_2(res):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
     PoleOnAxisError,
     h_of_jw,
+    log_grid,
     nyquist_contour,
     phase_crossovers,
 )
@@ -70,9 +72,28 @@ class TestTransfer:
         with pytest.raises(PoleOnAxisError, match=r"pole at s = 1j$"):
             p.transfer(np.array([0.5j, 1.0j, 2.0j]))
 
+    def test_denominator_overflow_is_not_a_pole(self):
+        # den(s) = s^2 + s overflows at s = 1e200j, far from the poles 0 and -1
+        p = plant_a(2.5)
+        with pytest.raises(
+            PoleOnAxisError, match=r"^the denominator overflows at s = 1e\+200j$"
+        ), np.errstate(over="ignore", invalid="ignore"):
+            p.transfer(np.array([1.0j, 1e100j, 1e200j, 1e300j]))
+
     def test_scalar_gives_complex_scalar(self):
         g = plant_b(5.0).transfer(1.0j)
         assert isinstance(g, np.complex128)  # not a 0-d array
+
+
+def test_log_grid_is_logspace_up_to_the_largest_float():
+    big = sys.float_info.max
+    with np.errstate(over="ignore"):
+        spaced = np.logspace(0.0, math.log10(big), 4)
+    assert spaced[-1] == math.inf
+    grid = log_grid(1.0, big, 4)
+    assert grid[-1] == big
+    assert np.array_equal(grid[:-1], spaced[:-1])
+    assert np.array_equal(log_grid(1e-3, 7.0, 50), np.logspace(-3.0, math.log10(7.0), 50))
 
 
 class TestStateSpace:

@@ -1,12 +1,15 @@
-"""``simulate``'s lookups in the signed line table against the label loop.
+"""``simulate``'s batches against the label loop.
 
 ``simulate`` finds the piece of C s by bisecting the signed line table
-``nl.lines`` and accepts a batch's steps up to the first stage abscissa
-outside its piece's interval.  The reference below is the loop it replaced:
-it labels C s and every stage abscissa by its own search of |x| in the
-vertex abscissae of ``nl.pieces`` and the sign, and takes a straddling step
-through a generic stage loop.  Both run the same folded matrices in the same
-order, so states, verdicts and step counts must be equal exactly.
+``nl.lines`` and accepts a batch's steps up to the first state past
+``DIVERGENCE_NORM`` or stage abscissa outside its piece's interval, in one
+test against the piece's bound vectors.  The reference below is the loop it
+replaced: it labels C s and every stage abscissa by its own search of |x| in
+the vertex abscissae of ``nl.pieces`` and the sign, checks divergence
+separately on the accepted states, builds each run map by its own chain of
+products, and takes a straddling step through a generic stage loop.  Both
+run the same folded matrices in the same order, so states, verdicts and step
+counts must be equal exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dfcycle.sim import (
     RUN_STEPS,
     SUSTAINED,
     _folded_step,
-    _run_map,
     default_horizon,
     loop_matrices,
     measure_oscillation,
@@ -59,6 +61,31 @@ def reference_pieces(nl):
     return piece_of, line
 
 
+def reference_run_map(R, Cm, Phi, G, m, b):
+    """Stacked affine maps of 1..RUN_STEPS steps on y = m x + b, one product a step.
+
+    Row block k (of n + 4 rows), applied to [s, 1], gives the state after
+    k + 1 steps and then the four stage abscissae of step k + 1.
+    """
+    n = Phi.shape[0]
+    U = np.empty((4, n))
+    v = np.empty(4)
+    for i in range(4):
+        U[i] = m * (R[i] + Cm[i, :i] @ U[:i])
+        v[i] = b + m * (Cm[i, :i] @ v[:i])
+    step = np.eye(n + 1)
+    step[:n, :n] = Phi + G @ U
+    step[:n, n] = G @ v
+    stages = np.hstack([R + Cm @ U, (Cm @ v)[:, None]])
+    power = np.eye(n + 1)
+    blocks = []
+    for _ in range(RUN_STEPS):
+        abscissae = stages @ power
+        power = step @ power
+        blocks += [power[:n], abscissae]
+    return np.vstack(blocks)
+
+
 def reference_simulate(plant, nl, x0, T, dt):
     """(states, verdict, full_steps) of the labelling loop."""
     A, B, C_loop = loop_matrices(plant)
@@ -88,7 +115,7 @@ def reference_simulate(plant, nl, x0, T, dt):
     while k < steps:
         piece = int(piece_of(C_loop @ s))
         if piece not in piece_maps:
-            piece_maps[piece] = _run_map(R, Cm, Phi, G, *line(piece))
+            piece_maps[piece] = reference_run_map(R, Cm, Phi, G, *line(piece))
         todo = min(RUN_STEPS, steps - k)
         affine[:n] = s
         out = (piece_maps[piece][: todo * (n + 4)] @ affine).reshape(todo, n + 4)
@@ -184,3 +211,34 @@ def test_random_loops_match_reference(lags, k, seed, scale, zero):
     if zero is not None:
         x0[0] = zero  # C s is zero
     assert_matches_reference(plant, nl, x0, 20.0, 0.01)
+
+
+def unstable_loop():
+    """ds/dt = s + y(x) with x = -s: on y = 0.5 x the state grows as e^(t/2)."""
+    plant = LinearPlant(num=(1.0,), den=(1.0, -1.0))
+    return plant, PiecewiseNonlinearity(x=(1.0,), y=(0.5,))
+
+
+def test_divergence_on_the_first_step_of_a_batch_matches_reference():
+    plant, nl = unstable_loop()
+    res = assert_matches_reference(plant, nl, [DIVERGENCE_NORM], 10.0, 0.1)
+    assert res.verdict == DIVERGED
+    assert len(res.t) == 2 and res.full_steps == 0
+
+
+def test_divergence_with_a_stage_off_its_piece_matches_reference():
+    # a breakpoint between C s before and after the step that diverges: the
+    # step's first state past the norm comes before its stage abscissae in
+    # the batch, yet the step straddles the breakpoint, so it is taken stage
+    # by stage and diverges there
+    plant, nl = unstable_loop()
+    x0, T, dt = [1.0], 50.0, 0.1
+    plain = simulate(plant, nl, x0, T, dt)
+    assert plain.verdict == DIVERGED and plain.full_steps == 0
+    before, after = np.abs(plain.x[-2:])
+    assert abs(plain.states[-2, 0]) <= DIVERGENCE_NORM < after
+    corner = PiecewiseNonlinearity(x=(0.5 * (before + after),), y=(0.25 * (before + after),),
+                                   final_slope=0.6)
+    res = assert_matches_reference(plant, corner, x0, T, dt)
+    assert res.verdict == DIVERGED
+    assert res.full_steps == 1 and len(res.t) == len(plain.t)
