@@ -10,16 +10,10 @@ the rational plant G(s), classifying each intersection's stability, and
 cross-checking the predictions with time-domain simulation.
 """
 
-from .piecewise import (
-    NonlinearityError,
-    PiecewiseNonlinearity,
-    PrimitiveComponent,
-    PrimitiveKind,
-)
+from .piecewise import NonlinearityError, PiecewiseNonlinearity
 from .descfun import (
     DescribingFunctionCurve,
     QuadratureError,
-    df_derivative,
     df_exact,
     df_oracle,
     df_value,
@@ -67,13 +61,10 @@ __all__ = [
     "PiecewiseNonlinearity",
     "PlantError",
     "PoleOnAxisError",
-    "PrimitiveComponent",
-    "PrimitiveKind",
     "QuadratureError",
     "SimResult",
     "analyze",
     "classify",
-    "df_derivative",
     "df_exact",
     "df_oracle",
     "df_qualitative",

@@ -59,12 +59,6 @@ class LimitCycleEstimate:
     ellipse_x0: tuple[float, ...]
     ellipse_xq: tuple[float, ...]
 
-    def ellipse_point(self, t: float) -> np.ndarray:
-        """Parametric steady-state estimate sin(wt)*x(0) + cos(wt)*x(pi/2w)."""
-        return math.sin(self.omega * t) * np.asarray(self.ellipse_x0) + math.cos(
-            self.omega * t
-        ) * np.asarray(self.ellipse_xq)
-
 
 @dataclass(frozen=True)
 class CrossoverAnalysis:

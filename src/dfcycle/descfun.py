@@ -6,8 +6,8 @@ slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
 same value by quadrature of the first Fourier harmonic and serves as an
 independent cross-check of the closed forms: it splits the period where
 X sin t meets a breakpoint and integrates each panel's own linear piece of y,
-read from the nonlinearity's signed line table (``lines``), never from the
-decomposition, with one fixed 16-node Gauss-Legendre rule per panel.
+read from the nonlinearity's signed line table (``lines``), never from its
+``terms``, with one fixed 16-node Gauss-Legendre rule per panel.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .piecewise import PiecewiseNonlinearity, PrimitiveComponent, PrimitiveKind
+from .piecewise import PiecewiseNonlinearity
 
 
 class QuadratureError(RuntimeError):
@@ -55,8 +55,7 @@ def phi(X, X1: float):
 
     Zero for X < X1; for X >= X1 equal to
     ``1 - (2/pi) * (arcsin(X1/X) + (X1/X) * sqrt(1 - (X1/X)^2))``,
-    which is 1 for X1 = 0.  Accepts a scalar or array of amplitudes X > 0
-    (X = 0 is allowed and maps to 0 when X1 > 0).
+    which is 1 for X1 = 0.  Accepts a scalar or array of amplitudes X > 0.
     """
     if X1 < 0:
         raise ValueError(f"threshold must be >= 0, got {X1}")
@@ -85,10 +84,13 @@ def psi(X1: float, X):
 
 
 def df_value(nl: PiecewiseNonlinearity, X):
-    """Exact describing function F(X) by superposition of primitive terms.
+    """Exact describing function F(X) by superposition of the terms of ``nl``.
 
-    Accepts a scalar or array of amplitudes.  X = 0 is only valid when the
-    nonlinearity has no jump at the origin (there F(0) = m0).
+    Accepts a scalar or an ascending (nondecreasing) array of amplitudes;
+    ``ValueError`` names the first descent of any other array.  Each term of
+    ``nl.terms`` adds its factor on the tail of the array at or above its
+    threshold, and nothing below it, where the factor is 0.  X = 0 is only
+    valid when the nonlinearity has no jump at the origin (there F(0) = m0).
     """
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 0
@@ -97,16 +99,22 @@ def df_value(nl: PiecewiseNonlinearity, X):
         raise ValueError("amplitudes must be >= 0")
     if np.any(Xa == 0) and nl.has_origin_jump:
         raise ValueError("X = 0 is singular for a nonlinearity jumping at the origin")
-    m0, comps = nl.decompose()
+    down = np.flatnonzero(Xa[1:] < Xa[:-1])
+    if down.size:
+        i = down[0]
+        raise ValueError(
+            f"amplitudes must be nondecreasing: X = {Xa[i + 1]} follows {Xa[i]}"
+        )
     pos = Xa > 0
-    F = np.full_like(Xa, m0)
+    F = np.full_like(Xa, nl.initial_slope)
     Xp = Xa[pos]
     acc = np.zeros_like(Xp)
-    for c in comps:
-        if c.kind is PrimitiveKind.DEAD_ZONE:
-            acc += c.magnitude * phi(Xp, c.threshold)
-        else:
-            acc += c.magnitude * psi(c.threshold, Xp)
+    for x1, relay, magnitude in nl.terms:
+        k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, as phi's and psi's X >= X1
+        if k == len(Xp):
+            break  # the thresholds ascend, so no later term reaches Xp either
+        tail = Xp[k:]
+        acc[k:] += magnitude * (psi(x1, tail) if relay else phi(tail, x1))
     F[pos] += acc
     return float(F[0]) if scalar else F
 
@@ -128,21 +136,6 @@ def df_exact(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
     """Sample the exact describing function on a strictly increasing grid."""
     grid = _validate_grid(nl, grid)
     return DescribingFunctionCurve(grid, df_value(nl, grid), "exact")
-
-
-def df_derivative(component: PrimitiveComponent, X: float) -> float:
-    """dF/dX of a single primitive term, valid for X > threshold.
-
-    Dead zone: ``4 m X1 sqrt(X^2 - X1^2) / (pi X^3)``; relay:
-    ``4 Y1 (2 X1^2 - X^2) / (pi X^3 sqrt(X^2 - X1^2))`` (singular at X = X1).
-    """
-    X1 = component.threshold
-    if X <= X1:
-        raise ValueError(f"derivative requires X > threshold ({X} <= {X1})")
-    root = math.sqrt(X * X - X1 * X1)
-    if component.kind is PrimitiveKind.DEAD_ZONE:
-        return 4.0 * component.magnitude * X1 * root / (math.pi * X**3)
-    return 4.0 * component.magnitude * (2.0 * X1 * X1 - X * X) / (math.pi * X**3 * root)
 
 
 # -- quadrature oracle ----------------------------------------------------

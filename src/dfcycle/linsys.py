@@ -20,6 +20,8 @@ OMEGA_RANGE = (1e-3, 1e3)
 # both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
 N_SCAN = 4000
 MAX_ITER = 200
+# Log-grid points of the positive-frequency branch of the Nyquist contour.
+N_CONTOUR = 8192
 
 
 class PlantError(ValueError):
@@ -75,9 +77,6 @@ class LinearPlant:
                 break
             n += 1
         return n
-
-    def with_gain(self, k: float) -> "LinearPlant":
-        return LinearPlant(self.num, self.den, k)
 
     def transfer(self, s: complex | np.ndarray) -> complex | np.ndarray:
         """G(s) at a scalar or, elementwise, at an array of complex s.
@@ -270,10 +269,10 @@ def phase_crossovers(
     return dedup
 
 
-def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
+def nyquist_contour(plant: LinearPlant) -> np.ndarray:
     """Closed Nyquist polygon of G for winding-number enclosure tests.
 
-    The positive-frequency branch, ``n`` log-spaced samples over
+    The positive-frequency branch, ``N_CONTOUR`` log-spaced samples over
     ``OMEGA_RANGE``, is mirrored by conjugation; a pole of G at the origin
     opens the contour, which is closed with a large clockwise arc of pi
     radians per origin pole at ten times the innermost sample radius (the
@@ -285,8 +284,7 @@ def nyquist_contour(plant: LinearPlant, n: int = 8192) -> np.ndarray:
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
     if on_axis.size:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    lo, hi = OMEGA_RANGE
-    ws = np.logspace(math.log10(lo), math.log10(hi), n)
+    ws = log_grid(*OMEGA_RANGE, N_CONTOUR)
     with np.errstate(over="ignore", invalid="ignore"):
         g = plant.transfer(1j * ws)
         parts = [g, np.conj(g)[::-1]]

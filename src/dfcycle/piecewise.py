@@ -1,10 +1,10 @@
-"""Odd piecewise-linear nonlinearities with jumps, and their primitive decomposition.
+"""Odd piecewise-linear nonlinearities with jumps, and their dead-zone and relay terms.
 
 A nonlinearity is described by the breakpoints of its graph on x >= 0 and is
 interpreted as odd, y(-x) = -y(x).  A repeated abscissa encodes a vertical
 jump.  Every such map is the sum of an initial linear gain, dead-zone terms
-(one per slope change) and relay terms (one per jump); :func:`PiecewiseNonlinearity.decompose`
-produces that sum.
+(one per slope change) and relay terms (one per jump);
+:attr:`PiecewiseNonlinearity.terms` lists those terms.
 
 ``pieces`` holds the linear pieces of y on x >= 0, whence the geometry;
 ``lines`` is the one signed table over the real line (right limit at a jump,
@@ -14,7 +14,6 @@ the qualitative curve look x up.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from bisect import bisect_right
@@ -24,36 +23,6 @@ from functools import cached_property
 
 class NonlinearityError(ValueError):
     """Raised when breakpoint data does not describe a valid nonlinearity."""
-
-
-class PrimitiveKind(enum.Enum):
-    DEAD_ZONE = "dead_zone"
-    RELAY = "relay"
-
-
-@dataclass(frozen=True)
-class PrimitiveComponent:
-    """One dead-zone or relay term of the primitive decomposition.
-
-    For a dead zone, ``magnitude`` is the outer slope m; for a relay it is the
-    jump amplitude Y1.  ``threshold`` is the activation abscissa X1 >= 0.
-    """
-
-    kind: PrimitiveKind
-    threshold: float
-    magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise NonlinearityError(f"negative threshold {self.threshold}")
-
-    def evaluate(self, x: float) -> float:
-        """Time-domain value at ``x`` (odd, right-limit at the threshold)."""
-        s = math.copysign(1.0, x) if x != 0 else 0.0
-        a = abs(x)
-        if self.kind is PrimitiveKind.DEAD_ZONE:
-            return self.magnitude * s * max(a - self.threshold, 0.0)
-        return self.magnitude * s if a >= self.threshold and a > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -199,15 +168,29 @@ class PiecewiseNonlinearity:
         return self.pieces[2][-1]
 
     @cached_property
+    def terms(self) -> tuple[tuple[float, bool, float], ...]:
+        """The dead-zone and relay terms of y as (threshold, relay, magnitude).
+
+        A dead zone (relay False) is added per slope change, with magnitude
+        the change of slope m: ``m * sign(x) * max(|x| - threshold, 0)``.  A
+        relay (relay True) is added per jump, with magnitude the jump Y1:
+        ``Y1 * sign(x)`` where ``|x| >= threshold``, else 0.  Away from the
+        jumps, ``y(x) = initial_slope * x`` plus the sum of the
+        terms.  Sorted by threshold, a dead zone before a relay at a shared
+        one.
+        """
+        slopes = [m for _, _, m in self.segments] + [self.last_slope]
+        bounds = [xe for _, xe, _ in self.segments]
+        changes = zip(bounds, slopes, slopes[1:])
+        dead = [(xb, False, m1 - m0) for xb, m0, m1 in changes if m1 != m0]
+        relays = [(xj, True, yj) for xj, yj in self.jumps]
+        # no two terms share (threshold, relay), so magnitude never decides
+        return tuple(sorted(dead + relays))
+
+    @cached_property
     def breakpoints(self) -> tuple[float, ...]:
         """Distinct abscissae where the slope changes or the graph jumps."""
-        marks = {xj for xj, _ in self.jumps}
-        for (_, xe, m), nxt in zip(self.segments, self.segments[1:]):
-            if nxt[2] != m:
-                marks.add(xe)
-        if self.segments and self.last_slope != self.segments[-1][2]:
-            marks.add(self.segments[-1][1])
-        return tuple(sorted(marks))
+        return tuple(sorted({xb for xb, _, _ in self.terms}))
 
     @property
     def max_breakpoint(self) -> float:
@@ -232,28 +215,6 @@ class PiecewiseNonlinearity:
         """
         _, _, x0, y0, m = self.lines[bisect_right(self.line_starts, x) - 1]
         return y0 + m * (x - x0)
-
-    # -- decomposition ----------------------------------------------------
-
-    def decompose(self) -> tuple[float, tuple[PrimitiveComponent, ...]]:
-        """Split into the initial gain m0 plus dead-zone and relay terms.
-
-        Returns ``(m0, components)`` such that for every x not at a jump:
-
-            y(x) = m0 * x + sum(c.evaluate(x) for c in components)
-        """
-        comps: list[PrimitiveComponent] = []
-        slopes = [m for _, _, m in self.segments] + [self.last_slope]
-        bounds = [xe for _, xe, _ in self.segments]
-        for xb, m_prev, m_next in zip(bounds, slopes, slopes[1:]):
-            if m_next != m_prev:
-                comps.append(
-                    PrimitiveComponent(PrimitiveKind.DEAD_ZONE, xb, m_next - m_prev)
-                )
-        for xj, yj in self.jumps:
-            comps.append(PrimitiveComponent(PrimitiveKind.RELAY, xj, yj))
-        comps.sort(key=lambda c: (c.threshold, c.kind.value))
-        return self.initial_slope, tuple(comps)
 
     # -- serialization ----------------------------------------------------
 

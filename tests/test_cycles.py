@@ -139,14 +139,6 @@ class TestEllipse:
         np.testing.assert_allclose(x0, (Y1 * H).imag, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(xq, (Y1 * H).real, rtol=1e-12, atol=1e-15)
 
-    def test_ellipse_point_periodic(self, nl_b):
-        (co,) = analyze(plant_b(30.0), nl_b)
-        (cyc,) = co.cycles
-        T = 2.0 * math.pi / cyc.omega
-        np.testing.assert_allclose(
-            cyc.ellipse_point(0.3), cyc.ellipse_point(0.3 + T), atol=1e-9
-        )
-
 
 class TestAnalyze:
     def test_full_first_case(self, nl_a):

@@ -1,4 +1,5 @@
-"""The package depends on numpy and click only, outside the standard library."""
+"""The package depends on numpy and click only, outside the standard library,
+and every name it exports exists."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import dfcycle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,3 +31,8 @@ def test_imports_only_numpy_and_click():
         check=True,
     )
     assert set(out.stdout.split()) == {"click", "dfcycle", "numpy"}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dfcycle.__all__ if not hasattr(dfcycle, name)]
+    assert missing == []

@@ -11,20 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import (
-    PiecewiseNonlinearity,
-    PrimitiveComponent,
-    PrimitiveKind,
-    df_exact,
-    df_value,
-)
+from dfcycle import PiecewiseNonlinearity, df_exact, df_value
 from dfcycle import descfun
-from dfcycle.descfun import (
-    df_derivative,
-    df_oracle,
-    phi,
-    psi,
-)
+from dfcycle.descfun import df_oracle, phi, psi
 
 from conftest import random_nonlinearity
 
@@ -68,32 +57,55 @@ class TestKernels:
             assert psi(X1, X) <= peak + 1e-15
 
 
-class TestDerivative:
-    @pytest.mark.parametrize(
-        "component",
-        [
-            PrimitiveComponent(PrimitiveKind.DEAD_ZONE, 2.0, 1.3),
-            PrimitiveComponent(PrimitiveKind.RELAY, 2.0, -0.7),
-        ],
-    )
-    def test_matches_central_difference(self, component):
-        for X in (2.5, 3.0, 5.0, 20.0):
-            h = 1e-6 * X
-            if component.kind is PrimitiveKind.DEAD_ZONE:
-                f = lambda v: component.magnitude * phi(v, component.threshold)
-            else:
-                f = lambda v: component.magnitude * psi(component.threshold, v)
-            numeric = (f(X + h) - f(X - h)) / (2.0 * h)
-            assert df_derivative(component, X) == pytest.approx(numeric, rel=1e-6)
+def reference_df(nl, X):
+    """F(X) with every term through phi/psi over the whole array, in ``terms`` order."""
+    X = np.asarray(X, dtype=float)
+    Xa = np.atleast_1d(X)
+    pos = Xa > 0
+    F = np.full_like(Xa, nl.initial_slope)
+    Xp = Xa[pos]
+    acc = np.zeros_like(Xp)
+    for x1, relay, magnitude in nl.terms:
+        acc += magnitude * (psi(x1, Xp) if relay else phi(Xp, x1))
+    F[pos] += acc
+    return float(F[0]) if X.ndim == 0 else F
 
-    def test_relay_derivative_zero_at_peak(self):
-        c = PrimitiveComponent(PrimitiveKind.RELAY, 3.0, 1.0)
-        assert df_derivative(c, math.sqrt(2.0) * 3.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_requires_amplitude_beyond_threshold(self):
-        c = PrimitiveComponent(PrimitiveKind.DEAD_ZONE, 3.0, 1.0)
-        with pytest.raises(ValueError):
-            df_derivative(c, 3.0)
+class TestExactReference:
+    """df_value skips each term below its threshold; the sum keeps its bits."""
+
+    def test_random_nonlinearities(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            nl = random_nonlinearity(rng)
+            top = 2.0 * max(nl.max_breakpoint, 1.0)
+            X = np.sort(
+                np.concatenate(
+                    [
+                        [rng.uniform(0.0, top) for _ in range(rng.randint(1, 40))],
+                        nl.breakpoints,  # exactly at a threshold
+                        [0.0, 0.0, nl.breakpoints[-1]],  # repeats
+                    ]
+                )
+            )
+            assert np.array_equal(df_value(nl, X), reference_df(nl, X))
+            for x in (0.0, *nl.breakpoints, rng.uniform(0.0, top)):
+                assert df_value(nl, x) == reference_df(nl, x)
+
+    def test_origin_jump_and_case_studies(self, nl_a, nl_b):
+        relay = PiecewiseNonlinearity(x=(0.0, 0.0, 2.0, 2.0), y=(0.0, 1.0, 1.5, 0.5))
+        for nl in (nl_a, nl_b, relay):
+            marks = [b for b in nl.breakpoints if b > 0]
+            X = np.sort(np.concatenate([np.linspace(0.25, 40.0, 160), marks]))
+            assert np.array_equal(df_value(nl, X), reference_df(nl, X))
+
+    def test_amplitudes_all_below_every_threshold(self, nl_b):
+        X = np.array([0.0, 0.5, 2.999])
+        assert np.array_equal(df_value(nl_b, X), np.full(3, nl_b.initial_slope))
+
+    def test_rejects_descending_amplitudes(self, nl_b):
+        with pytest.raises(ValueError, match="X = 4.0 follows 15.0"):
+            df_value(nl_b, [15.0, 4.0])
 
 
 class TestExactValues:
@@ -196,7 +208,8 @@ class TestOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not use the closed forms")
 
-        monkeypatch.setattr(PiecewiseNonlinearity, "decompose", forbidden)
+        # a class-level property overrides the value cached on the instance
+        monkeypatch.setattr(PiecewiseNonlinearity, "terms", property(forbidden))
         monkeypatch.setattr(descfun, "phi", forbidden)
         monkeypatch.setattr(descfun, "psi", forbidden)
         for (nl, X), f in zip(cases, expected):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
+    N_CONTOUR,
     PoleOnAxisError,
     h_of_jw,
     log_grid,
@@ -44,7 +45,7 @@ class TestValidation:
 
     def test_gain_scaling(self):
         p = plant_a(1.0)
-        q = p.with_gain(2.5)
+        q = LinearPlant(p.num, p.den, 2.5)
         s = 1.0 + 1.0j
         assert q.transfer(s) == pytest.approx(2.5 * p.transfer(s))
 
@@ -226,8 +227,8 @@ class TestContour:
 
     def test_contour_conjugate_symmetric_branches(self):
         p = plant_b(15.0)
-        n = 512
-        c = nyquist_contour(p, n=n)
+        n = N_CONTOUR
+        c = nyquist_contour(p)
         np.testing.assert_allclose(c[:n], np.conj(c[2 * n - 1 : n - 1 : -1]), rtol=1e-12)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Validation, evaluation, and primitive decomposition of the nonlinearity."""
+"""Validation, evaluation, and the dead-zone and relay terms of the nonlinearity."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import NonlinearityError, PiecewiseNonlinearity, PrimitiveKind
+from dfcycle import NonlinearityError, PiecewiseNonlinearity
 
 from conftest import random_nonlinearity
 
@@ -57,7 +57,7 @@ class TestValidation:
     def test_pure_gain_via_final_slope(self):
         nl = PiecewiseNonlinearity(x=(0.0,), y=(0.0,), final_slope=3.0)
         assert nl.evaluate(2.0) == pytest.approx(6.0)
-        assert nl.decompose() == (3.0, ())
+        assert (nl.initial_slope, nl.terms) == (3.0, ())
 
 
 class TestEvaluate:
@@ -218,36 +218,58 @@ class TestPieceTable:
         assert slopes[-1] == pytest.approx(expected, rel=1e-12)
 
 
+def term_value(term, x):
+    """Time-domain value of one (threshold, relay, magnitude) term at x.
+
+    Odd, with the right limit at the threshold: a dead zone is
+    ``m * sign(x) * max(|x| - X1, 0)``, a relay ``Y1 * sign(x)`` for |x| >= X1.
+    """
+    threshold, relay, magnitude = term
+    s = math.copysign(1.0, x) if x != 0 else 0.0
+    a = abs(x)
+    if not relay:
+        return magnitude * s * max(a - threshold, 0.0)
+    return magnitude * s if a >= threshold and a > 0 else 0.0
+
+
 class TestDecompose:
+    """The split of y into initial_slope and ``terms``."""
+
     def test_case_study_components(self, nl_b):
-        m0, comps = nl_b.decompose()
-        assert m0 == pytest.approx(1.0)
-        assert [(c.kind, c.threshold, c.magnitude) for c in comps] == [
-            (PrimitiveKind.DEAD_ZONE, 3.0, pytest.approx(-1.0)),
-            (PrimitiveKind.DEAD_ZONE, 6.0, pytest.approx(1.75)),
-            (PrimitiveKind.DEAD_ZONE, 10.0, pytest.approx(-1.75)),
+        assert nl_b.initial_slope == pytest.approx(1.0)
+        assert list(nl_b.terms) == [
+            (3.0, False, pytest.approx(-1.0)),
+            (6.0, False, pytest.approx(1.75)),
+            (10.0, False, pytest.approx(-1.75)),
         ]
 
     def test_jump_yields_relay(self, nl_a):
-        m0, comps = nl_a.decompose()
-        relays = [c for c in comps if c.kind is PrimitiveKind.RELAY]
+        relays = [t for t in nl_a.terms if t[1]]
         assert len(relays) == 1
-        assert relays[0].threshold == pytest.approx(20.0)
-        assert relays[0].magnitude == pytest.approx(-3.0)
+        assert relays[0][0] == pytest.approx(20.0)
+        assert relays[0][2] == pytest.approx(-3.0)
+
+    def test_dead_zone_before_relay_at_a_shared_threshold(self, nl_a):
+        assert [(x1, relay) for x1, relay, _ in nl_a.terms] == [
+            (2.0, False),
+            (7.0, False),
+            (20.0, False),
+            (20.0, True),
+        ]
+        assert nl_a.breakpoints == (2.0, 7.0, 20.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_superposition_reconstructs_function(self, seed):
-        # the decomposition must sum back to y(x) away from the jump points
+        # the terms must sum back to y(x) away from the jump points
         rng = random.Random(seed)
         nl = random_nonlinearity(rng)
-        m0, comps = nl.decompose()
         jump_xs = {xj for xj, _ in nl.jumps}
         for _ in range(24):
             x = rng.uniform(-20.0, 20.0)
             if any(abs(abs(x) - xj) < 1e-9 for xj in jump_xs):
                 continue
-            total = m0 * x + sum(c.evaluate(x) for c in comps)
+            total = nl.initial_slope * x + sum(term_value(t, x) for t in nl.terms)
             assert total == pytest.approx(nl.evaluate(x), abs=1e-9)
 
 
