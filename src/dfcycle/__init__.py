@@ -17,10 +17,8 @@ from .descfun import (
     df_exact,
     df_oracle,
     df_value,
-    phi,
-    psi,
 )
-from .qualdf import df_qualitative, phi_tilde
+from .qualdf import df_qualitative
 from .linsys import (
     LinearPlant,
     PlantError,
@@ -77,9 +75,6 @@ __all__ = [
     "measure_oscillation",
     "nyquist_contour",
     "phase_crossovers",
-    "phi",
-    "phi_tilde",
-    "psi",
     "simulate",
     "winding_number",
 ]

@@ -102,11 +102,12 @@ def find_intersections(
     A nonlinearity's brackets are bisected together down to
     ``|F - K| <= VALUE_TOL``; a curve's are interpolated linearly (amplitude
     accuracy limited by the sampling; counts are exact wherever the grid
-    resolves the curve's rises and falls).  Raises ``IntersectionError`` when
-    the grid or F on it is not finite, or v = 0 at two consecutive samples.
+    resolves the curve's rises and falls).  Raises ``ValueError`` unless
+    0 < K < inf, and ``IntersectionError`` when the grid or F on it is not
+    finite, or v = 0 at two consecutive samples.
     """
-    if gain_margin <= 0:
-        raise ValueError("gain margin must be positive")
+    if not 0 < gain_margin < math.inf:
+        raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
 
     if isinstance(source, DescribingFunctionCurve):
         X, F = source.X, source.F - gain_margin

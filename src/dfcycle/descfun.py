@@ -1,13 +1,17 @@
 """Exact describing function of piecewise-linear nonlinearities.
 
-Closed forms are built from two primitives: the dead-zone factor ``phi`` and
-the relay factor ``psi``.  The full curve is the superposition of one term per
-slope change and per jump of the nonlinearity.  ``df_oracle`` recomputes the
-same value by quadrature of the first Fourier harmonic and serves as an
-independent cross-check of the closed forms: it splits the period where
-X sin t meets a breakpoint and integrates each panel's own linear piece of y,
-read from the nonlinearity's signed line table (``lines``), never from its
-``terms``, with one fixed 16-node Gauss-Legendre rule per panel.
+Closed forms are built from two primitives: the dead-zone factor ``_phi`` and
+the relay factor ``_psi``.  The full curve is the superposition of one term per
+slope change and per jump of the nonlinearity.  ``df_value`` is the one
+checked entry: it rejects negative, NaN and descending amplitudes once, and
+runs the unchecked factors only on the tails at or above their thresholds.
+
+``df_oracle`` recomputes the same value by quadrature of the first Fourier
+harmonic and serves as an independent cross-check of the closed forms: it
+splits the period where X sin t meets a breakpoint and integrates each
+panel's own linear piece of y, read from the nonlinearity's signed line table
+(``lines``), never from its ``terms``, with one fixed 16-node Gauss-Legendre
+rule per panel.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class DescribingFunctionCurve:
             raise ValueError("X and F must be 1-D arrays of equal length")
         if len(X) > 1 and not np.all(np.diff(X) > 0):
             raise ValueError("X must be strictly increasing")
-        if np.any(X < 0):
+        if not np.all(X >= 0):  # NaN fails too
             raise ValueError("amplitudes must be >= 0")
         overflow = ~np.isfinite(F) & (X > 0)
         if overflow.any():
@@ -50,52 +54,40 @@ class DescribingFunctionCurve:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
-def phi(X, X1: float):
-    """Dead-zone describing-function factor.
+def _phi(X, X1: float):
+    """Dead-zone factor ``1 - (2/pi) (arcsin u + u sqrt(1 - u^2))``, u = X1/X.
 
-    Zero for X < X1; for X >= X1 equal to
-    ``1 - (2/pi) * (arcsin(X1/X) + (X1/X) * sqrt(1 - (X1/X)^2))``,
-    which is 1 for X1 = 0.  Accepts a scalar or array of amplitudes X > 0.
+    The closed form alone, for an array X >= X1 >= 0 with X > 0; it is 1 for
+    X1 = 0.  ``df_value`` checks the amplitudes and passes only the tail at or
+    above the threshold, where the factor is nonzero.
     """
-    if X1 < 0:
-        raise ValueError(f"threshold must be >= 0, got {X1}")
-    X = np.asarray(X, dtype=float)
-    if np.any(X <= 0):
-        raise ValueError("amplitude must be positive")
-    u = np.minimum(X1 / X, 1.0)
-    inner = np.arcsin(u) + u * np.sqrt(1.0 - u * u)
-    val = np.where(X >= X1, 1.0 - (2.0 / math.pi) * inner, 0.0)
-    return val if val.ndim else float(val)
+    u = X1 / X
+    return 1.0 - (2.0 / math.pi) * (np.arcsin(u) + u * np.sqrt(1.0 - u * u))
 
 
-def psi(X1: float, X):
-    """Relay describing-function factor ``(4/(pi X)) sqrt(1 - (X1/X)^2)``.
+def _psi(X1: float, X):
+    """Relay factor ``(4/(pi X)) sqrt(1 - (X1/X)^2)``, for X >= X1 >= 0, X > 0.
 
-    Zero for X < X1; equals ``4/(pi X)`` for X1 = 0 (ideal relay).
+    Equals ``4/(pi X)`` for X1 = 0 (ideal relay).  Unchecked, as ``_phi``.
     """
-    if X1 < 0:
-        raise ValueError(f"threshold must be >= 0, got {X1}")
-    X = np.asarray(X, dtype=float)
-    if np.any(X <= 0):
-        raise ValueError("amplitude must be positive")
-    u = np.minimum(X1 / X, 1.0)
-    val = np.where(X >= X1, (4.0 / (math.pi * X)) * np.sqrt(1.0 - u * u), 0.0)
-    return val if val.ndim else float(val)
+    u = X1 / X
+    return (4.0 / (math.pi * X)) * np.sqrt(1.0 - u * u)
 
 
 def df_value(nl: PiecewiseNonlinearity, X):
     """Exact describing function F(X) by superposition of the terms of ``nl``.
 
-    Accepts a scalar or an ascending (nondecreasing) array of amplitudes;
-    ``ValueError`` names the first descent of any other array.  Each term of
-    ``nl.terms`` adds its factor on the tail of the array at or above its
+    Accepts a scalar or an ascending (nondecreasing) array of amplitudes >= 0;
+    ``ValueError`` rejects a negative or NaN amplitude and names the first
+    descent of any other array.  Each term of ``nl.terms`` adds its factor
+    (``_phi`` or ``_psi``, unchecked) on the tail of the array at or above its
     threshold, and nothing below it, where the factor is 0.  X = 0 is only
     valid when the nonlinearity has no jump at the origin (there F(0) = m0).
     """
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 0
     Xa = np.atleast_1d(X)
-    if np.any(Xa < 0):
+    if not np.all(Xa >= 0):  # NaN fails too
         raise ValueError("amplitudes must be >= 0")
     if np.any(Xa == 0) and nl.has_origin_jump:
         raise ValueError("X = 0 is singular for a nonlinearity jumping at the origin")
@@ -110,11 +102,11 @@ def df_value(nl: PiecewiseNonlinearity, X):
     Xp = Xa[pos]
     acc = np.zeros_like(Xp)
     for x1, relay, magnitude in nl.terms:
-        k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, as phi's and psi's X >= X1
+        k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, the factors' domain
         if k == len(Xp):
             break  # the thresholds ascend, so no later term reaches Xp either
         tail = Xp[k:]
-        acc[k:] += magnitude * (psi(x1, tail) if relay else phi(tail, x1))
+        acc[k:] += magnitude * (_psi(x1, tail) if relay else _phi(tail, x1))
     F[pos] += acc
     return float(F[0]) if scalar else F
 
@@ -125,7 +117,7 @@ def _validate_grid(nl: PiecewiseNonlinearity, grid) -> np.ndarray:
         raise ValueError("grid must be a non-empty 1-D array")
     if len(grid) > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
-    if grid[0] < 0:
+    if not grid[0] >= 0:  # NaN fails too; a longer grid fails the diff test
         raise ValueError("grid amplitudes must be >= 0")
     if grid[0] == 0 and nl.has_origin_jump:
         raise ValueError("grid must exclude 0 when the nonlinearity jumps at the origin")
@@ -197,7 +189,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     symmetry self-check and must vanish.  Raises ``QuadratureError`` when an
     integral is not finite or a1 does not vanish.
     """
-    if X <= 0:
+    if not X > 0:
         raise ValueError("amplitude must be positive")
 
     marks = sorted({xj for xj in nl.pieces[0] if 0.0 < xj < X})

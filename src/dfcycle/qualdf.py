@@ -1,10 +1,11 @@
 """Qualitative (hand-drawing style) describing function.
 
 The qualitative curve chains one simple segment per breakpoint: each segment
-starts where the previous one ended and relaxes toward the local slope via a
-ramp factor, with an impulsive relay term added at jump abscissae.  It is a
-shape-faithful stand-in for the exact curve: same plateau, same tail, same
-rise/fall pattern, at a fraction of the algebra.
+starts where the previous one ended and relaxes toward the local slope via
+the ramp factor ``1 - Xj/X``, with the relay factor ``descfun._psi`` added at
+jump abscissae.  It is a shape-faithful stand-in for the exact curve: same
+plateau, same tail, same rise/fall pattern, at a fraction of the algebra.
+``df_qualitative`` is the one checked entry.
 """
 
 from __future__ import annotations
@@ -13,47 +14,8 @@ import math
 
 import numpy as np
 
-from .descfun import DescribingFunctionCurve, _validate_grid, psi
+from .descfun import DescribingFunctionCurve, _psi, _validate_grid
 from .piecewise import PiecewiseNonlinearity
-
-
-def phi_tilde(X, Xj: float):
-    """Ramp factor ``1 - Xj/X``: zero at X = Xj, tending to one as X grows.
-
-    Defined for X >= Xj > 0 (and identically one when Xj = 0).
-    """
-    if Xj < 0:
-        raise ValueError(f"breakpoint must be >= 0, got {Xj}")
-    X = np.asarray(X, dtype=float)
-    if np.any(X < Xj) or np.any(X <= 0):
-        raise ValueError("ramp factor requires X >= Xj > 0")
-    val = 1.0 - Xj / X
-    return val if val.ndim else float(val)
-
-
-def _events(nl: PiecewiseNonlinearity):
-    """Breakpoints as (Xj, slope after Xj, jump amplitude at Xj)."""
-    jump_at = dict(nl.jumps)
-    return [(xj, nl.line_at(xj)[4], jump_at.get(xj, 0.0)) for xj in nl.breakpoints]
-
-
-def segment_anchor_values(nl: PiecewiseNonlinearity) -> list[float]:
-    """Chained start values F~_{j0}, one per breakpoint segment.
-
-    Entry j is the value the qualitative curve reaches at breakpoint X_{j+1}
-    of the previous segment, i.e. where segment j+1 takes over.
-    """
-    events = _events(nl)
-    anchors = []
-    prev = nl.initial_slope
-    for j, (xj, mj, yj) in enumerate(events):
-        anchors.append(prev)
-        x_next = events[j + 1][0] if j + 1 < len(events) else None
-        if x_next is not None:
-            prev = prev + (mj - prev) * phi_tilde(x_next, xj)
-            if yj != 0.0:
-                prev += yj * psi(xj, x_next)
-    return anchors
 
 
 def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
@@ -61,24 +23,23 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
 
     Piecewise construction: F~ = m0 up to the first breakpoint; on each
     half-open range (Xj, X_{j+1}] the curve is
-    ``F_{j0} + (mj - F_{j0}) * phi_tilde(X, Xj) [+ Yj * psi(Xj, X)]``
-    where F_{j0} chains from the previous segment's endpoint.
+    ``F_{j0} + (mj - F_{j0}) * (1 - Xj/X) [+ Yj * _psi(Xj, X)]``, with mj the
+    slope after Xj and Yj the jump there.  F_{j0} is the previous segment's
+    value at Xj, so one walk over the breakpoints chains the segments.  This
+    is the one checked entry: the grid is validated once, and the unchecked
+    ``_psi`` only ever sees amplitudes above its breakpoint.
     """
     grid = _validate_grid(nl, grid)
-    events = _events(nl)
-    F = np.full_like(np.asarray(grid, dtype=float), nl.initial_slope)
-    if not events:
-        return DescribingFunctionCurve(grid, F, "qualitative")
-
-    anchors = segment_anchor_values(nl)
-    for j, ((xj, mj, yj), f0) in enumerate(zip(events, anchors)):
-        hi = events[j + 1][0] if j + 1 < len(events) else math.inf
-        mask = (grid > xj) & (grid <= hi)
-        if not np.any(mask):
-            continue
-        Xs = grid[mask]
-        vals = f0 + (mj - f0) * phi_tilde(Xs, xj)
-        if yj != 0.0:
-            vals = vals + yj * psi(xj, Xs)
-        F[mask] = vals
+    F = np.full_like(grid, nl.initial_slope)
+    jump_at = dict(nl.jumps)
+    bps = nl.breakpoints
+    f0 = nl.initial_slope
+    for xj, hi in zip(bps, (*bps[1:], math.inf)):
+        mj, yj = nl.line_at(xj)[4], jump_at.get(xj, 0.0)
+        i, k = np.searchsorted(grid, (xj, hi), side="right")
+        X = np.append(grid[i:k], hi)  # the segment's samples, then its end
+        vals = f0 + (mj - f0) * (1.0 - xj / X)
+        if yj != 0.0:  # adding 0 * _psi would turn a -0.0 into +0.0
+            vals = vals + yj * _psi(xj, X)
+        F[i:k], f0 = vals[:-1], vals[-1]
     return DescribingFunctionCurve(grid, F, "qualitative")

@@ -101,10 +101,13 @@ def simulate(
     with a ``diverged`` verdict; the same bound test finds it in a batch.
     Otherwise the trailing half of the trajectory decides between
     ``sustained_oscillation`` (with measured amplitude and frequency) and
-    ``converged_to_origin``.
+    ``converged_to_origin``.  ``ValueError`` rejects a non-finite x0, T or
+    dt, a dt <= 0 and a T < 100 dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon must be finite, got {T}")
     if T < 100.0 * dt:
         raise ValueError("horizon too short: need T >= 100*dt")
     A, B, C_loop = loop_matrices(plant)
@@ -112,6 +115,8 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"initial state must have shape ({n},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0}")
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
     R_Phi = np.vstack([R, Phi])

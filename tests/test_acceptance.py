@@ -20,7 +20,7 @@ from dfcycle import (
 )
 from dfcycle import sim
 from dfcycle.cycles import analyze, find_intersections
-from dfcycle.descfun import df_oracle, psi
+from dfcycle.descfun import df_oracle
 from dfcycle.linsys import phase_crossovers
 from dfcycle.qualdf import df_qualitative
 
@@ -58,9 +58,10 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_relay_extremum():
     X1, Y1 = 2.0, 1.5
+    relay = PiecewiseNonlinearity(x=(X1, X1), y=(0.0, Y1), final_slope=0.0)
 
-    def f(X):
-        return Y1 * psi(X1, X)
+    def f(X):  # on X >= X1, bit for bit Y1 * psi(X1, X)
+        return df_value(relay, X)
 
     # golden-section maximization on [X1, 4 X1]
     gr = (math.sqrt(5.0) - 1.0) / 2.0

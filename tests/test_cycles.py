@@ -104,6 +104,11 @@ class TestIntersections:
         with pytest.raises(IntersectionError, match=r"^F is not finite at X = 1\.00"):
             find_intersections(tall, 2.4)
 
+    def test_rejects_a_gain_margin_that_is_not_finite(self, nl_b):
+        for km in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="gain margin must be positive and finite"):
+                find_intersections(nl_b, km)
+
     def test_grid_past_the_largest_float_raises(self):
         # the default grid ends at 100 times the last breakpoint
         wide = PiecewiseNonlinearity(x=(1e307,), y=(1.0,))

@@ -1,11 +1,12 @@
 """The package depends on numpy and click only, outside the standard library,
-and every name it exports exists."""
+and it exports exactly its public names."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import dfcycle
@@ -36,3 +37,12 @@ def test_imports_only_numpy_and_click():
 def test_every_exported_name_resolves():
     missing = [name for name in dfcycle.__all__ if not hasattr(dfcycle, name)]
     assert missing == []
+
+
+def test_exports_are_exactly_the_public_names():
+    public = {
+        name
+        for name, value in vars(dfcycle).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(dfcycle.__all__) == sorted(public)

@@ -1,4 +1,4 @@
-"""Exact describing function vs the quadrature oracle, and the kernel factors."""
+"""Exact describing function vs the quadrature oracle, and the private factors."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import PiecewiseNonlinearity, df_exact, df_value
-from dfcycle import descfun
-from dfcycle.descfun import df_oracle, phi, psi
+from dfcycle import DescribingFunctionCurve, PiecewiseNonlinearity
+from dfcycle import descfun, df_exact, df_qualitative, df_value
+from dfcycle.descfun import _phi, _psi, df_oracle
 
 from conftest import random_nonlinearity
 
@@ -23,42 +23,58 @@ def rel_err(a, b):
 
 
 class TestKernels:
+    """The closed forms of the unchecked factors, at X >= X1 only."""
+
     def test_phi_vanishes_at_threshold(self):
-        assert phi(3.0, 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert _phi(np.array([3.0]), 3.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_phi_tends_to_one(self):
-        assert phi(1e8, 3.0) == pytest.approx(1.0, abs=1e-6)
+        assert _phi(np.array([1e8]), 3.0)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_phi_closed_form_sample(self):
         # X = 2 X1: 1 - (2/pi)(pi/6 + sqrt(3)/4), checked by hand
         expected = 1.0 - (2.0 / math.pi) * (math.pi / 6.0 + math.sqrt(3.0) / 4.0)
-        assert phi(2.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert _phi(np.array([2.0]), 1.0)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_phi_zero_threshold_is_unity(self):
-        assert phi(5.0, 0.0) == pytest.approx(1.0)
-
-    def test_phi_rejects_nonpositive_amplitude(self):
-        with pytest.raises(ValueError):
-            phi(0.0, 1.0)
+        assert _phi(np.array([5.0]), 0.0)[0] == pytest.approx(1.0)
 
     def test_psi_vanishes_at_threshold(self):
-        assert psi(2.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert _psi(2.0, np.array([2.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_psi_maximum_location_and_value(self):
         X1 = 2.0
-        assert psi(X1, math.sqrt(2.0) * X1) == pytest.approx(
+        assert _psi(X1, np.array([math.sqrt(2.0) * X1]))[0] == pytest.approx(
             2.0 / (math.pi * X1), rel=1e-14
         )
 
     def test_psi_is_below_maximum_elsewhere(self):
         X1 = 2.0
         peak = 2.0 / (math.pi * X1)
-        for X in (2.1, 2.5, 3.5, 10.0, 100.0):
-            assert psi(X1, X) <= peak + 1e-15
+        assert np.all(_psi(X1, np.array([2.1, 2.5, 3.5, 10.0, 100.0])) <= peak + 1e-15)
+
+
+# The reference keeps its own checked, masked factors, zero below the
+# threshold, so that it stays independent of df_value's tail path.
+
+
+def ref_phi(X, X1):
+    X = np.asarray(X, dtype=float)
+    assert X1 >= 0 and np.all(X > 0)
+    u = np.minimum(X1 / X, 1.0)
+    inner = np.arcsin(u) + u * np.sqrt(1.0 - u * u)
+    return np.where(X >= X1, 1.0 - (2.0 / math.pi) * inner, 0.0)
+
+
+def ref_psi(X1, X):
+    X = np.asarray(X, dtype=float)
+    assert X1 >= 0 and np.all(X > 0)
+    u = np.minimum(X1 / X, 1.0)
+    return np.where(X >= X1, (4.0 / (math.pi * X)) * np.sqrt(1.0 - u * u), 0.0)
 
 
 def reference_df(nl, X):
-    """F(X) with every term through phi/psi over the whole array, in ``terms`` order."""
+    """F(X) with every term through the reference factors over the whole array."""
     X = np.asarray(X, dtype=float)
     Xa = np.atleast_1d(X)
     pos = Xa > 0
@@ -66,7 +82,7 @@ def reference_df(nl, X):
     Xp = Xa[pos]
     acc = np.zeros_like(Xp)
     for x1, relay, magnitude in nl.terms:
-        acc += magnitude * (psi(x1, Xp) if relay else phi(Xp, x1))
+        acc += magnitude * (ref_psi(x1, Xp) if relay else ref_phi(Xp, x1))
     F[pos] += acc
     return float(F[0]) if X.ndim == 0 else F
 
@@ -123,7 +139,7 @@ class TestExactValues:
         # unit slope saturating at 1: F(X) = 1 - phi(X, 1) for X > 1
         nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=0.0)
         for X in (1.5, 2.0, 8.0):
-            assert df_value(nl, X) == pytest.approx(1.0 - phi(X, 1.0), rel=1e-13)
+            assert df_value(nl, X) == pytest.approx(1.0 - ref_phi(X, 1.0), rel=1e-13)
 
     def test_origin_jump_rejects_zero_amplitude(self):
         nl = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
@@ -162,8 +178,9 @@ class TestOracle:
         assert df_oracle(nl_a, 10.0) == pytest.approx(df_value(nl_a, 10.0), rel=1e-9)
 
     def test_rejects_nonpositive_amplitude(self, nl_a):
-        with pytest.raises(ValueError):
-            df_oracle(nl_a, 0.0)
+        for X in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                df_oracle(nl_a, X)
 
     def test_split_rounding_past_a_jump(self):
         # df_curves benchmark input (seed 1, round 120): a split of the
@@ -210,8 +227,8 @@ class TestOracle:
 
         # a class-level property overrides the value cached on the instance
         monkeypatch.setattr(PiecewiseNonlinearity, "terms", property(forbidden))
-        monkeypatch.setattr(descfun, "phi", forbidden)
-        monkeypatch.setattr(descfun, "psi", forbidden)
+        monkeypatch.setattr(descfun, "_phi", forbidden)
+        monkeypatch.setattr(descfun, "_psi", forbidden)
         for (nl, X), f in zip(cases, expected):
             assert df_oracle(nl, X) == pytest.approx(f, rel=1e-9)
 
@@ -233,8 +250,17 @@ class TestCurveContainer:
             df_exact(nl_a, np.array([2.0, 1.0]))
 
     def test_grid_must_be_nonnegative(self, nl_a):
+        # NaN is no amplitude either, alone or between valid ones
+        for grid in ([-1.0, 1.0], [math.nan], [1.0, math.nan, 20.0]):
+            for make in (df_exact, df_qualitative):
+                with pytest.raises(ValueError):
+                    make(nl_a, np.array(grid))
+            with pytest.raises(ValueError):
+                df_value(nl_a, grid)
+            with pytest.raises(ValueError):
+                DescribingFunctionCurve(grid, np.ones(len(grid)), "exact")
         with pytest.raises(ValueError):
-            df_exact(nl_a, np.array([-1.0, 1.0]))
+            df_value(nl_a, math.nan)
 
 
 @given(st.integers(0, 10_000))

@@ -10,26 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfcycle import PiecewiseNonlinearity, df_exact, df_value
-from dfcycle.qualdf import (
-    df_qualitative,
-    phi_tilde,
-    segment_anchor_values,
-)
+from dfcycle.qualdf import df_qualitative
 
 from conftest import random_nonlinearity
-
-
-class TestBuildingBlocks:
-    def test_phi_tilde_linear_fraction(self):
-        assert phi_tilde(4.0, 2.0) == pytest.approx(0.5)
-        assert phi_tilde(2.0, 2.0) == pytest.approx(0.0)
-
-    def test_phi_tilde_zero_threshold(self):
-        assert phi_tilde(3.0, 0.0) == pytest.approx(1.0)
-
-    def test_phi_tilde_rejects_amplitude_below_threshold(self):
-        with pytest.raises(ValueError):
-            phi_tilde(1.0, 2.0)
 
 
 class TestCurve:
@@ -63,7 +46,7 @@ class TestCurve:
         assert q.F[1] == pytest.approx(0.36134, abs=1e-5)
 
     def test_case_studies_bit_identical(self, nl_a, nl_b):
-        # the values of the inlined ramp 1 - Xj/X that phi_tilde replaced, to
+        # the values of the ramp 1 - Xj/X, chained over the segments, to
         # the last bit; the third map adds a relay at the origin (Xj = 0)
         grid = 0.75 + 2.5 * np.arange(12)
         relay = PiecewiseNonlinearity(
@@ -85,11 +68,6 @@ class TestCurve:
         }
         for nl, F in frozen.items():
             assert np.array_equal(df_qualitative(nl, grid).F, F)
-
-    def test_anchor_chain_first_case(self, nl_a):
-        anchors = segment_anchor_values(nl_a)
-        assert anchors[0] == pytest.approx(0.0)  # initial plateau value
-        assert len(anchors) == len(nl_a.breakpoints)
 
 
 @given(st.integers(0, 10_000))

@@ -147,6 +147,21 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             simulate(plant_b(30.0), nl_b, np.zeros(3), 1.0, 0.5)
 
+    def test_rejects_nonfinite_inputs(self, nl_b):
+        # a NaN state would run to a false "converged" verdict, and T = inf
+        # would size the trajectory from int(round(inf))
+        p, ok = plant_b(15.0), np.array([1.0, 0.0, 0.0])
+        for x0, T, dt in (
+            ([math.nan, 0.0, 0.0], 60.0, 0.01),
+            ([0.0, math.inf, 0.0], 60.0, 0.01),
+            (ok, math.inf, 0.01),
+            (ok, math.nan, 0.01),
+            (ok, 60.0, math.nan),
+            (ok, 60.0, math.inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                simulate(p, nl_b, np.array(x0), T, dt)
+
 
 class TestAgainstReference:
     """The folded, piece-affine stepper against a plain-list RK4."""
