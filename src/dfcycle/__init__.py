@@ -33,6 +33,7 @@ from .cycles import (
     CrossoverAnalysis,
     IntersectionError,
     LimitCycleEstimate,
+    NonFiniteCycleError,
     analyze,
     classify,
     ellipse_estimate,
@@ -55,6 +56,7 @@ __all__ = [
     "IntersectionError",
     "LimitCycleEstimate",
     "LinearPlant",
+    "NonFiniteCycleError",
     "NonlinearityError",
     "PiecewiseNonlinearity",
     "PlantError",

@@ -10,10 +10,12 @@ finite), a pole of the plant on the imaginary axis (anywhere on it in
 not finite, or whose denominator overflows, at a sampled frequency
 (``analyze``, ``nyquist``), a describing function F(X) that is not finite
 (``df``, ``analyze``), an F(X) = K that holds on a plateau of amplitudes
-instead of at isolated ones, a predicted cycle whose stability its two
-amplitude probes cannot decide, a plant with direct feedthrough under
-``--simulate``, or an oracle quadrature that is not finite or fails its
-symmetry check, 3 analysis ran but the plant has no phase crossover.
+instead of at isolated ones or whose amplitude grid underflows to 0, a
+predicted cycle whose stability its two amplitude probes cannot decide or
+whose first harmonic Y1 or state ellipse overflows, a plant with direct
+feedthrough under ``--simulate``, or an oracle quadrature that is not finite
+or fails its symmetry check, 3 analysis ran but the plant has no phase
+crossover.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import click
 import numpy as np
 
 from . import sim, svg
-from .cycles import AmbiguousStabilityError, IntersectionError, analyze
+from .cycles import AmbiguousStabilityError, IntersectionError, NonFiniteCycleError
+from .cycles import analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
     LinearPlant,
@@ -209,6 +212,8 @@ def cmd_analyze(
             f"{plant_file}: cannot classify the stability of the cycle at "
             f"X = {exc.X}, omega = {exc.omega}"
         )
+    except NonFiniteCycleError as exc:
+        _fail(str(exc))
 
     ref = _grid_scale(nl_file, nl)
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
@@ -259,7 +264,7 @@ def cmd_analyze(
     else:
         report["notes"].append("no phase crossover: no limit cycle predicted")
 
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
     if not crossovers:
         sys.exit(EXIT_NO_CROSSOVER)
 

@@ -10,7 +10,7 @@ state space is estimated as an ellipse spanned by two basis vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,10 @@ DELTA = 1e-3
 
 class IntersectionError(ValueError):
     """F(X) = K has no isolated roots: F is not finite, or equals K on a plateau."""
+
+
+class NonFiniteCycleError(ValueError):
+    """A predicted cycle's first harmonic Y1 or its state ellipse is not finite."""
 
 
 class AmbiguousStabilityError(RuntimeError):
@@ -66,7 +70,7 @@ class CrossoverAnalysis:
 
     omega: float
     gain_margin: float
-    cycles: tuple[LimitCycleEstimate, ...] = field(default_factory=tuple)
+    cycles: tuple[LimitCycleEstimate, ...]
 
 
 def winding_number(contour: np.ndarray, point: complex) -> int:
@@ -103,8 +107,8 @@ def find_intersections(
     ``|F - K| <= VALUE_TOL``; a curve's are interpolated linearly (amplitude
     accuracy limited by the sampling; counts are exact wherever the grid
     resolves the curve's rises and falls).  Raises ``ValueError`` unless
-    0 < K < inf, and ``IntersectionError`` when the grid or F on it is not
-    finite, or v = 0 at two consecutive samples.
+    0 < K < inf, and ``IntersectionError`` when the grid is not finite or
+    positive, F on it is not finite, or v = 0 at two consecutive samples.
     """
     if not 0 < gain_margin < math.inf:
         raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
@@ -123,6 +127,10 @@ def find_intersections(
                 f"the amplitude grid is not finite: it ends at {x_max}"
             )
         lo = x_max * 1e-7
+        if not lo > 0:
+            raise IntersectionError(
+                f"the amplitude grid is not positive: it starts at {lo}"
+            )
         X = log_grid(lo, x_max, N_GRID)
         with np.errstate(over="ignore", invalid="ignore"):
             F = df_value(nl, X) - gain_margin
@@ -156,16 +164,14 @@ def classify(
     X: float,
     omega: float,
     *,
-    contour: np.ndarray | None = None,
+    contour: np.ndarray,
 ) -> str:
     """Stable/unstable verdict for a candidate cycle amplitude.
 
     Probes -1/F at X*(1 +/- DELTA): the cycle is stable when the outward
-    probe escapes the closed Nyquist contour while the inward probe remains
+    probe escapes the closed Nyquist ``contour`` while the inward probe remains
     enclosed, and unstable in the mirrored case.
     """
-    if contour is None:
-        contour = nyquist_contour(plant)
     probes = {}
     for tag, xs in (("below", X * (1.0 - DELTA)), ("above", X * (1.0 + DELTA))):
         F = df_value(nl, xs)
@@ -204,7 +210,13 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
         for X in find_intersections(nl, K):
             stability = classify(plant, nl, X, omega, contour=contour)
             Y1 = df_value(nl, X) * X
-            x0, xq = ellipse_estimate(plant, omega, Y1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x0, xq = ellipse_estimate(plant, omega, Y1)
+            if not np.isfinite([Y1, *x0, *xq]).all():
+                raise NonFiniteCycleError(
+                    f"the first harmonic Y1 = {Y1} or the state ellipse of the "
+                    f"cycle at omega = {omega}, X = {X} is not finite"
+                )
             cycles.append(
                 LimitCycleEstimate(
                     omega=omega,

@@ -192,7 +192,7 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     if not X > 0:
         raise ValueError("amplitude must be positive")
 
-    marks = sorted({xj for xj in nl.pieces[0] if 0.0 < xj < X})
+    marks = sorted({xj for xj in nl.x if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
     quarter = _integrate_piecewise(nl, X, np.sin, thetas, "quarter-period b1")

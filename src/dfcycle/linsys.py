@@ -211,7 +211,7 @@ def _bisect_sign_changes(f, grid, vals, sign, done):
     for _ in range(MAX_ITER):
         if not live.size:
             break
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b can overflow
         fm = f(mid)
         x[live], fx[live] = mid, fm
         sm = sign(fm)

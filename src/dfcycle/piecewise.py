@@ -6,10 +6,11 @@ jump.  Every such map is the sum of an initial linear gain, dead-zone terms
 (one per slope change) and relay terms (one per jump);
 :attr:`PiecewiseNonlinearity.terms` lists those terms.
 
-``pieces`` holds the linear pieces of y on x >= 0, whence the geometry;
-``lines`` is the one signed table over the real line (right limit at a jump,
-odd extension) in which evaluation, the simulator, the quadrature oracle and
-the qualitative curve look x up.
+``pieces`` is the one table of y on x >= 0 (vertices and slopes), which the
+checks, the slopes, the terms and the breakpoints all read; ``lines`` is the
+one signed table over the real line (right limit at a jump, odd extension) in
+which evaluation, the simulator, the quadrature oracle and the qualitative
+curve look x up.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class PiecewiseNonlinearity:
             raise NonlinearityError("abscissae must be >= 0")
         if any(b < a for a, b in zip(self.x, self.x[1:])):
             raise NonlinearityError("abscissae must be nondecreasing")
-        xs = self.pieces[0]
+        xs, _, slopes = self.pieces
         for v, w in zip(xs, xs[2:]):
             if v == w:
                 raise NonlinearityError(
@@ -68,7 +69,7 @@ class PiecewiseNonlinearity:
                 raise NonlinearityError(f"repeated abscissa {a} with no jump")
         if self.final_slope is not None and not math.isfinite(self.final_slope):
             raise NonlinearityError("final_slope must be finite")
-        for x0, x1, m in self.segments:
+        for x0, x1, m in zip(xs, xs[1:], slopes):  # a jump's slope is 0.0
             if not math.isfinite(m):
                 raise NonlinearityError(
                     f"slope of the segment from {x0} to {x1} is not finite"
@@ -77,22 +78,18 @@ class PiecewiseNonlinearity:
     # -- derived geometry -------------------------------------------------
 
     @cached_property
-    def vertices(self) -> tuple[tuple[float, float], ...]:
-        """Graph vertices on x >= 0, starting at the origin."""
-        pts = list(zip(self.x, self.y))
-        if pts[0] != (0.0, 0.0):
-            pts.insert(0, (0.0, 0.0))
-        return tuple(pts)
-
-    @cached_property
     def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """The linear pieces of y on x >= 0 as (xs, ys, slopes), from the vertices.
+        """The linear pieces of y on x >= 0 as (xs, ys, slopes).
 
-        Piece i is ``ys[i] + slopes[i] * (x - xs[i])`` on ``[xs[i], xs[i+1])``:
-        slope 0.0 across a jump (zero width), and ``last_slope`` beyond the
-        last vertex.  Every other slope derives from this table.
+        (xs, ys) are the vertices: the given points, after the origin when they
+        do not start there.  Piece i is ``ys[i] + slopes[i] * (x - xs[i])`` on
+        ``[xs[i], xs[i+1])``: a segment where xs[i+1] > xs[i], else a jump of
+        ``ys[i+1] - ys[i]`` with slope 0.0, and ``last_slope`` beyond the last
+        vertex.  Every other fact of y on x >= 0 derives from this table.
         """
-        xs, ys = zip(*self.vertices)
+        xs, ys = self.x, self.y
+        if (xs[0], ys[0]) != (0.0, 0.0):
+            xs, ys = (0.0, *xs), (0.0, *ys)
         slopes, last = [], 0.0  # last: the slope of the last segment so far
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
             m = (y1 - y0) / (x1 - x0) if x1 > x0 else 0.0
@@ -143,24 +140,10 @@ class PiecewiseNonlinearity:
         return tuple(lo for lo, *_ in self.lines)
 
     @cached_property
-    def segments(self) -> tuple[tuple[float, float, float], ...]:
-        """Finite linear pieces as (start x, end x, slope)."""
-        xs, _, slopes = self.pieces
-        return tuple((x0, x1, m) for x0, x1, m in zip(xs, xs[1:], slopes) if x1 > x0)
-
-    @cached_property
-    def jumps(self) -> tuple[tuple[float, float], ...]:
-        """Discontinuities as (abscissa Xj, amplitude Yj)."""
-        xs, ys, _ = self.pieces
-        pairs = zip(xs, xs[1:], ys, ys[1:])
-        return tuple((x0, y1 - y0) for x0, x1, y0, y1 in pairs if x1 == x0)
-
-    @cached_property
     def initial_slope(self) -> float:
-        """Slope m0 of the first linear piece."""
-        if self.segments:
-            return self.segments[0][2]
-        return self.last_slope
+        """Slope m0 of the first segment of ``pieces``, else ``last_slope``."""
+        xs, _, slopes = self.pieces
+        return next(m for x0, x1, m in zip(xs, (*xs[1:], math.inf), slopes) if x1 > x0)
 
     @cached_property
     def last_slope(self) -> float:
@@ -179,11 +162,13 @@ class PiecewiseNonlinearity:
         terms.  Sorted by threshold, a dead zone before a relay at a shared
         one.
         """
-        slopes = [m for _, _, m in self.segments] + [self.last_slope]
-        bounds = [xe for _, xe, _ in self.segments]
-        changes = zip(bounds, slopes, slopes[1:])
-        dead = [(xb, False, m1 - m0) for xb, m0, m1 in changes if m1 != m0]
-        relays = [(xj, True, yj) for xj, yj in self.jumps]
+        xs, ys, slopes = self.pieces
+        # the segments and the last piece, as (start, slope)
+        segs = [(x0, m) for x0, x1, m in zip(xs, (*xs[1:], math.inf), slopes) if x1 > x0]
+        changes = zip(segs, segs[1:])
+        dead = [(xb, False, m1 - m0) for (_, m0), (xb, m1) in changes if m1 != m0]
+        pairs = zip(xs, xs[1:], ys, ys[1:])
+        relays = [(x0, True, y1 - y0) for x0, x1, y0, y1 in pairs if x1 == x0]
         # no two terms share (threshold, relay), so magnitude never decides
         return tuple(sorted(dead + relays))
 
@@ -195,11 +180,12 @@ class PiecewiseNonlinearity:
     @property
     def max_breakpoint(self) -> float:
         """Largest vertex abscissa (0 when only the origin is recorded)."""
-        return self.vertices[-1][0]
+        return self.x[-1]
 
     @property
     def has_origin_jump(self) -> bool:
-        return any(xj == 0.0 for xj, _ in self.jumps)
+        """Whether y jumps at x = 0: ``pieces`` then starts with a zero-width piece."""
+        return self.pieces[0][1:2] == (0.0,)
 
     # -- evaluation -------------------------------------------------------
 

@@ -31,7 +31,7 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
     """
     grid = _validate_grid(nl, grid)
     F = np.full_like(grid, nl.initial_slope)
-    jump_at = dict(nl.jumps)
+    jump_at = {xj: yj for xj, relay, yj in nl.terms if relay}
     bps = nl.breakpoints
     f0 = nl.initial_slope
     for xj, hi in zip(bps, (*bps[1:], math.inf)):

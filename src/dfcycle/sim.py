@@ -19,9 +19,10 @@ per signed piece: its line and the half-open interval ``lo <= x < hi`` of the
 floats that lie on it.  A batch finds the piece of C s by one bisection of
 the table's starts and makes one test of its product against the piece's
 stacked bound vectors: ``lo <= x < hi`` on each stage abscissa and
-``|s_i| <= DIVERGENCE_NORM`` on each state.  The first element off its
-bounds ends the batch, at a step that straddles a breakpoint or at a state
-that diverges.
+``|s_i| <= DIVERGENCE_NORM`` on each state.  Each step's abscissae come
+before its state, so the first element off its bounds alone ends the batch:
+at a step that straddles a breakpoint, or at a state that diverges after
+an accepted step.
 """
 
 from __future__ import annotations
@@ -151,20 +152,18 @@ def simulate(
         size = todo * (n + 4)
         affine[:n] = s
         out = run_map[:size] @ affine
-        # the first state past the norm or stage abscissa off [lo, hi)
+        # the first stage abscissa off [lo, hi) or state past the norm
         bad = out < low[:size]
         bad |= out >= high[:size]
         first = int(bad.argmax())
         run, row = divmod(first, n + 4)
         if not bad.item(first):
             run = todo
-        elif row < n and not bad[first - row + n : first - row + n + 4].any():
-            # a block's state comes before its step's abscissae: step run + 1
-            # stays on the piece, and its state diverges
+        elif row >= 4:  # step run + 1 stays on the piece, and its state diverges
             run += 1
             diverged_at = k + run
         if run:
-            traj[k + 1 : k + 1 + run] = out.reshape(todo, n + 4)[:run, :n]
+            traj[k + 1 : k + 1 + run] = out.reshape(todo, n + 4)[:run, 4:]
             if diverged_at is not None:
                 break
             k += run
@@ -228,10 +227,10 @@ def _run_map(
     On the piece y = m x + b the stage inputs solve ``(I - m Cm) u = m R s + b``,
     a unit lower-triangular system, so u = U s + v and one step is the affine
     map ``s' = (Phi + G U) s + G v``.  Row block k of ``map`` (of n + 4 rows),
-    applied to [s, 1], gives the state after k + 1 steps and then the four
-    stage abscissae of step k + 1.  ``low <= map @ [s, 1] < high`` row by row
-    holds where each state lies within ``DIVERGENCE_NORM`` and each stage
-    abscissa within the piece's [lo, hi).
+    applied to [s, 1], gives the four stage abscissae of step k + 1 and then
+    the state after it.  ``low <= map @ [s, 1] < high`` row by row holds where
+    each stage abscissa lies within the piece's [lo, hi) and each state within
+    ``DIVERGENCE_NORM``.
     """
     lo, hi, x0, y0, m = line
     b = y0 - m * x0
@@ -250,10 +249,10 @@ def _run_map(
     for k in range(RUN_STEPS):
         np.matmul(step, powers[k], out=powers[k + 1])
     blocks = np.empty((RUN_STEPS, n + 4, n + 1))
-    blocks[:, :n] = powers[1:, :n]
-    np.matmul(stages, powers[:-1], out=blocks[:, n:])
-    low = np.tile([-DIVERGENCE_NORM] * n + [lo] * 4, RUN_STEPS)
-    high = np.tile([np.nextafter(DIVERGENCE_NORM, math.inf)] * n + [hi] * 4, RUN_STEPS)
+    np.matmul(stages, powers[:-1], out=blocks[:, :4])
+    blocks[:, 4:] = powers[1:, :n]
+    low = np.tile([lo] * 4 + [-DIVERGENCE_NORM] * n, RUN_STEPS)
+    high = np.tile([hi] * 4 + [np.nextafter(DIVERGENCE_NORM, math.inf)] * n, RUN_STEPS)
     return blocks.reshape(-1, n + 1), low, high
 
 

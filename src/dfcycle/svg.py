@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+WIDTH = 720
+HEIGHT = 480
 _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 28
@@ -14,7 +16,7 @@ _MARGIN_B = 44
 class Series:
     x: list
     y: list
-    label: str = ""
+    label: str
     color: str = "#c02020"
     dash: str | None = None  # e.g. "6,4"
     points: list = field(default_factory=list)
@@ -40,18 +42,16 @@ def _bounds(series):
 def line_plot(
     series: list[Series],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> str:
-    """Render polyline series with axes and min/max tick labels."""
+    """Render polyline series on a WIDTH x HEIGHT canvas with axes, labels and legend."""
     if not series or all(len(s.x) == 0 for s in series):
         raise ValueError("nothing to plot")
     x0, x1, y0, y1 = _bounds(series)
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = WIDTH - _MARGIN_L - _MARGIN_R
+    ph = HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v):
         return _MARGIN_L + pw * (v - x0) / (x1 - x0)
@@ -60,9 +60,9 @@ def line_plot(
         return _MARGIN_T + ph * (1.0 - (v - y0) / (y1 - y0))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     ax = (
         f'<path d="M {_MARGIN_L} {_MARGIN_T} V {_MARGIN_T + ph} H {_MARGIN_L + pw}" '
@@ -75,35 +75,20 @@ def line_plot(
             f'y2="{_fmt(sy(0))}" stroke="#bbbbbb" stroke-width="0.7"/>'
         )
     font = 'font-family="sans-serif" font-size="12"'
-    out.append(
-        f'<text x="{_MARGIN_L}" y="{_MARGIN_T + ph + 16}" {font}>{_fmt(x0)}</text>'
-    )
-    out.append(
+    out += [  # min/max ticks, title, axis labels
+        f'<text x="{_MARGIN_L}" y="{_MARGIN_T + ph + 16}" {font}>{_fmt(x0)}</text>',
         f'<text x="{_MARGIN_L + pw}" y="{_MARGIN_T + ph + 16}" text-anchor="end" '
-        f"{font}>{_fmt(x1)}</text>"
-    )
-    out.append(
+        f"{font}>{_fmt(x1)}</text>",
         f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + ph}" text-anchor="end" {font}>'
-        f"{_fmt(y0)}</text>"
-    )
-    out.append(
+        f"{_fmt(y0)}</text>",
         f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + 10}" text-anchor="end" {font}>'
-        f"{_fmt(y1)}</text>"
-    )
-    if title:
-        out.append(
-            f'<text x="{width // 2}" y="18" text-anchor="middle" {font}>{title}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{_MARGIN_L + pw // 2}" y="{height - 8}" text-anchor="middle" '
-            f"{font}>{xlabel}</text>"
-        )
-    if ylabel:
-        out.append(
-            f'<text x="14" y="{_MARGIN_T + ph // 2}" text-anchor="middle" {font} '
-            f'transform="rotate(-90 14 {_MARGIN_T + ph // 2})">{ylabel}</text>'
-        )
+        f"{_fmt(y1)}</text>",
+        f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" {font}>{title}</text>',
+        f'<text x="{_MARGIN_L + pw // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
+        f"{font}>{xlabel}</text>",
+        f'<text x="14" y="{_MARGIN_T + ph // 2}" text-anchor="middle" {font} '
+        f'transform="rotate(-90 14 {_MARGIN_T + ph // 2})">{ylabel}</text>',
+    ]
 
     legend_y = _MARGIN_T + 14
     for s in series:
@@ -118,13 +103,12 @@ def line_plot(
                 f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="3.5" '
                 f'fill="{s.color}"/>'
             )
-        if s.label:
-            lx = _MARGIN_L + pw - 150
-            out.append(
-                f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 26}" y2="{legend_y - 4}" '
-                f'stroke="{s.color}" stroke-width="1.5"{dash}/>'
-            )
-            out.append(f'<text x="{lx + 32}" y="{legend_y}" {font}>{s.label}</text>')
-            legend_y += 16
+        lx = _MARGIN_L + pw - 150
+        out.append(
+            f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 26}" y2="{legend_y - 4}" '
+            f'stroke="{s.color}" stroke-width="1.5"{dash}/>'
+        )
+        out.append(f'<text x="{lx + 32}" y="{legend_y}" {font}>{s.label}</text>')
+        legend_y += 16
     out.append("</svg>")
     return "\n".join(out) + "\n"

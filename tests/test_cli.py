@@ -447,6 +447,16 @@ class TestMalformedInput:
             ("analyze", NL_B, {**PLANT_B, "k": 1e-310},
              "the gain margin 1/|G| is inf at omega = 1.73"),
             ("analyze", NL_B, {**PLANT_B, "k": 1e305}, "the Nyquist contour is not finite"),
+            # the root scan's midpoints stay finite, and Y1 = F(X) X overflows
+            ("analyze", {"x": [1.7e306], "y": [1.7e306], "final_slope": 2},
+             {**PLANT_B, "k": 6.0606},
+             "the first harmonic Y1 = inf or the state ellipse of the cycle at omega = 1.73"),
+            ("analyze", {"x": [1e305], "y": [1e305], "final_slope": 0},
+             {"num": [1], "den": [1, 0.02, 0.0001, 0], "k": 5e-6},
+             "or the state ellipse of the cycle at omega = 0.00999"),
+            # a subnormal breakpoint: the amplitude grid starts at 1e-7 x its end, 0.0
+            ("analyze", {"x": [5e-324], "y": [5e-324], "final_slope": 0}, {**PLANT_B, "k": 30},
+             "the amplitude grid is not positive: it starts at 0.0"),
         ],
     )
     def test_past_the_largest_float(self, runner, tmp_path, command, nl_data, plant_data, message):

@@ -18,7 +18,7 @@ from dfcycle.cycles import (
     find_intersections,
     winding_number,
 )
-from dfcycle.linsys import h_of_jw
+from dfcycle.linsys import h_of_jw, nyquist_contour
 
 from conftest import plant_a, plant_b
 
@@ -115,20 +115,28 @@ class TestIntersections:
         with pytest.raises(IntersectionError, match=r"grid is not finite: it ends at inf$"):
             find_intersections(wide, 2.4)
 
+    def test_grid_that_underflows_to_zero_raises(self):
+        # the default grid starts at 1e-7 times its end, 100 times the breakpoint
+        tiny = PiecewiseNonlinearity(x=(5e-324,), y=(5e-324,), final_slope=0.0)
+        with pytest.raises(
+            IntersectionError, match=r"grid is not positive: it starts at 0\.0$"
+        ):
+            find_intersections(tiny, 0.5)
+
 
 class TestClassification:
     def test_first_case_two_cycles(self, nl_a):
         p = plant_a(2.5)
         w = math.sqrt(2.0)
         roots = find_intersections(nl_a, 0.4)
-        labels = [classify(p, nl_a, X, w) for X in roots]
+        labels = [classify(p, nl_a, X, w, contour=nyquist_contour(p)) for X in roots]
         assert labels == ["unstable", "stable"]
 
     def test_second_case_three_cycles(self, nl_b):
         p = plant_b(15.0)
         w = math.sqrt(3.0)
         roots = find_intersections(nl_b, 0.8)
-        labels = [classify(p, nl_b, X, w) for X in roots]
+        labels = [classify(p, nl_b, X, w, contour=nyquist_contour(p)) for X in roots]
         assert labels == ["stable", "unstable", "stable"]
 
 

@@ -126,7 +126,8 @@ def check_lines(nl):
     assert all(hi == lo for (_, hi, *_), (lo, *_) in zip(table, table[1:]))
     # vertices and midpoints on both sides, signed zeros, beyond the last
     # vertex, and each bound with its neighbouring floats
-    at = sorted({v[0] for v in nl.vertices} | {1.0, 2.0 * nl.max_breakpoint + 50.0})
+    xs, ys, _ = nl.pieces
+    at = sorted({*xs, 1.0, 2.0 * nl.max_breakpoint + 50.0})
     probes = at + [0.5 * (a + b) for a, b in zip(at, at[1:])]
     probes += [-x for x in probes] + [0.0, -0.0]
     for v in nl.line_starts[1:]:
@@ -138,7 +139,7 @@ def check_lines(nl):
         label = table.index(line_of(nl, x))
         assert nl.line_at(x) == table[label]
         _, _, x0, y0, m = table[label]
-        xv, yv = nl.vertices[k]
+        xv, yv = xs[k], ys[k]
         assert (x0, y0, m) == ((-xv, -yv, m_ref) if negative else (xv, yv, m_ref))
         assert y0 + m * (x - x0) == y_ref == nl.evaluate(x)
         holders.setdefault(label, set()).add((k, negative))
@@ -264,7 +265,7 @@ class TestDecompose:
         # the terms must sum back to y(x) away from the jump points
         rng = random.Random(seed)
         nl = random_nonlinearity(rng)
-        jump_xs = {xj for xj, _ in nl.jumps}
+        jump_xs = {xj for xj, relay, _ in nl.terms if relay}
         for _ in range(24):
             x = rng.uniform(-20.0, 20.0)
             if any(abs(abs(x) - xj) < 1e-9 for xj in jump_xs):
