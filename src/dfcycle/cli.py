@@ -2,16 +2,16 @@
 
 Exit codes: 0 success, 2 malformed input (JSON schema, a value that is not a
 number, a string or a boolean where a number or an array is expected, an
-invalid grid, also a default one past the largest float or one of more than
-``MAX_POINTS`` samples, a ``nyquist`` point count outside 1 to
-``MAX_POINTS``, or an omega range that is not positive, increasing and
-finite), a pole of the plant on the imaginary axis (anywhere on it in
-``analyze``, at a sampled frequency in ``nyquist``), a G(j omega) that is
-not finite, or whose denominator overflows, at a sampled frequency
-(``analyze``, ``nyquist``), a describing function F(X) that is not finite
-(``df``, ``analyze``), an F(X) = K that holds on a plateau of amplitudes
-instead of at isolated ones or whose amplitude grid underflows to 0, a
-predicted cycle whose stability its two amplitude probes cannot decide or
+invalid grid, also a default one past the largest float or underflowing at a
+subnormal last breakpoint, or one of more than ``MAX_POINTS`` samples, a
+``nyquist`` point count outside 1 to ``MAX_POINTS``, or an omega range that is
+not positive, increasing and finite), a pole of the plant on the imaginary
+axis (anywhere on it in ``analyze``, at a sampled frequency in ``nyquist``), a
+G(j omega) that is not finite, or whose denominator overflows, at a sampled
+frequency (``analyze``, ``nyquist``), a describing function F(X) that is not
+finite (``df``, ``analyze``), an F(X) = K that holds on a plateau of
+amplitudes instead of at isolated ones or whose amplitude grid underflows to
+0, a predicted cycle whose stability its two amplitude probes cannot decide or
 whose first harmonic Y1 or state ellipse overflows, a plant with direct
 feedthrough under ``--simulate``, or an oracle quadrature that is not finite
 or fails its symmetry check, 3 analysis ran but the plant has no phase
@@ -142,6 +142,8 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
     if not grid:
         ref = _grid_scale(nl_file, nl)
         grid = ref / 100.0, 3.0 * ref
+        if grid[0] == 0:  # a subnormal breakpoint
+            _fail(f"{nl_file}: the default grid underflows at the last breakpoint {ref}")
     xs = _make_grid(nl, *grid)
 
     curves = []
@@ -217,6 +219,8 @@ def cmd_analyze(
 
     ref = _grid_scale(nl_file, nl)
     df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
+    if not np.all(np.diff(df_grid) > 0) or (df_grid[0] == 0 and nl.has_origin_jump):
+        _fail(f"{nl_file}: the default grid underflows at the last breakpoint {ref}")
     df_curve = _curve(nl_file, df_exact, nl, df_grid)
 
     report: dict = {

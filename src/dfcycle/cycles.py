@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descfun import DescribingFunctionCurve, df_value
+from .descfun import _df, df_value
 from .linsys import LinearPlant, h_of_jw, nyquist_contour, phase_crossovers
-from .linsys import _bisect_sign_changes, _brackets, log_grid
+from .linsys import _bisect_sign_changes, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
@@ -92,58 +92,45 @@ def winding_number(contour: np.ndarray, point: complex) -> int:
 
 
 def find_intersections(
-    source: PiecewiseNonlinearity | DescribingFunctionCurve,
+    nl: PiecewiseNonlinearity,
     gain_margin: float,
     *,
     x_max: float | None = None,
 ) -> list[float]:
     """All amplitudes with F(X) = gain_margin, ascending.
 
-    v = F - K is sampled on a grid: with a nonlinearity, a dense log grid up
-    to ``x_max`` (default 100x the last breakpoint); with a sampled curve,
-    its own samples.  As in ``phase_crossovers``, a bracket opens wherever
-    ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a sample with v = 0 is a root.
-    A nonlinearity's brackets are bisected together down to
-    ``|F - K| <= VALUE_TOL``; a curve's are interpolated linearly (amplitude
-    accuracy limited by the sampling; counts are exact wherever the grid
-    resolves the curve's rises and falls).  Raises ``ValueError`` unless
-    0 < K < inf, and ``IntersectionError`` when the grid is not finite or
-    positive, F on it is not finite, or v = 0 at two consecutive samples.
+    v = F - K is sampled on a dense log grid up to ``x_max`` (default 100x
+    the last breakpoint), built and checked here, so the scan and its
+    bisection run the unchecked ``descfun._df``.  As in ``phase_crossovers``,
+    a bracket opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a
+    sample with v = 0 is a root; the brackets are bisected together down to
+    ``|F - K| <= VALUE_TOL``.  Raises ``ValueError`` unless 0 < K < inf, and
+    ``IntersectionError`` when the grid is not finite or positive, F on it
+    is not finite, or v = 0 at two consecutive samples.
     """
     if not 0 < gain_margin < math.inf:
         raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
-
-    if isinstance(source, DescribingFunctionCurve):
-        X, F = source.X, source.F - gain_margin
-        i = _brackets(F)
-        roots = X[i] - F[i] * (X[i + 1] - X[i]) / (F[i + 1] - F[i])
-    else:
-        nl = source
-        if x_max is None:
-            ref = nl.max_breakpoint
-            x_max = 100.0 * ref if ref > 0 else 100.0
-        if not math.isfinite(x_max):
-            raise IntersectionError(
-                f"the amplitude grid is not finite: it ends at {x_max}"
-            )
-        lo = x_max * 1e-7
-        if not lo > 0:
-            raise IntersectionError(
-                f"the amplitude grid is not positive: it starts at {lo}"
-            )
-        X = log_grid(lo, x_max, N_GRID)
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = df_value(nl, X) - gain_margin
-        overflow = ~np.isfinite(F)
-        if overflow.any():
-            raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
-        roots, _ = _bisect_sign_changes(
-            lambda x: df_value(nl, x) - gain_margin,
-            X,
-            F,
-            lambda v: v,
-            lambda v: np.abs(v) <= VALUE_TOL,
-        )
+    if x_max is None:
+        ref = nl.max_breakpoint
+        x_max = 100.0 * ref if ref > 0 else 100.0
+    if not math.isfinite(x_max):
+        raise IntersectionError(f"the amplitude grid is not finite: it ends at {x_max}")
+    lo = x_max * 1e-7
+    if not lo > 0:
+        raise IntersectionError(f"the amplitude grid is not positive: it starts at {lo}")
+    X = log_grid(lo, x_max, N_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _df(nl, X) - gain_margin
+    overflow = ~np.isfinite(F)
+    if overflow.any():
+        raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
+    roots, _ = _bisect_sign_changes(
+        lambda x: _df(nl, x) - gain_margin,
+        X,
+        F,
+        lambda v: v,
+        lambda v: np.abs(v) <= VALUE_TOL,
+    )
 
     zero = F == 0.0
     if (zero[:-1] & zero[1:]).any():

@@ -2,9 +2,10 @@
 
 Closed forms are built from two primitives: the dead-zone factor ``_phi`` and
 the relay factor ``_psi``.  The full curve is the superposition of one term per
-slope change and per jump of the nonlinearity.  ``df_value`` is the one
-checked entry: it rejects negative, NaN and descending amplitudes once, and
-runs the unchecked factors only on the tails at or above their thresholds.
+slope change and per jump of the nonlinearity.  Each public entry checks its
+input once, then runs an unchecked kernel: ``df_value`` its amplitudes before
+``_df``, and the curve samplers their grid in ``_sample``, the one builder of
+a ``DescribingFunctionCurve``.
 
 ``df_oracle`` recomputes the same value by quadrature of the first Fourier
 harmonic and serves as an independent cross-check of the closed forms: it
@@ -36,23 +37,6 @@ class DescribingFunctionCurve:
     F: np.ndarray
     provenance: str  # "exact" | "qualitative" | "oracle"
 
-    def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        F = np.asarray(self.F, dtype=float)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "F", F)
-        if X.ndim != 1 or X.shape != F.shape:
-            raise ValueError("X and F must be 1-D arrays of equal length")
-        if len(X) > 1 and not np.all(np.diff(X) > 0):
-            raise ValueError("X must be strictly increasing")
-        if not np.all(X >= 0):  # NaN fails too
-            raise ValueError("amplitudes must be >= 0")
-        overflow = ~np.isfinite(F) & (X > 0)
-        if overflow.any():
-            raise ValueError(f"F is not finite at X = {X[overflow][0]}")
-        if self.provenance not in ("exact", "qualitative", "oracle"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
 
 def _phi(X, X1: float):
     """Dead-zone factor ``1 - (2/pi) (arcsin u + u sqrt(1 - u^2))``, u = X1/X.
@@ -74,18 +58,36 @@ def _psi(X1: float, X):
     return (4.0 / (math.pi * X)) * np.sqrt(1.0 - u * u)
 
 
+def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
+    """F on an ascending 1-D array of amplitudes >= 0, unchecked.
+
+    Each term of ``nl.terms`` adds its factor only on the tail at or above its
+    threshold.
+    """
+    pos = X > 0
+    F = np.full_like(X, nl.initial_slope)
+    Xp = X[pos]
+    acc = np.zeros_like(Xp)
+    for x1, relay, magnitude in nl.terms:
+        k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, the factors' domain
+        if k == len(Xp):
+            break  # the thresholds ascend, so no later term reaches Xp either
+        tail = Xp[k:]
+        acc[k:] += magnitude * (_psi(x1, tail) if relay else _phi(tail, x1))
+    F[pos] += acc
+    return F
+
+
 def df_value(nl: PiecewiseNonlinearity, X):
     """Exact describing function F(X) by superposition of the terms of ``nl``.
 
-    Accepts a scalar or an ascending (nondecreasing) array of amplitudes >= 0;
-    ``ValueError`` rejects a negative or NaN amplitude and names the first
-    descent of any other array.  Each term of ``nl.terms`` adds its factor
-    (``_phi`` or ``_psi``, unchecked) on the tail of the array at or above its
-    threshold, and nothing below it, where the factor is 0.  X = 0 is only
-    valid when the nonlinearity has no jump at the origin (there F(0) = m0).
+    Accepts a scalar or an ascending (nondecreasing) array of amplitudes >= 0,
+    checked once before the unchecked kernel ``_df``: ``ValueError`` rejects
+    a negative or NaN amplitude and names the first descent of any other
+    array.  X = 0 is only valid when the nonlinearity has no jump at the
+    origin (there F(0) = m0).
     """
     X = np.asarray(X, dtype=float)
-    scalar = X.ndim == 0
     Xa = np.atleast_1d(X)
     if not np.all(Xa >= 0):  # NaN fails too
         raise ValueError("amplitudes must be >= 0")
@@ -97,37 +99,34 @@ def df_value(nl: PiecewiseNonlinearity, X):
         raise ValueError(
             f"amplitudes must be nondecreasing: X = {Xa[i + 1]} follows {Xa[i]}"
         )
-    pos = Xa > 0
-    F = np.full_like(Xa, nl.initial_slope)
-    Xp = Xa[pos]
-    acc = np.zeros_like(Xp)
-    for x1, relay, magnitude in nl.terms:
-        k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, the factors' domain
-        if k == len(Xp):
-            break  # the thresholds ascend, so no later term reaches Xp either
-        tail = Xp[k:]
-        acc[k:] += magnitude * (_psi(x1, tail) if relay else _phi(tail, x1))
-    F[pos] += acc
-    return float(F[0]) if scalar else F
+    F = _df(nl, Xa)
+    return float(F[0]) if X.ndim == 0 else F
 
 
-def _validate_grid(nl: PiecewiseNonlinearity, grid) -> np.ndarray:
+def _sample(nl: PiecewiseNonlinearity, grid, kernel, provenance: str):
+    """The curve of the unchecked ``kernel(nl, grid)``, with ``grid`` checked once.
+
+    ``ValueError`` also refuses an F that is not finite where X > 0.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid must be a non-empty 1-D array")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     if not grid[0] >= 0:  # NaN fails too; a longer grid fails the diff test
         raise ValueError("grid amplitudes must be >= 0")
     if grid[0] == 0 and nl.has_origin_jump:
         raise ValueError("grid must exclude 0 when the nonlinearity jumps at the origin")
-    return grid
+    F = kernel(nl, grid)
+    overflow = ~np.isfinite(F) & (grid > 0)
+    if overflow.any():
+        raise ValueError(f"F is not finite at X = {grid[overflow][0]}")
+    return DescribingFunctionCurve(grid, F, provenance)
 
 
 def df_exact(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
-    """Sample the exact describing function on a strictly increasing grid."""
-    grid = _validate_grid(nl, grid)
-    return DescribingFunctionCurve(grid, df_value(nl, grid), "exact")
+    """Sample the exact describing function (``_df``) on a grid checked once."""
+    return _sample(nl, grid, _df, "exact")
 
 
 # -- quadrature oracle ----------------------------------------------------
@@ -215,9 +214,6 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
 
 
 def df_oracle_curve(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
-    """Quadrature oracle sampled over a grid (for cross-checks and CLI use)."""
-    grid = _validate_grid(nl, grid)
-    if np.any(grid == 0):
-        raise ValueError("the quadrature oracle requires strictly positive amplitudes")
-    F = np.array([df_oracle(nl, x) for x in grid])
-    return DescribingFunctionCurve(grid, F, "oracle")
+    """Quadrature oracle on a grid checked once; ``df_oracle`` refuses X = 0."""
+    return _sample(nl, grid, lambda nl, X: np.array([df_oracle(nl, x) for x in X]),
+                   "oracle")

@@ -5,7 +5,7 @@ starts where the previous one ended and relaxes toward the local slope via
 the ramp factor ``1 - Xj/X``, with the relay factor ``descfun._psi`` added at
 jump abscissae.  It is a shape-faithful stand-in for the exact curve: same
 plateau, same tail, same rise/fall pattern, at a fraction of the algebra.
-``df_qualitative`` is the one checked entry.
+``df_qualitative`` checks its grid once and runs the unchecked ``_qualitative``.
 """
 
 from __future__ import annotations
@@ -14,22 +14,20 @@ import math
 
 import numpy as np
 
-from .descfun import DescribingFunctionCurve, _psi, _validate_grid
+from .descfun import DescribingFunctionCurve, _psi, _sample
 from .piecewise import PiecewiseNonlinearity
 
 
-def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
-    """Sample the qualitative describing function on a strictly increasing grid.
+def _qualitative(nl: PiecewiseNonlinearity, grid: np.ndarray) -> np.ndarray:
+    """F~ on an ascending 1-D array of amplitudes >= 0, unchecked.
 
     Piecewise construction: F~ = m0 up to the first breakpoint; on each
     half-open range (Xj, X_{j+1}] the curve is
     ``F_{j0} + (mj - F_{j0}) * (1 - Xj/X) [+ Yj * _psi(Xj, X)]``, with mj the
     slope after Xj and Yj the jump there.  F_{j0} is the previous segment's
-    value at Xj, so one walk over the breakpoints chains the segments.  This
-    is the one checked entry: the grid is validated once, and the unchecked
+    value at Xj, so one walk over the breakpoints chains the segments, and
     ``_psi`` only ever sees amplitudes above its breakpoint.
     """
-    grid = _validate_grid(nl, grid)
     F = np.full_like(grid, nl.initial_slope)
     jump_at = {xj: yj for xj, relay, yj in nl.terms if relay}
     bps = nl.breakpoints
@@ -42,4 +40,9 @@ def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
         if yj != 0.0:  # adding 0 * _psi would turn a -0.0 into +0.0
             vals = vals + yj * _psi(xj, X)
         F[i:k], f0 = vals[:-1], vals[-1]
-    return DescribingFunctionCurve(grid, F, "qualitative")
+    return F
+
+
+def df_qualitative(nl: PiecewiseNonlinearity, grid) -> DescribingFunctionCurve:
+    """Sample the qualitative describing function on a grid checked once."""
+    return _sample(nl, grid, _qualitative, "qualitative")

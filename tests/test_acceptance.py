@@ -216,10 +216,16 @@ def test_criterion_8_qualitative_fidelity():
             de = np.diff(df_exact(nl, span).F)[0]
             if abs(de) > 1e-9:
                 ok &= np.sign(dq) == np.sign(de)
-        # qualitative curve reproduces the intersection counts
+        # qualitative curve reproduces the intersection counts: the sign
+        # changes of F~ - K between samples plus its exact zeros, where two
+        # consecutive zeros (a plateau at K) fail the criterion
         grid = np.linspace(1e-3, 150.0, 60_000)
-        qcurve = df_qualitative(nl, grid)
-        counts = [len(find_intersections(qcurve, km)) for km in kms]
+        qF = df_qualitative(nl, grid).F
+        counts = []
+        for km in kms:
+            s = np.sign(qF - km)
+            ok &= not np.any((s[:-1] == 0) & (s[1:] == 0))
+            counts.append(int(np.sum(s[:-1] * s[1:] < 0) + np.sum(s == 0)))
         ok &= counts == expected
         details.append(f"tail err {tail_err:.4f}, counts {counts}")
     report(8, ok, f"qualitative curve fidelity ({'; '.join(details)})")

@@ -468,6 +468,34 @@ class TestMalformedInput:
         assert message in res.stderr
 
     @pytest.mark.parametrize(
+        "command, nl_data",
+        [
+            ("df", {"x": [5e-324], "y": [5e-324], "final_slope": 0}),
+            ("analyze", {"x": [5e-324], "y": [5e-324], "final_slope": 0}),
+            ("analyze", {"x": [1e-320], "y": [1e-320], "final_slope": 0}),
+            # the report's grid starts at 0, where y jumps
+            ("analyze", {"x": [0, 0, 4.5e-322], "y": [0, 1e-322, 2e-322]}),
+        ],
+    )
+    def test_default_grid_that_underflows(self, runner, tmp_path, command, nl_data):
+        # the plant has no crossover, so only the default grid is built
+        nl = write(tmp_path, "nl.json", nl_data)
+        plant = write(tmp_path, "plant.json", {"num": [1], "den": [1, 1]})
+        res = runner.invoke(main, [command, nl] if command == "df" else [command, nl, plant])
+        assert_one_line_exit_2(res)
+        last = nl_data["x"][-1]
+        assert res.stderr == (
+            f"error: {nl}: the default grid underflows at the last breakpoint {last}\n"
+        )
+
+    @pytest.mark.parametrize("last", [1e-321, 1e-310])
+    def test_default_grid_at_a_subnormal_breakpoint(self, runner, tmp_path, last):
+        nl = write(tmp_path, "nl.json", {"x": [last], "y": [last], "final_slope": 0})
+        plant = write(tmp_path, "plant.json", {"num": [1], "den": [1, 1]})
+        assert runner.invoke(main, ["df", nl]).exit_code == 0
+        assert runner.invoke(main, ["analyze", nl, plant]).exit_code == 3
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["df", "nl", "--grid", "1e-300", "1"], f"gives more than {MAX_POINTS} points"),

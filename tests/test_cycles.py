@@ -8,8 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dfcycle import DescribingFunctionCurve, LinearPlant, PiecewiseNonlinearity
-from dfcycle import df_exact, df_value
+from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value
 from dfcycle.cycles import (
     IntersectionError,
     analyze,
@@ -70,23 +69,9 @@ class TestIntersections:
         for X in find_intersections(nl_b, 0.8):
             assert df_value(nl_b, X) == pytest.approx(0.8, abs=1e-8)
 
-    def test_curve_input_matches_source(self, nl_a):
-        grid = np.linspace(0.01, 100.0, 20_000)
-        from_curve = find_intersections(df_exact(nl_a, grid), 0.4)
-        direct = find_intersections(nl_a, 0.4)
-        assert len(from_curve) == len(direct)
-        for a, b in zip(from_curve, direct):
-            assert a == pytest.approx(b, rel=1e-3)
-
     def test_sorted_ascending(self, nl_b):
         roots = find_intersections(nl_b, 0.8)
         assert roots == sorted(roots)
-
-    def test_exact_sample_root_counted_once(self):
-        curve = DescribingFunctionCurve(
-            np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.5]), "exact"
-        )
-        assert find_intersections(curve, 1.0) == [2.0]
 
     def test_plateau_at_the_gain_margin_raises(self):
         # unit saturation: F = 1 exactly on every amplitude below X = 1
@@ -95,8 +80,6 @@ class TestIntersections:
             IntersectionError, match=r"K = 1\.0 on a plateau: .* X = \[9\.99+e-06, 1\.0\]$"
         ):
             find_intersections(sat, 1.0)
-        with pytest.raises(IntersectionError, match="plateau"):
-            find_intersections(df_exact(sat, np.linspace(0.1, 3.0, 30)), 1.0)
         assert len(find_intersections(sat, 0.5)) == 1
 
     def test_overflowing_describing_function_raises(self):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import DescribingFunctionCurve, PiecewiseNonlinearity
+from dfcycle import PiecewiseNonlinearity
 from dfcycle import descfun, df_exact, df_qualitative, df_value
-from dfcycle.descfun import _phi, _psi, df_oracle
+from dfcycle.descfun import _phi, _psi, df_oracle, df_oracle_curve
 
 from conftest import random_nonlinearity
 
@@ -181,6 +181,8 @@ class TestOracle:
         for X in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 df_oracle(nl_a, X)
+        with pytest.raises(ValueError, match="^amplitude must be positive$"):
+            df_oracle_curve(nl_a, [0.0, 1.0])
 
     def test_split_rounding_past_a_jump(self):
         # df_curves benchmark input (seed 1, round 120): a split of the
@@ -257,10 +259,28 @@ class TestCurveContainer:
                     make(nl_a, np.array(grid))
             with pytest.raises(ValueError):
                 df_value(nl_a, grid)
-            with pytest.raises(ValueError):
-                DescribingFunctionCurve(grid, np.ones(len(grid)), "exact")
         with pytest.raises(ValueError):
             df_value(nl_a, math.nan)
+
+    @pytest.mark.parametrize("make", [df_exact, df_qualitative, df_oracle_curve])
+    def test_each_producer_checks_its_grid(self, make, nl_a):
+        relay = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1.0), final_slope=0.0)
+        tall = PiecewiseNonlinearity(x=(1e-300, 1e-300), y=(0.0, 1e300))
+        cases = [
+            (nl_a, [[1.0, 2.0]], "grid must be a non-empty 1-D array"),
+            (nl_a, [], "grid must be a non-empty 1-D array"),
+            (nl_a, [2.0, 1.0], "grid must be strictly increasing"),
+            (nl_a, [1.0, 1.0, 2.0], "grid must be strictly increasing"),
+            (nl_a, [-1.0, 1.0], "grid amplitudes must be >= 0"),
+            (nl_a, [math.nan], "grid amplitudes must be >= 0"),
+            (relay, [0.0, 1.0], "grid must exclude 0 when the nonlinearity jumps at the origin"),
+            # F overflows above the jump: the df command's default grid, without 0
+            (tall, 1e-302 * np.arange(1, 301), "F is not finite at X = 1.01e-300"),
+        ]
+        for nl, grid, message in cases:
+            with pytest.raises(ValueError) as err, np.errstate(over="ignore", invalid="ignore"):
+                make(nl, np.array(grid))
+            assert str(err.value) == message
 
 
 @given(st.integers(0, 10_000))

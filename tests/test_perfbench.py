@@ -1,0 +1,45 @@
+"""The benchmark's own calls, run against this checkout.
+
+``perfbench/workloads.py`` is imported as ``perfbench/run.py`` imports it,
+but without ``bootstrap``, which pins BLAS threads for a timed run.  Each
+workload sets up seed 1 and runs the first ops of its first round untraced
+and traced, so a change that drops a name or a keyword the benchmark calls
+fails here rather than in a benchmark run.  Nothing is written to disk.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+OPS = 3
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH_DIR))
+    no_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+        from spans import Tracer
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+        sys.dont_write_bytecode = no_bytecode
+    return workloads, Tracer
+
+
+@pytest.mark.parametrize("name", ["gain_sweep", "verify", "df_curves"])
+def test_first_ops_of_seed_1(bench, name):
+    workloads, Tracer = bench
+    wl, rounds, warm, result = workloads.set_up(name, 1)
+    assert wl.check(warm, result) == []
+    tracer = Tracer()
+    for op in next(rounds)[:OPS]:
+        plain = wl.run(op)
+        traced, _ = wl.traced(op, tracer)
+        assert wl.check(op, plain) == []
+        assert wl.check(op, traced) == []
+        assert wl.same(traced, plain)
