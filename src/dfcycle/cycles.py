@@ -16,13 +16,14 @@ import numpy as np
 
 from .descfun import _df, df_value
 from .linsys import LinearPlant, h_of_jw, nyquist_contour, phase_crossovers
-from .linsys import _bisect_sign_changes, log_grid
+from .linsys import _refine_sign_changes, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 
-# Log-grid points of the F(X) = K scan and the |F - K| that ends a bisection.
+# Log-grid points of the F(X) = K scan and the |F - K| that ends the
+# refinement of a root.
 N_GRID = 4096
 VALUE_TOL = 1e-10
 # Relative offset of the two stability probes from the cycle amplitude.
@@ -101,12 +102,13 @@ def find_intersections(
 
     v = F - K is sampled on a dense log grid up to ``x_max`` (default 100x
     the last breakpoint), built and checked here, so the scan and its
-    bisection run the unchecked ``descfun._df``.  As in ``phase_crossovers``,
+    refinement run the unchecked ``descfun._df``.  As in ``phase_crossovers``,
     a bracket opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a
-    sample with v = 0 is a root; the brackets are bisected together down to
-    ``|F - K| <= VALUE_TOL``.  Raises ``ValueError`` unless 0 < K < inf, and
-    ``IntersectionError`` when the grid is not finite or positive, F on it
-    is not finite, or v = 0 at two consecutive samples.
+    sample with v = 0 is a root; the brackets are refined together by
+    ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``.  Raises
+    ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when the
+    grid is not finite or positive, F on it is not finite, or v = 0 at two
+    consecutive samples.
     """
     if not 0 < gain_margin < math.inf:
         raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
@@ -124,7 +126,7 @@ def find_intersections(
     overflow = ~np.isfinite(F)
     if overflow.any():
         raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
-    roots, _ = _bisect_sign_changes(
+    roots, _ = _refine_sign_changes(
         lambda x: _df(nl, x) - gain_margin,
         X,
         F,

@@ -16,8 +16,8 @@ import numpy as np
 
 # Frequency interval of the crossover scan and of the Nyquist contour.
 OMEGA_RANGE = (1e-3, 1e3)
-# Log-grid points of the crossover scan, and bisection steps per bracket of
-# both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
+# Log-grid points of the crossover scan, and the cap on refinement steps per
+# bracket of both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
 N_SCAN = 4000
 MAX_ITER = 200
 # Log-grid points of the positive-frequency branch of the Nyquist contour.
@@ -196,29 +196,47 @@ def _brackets(v: np.ndarray) -> np.ndarray:
     return np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
 
 
-def _bisect_sign_changes(f, grid, vals, sign, done):
-    """Bisect every bracket of ``sign(vals)``, ``vals = f(grid)``, at once.
+def _refine_sign_changes(f, grid, vals, sign, done):
+    """Refine every bracket of ``sign(vals)``, ``vals = f(grid)``, at once.
 
-    ``f`` takes the array of all live midpoints.  A bracket freezes at the
-    first midpoint whose value meets ``done``, or after ``MAX_ITER``
-    halvings.  Returns the final midpoints and their values, in grid order.
+    Each step is the Illinois variant of false position (Dowell & Jarratt,
+    *BIT* 11, 1971): the secant point through the ends' stored values, where
+    the stored value of an end kept on two steps in a row is halved.  Where
+    that point is not strictly inside the bracket (a 0 value at an end, an
+    overflow, a NaN), the step is the midpoint.  The side kept comes from
+    the unscaled value ``sa``, since halving can underflow to 0.  ``f``
+    takes the array of all live trial points.  A bracket freezes at the
+    first point whose value meets ``done``, or after ``MAX_ITER`` steps.
+    Returns the last trial points and their values, in grid order.
     """
     v = sign(vals)
     i = _brackets(v)
-    a, b, sa = grid[i], grid[i + 1], v[i]
+    a, b, sa = grid[i], grid[i + 1], v[i]  # a < b throughout
+    fa, fb = sa, v[i + 1]
+    kept = np.zeros(len(i))  # +1: a was kept on the last step, -1: b was
     x, fx = grid[i], vals[i]
     live = np.arange(len(i))
     for _ in range(MAX_ITER):
         if not live.size:
             break
         mid = 0.5 * a + 0.5 * b  # a + b can overflow
-        fm = f(mid)
-        x[live], fx[live] = mid, fm
-        sm = sign(fm)
-        left = (sm > 0) == (sa > 0)
-        a, sa, b = np.where(left, mid, a), np.where(left, sm, sa), np.where(left, b, mid)
-        go = ~done(fm)
-        live, a, b, sa = live[go], a[go], b[go], sa[go]
+        with np.errstate(all="ignore"):
+            t = b - fb * (b - a) / (fb - fa)
+        t = np.where((a < t) & (t < b), t, mid)  # False for inf and NaN
+        ft = f(t)
+        x[live], fx[live] = t, ft
+        st = sign(ft)
+        left = (st > 0) == (sa > 0)  # t replaces a, b is kept
+        now = np.where(left, -1.0, 1.0)
+        again = now == kept
+        fa = np.where(left, st, np.where(again, 0.5 * fa, fa))
+        fb = np.where(left, np.where(again, 0.5 * fb, fb), st)
+        a, b = np.where(left, t, a), np.where(left, b, t)
+        sa, kept = np.where(left, st, sa), now
+        go = ~done(ft)
+        live, a, b, sa, fa, fb, kept = (
+            live[go], a[go], b[go], sa[go], fa[go], fb[go], kept[go]
+        )
     return x, fx
 
 
@@ -230,17 +248,18 @@ def phase_crossovers(
 
     Im G is sampled on a log grid, and a bracket opens wherever
     ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
-    bisected together until ``|Im G| <= 1e-12 * |G|``; crossings with
-    Re G >= 0 are discarded.  Raises ``PoleOnAxisError`` naming the
-    first scanned or bisected omega at which G overflows, or the first
-    crossing whose gain margin 1/|G| overflows or underflows to 0.
+    refined together by ``_refine_sign_changes`` until
+    ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
+    Raises ``PoleOnAxisError`` naming the first scanned or refined omega
+    at which G overflows, or the first crossing whose gain margin 1/|G|
+    overflows or underflows to 0.
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = log_grid(lo, hi, N_SCAN)
     with np.errstate(over="ignore", invalid="ignore"):
-        mids, g = _bisect_sign_changes(
+        omegas, g = _refine_sign_changes(
             lambda w: plant.transfer(1j * w),
             ws,
             freq_response(plant, ws),
@@ -250,20 +269,20 @@ def phase_crossovers(
     overflow = ~np.isfinite(g)
     if overflow.any():
         raise PoleOnAxisError(
-            f"G(j omega) is not finite at omega = {mids[overflow][0]}"
+            f"G(j omega) is not finite at omega = {omegas[overflow][0]}"
         )
     neg = g.real < 0
-    mids = mids[neg]
+    omegas = omegas[neg]
     with np.errstate(over="ignore", divide="ignore"):
         margins = 1.0 / np.abs(g[neg])
     bad = ~(np.isfinite(margins) & (margins > 0.0))
     if bad.any():
         raise PoleOnAxisError(
-            f"the gain margin 1/|G| is {margins[bad][0]} at omega = {mids[bad][0]}"
+            f"the gain margin 1/|G| is {margins[bad][0]} at omega = {omegas[bad][0]}"
         )
     # collapse brackets that refined to the same crossing
     dedup: list[tuple[float, float]] = []
-    for w, km in zip(mids.tolist(), margins.tolist()):
+    for w, km in zip(omegas.tolist(), margins.tolist()):
         if not dedup or abs(w - dedup[-1][0]) > 1e-9 * w:
             dedup.append((w, km))
     return dedup

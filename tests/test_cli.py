@@ -327,7 +327,9 @@ class TestNyquist:
         res = runner.invoke(
             main, ["nyquist", plant, "--points", "16", "--mark-neg-axis"]
         )
-        assert "gain_margin=0.39999" in res.output
+        [line] = [l for l in res.output.splitlines() if l.startswith("# crossover")]
+        margin = float(line.split("gain_margin=")[1])
+        assert margin == pytest.approx(0.4, rel=1e-9)
 
     def test_gain_scales_linearly(self, runner, tmp_path):
         rows = {}
@@ -447,13 +449,13 @@ class TestMalformedInput:
             ("analyze", NL_B, {**PLANT_B, "k": 1e-310},
              "the gain margin 1/|G| is inf at omega = 1.73"),
             ("analyze", NL_B, {**PLANT_B, "k": 1e305}, "the Nyquist contour is not finite"),
-            # the root scan's midpoints stay finite, and Y1 = F(X) X overflows
+            # the root scan's trial points stay finite, and Y1 = F(X) X overflows
             ("analyze", {"x": [1.7e306], "y": [1.7e306], "final_slope": 2},
              {**PLANT_B, "k": 6.0606},
              "the first harmonic Y1 = inf or the state ellipse of the cycle at omega = 1.73"),
             ("analyze", {"x": [1e305], "y": [1e305], "final_slope": 0},
              {"num": [1], "den": [1, 0.02, 0.0001, 0], "k": 5e-6},
-             "or the state ellipse of the cycle at omega = 0.00999"),
+             "or the state ellipse of the cycle at omega = "),
             # a subnormal breakpoint: the amplitude grid starts at 1e-7 x its end, 0.0
             ("analyze", {"x": [5e-324], "y": [5e-324], "final_slope": 0}, {**PLANT_B, "k": 30},
              "the amplitude grid is not positive: it starts at 0.0"),
@@ -466,6 +468,10 @@ class TestMalformedInput:
         res = runner.invoke(main, args)
         assert_one_line_exit_2(res)
         assert message in res.stderr
+        if message.endswith("omega = "):
+            # the crossover of s (s + 0.01)^2 is at exactly omega = 0.01
+            omega = float(res.stderr.split(message)[1].split(",")[0])
+            assert omega == pytest.approx(0.01, rel=1e-9)
 
     @pytest.mark.parametrize(
         "command, nl_data",

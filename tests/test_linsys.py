@@ -16,6 +16,7 @@ from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
     N_CONTOUR,
     PoleOnAxisError,
+    _refine_sign_changes,
     h_of_jw,
     log_grid,
     nyquist_contour,
@@ -175,6 +176,27 @@ class TestCrossovers:
         [(w, km)] = phase_crossovers(plant_b(1e-200))
         assert w == pytest.approx(math.sqrt(3.0), abs=1e-6)
         assert km == pytest.approx(1.2e201, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "plant, omega", [(plant_a(1e-307), math.sqrt(2.0)), (plant_b(3e-306), math.sqrt(3.0))]
+    )
+    def test_subnormal_response_keeps_the_bracket_side(self, plant, omega):
+        # Im G is subnormal near the crossing, where halving a stored end
+        # value for the secant step underflows it to 0: the side kept must
+        # still come from the value's sign
+        [(w, _)] = phase_crossovers(plant)
+        assert w == pytest.approx(omega, rel=1e-9)
+
+    def test_halved_end_value_that_underflows_keeps_the_bracket(self):
+        # the left end's value is the least subnormal: each secant point
+        # falls on that end, so every step is the midpoint, and keeping the
+        # end twice halves its stored value to 0
+        def f(x):
+            return np.where(x < 0.3, 5e-324, -1.0)
+
+        grid = np.array([0.0, 1.0])
+        [x], _ = _refine_sign_changes(f, grid, f(grid), lambda v: v, lambda v: v == 0.0)
+        assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
         with pytest.raises(PoleOnAxisError, match=r"1/\|G\| is inf at omega = 1\.73"):

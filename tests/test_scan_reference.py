@@ -1,27 +1,43 @@
-"""The array scan-and-bisect against plain scalar loops.
+"""The array root scans against plain scalar bisection loops.
 
-``phase_crossovers`` and ``find_intersections`` bisect all of their brackets
+``phase_crossovers`` and ``find_intersections`` refine all of their brackets
 together as arrays.  The references below walk the same grids one interval
-at a time and bisect one bracket at a time with scalar calls; since both do
-the same arithmetic in the same order, the results must be equal exactly.
+at a time and bisect one bracket at a time with scalar calls.  The two
+searches step differently, so their roots differ by rounding; the checks
+are the searches' own stopping rules instead.  The counts of crossovers and
+of roots must be equal; each crossover must meet ``|Im G| <= 1e-12 |G|``
+with Re G < 0 and carry the gain margin ``1/|G|`` exactly; each amplitude
+must meet ``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each
+root must lie in the same closed grid interval as its reference root.  The
+scans must also stop within ``MAX_CALLS`` array calls each.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant
+from dfcycle import LinearPlant, cycles, linsys
 from dfcycle.cycles import N_GRID, VALUE_TOL, find_intersections
 from dfcycle.descfun import df_value
-from dfcycle.linsys import MAX_ITER, N_SCAN, OMEGA_RANGE, phase_crossovers
+from dfcycle.linsys import (
+    MAX_ITER,
+    N_SCAN,
+    OMEGA_RANGE,
+    _refine_sign_changes,
+    phase_crossovers,
+)
 
 from conftest import plant_a, plant_b, random_nonlinearity
+
+# Array calls of ``f`` that one scan may make; halving took up to about 30.
+MAX_CALLS = 8
 
 
 def reference_crossovers(plant):
@@ -88,11 +104,65 @@ def reference_intersections(nl, gain_margin):
     return dedup
 
 
+def assert_same_interval(grid, roots, reference):
+    """Each root and its reference share a closed interval [grid[i], grid[i+1]]."""
+    for r, ref in zip(roots, reference):
+        assert _intervals(grid, r) & _intervals(grid, ref), (r, ref)
+
+
+def _intervals(grid, r):
+    lo = int(np.searchsorted(grid, r, side="left")) - 1
+    hi = int(np.searchsorted(grid, r, side="right")) - 1
+    return set(range(max(lo, 0), min(hi, len(grid) - 2) + 1))
+
+
+@contextmanager
+def counting_scans():
+    """Patch the shared root scan so that it records its array calls a scan."""
+    calls = []
+
+    def counted(f, *args):
+        calls.append(0)
+
+        def f_counted(x):
+            calls[-1] += 1
+            return f(x)
+
+        return _refine_sign_changes(f_counted, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsys, "_refine_sign_changes", counted)
+        mp.setattr(cycles, "_refine_sign_changes", counted)
+        yield calls
+
+
 def assert_matches_reference(plant, nl):
-    crossings = phase_crossovers(plant)
-    assert crossings == reference_crossovers(plant)
-    for _, km in crossings:
-        assert find_intersections(nl, km) == reference_intersections(nl, km)
+    with counting_scans() as calls:
+        crossings = phase_crossovers(plant)
+        roots = [find_intersections(nl, km) for _, km in crossings]
+    assert max(calls) <= MAX_CALLS, calls
+
+    reference = reference_crossovers(plant)
+    assert len(crossings) == len(reference)
+    omega_grid = np.logspace(
+        math.log10(OMEGA_RANGE[0]), math.log10(OMEGA_RANGE[1]), N_SCAN
+    )
+    assert_same_interval(omega_grid, [w for w, _ in crossings], [w for w, _ in reference])
+    for (w, km), xs in zip(crossings, roots):
+        g = plant.transfer(1j * w)
+        assert abs(g.imag) <= 1e-12 * abs(g) and g.real < 0
+        assert km == 1.0 / abs(g)
+
+        x_ref = reference_intersections(nl, km)
+        assert len(xs) == len(x_ref)
+        ref = nl.max_breakpoint
+        x_max = 100.0 * ref if ref > 0 else 100.0
+        x_grid = np.logspace(math.log10(x_max * 1e-7), math.log10(x_max), N_GRID)
+        assert_same_interval(x_grid, xs, x_ref)
+        grid_zeros = x_grid[df_value(nl, x_grid) == km]
+        for x in xs:
+            v = df_value(nl, x) - km
+            assert abs(v) <= VALUE_TOL or x in grid_zeros, (x, v)
     return crossings
 
 
