@@ -38,7 +38,6 @@ from .cycles import (
     classify,
     ellipse_estimate,
     find_intersections,
-    winding_number,
 )
 from .sim import (
     AlgebraicLoopError,
@@ -78,5 +77,4 @@ __all__ = [
     "nyquist_contour",
     "phase_crossovers",
     "simulate",
-    "winding_number",
 ]

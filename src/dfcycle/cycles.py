@@ -3,8 +3,10 @@
 Each negative-real-axis crossing of G contributes a gain margin K; amplitudes
 solving F(X) = K are candidate limit cycles.  Stability is decided by probing
 whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
-contour while -1/F just below stays enclosed.  The steady-state orbit in
-state space is estimated as an ellipse spanned by two basis vectors.
+contour while -1/F just below stays enclosed.  Both probes lie on the negative
+real axis, so each enclosure is a sum over the contour's signed crossings of
+that axis (``linsys.nyquist_contour``).  The steady-state orbit in state space
+is estimated as an ellipse spanned by two basis vectors.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descfun import _df, df_value
-from .linsys import LinearPlant, h_of_jw, nyquist_contour, phase_crossovers
-from .linsys import _refine_sign_changes, log_grid
+from .linsys import LinearPlant, _contour, _refine_sign_changes, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
@@ -26,6 +27,9 @@ UNSTABLE = "unstable"
 # refinement of a root.
 N_GRID = 4096
 VALUE_TOL = 1e-10
+# Relative offsets of the run of points above a jump: 4^-k, from a quarter
+# of the log grid's step (0.39 %) down to 2e-13.
+RUN = 4.0 ** -np.arange(5, 22)
 # Relative offset of the two stability probes from the cycle amplitude.
 DELTA = 1e-3
 
@@ -74,24 +78,6 @@ class CrossoverAnalysis:
     cycles: tuple[LimitCycleEstimate, ...]
 
 
-def winding_number(contour: np.ndarray, point: complex) -> int:
-    """Signed winding number of a closed polygonal contour around a point."""
-    v = np.asarray(contour) - point
-    x, y = v.real, v.imag
-    # orientation of each edge against the horizontal ray from the origin
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = x[:-1] * y[1:] - x[1:] * y[:-1]
-        if not np.isfinite(cross).all():
-            # a power-of-2 scale is exact and keeps the products finite
-            shift = -math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]
-            x, y = np.ldexp(x, shift), np.ldexp(y, shift)
-            cross = x[:-1] * y[1:] - x[1:] * y[:-1]
-    y0, y1 = y[:-1], y[1:]
-    up = (y0 <= 0.0) & (y1 > 0.0) & (cross > 0.0)
-    down = (y0 > 0.0) & (y1 <= 0.0) & (cross < 0.0)
-    return int(np.sum(up)) - int(np.sum(down))
-
-
 def find_intersections(
     nl: PiecewiseNonlinearity,
     gain_margin: float,
@@ -104,7 +90,8 @@ def find_intersections(
     the last breakpoint), built and checked here, so the scan and its
     refinement run the unchecked ``descfun._df``.  As in ``phase_crossovers``,
     a bracket opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a
-    sample with v = 0 is a root; the brackets are refined together by
+    sample with v = 0 is a root; the brackets, split at the breakpoints and
+    above each jump at ``RUN``, are refined together by
     ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``.  Raises
     ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when the
     grid is not finite or positive, F on it is not finite, or v = 0 at two
@@ -121,15 +108,24 @@ def find_intersections(
     if not lo > 0:
         raise IntersectionError(f"the amplitude grid is not positive: it starts at {lo}")
     X = log_grid(lo, x_max, N_GRID)
+    # F kinks at each breakpoint and rises as a square root just above a
+    # jump, where false position crawls: the brackets also end at each
+    # breakpoint and at a geometric run of points above each jump
+    jumps = [x1 for x1, relay, _ in nl.terms if relay]
+    marks = np.concatenate([nl.breakpoints, np.outer(jumps, 1.0 + RUN).ravel()])
+    marks = np.sort(marks[(marks > lo) & (marks < x_max)])
+    at = np.searchsorted(X, marks)
+    Xr = np.insert(X, at, marks)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = _df(nl, X) - gain_margin
+        Fr = _df(nl, Xr) - gain_margin
+    F = np.delete(Fr, at + np.arange(len(marks)))  # F on the log grid
     overflow = ~np.isfinite(F)
     if overflow.any():
         raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
-    roots, _ = _refine_sign_changes(
+    roots, _, _ = _refine_sign_changes(
         lambda x: _df(nl, x) - gain_margin,
-        X,
-        F,
+        Xr,
+        Fr,
         lambda v: v,
         lambda v: np.abs(v) <= VALUE_TOL,
     )
@@ -157,16 +153,18 @@ def classify(
 ) -> str:
     """Stable/unstable verdict for a candidate cycle amplitude.
 
-    Probes -1/F at X*(1 +/- DELTA): the cycle is stable when the outward
-    probe escapes the closed Nyquist ``contour`` while the inward probe remains
-    enclosed, and unstable in the mirrored case.
+    Probes p = -1/F at X*(1 +/- DELTA): the cycle is stable when the outward
+    probe escapes the closed Nyquist contour while the inward probe remains
+    enclosed, and unstable in the mirrored case.  ``contour`` is the crossing
+    table of ``nyquist_contour``; the contour winds about p by the signed
+    count of its crossings left of p.
     """
     probes = {}
     for tag, xs in (("below", X * (1.0 - DELTA)), ("above", X * (1.0 + DELTA))):
         F = df_value(nl, xs)
         if F <= 0:
             raise AmbiguousStabilityError(X, omega, None, None)
-        probes[tag] = winding_number(contour, -1.0 / F) != 0
+        probes[tag] = bool(contour[contour[:, 0] < -1.0 / F, 1].sum() != 0)
     if probes["below"] and not probes["above"]:
         return STABLE
     if probes["above"] and not probes["below"]:
@@ -190,11 +188,14 @@ def ellipse_estimate(
 
 
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
-    """Full limit-cycle estimation for every phase crossover of the plant."""
+    """Full limit-cycle estimation for every phase crossover of the plant.
+
+    One crossover scan gives both the crossovers and the contour's crossing
+    table that classifies their cycles.
+    """
     results = []
-    crossovers = phase_crossovers(plant)  # rejects an overflowing G first
-    contour = nyquist_contour(plant)
-    for omega, K in crossovers:
+    crossovers, contour = _contour(plant)
+    for omega, K, _ in crossovers:
         cycles = []
         for X in find_intersections(nl, K):
             stability = classify(plant, nl, X, omega, contour=contour)

@@ -49,13 +49,17 @@ def _phi(X, X1: float):
     return 1.0 - (2.0 / math.pi) * (np.arcsin(u) + u * np.sqrt(1.0 - u * u))
 
 
-def _psi(X1: float, X):
-    """Relay factor ``(4/(pi X)) sqrt(1 - (X1/X)^2)``, for X >= X1 >= 0, X > 0.
+def _psi(X1: float, X, Y: float):
+    """Relay term ``Y (4/(pi X)) sqrt(1 - (X1/X)^2)`` of a jump Y at X1, for
+    an ascending array X >= X1 >= 0, X > 0.
 
-    Equals ``4/(pi X)`` for X1 = 0 (ideal relay).  Unchecked, as ``_phi``.
+    Equals ``4Y/(pi X)`` for X1 = 0 (ideal relay).  Unchecked, as ``_phi``.
+    X and Y are scaled up exactly, by a power of two, until X[0] >= 2^-1000:
+    at a subnormal X, 4/(pi X) loses digits or overflows.
     """
+    c = 2.0 ** max(0, -1000 - math.frexp(X[0])[1])
     u = X1 / X
-    return (4.0 / (math.pi * X)) * np.sqrt(1.0 - u * u)
+    return (Y * c) * ((4.0 / (math.pi * (X * c))) * np.sqrt(1.0 - u * u))
 
 
 def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
@@ -73,7 +77,7 @@ def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
         if k == len(Xp):
             break  # the thresholds ascend, so no later term reaches Xp either
         tail = Xp[k:]
-        acc[k:] += magnitude * (_psi(x1, tail) if relay else _phi(tail, x1))
+        acc[k:] += _psi(x1, tail, magnitude) if relay else magnitude * _phi(tail, x1)
     F[pos] += acc
     return F
 
@@ -152,24 +156,28 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
-def _integrate_piecewise(nl, X, weight, splits, name):
-    """Integrate ``y(X sin t) * weight(t)`` over consecutive split panels.
+def _integrate_piecewise(nl, X, shift, weight, splits, name):
+    """Integrate ``2^shift y(X sin t) * weight(t)`` over consecutive split panels.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
     looks that piece up once in ``nl.lines``, at its midpoint, and
     integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
     inside the panel, so a jump of y sitting on a split never leaks into the
-    panel.  All panels are evaluated as one array.
+    panel.  All panels are evaluated as one array.  The map and X are scaled
+    exactly by 2^shift >= 1; a line whose anchor overflows lies past X.
     """
+    Xs = math.ldexp(X, shift)
     splits = np.array(splits)
     a, width = splits[:-1], np.diff(splits)
-    x_mid = X * np.sin(a + 0.5 * width)
+    x_mid = Xs * np.sin(a + 0.5 * width)
     lines = np.array(nl.lines)
+    with np.errstate(over="ignore"):
+        lines[:, :4] = np.ldexp(lines[:, :4], shift)
     _, _, x0, y0, m = lines[np.searchsorted(lines[:, 0], x_mid, side="right") - 1].T
     y_mid = y0 + m * (x_mid - x0)
     t = a[:, None] + width[:, None] * _NODES
     with np.errstate(all="ignore"):
-        f = (y_mid[:, None] + m[:, None] * (X * np.sin(t) - x_mid[:, None])) * weight(t)
+        f = (y_mid[:, None] + m[:, None] * (Xs * np.sin(t) - x_mid[:, None])) * weight(t)
         total = float(width @ (f @ _WEIGHTS))
     if not math.isfinite(total):
         raise QuadratureError(
@@ -194,8 +202,11 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     marks = sorted({xj for xj in nl.x if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    quarter = _integrate_piecewise(nl, X, np.sin, thetas, "quarter-period b1")
-    value = (4.0 / math.pi) * (quarter / X)  # finite wherever F(X) is
+    # a subnormal X loses digits in the integrand: scale up to 2^-1000, no
+    # further, as a larger scale could overflow the ordinates of a steep map
+    shift = max(0, -1000 - math.frexp(X)[1])
+    quarter = _integrate_piecewise(nl, X, shift, np.sin, thetas, "quarter-period b1")
+    value = (4.0 / math.pi) * (quarter / math.ldexp(X, shift))  # finite wherever F(X) is
     b1 = value * X
 
     # a1 over the full period; kinks occur wherever |X sin t| hits a breakpoint
@@ -205,7 +216,9 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
     splits = sorted(full_marks)
 
-    a1 = _integrate_piecewise(nl, X, np.cos, splits, "full-period a1") / math.pi
+    a1 = math.ldexp(
+        _integrate_piecewise(nl, X, shift, np.cos, splits, "full-period a1"), -shift
+    ) / math.pi
     if abs(a1) > SYMMETRY_TOL * (1.0 + abs(b1)):
         raise QuadratureError(
             f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e}"

@@ -1,4 +1,5 @@
-"""Rational plant G(s): frequency response, phase crossovers, realization.
+"""Rational plant G(s): frequency response, phase crossovers, the Nyquist
+contour's crossing table, realization.
 
 The plant is stored as numerator/denominator polynomial coefficients plus a
 scalar gain.  A controllable canonical state-space realization is derived for
@@ -14,14 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-# Frequency interval of the crossover scan and of the Nyquist contour.
+# Frequency interval of the crossover scan, which also bounds the Nyquist
+# contour: its arc and its two straight segments sit at the interval's ends.
 OMEGA_RANGE = (1e-3, 1e3)
 # Log-grid points of the crossover scan, and the cap on refinement steps per
 # bracket of both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
 N_SCAN = 4000
 MAX_ITER = 200
-# Log-grid points of the positive-frequency branch of the Nyquist contour.
-N_CONTOUR = 8192
 
 
 class PlantError(ValueError):
@@ -29,9 +29,10 @@ class PlantError(ValueError):
 
 
 class PoleOnAxisError(ValueError):
-    """G has a pole where it is sampled, or on the imaginary axis of its contour,
-    or G, the gain margin 1/|G| or the contour is not finite at the frequency,
-    or the denominator of G overflows there."""
+    """G has a pole where it is sampled, or on the imaginary axis away from the
+    origin, or G or the gain margin 1/|G| is not finite at the frequency, or
+    the Nyquist contour's indentation arc overflows, or the denominator of G
+    overflows where it is sampled."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,8 @@ def _refine_sign_changes(f, grid, vals, sign, done):
     the unscaled value ``sa``, since halving can underflow to 0.  ``f``
     takes the array of all live trial points.  A bracket freezes at the
     first point whose value meets ``done``, or after ``MAX_ITER`` steps.
-    Returns the last trial points and their values, in grid order.
+    Returns the last trial points, their values and ``sign`` at each
+    bracket's left end, in grid order.
     """
     v = sign(vals)
     i = _brackets(v)
@@ -237,32 +239,29 @@ def _refine_sign_changes(f, grid, vals, sign, done):
         live, a, b, sa, fa, fb, kept = (
             live[go], a[go], b[go], sa[go], fa[go], fb[go], kept[go]
         )
-    return x, fx
+    return x, fx, v[i]
 
 
-def phase_crossovers(
-    plant: LinearPlant,
-    omega_range: tuple[float, float] = OMEGA_RANGE,
-) -> list[tuple[float, float]]:
-    """Negative-real-axis crossings of G(j*omega) as (omega, gain margin).
+def _scan(
+    plant: LinearPlant, omega_range: tuple[float, float]
+) -> tuple[list[list], complex, complex]:
+    """``phase_crossovers``' search, as ``[omega, gain margin, direction]``
+    rows, and G at both ends of its grid.
 
-    Im G is sampled on a log grid, and a bracket opens wherever
-    ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
-    refined together by ``_refine_sign_changes`` until
-    ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
-    Raises ``PoleOnAxisError`` naming the first scanned or refined omega
-    at which G overflows, or the first crossing whose gain margin 1/|G|
-    overflows or underflows to 0.
+    A crossing's direction is the sign of Im G at its bracket's left end, +1
+    where Im G falls through 0.  Brackets that refine to one omega give one
+    row, whose direction is their sum (0 at a tangency).
     """
     lo, hi = omega_range
     if not (0 < lo < hi):
         raise ValueError("omega_range must be a positive increasing interval")
     ws = log_grid(lo, hi, N_SCAN)
+    g_grid = freq_response(plant, ws)
     with np.errstate(over="ignore", invalid="ignore"):
-        omegas, g = _refine_sign_changes(
+        omegas, g, im_left = _refine_sign_changes(
             lambda w: plant.transfer(1j * w),
             ws,
-            freq_response(plant, ws),
+            g_grid,
             np.imag,
             lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
         )
@@ -280,47 +279,78 @@ def phase_crossovers(
         raise PoleOnAxisError(
             f"the gain margin 1/|G| is {margins[bad][0]} at omega = {omegas[bad][0]}"
         )
-    # collapse brackets that refined to the same crossing
-    dedup: list[tuple[float, float]] = []
-    for w, km in zip(omegas.tolist(), margins.tolist()):
-        if not dedup or abs(w - dedup[-1][0]) > 1e-9 * w:
-            dedup.append((w, km))
-    return dedup
+    rows: list[list] = []
+    for w, km, d in zip(omegas.tolist(), margins.tolist(), np.sign(im_left[neg]).tolist()):
+        if rows and abs(w - rows[-1][0]) <= 1e-9 * w:
+            rows[-1][2] += d
+        else:
+            rows.append([w, km, d])
+    return rows, g_grid[0], g_grid[-1]
 
 
-def nyquist_contour(plant: LinearPlant) -> np.ndarray:
-    """Closed Nyquist polygon of G for winding-number enclosure tests.
+def phase_crossovers(
+    plant: LinearPlant,
+    omega_range: tuple[float, float] = OMEGA_RANGE,
+) -> list[tuple[float, float]]:
+    """Negative-real-axis crossings of G(j*omega) as (omega, gain margin).
 
-    The positive-frequency branch, ``N_CONTOUR`` log-spaced samples over
-    ``OMEGA_RANGE``, is mirrored by conjugation; a pole of G at the origin
-    opens the contour, which is closed with a large clockwise arc of pi
-    radians per origin pole at ten times the innermost sample radius (the
-    standard indentation image).  Any other pole r on the imaginary axis
-    (``|Re r| <= 1e-9 |r|``), sampled or not, or a contour point that
-    overflows raises ``PoleOnAxisError``.
+    Im G is sampled on a log grid, and a bracket opens wherever
+    ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
+    refined together by ``_refine_sign_changes`` until
+    ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
+    Raises ``PoleOnAxisError`` naming the first scanned or refined omega
+    at which G overflows, or the first crossing whose gain margin 1/|G|
+    overflows or underflows to 0.
     """
+    return [(w, km) for w, km, _ in _scan(plant, omega_range)[0]]
+
+
+def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
+    """``_scan``'s rows over ``OMEGA_RANGE`` and the table of ``nyquist_contour``."""
     r = np.roots(plant.den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
     if on_axis.size:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    ws = log_grid(*OMEGA_RANGE, N_CONTOUR)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = plant.transfer(1j * ws)
-        parts = [g, np.conj(g)[::-1]]
-        q = plant.origin_poles
-        if q > 0:
-            start = np.conj(g[0])
-            theta0 = np.angle(start)
-            radius = 10.0 * abs(g[0])
-            sweep = theta0 - np.linspace(0.0, q * math.pi, 64 * q + 1)
-            parts.append(radius * np.exp(1j * sweep))
-    contour = np.concatenate(parts)
-    overflow = ~np.isfinite(contour)
-    if overflow.any():
-        raise PoleOnAxisError(
-            f"the Nyquist contour is not finite: it reaches {contour[overflow][0]}"
-        )
-    return np.append(contour, contour[0])
+    rows, g_lo, g_hi = _scan(plant, OMEGA_RANGE)
+    table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
+    end, q = np.conj(g_lo), plant.origin_poles
+    if q > 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = 10.0 * abs(g_lo)
+            theta0 = np.angle(end)
+            start = radius * np.exp(1j * theta0)
+        if not np.isfinite(start):
+            raise PoleOnAxisError(f"the Nyquist contour is not finite: it reaches {start}")
+        # turning clockwise through q pi from theta0, it passes angle pi
+        # upwards (q + 1) // 2 times if it starts below the axis, else q // 2
+        table.append((-radius, -float((q + (g_lo.imag > 0)) // 2)))
+        end = radius * np.exp(1j * (theta0 - q * math.pi))
+    # straight segments a -> b, counted as a polygon edge: Im <= 0 is below
+    for a, b in ((g_hi, np.conj(g_hi)), (end, g_lo)):
+        if (a.imag > 0) != (b.imag > 0):
+            t = 0.5 * a.imag / (0.5 * a.imag - 0.5 * b.imag)  # halves cannot overflow
+            table.append(((1.0 - t) * a.real + t * b.real, 1.0 if a.imag > 0 else -1.0))
+    table = np.array(table, dtype=float).reshape(-1, 2)
+    table = table[(table[:, 0] < 0.0) & (table[:, 1] != 0.0)]
+    return rows, table[np.argsort(table[:, 0], kind="stable")]
+
+
+def nyquist_contour(plant: LinearPlant) -> np.ndarray:
+    """The closed Nyquist contour's crossings of the negative real axis.
+
+    Sorted rows ``[abscissa, signed count]``, +1 where the contour runs down,
+    so it winds about a real p < 0 ``table[table[:, 0] < p, 1].sum()`` times.
+    The contour is G(j omega) over ``OMEGA_RANGE``, its mirror, the segment
+    joining them at omega_max, and for q poles at the origin a clockwise arc
+    of q pi at ten times |G(j omega_min)| (the indentation image); a chord
+    closes it at G(j omega_min).  Rows: each phase crossover at -1/K, counted
+    twice (branch and mirror) in its direction; each pass of the arc through
+    angle pi, -1; each straight segment that crosses.  Raises
+    ``PoleOnAxisError`` for any other pole r on the imaginary axis
+    (``|Re r| <= 1e-9 |r|``), sampled or not, for an arc that overflows, and
+    as ``phase_crossovers`` does.
+    """
+    return _contour(plant)[1]
 
 
 def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:

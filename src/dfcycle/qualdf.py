@@ -23,7 +23,7 @@ def _qualitative(nl: PiecewiseNonlinearity, grid: np.ndarray) -> np.ndarray:
 
     Piecewise construction: F~ = m0 up to the first breakpoint; on each
     half-open range (Xj, X_{j+1}] the curve is
-    ``F_{j0} + (mj - F_{j0}) * (1 - Xj/X) [+ Yj * _psi(Xj, X)]``, with mj the
+    ``F_{j0} + (mj - F_{j0}) * (1 - Xj/X) [+ _psi(Xj, X, Yj)]``, with mj the
     slope after Xj and Yj the jump there.  F_{j0} is the previous segment's
     value at Xj, so one walk over the breakpoints chains the segments, and
     ``_psi`` only ever sees amplitudes above its breakpoint.
@@ -38,7 +38,7 @@ def _qualitative(nl: PiecewiseNonlinearity, grid: np.ndarray) -> np.ndarray:
         X = np.append(grid[i:k], hi)  # the segment's samples, then its end
         vals = f0 + (mj - f0) * (1.0 - xj / X)
         if yj != 0.0:  # adding 0 * _psi would turn a -0.0 into +0.0
-            vals = vals + yj * _psi(xj, X)
+            vals = vals + _psi(xj, X, yj)
         F[i:k], f0 = vals[:-1], vals[-1]
     return F
 

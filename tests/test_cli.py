@@ -114,6 +114,14 @@ class TestDf:
         text = out.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_subnormal_jump_has_a_finite_curve(self, runner, tmp_path):
+        # 4/(pi X) overflows at the default grid's first amplitudes, 4 Y/(pi X) does not
+        nl = write(tmp_path, "nl.json", {"x": [0, 0, 4.5e-322], "y": [0, 1e-322, 2e-322]})
+        res = runner.invoke(main, ["df", nl])
+        assert res.exit_code == 0
+        rows = [tuple(map(float, l.split(","))) for l in res.output.strip().splitlines()[1:]]
+        assert rows[0][0] == 5e-324 and rows[0][1] == pytest.approx(25.68457, rel=1e-6)
+
     def test_bad_schema_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", {"x": [2, 1], "y": [0, 1]})
         res = runner.invoke(main, ["df", nl])

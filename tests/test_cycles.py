@@ -15,11 +15,11 @@ from dfcycle.cycles import (
     classify,
     ellipse_estimate,
     find_intersections,
-    winding_number,
 )
-from dfcycle.linsys import h_of_jw, nyquist_contour
+from dfcycle.linsys import N_SCAN, h_of_jw, nyquist_contour
 
 from conftest import plant_a, plant_b
+from test_enclosure_reference import winding_number
 
 
 def closed_circle(turns: float, n: int, sign: float = 1.0) -> np.ndarray:
@@ -31,6 +31,8 @@ def closed_circle(turns: float, n: int, sign: float = 1.0) -> np.ndarray:
 
 
 class TestWindingNumber:
+    """The polygon winding number that ``test_enclosure_reference`` checks against."""
+
     def test_unit_circle(self):
         circle = closed_circle(1.0, 257)
         assert winding_number(circle, 0.0 + 0.0j) == 1
@@ -156,3 +158,20 @@ class TestAnalyze:
     def test_no_crossover(self, nl_a):
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert analyze(p, nl_a) == []
+
+    def test_evaluates_g_at_the_scan_and_its_refinement_only(self, monkeypatch, nl_a, nl_b):
+        # the crossover scan's grid, plus a few refinement points per bracket
+        points = []
+        transfer = LinearPlant.transfer
+
+        def counted(self, s):
+            points.append(np.size(s))
+            return transfer(self, s)
+
+        monkeypatch.setattr(LinearPlant, "transfer", counted)
+        for plant, nl in [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)] + [
+            (plant_b(k), nl_b) for k in (5.0, 15.0, 30.0)
+        ]:
+            points.clear()
+            analyze(plant, nl)
+            assert N_SCAN < sum(points) <= N_SCAN + 100, (plant, points)

@@ -3,6 +3,7 @@ and it exports exactly its public names."""
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -46,3 +47,13 @@ def test_exports_are_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(dfcycle.__all__) == sorted(public)
+
+
+def test_enclosure_api_keeps_the_names_the_benchmark_calls():
+    # classify reads nyquist_contour's crossing table through its contour
+    # keyword; the polygon's winding_number is no longer part of the package
+    contour = inspect.signature(dfcycle.classify).parameters["contour"]
+    assert contour.kind is inspect.Parameter.KEYWORD_ONLY
+    assert "nyquist_contour" in dfcycle.__all__
+    assert not hasattr(dfcycle, "winding_number")
+    assert not hasattr(dfcycle.cycles, "winding_number")

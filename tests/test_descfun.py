@@ -40,18 +40,18 @@ class TestKernels:
         assert _phi(np.array([5.0]), 0.0)[0] == pytest.approx(1.0)
 
     def test_psi_vanishes_at_threshold(self):
-        assert _psi(2.0, np.array([2.0]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert _psi(2.0, np.array([2.0]), 1.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_psi_maximum_location_and_value(self):
         X1 = 2.0
-        assert _psi(X1, np.array([math.sqrt(2.0) * X1]))[0] == pytest.approx(
+        assert _psi(X1, np.array([math.sqrt(2.0) * X1]), 1.0)[0] == pytest.approx(
             2.0 / (math.pi * X1), rel=1e-14
         )
 
     def test_psi_is_below_maximum_elsewhere(self):
         X1 = 2.0
         peak = 2.0 / (math.pi * X1)
-        assert np.all(_psi(X1, np.array([2.1, 2.5, 3.5, 10.0, 100.0])) <= peak + 1e-15)
+        assert np.all(_psi(X1, np.array([2.1, 2.5, 3.5, 10.0, 100.0]), 1.0) <= peak + 1e-15)
 
 
 # The reference keeps its own checked, masked factors, zero below the
@@ -244,6 +244,24 @@ class TestOracle:
         )
         X = 3.5587784291319604
         assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-6)
+
+
+class TestSubnormalAmplitudes:
+    # a jump of 1e-322 at the origin: F = m0 + 4 Y/(pi X) is about 25.7 at
+    # the least float, where 4/(pi X) alone overflows
+    TINY = PiecewiseNonlinearity(x=(0.0, 0.0, 4.5e-322), y=(0.0, 1e-322, 2e-322))
+
+    @pytest.mark.parametrize("X", [5e-324, 1e-320])
+    def test_relay_term_is_finite_and_matches_the_oracle(self, X):
+        f = df_value(self.TINY, X)
+        assert math.isfinite(f)
+        assert f == pytest.approx(df_oracle(self.TINY, X), rel=1e-6)
+
+    def test_least_float_closed_form(self):
+        nl = self.TINY
+        expected = nl.initial_slope + (4.0 / math.pi) * (1e-322 / 5e-324)
+        assert df_value(nl, 5e-324) == pytest.approx(expected, rel=1e-14)
+        assert df_qualitative(nl, [5e-324]).F[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestCurveContainer:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PlantError
 from dfcycle.linsys import (
-    N_CONTOUR,
     PoleOnAxisError,
     _refine_sign_changes,
     h_of_jw,
@@ -195,7 +194,7 @@ class TestCrossovers:
             return np.where(x < 0.3, 5e-324, -1.0)
 
         grid = np.array([0.0, 1.0])
-        [x], _ = _refine_sign_changes(f, grid, f(grid), lambda v: v, lambda v: v == 0.0)
+        [x], _, _ = _refine_sign_changes(f, grid, f(grid), lambda v: v, lambda v: v == 0.0)
         assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
@@ -244,14 +243,32 @@ class TestCrossovers:
 
 class TestContour:
     def test_contour_is_closed(self):
-        c = nyquist_contour(plant_a(2.5))
-        assert c[0] == pytest.approx(c[-1])
+        # Nyquist: a closed contour winds about -1/c by P - Z, with P the poles
+        # of G and Z those of 1/(1 + c G) in the open right half-plane
+        plants = [
+            plant_a(2.5),
+            plant_b(15.0),
+            LinearPlant(num=(1.0,), den=(1.0, 3.0, 3.0, 1.0), k=-1.0),  # -1/(s + 1)^3
+            LinearPlant(num=(1.0, 0.5), den=(1.0, 5.0, 6.0, 0.0, 0.0), k=4.0),
+            LinearPlant(num=(1.0,), den=(1.0, 1.0, 0.0, 0.0)),  # type 2
+        ]
+        for p in plants:
+            table = nyquist_contour(p)
+            rhp_poles = np.sum(np.roots(p.den).real > 1e-9)
+            for probe in -np.logspace(-2.0, 2.0, 17):
+                if np.any(np.abs(table[:, 0] - probe) <= 1e-3 * abs(probe)):
+                    continue
+                closed = np.polyadd(p.den, (-p.k / probe) * np.asarray(p.num))
+                z = np.sum(np.roots(closed).real > 0.0)
+                assert table[table[:, 0] < probe, 1].sum() == rhp_poles - z, (p, probe)
 
     def test_contour_conjugate_symmetric_branches(self):
+        # a phase crossover counts twice: on the branch and on its mirror
         p = plant_b(15.0)
-        n = N_CONTOUR
-        c = nyquist_contour(p)
-        np.testing.assert_allclose(c[:n], np.conj(c[2 * n - 1 : n - 1 : -1]), rtol=1e-12)
+        [(w, km)] = phase_crossovers(p)
+        falls = p.transfer(1j * w * (1.0 - 1e-6)).imag > 0.0
+        table = nyquist_contour(p)
+        assert table[table[:, 0] == -1.0 / km, 1].tolist() == [2.0 if falls else -2.0]
 
     @pytest.mark.parametrize(
         "den, pole",

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant, cycles, linsys
+from dfcycle import LinearPlant, PiecewiseNonlinearity, cycles, linsys
 from dfcycle.cycles import N_GRID, VALUE_TOL, find_intersections
 from dfcycle.descfun import df_value
 from dfcycle.linsys import (
@@ -174,6 +174,21 @@ def test_first_case_study_matches_reference(k, nl_a):
 @pytest.mark.parametrize("k", (5.0, 15.0, 30.0))
 def test_second_case_study_matches_reference(k, nl_b):
     assert len(assert_matches_reference(plant_b(k), nl_b)) == 1
+
+
+def test_root_just_above_a_jump_matches_reference():
+    # F - K = 0 at 2.8e-6 X1 above the downward jump at X1 = 0.675: flat to
+    # the left, a square-root drop to the right; false position from the log
+    # grid's bracket alone took 18 array calls here
+    nl = PiecewiseNonlinearity(
+        x=(0.675254274192921, 0.675254274192921, 4.056051139265764, 4.306051139265764,
+           5.004366270536452, 6.614060881115301, 7.442896604634479),
+        y=(0.37379642720127504, -1.429199498952287, 2.926306354649493, 2.7872846123475,
+           3.3210193055292763, 5.042192072580563, 5.4009680706408645),
+        final_slope=-0.3206650303441472,
+    )
+    plant = LinearPlant(num=(-1.0, 2.0), den=(1.0, 6.0, 8.0, 0.0), k=11.0)
+    assert_matches_reference(plant, nl)
 
 
 @given(
