@@ -1,21 +1,9 @@
 """Command-line front end: describing-function curves, Nyquist data, reports.
 
-Exit codes: 0 success, 2 malformed input (JSON schema, a value that is not a
-number, a string or a boolean where a number or an array is expected, an
-invalid grid, also a default one past the largest float or underflowing at a
-subnormal last breakpoint, or one of more than ``MAX_POINTS`` samples, a
-``nyquist`` point count outside 1 to ``MAX_POINTS``, or an omega range that is
-not positive, increasing and finite), a pole of the plant on the imaginary
-axis (anywhere on it in ``analyze``, at a sampled frequency in ``nyquist``), a
-G(j omega) that is not finite, or whose denominator overflows, at a sampled
-frequency (``analyze``, ``nyquist``), a describing function F(X) that is not
-finite (``df``, ``analyze``), an F(X) = K that holds on a plateau of
-amplitudes instead of at isolated ones or whose amplitude grid underflows to
-0, a predicted cycle whose stability its two amplitude probes cannot decide or
-whose first harmonic Y1 or state ellipse overflows, a plant with direct
-feedthrough under ``--simulate``, or an oracle quadrature that is not finite
-or fails its symmetry check, 3 analysis ran but the plant has no phase
-crossover.
+The CLI is the one reader of the JSON input files and the one writer of the
+JSON report.  Exit codes: 0 success, 2 malformed input or a result that is
+not finite (README.md lists the causes), with one ``error:`` line on stderr,
+3 analysis ran but the plant has no phase crossover.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ from .linsys import (
 from .piecewise import PiecewiseNonlinearity
 from .qualdf import df_qualitative
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_SCHEMA = 2
 EXIT_NO_CROSSOVER = 3
 # Initial states of ``analyze --simulate``, as multiples of each cycle's x(0).
@@ -57,14 +45,16 @@ def _fail(message: str) -> None:
 
 
 def _load(cls, path: str):
-    """``cls.from_json`` of the file at ``path``, failing with one line.
+    """``cls.from_dict`` of the JSON file at ``path``, failing with one line.
 
     A ``ValueError`` or ``TypeError`` covers the schema errors
     (``NonlinearityError``, ``PlantError``) and a value ``float`` refuses;
     an ``OverflowError`` is a JSON integer too large for a float.
     """
     try:
-        return cls.from_json(Path(path).read_text())
+        return cls.from_dict(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        _fail(f"{path}: invalid JSON: {exc}")
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         _fail(f"{path}: {exc}")
 
@@ -90,14 +80,6 @@ def _curve(nl_file: str, make, nl: PiecewiseNonlinearity, grid):
         _fail(f"{nl_file}: {exc}")
 
 
-def _grid_scale(nl_file: str, nl: PiecewiseNonlinearity) -> float:
-    """The largest breakpoint Xr (1 without one); default grids end at 3 Xr."""
-    ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
-    if not math.isfinite(3.0 * ref):
-        _fail(f"{nl_file}: a grid up to 3 * {ref} is past the largest float")
-    return ref
-
-
 def _make_grid(nl: PiecewiseNonlinearity, dx: float, xm: float) -> np.ndarray:
     if not 0 < dx <= xm < math.inf:
         _fail(f"invalid grid: step {dx}, max {xm}")
@@ -111,6 +93,19 @@ def _make_grid(nl: PiecewiseNonlinearity, dx: float, xm: float) -> np.ndarray:
     if len(grid) == 0:
         _fail("empty grid")
     return grid
+
+
+def _default_grid(nl_file: str, nl: PiecewiseNonlinearity) -> np.ndarray:
+    """Step Xr/100 up to 3 Xr, Xr the largest breakpoint (1 without one).
+
+    The ``df`` command's grid without ``--grid``, and the report's curve.
+    """
+    ref = nl.max_breakpoint if nl.max_breakpoint > 0 else 1.0
+    if not math.isfinite(3.0 * ref):
+        _fail(f"{nl_file}: a grid up to 3 * {ref} is past the largest float")
+    if ref / 100.0 == 0:  # a subnormal breakpoint
+        _fail(f"{nl_file}: the default grid underflows at the last breakpoint {ref}")
+    return _make_grid(nl, ref / 100.0, 3.0 * ref)
 
 
 @click.group()
@@ -139,12 +134,7 @@ def main() -> None:
 def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
     """Sample the describing function of the nonlinearity in NL_FILE."""
     nl = _load(PiecewiseNonlinearity, nl_file)
-    if not grid:
-        ref = _grid_scale(nl_file, nl)
-        grid = ref / 100.0, 3.0 * ref
-        if grid[0] == 0:  # a subnormal breakpoint
-            _fail(f"{nl_file}: the default grid underflows at the last breakpoint {ref}")
-    xs = _make_grid(nl, *grid)
+    xs = _make_grid(nl, *grid) if grid else _default_grid(nl_file, nl)
 
     curves = []
     if mode in ("exact", "both"):
@@ -188,41 +178,29 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
 @click.argument("plant_file", type=click.Path())
 @click.option("--simulate", "do_simulate", is_flag=True,
               help="Verify each predicted cycle by closed-loop simulation.")
-@click.option("--all-ellipses", is_flag=True,
-              help="Emit the state ellipse for unstable cycles too.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Report destination (default: stdout).")
-def cmd_analyze(
-    nl_file: str,
-    plant_file: str,
-    do_simulate: bool,
-    all_ellipses: bool,
-    out_path: str | None,
-) -> None:
-    """Estimate limit cycles of NL_FILE in feedback with PLANT_FILE."""
+def cmd_analyze(nl_file: str, plant_file: str, do_simulate: bool, out_path: str | None) -> None:
+    """Estimate limit cycles of NL_FILE in feedback with PLANT_FILE.
+
+    The JSON report (schema 2) holds the inputs, the exact describing function
+    on the default grid of the df command, and one entry per phase crossover:
+    its omega, its gain margin and its cycles, each with X, stability, Y1 and
+    state ellipse, and with its simulation runs under --simulate.
+    """
     nl = _load(PiecewiseNonlinearity, nl_file)
     plant = _load(LinearPlant, plant_file)
 
     try:
         crossovers = analyze(plant, nl)
-    except PoleOnAxisError as exc:
+    except (PoleOnAxisError, AmbiguousStabilityError) as exc:
         _fail(f"{plant_file}: {exc}")
     except IntersectionError as exc:
         _fail(f"{nl_file}: {exc}")
-    except AmbiguousStabilityError as exc:
-        _fail(
-            f"{plant_file}: cannot classify the stability of the cycle at "
-            f"X = {exc.X}, omega = {exc.omega}"
-        )
     except NonFiniteCycleError as exc:
         _fail(str(exc))
 
-    ref = _grid_scale(nl_file, nl)
-    df_grid = np.linspace(ref / 200.0, 3.0 * ref, 256)
-    if not np.all(np.diff(df_grid) > 0) or (df_grid[0] == 0 and nl.has_origin_jump):
-        _fail(f"{nl_file}: the default grid underflows at the last breakpoint {ref}")
-    df_curve = _curve(nl_file, df_exact, nl, df_grid)
-
+    df_curve = _curve(nl_file, df_exact, nl, _default_grid(nl_file, nl))
     report: dict = {
         "schema": SCHEMA_VERSION,
         "nonlinearity": nl.to_dict(),
@@ -232,19 +210,15 @@ def cmd_analyze(
         "crossovers": [],
         "notes": [],
     }
-
-    first_ellipse = None
     for co in crossovers:
         entry = {"omega": co.omega, "gain_margin": co.gain_margin, "cycles": []}
         for cyc in co.cycles:
-            cd = {"X": cyc.X, "stability": cyc.stability, "Y1": cyc.Y1}
-            if all_ellipses or cyc.stability == "stable":
-                cd["ellipse"] = {
-                    "x0": list(cyc.ellipse_x0),
-                    "xq": list(cyc.ellipse_xq),
-                }
-                if first_ellipse is None:
-                    first_ellipse = cd["ellipse"]
+            cd = {
+                "X": cyc.X,
+                "stability": cyc.stability,
+                "Y1": cyc.Y1,
+                "ellipse": {"x0": list(cyc.ellipse_x0), "xq": list(cyc.ellipse_xq)},
+            }
             if do_simulate:
                 try:
                     cd["simulation"] = _verify(plant, nl, cyc)
@@ -253,20 +227,10 @@ def cmd_analyze(
             entry["cycles"].append(cd)
         report["crossovers"].append(entry)
 
-    if crossovers:
-        report["omega"] = crossovers[0].omega
-        report["gain_margin"] = crossovers[0].gain_margin
-        report["cycles"] = [
-            {"X": c.X, "stability": c.stability}
-            for co in crossovers
-            for c in co.cycles
-        ]
-        if first_ellipse is not None:
-            report["ellipse"] = first_ellipse
-        if not report["cycles"]:
-            report["notes"].append("origin globally asymptotically stable")
-    else:
+    if not crossovers:
         report["notes"].append("no phase crossover: no limit cycle predicted")
+    elif not any(co.cycles for co in crossovers):
+        report["notes"].append("origin globally asymptotically stable")
 
     _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
     if not crossovers:

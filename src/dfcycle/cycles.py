@@ -47,7 +47,7 @@ class AmbiguousStabilityError(RuntimeError):
 
     def __init__(self, X, omega, enclosed_below, enclosed_above):
         super().__init__(
-            f"cannot classify cycle at X={X}, omega={omega}: "
+            f"cannot classify the stability of the cycle at X = {X}, omega = {omega}: "
             f"probe below enclosed={enclosed_below}, above enclosed={enclosed_above}"
         )
         self.X = X

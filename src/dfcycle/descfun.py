@@ -164,7 +164,7 @@ def _integrate_piecewise(nl, X, shift, weight, splits, name):
     integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
     inside the panel, so a jump of y sitting on a split never leaks into the
     panel.  All panels are evaluated as one array.  The map and X are scaled
-    exactly by 2^shift >= 1; a line whose anchor overflows lies past X.
+    exactly by 2^shift; a line whose anchor overflows lies past X.
     """
     Xs = math.ldexp(X, shift)
     splits = np.array(splits)
@@ -186,6 +186,27 @@ def _integrate_piecewise(nl, X, shift, weight, splits, name):
     return total
 
 
+def _shift(nl: PiecewiseNonlinearity, X: float) -> int:
+    """The power of two that scales the map and X for the quadrature at X.
+
+    A subnormal X loses digits in the integrand: scale up to 2^-1000, no
+    further.  Else, where the ordinates on [-X, X] near the largest float,
+    scale down until they stay below 2^1017, so no panel sum overflows; X
+    stays above 2^-1009 then.  Their bound comes from exponents,
+    |y0| + |m| (X - x0) on each piece from its vertex x0 <= X, as y(X) itself
+    may overflow.  Else the shift is 0.
+    """
+    up = -1000 - math.frexp(X)[1]
+    if up > 0:
+        return up
+    xs, ys, slopes = nl.pieces
+    top = max(
+        max(math.frexp(y0)[1], math.frexp(m)[1] + math.frexp(X - x0)[1])
+        for x0, y0, m in zip(xs, ys, slopes) if x0 <= X
+    )
+    return min(0, 1016 - top)
+
+
 def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     """Describing function by quadrature of the first Fourier harmonic.
 
@@ -202,12 +223,9 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     marks = sorted({xj for xj in nl.x if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    # a subnormal X loses digits in the integrand: scale up to 2^-1000, no
-    # further, as a larger scale could overflow the ordinates of a steep map
-    shift = max(0, -1000 - math.frexp(X)[1])
+    shift = _shift(nl, X)
     quarter = _integrate_piecewise(nl, X, shift, np.sin, thetas, "quarter-period b1")
     value = (4.0 / math.pi) * (quarter / math.ldexp(X, shift))  # finite wherever F(X) is
-    b1 = value * X
 
     # a1 over the full period; kinks occur wherever |X sin t| hits a breakpoint
     full_marks = {-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi}
@@ -216,12 +234,13 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
     splits = sorted(full_marks)
 
-    a1 = math.ldexp(
-        _integrate_piecewise(nl, X, shift, np.cos, splits, "full-period a1"), -shift
-    ) / math.pi
-    if abs(a1) > SYMMETRY_TOL * (1.0 + abs(b1)):
+    # a1 and b1 scaled by 2^shift, as the integrals are: b1 = F X may overflow
+    a1 = _integrate_piecewise(nl, X, shift, np.cos, splits, "full-period a1") / math.pi
+    b1 = value * math.ldexp(X, shift)
+    if abs(a1) > SYMMETRY_TOL * (math.ldexp(1.0, shift) + abs(b1)):
         raise QuadratureError(
-            f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e}"
+            f"symmetry self-check failed: a1 = {a1:.3e} for b1 = {b1:.3e} "
+            f"(y and X scaled by 2^{shift})"
         )
     return value
 

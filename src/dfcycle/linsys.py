@@ -8,7 +8,6 @@ the steady-state geometry and the time simulator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,14 +138,6 @@ class LinearPlant:
             if isinstance(v, (str, bool)):
                 raise PlantError(f"'num', 'den' and 'k' must be numbers, not {v!r}")
         return cls(tuple(num), tuple(den), k)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearPlant":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PlantError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {"num": list(self.num), "den": list(self.den), "k": self.k}

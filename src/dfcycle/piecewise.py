@@ -15,7 +15,6 @@ curve look x up.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -223,14 +222,6 @@ class PiecewiseNonlinearity:
                     f"'x', 'y' and 'final_slope' must be numbers, not {v!r}"
                 )
         return cls(tuple(x), tuple(y), final_slope)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseNonlinearity":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NonlinearityError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         out = {"x": list(self.x), "y": list(self.y)}

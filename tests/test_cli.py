@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant, cli, cycles, phase_crossovers
+from dfcycle import LinearPlant, PiecewiseNonlinearity, cli, cycles, descfun, phase_crossovers
 from dfcycle.cli import MAX_POINTS, main
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
@@ -25,7 +25,7 @@ PLANT_PM2J = {"num": [1], "den": [1, 0, 4]}  # G(jw) is real wherever it is samp
 PLANT_DOUBLE_J = {"num": [1], "den": [1, 0, 2, 0, 1, 0]}  # s (s^2 + 1)^2
 PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
 NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
-NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # the integrand overflows
+NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # y overflows before F does
 NL_SLOPE_OVERFLOW = {"x": [1e-300, 1], "y": [1e300, 1]}  # first slope is 1e600
 PLANT_OVERFLOW = {"num": [1e300], "den": [1, 4, 3, 0], "k": 1e10}  # G(jw) overflows
 PLANT_STATIC = {"num": [1], "den": [1]}  # G(jw) is real at every frequency
@@ -132,14 +132,30 @@ class TestDf:
         res = runner.invoke(main, ["df", nl, "--grid", "-1", "5"])
         assert res.exit_code == 2
 
-    def test_oracle_failure_exits_2(self, runner, tmp_path):
+    def test_oracle_on_a_steep_map(self, runner, tmp_path):
+        # y reaches 2e308 at X = 3, where F = 5.8e307: the oracle scales the map down
         nl = write(tmp_path, "nl.json", NL_STEEP)
+        curves = {}
+        for mode in ("exact", "oracle"):
+            res = runner.invoke(main, ["df", nl, "--grid", "1.5", "3", "--mode", mode])
+            assert res.exit_code == 0 and res.stderr == ""
+            rows = res.stdout.splitlines()[1:]
+            curves[mode] = dict(tuple(map(float, line.split(","))) for line in rows)
+        assert list(curves["oracle"]) == [1.5, 3.0]  # the grid is 0, 1.5, 3
+        for x, f in curves["oracle"].items():
+            assert math.isfinite(f) and f == pytest.approx(curves["exact"][x], rel=1e-12)
+
+    def test_oracle_failure_exits_2(self, runner, tmp_path, monkeypatch):
+        def failing(nl, X):
+            raise descfun.QuadratureError(f"quadrature gave a non-finite value at X = {X}")
+
+        monkeypatch.setattr(descfun, "df_oracle", failing)
+        nl = write(tmp_path, "nl.json", NL_B)
         res = runner.invoke(main, ["df", nl, "--grid", "1.5", "3", "--mode", "oracle"])
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         [line] = res.stderr.splitlines()
-        assert line.startswith(f"error: {nl}: quadrature gave a non-finite value")
-        assert "X = 3.0" in line
+        assert line == f"error: {nl}: quadrature gave a non-finite value at X = 1.5"
         assert res.stdout == ""
 
     @pytest.mark.parametrize("mode", ["exact", "qualitative", "oracle"])
@@ -159,10 +175,11 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", nl, plant])
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["schema"] == 1
-        assert report["omega"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
-        assert [c["stability"] for c in report["cycles"]] == ["unstable", "stable"]
-        assert len(report["ellipse"]["x0"]) == 2
+        assert report["schema"] == 2
+        [co] = report["crossovers"]
+        assert co["omega"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
+        assert [c["stability"] for c in co["cycles"]] == ["unstable", "stable"]
+        assert all(len(c["ellipse"]["x0"]) == 2 for c in co["cycles"])
 
     def test_stable_origin_report(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
@@ -170,14 +187,14 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", nl, plant])
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["cycles"] == []
-        assert any("stable" in note for note in report["notes"])
+        assert [co["cycles"] for co in report["crossovers"]] == [[]]
+        assert report["notes"] == ["origin globally asymptotically stable"]
 
     def test_three_cycle_report(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
         plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 15})
         report = json.loads(runner.invoke(main, ["analyze", nl, plant]).output)
-        assert len(report["cycles"]) == 3
+        assert sum(len(co["cycles"]) for co in report["crossovers"]) == 3
 
     def test_no_crossover_exits_3_with_df(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
@@ -210,11 +227,12 @@ class TestAnalyze:
         "plant_desc, X",
         [
             ({**PLANT_B, "k": 5}, "1.003943799283937e-300"),
-            (PLANT_STATIC, "1.0033333333333333e-300"),
+            (PLANT_STATIC, "1.01e-300"),
         ],
     )
     def test_overflowing_describing_function_exits_2(self, runner, tmp_path, plant_desc, X):
-        # with a crossover the F(X) = K scan refuses F, without one the report's curve
+        # with a crossover the F(X) = K scan refuses F, without one the report's
+        # curve, on the df command's default grid
         nl = write(tmp_path, "nl.json", NL_TALL)
         plant = write(tmp_path, "plant.json", plant_desc)
         res = runner.invoke(main, ["analyze", nl, plant])
@@ -230,7 +248,7 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", nl, plant])
         assert res.exit_code == 0
         assert res.stderr == ""
-        assert json.loads(res.stdout)["cycles"] == []
+        assert [co["cycles"] for co in json.loads(res.stdout)["crossovers"]] == [[]]
 
     def test_bad_plant_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
@@ -321,6 +339,53 @@ class TestAnalyze:
             f"error: {plant}: plant must be strictly proper (D = 0) for the feedback loop"
         ]
         assert res.stdout == ""
+
+
+REPORT_KEYS = {"schema", "nonlinearity", "plant", "realization", "df", "crossovers", "notes"}
+CASE_STUDIES = [(NL_A, {**PLANT_A, "k": k}) for k in (1.0, 2.5, 6.0)] + [
+    (NL_B, {**PLANT_B, "k": k}) for k in (5.0, 15.0, 30.0)
+]
+
+
+class TestReportContract:
+    """Schema 2: the report is the inputs, the df curve and the crossover list."""
+
+    @pytest.mark.parametrize("nl_data, plant_data", CASE_STUDIES)
+    def test_case_studies(self, runner, tmp_path, nl_data, plant_data):
+        nl = write(tmp_path, "nl.json", nl_data)
+        plant = write(tmp_path, "plant.json", plant_data)
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 0
+        assert runner.invoke(main, ["analyze", nl, plant]).stdout == res.stdout
+        report = json.loads(res.stdout)
+        assert set(report) == REPORT_KEYS and report["schema"] == 2
+
+        expected = cycles.analyze(LinearPlant(**plant_data), PiecewiseNonlinearity(**nl_data))
+        assert len(report["crossovers"]) == len(expected)
+        for co, want in zip(report["crossovers"], expected):
+            assert (co["omega"], co["gain_margin"]) == (want.omega, want.gain_margin)
+            assert all(set(c) == {"X", "stability", "Y1", "ellipse"} for c in co["cycles"])
+            assert [
+                (c["X"], c["stability"], c["Y1"], c["ellipse"]["x0"], c["ellipse"]["xq"])
+                for c in co["cycles"]
+            ] == [
+                (w.X, w.stability, w.Y1, list(w.ellipse_x0), list(w.ellipse_xq))
+                for w in want.cycles
+            ]
+
+        csv = runner.invoke(main, ["df", nl]).stdout.splitlines()[1:]
+        assert report["df"]["X"] == [float(line.split(",")[0]) for line in csv]
+
+    def test_simulation_runs_under_each_cycle(self, runner, tmp_path):
+        nl = write(tmp_path, "nl.json", NL_A)
+        plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
+        report = json.loads(runner.invoke(main, ["analyze", nl, plant, "--simulate"]).stdout)
+        assert set(report) == REPORT_KEYS
+        [co] = report["crossovers"]
+        assert len(co["cycles"]) == 2
+        for c in co["cycles"]:
+            assert set(c) == {"X", "stability", "Y1", "ellipse", "simulation"}
+            assert [run["initial_scale"] for run in c["simulation"]] == list(cli.VERIFY_SCALES)
 
 
 class TestNyquist:
@@ -436,6 +501,16 @@ class TestMalformedInput:
         plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 15})
         assert_one_line_exit_2(runner.invoke(main, ["analyze", nl, plant]))
 
+    @pytest.mark.parametrize("command", ["df", "nyquist", "analyze"])
+    def test_invalid_json(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"x": [1, 2]')
+        good = write(tmp_path, "plant.json", PLANT_B)
+        args = [command, str(bad)] + ([good] if command == "analyze" else [])
+        res = runner.invoke(main, args)
+        assert_one_line_exit_2(res)
+        assert res.stderr.startswith(f"error: {bad}: invalid JSON: ")
+
     @pytest.mark.parametrize("nl_data", NLS_NOT_NUMBERS)
     def test_df_refuses(self, runner, tmp_path, nl_data):
         nl = write(tmp_path, "nl.json", nl_data)
@@ -486,9 +561,6 @@ class TestMalformedInput:
         [
             ("df", {"x": [5e-324], "y": [5e-324], "final_slope": 0}),
             ("analyze", {"x": [5e-324], "y": [5e-324], "final_slope": 0}),
-            ("analyze", {"x": [1e-320], "y": [1e-320], "final_slope": 0}),
-            # the report's grid starts at 0, where y jumps
-            ("analyze", {"x": [0, 0, 4.5e-322], "y": [0, 1e-322, 2e-322]}),
         ],
     )
     def test_default_grid_that_underflows(self, runner, tmp_path, command, nl_data):
@@ -502,12 +574,29 @@ class TestMalformedInput:
             f"error: {nl}: the default grid underflows at the last breakpoint {last}\n"
         )
 
-    @pytest.mark.parametrize("last", [1e-321, 1e-310])
-    def test_default_grid_at_a_subnormal_breakpoint(self, runner, tmp_path, last):
-        nl = write(tmp_path, "nl.json", {"x": [last], "y": [last], "final_slope": 0})
+    @pytest.mark.parametrize(
+        "nl_data",
+        [
+            {"x": [1e-321], "y": [1e-321], "final_slope": 0},
+            {"x": [1e-310], "y": [1e-310], "final_slope": 0},
+            {"x": [1e-320], "y": [1e-320], "final_slope": 0},
+            # y jumps at the origin, so the grid leaves out X = 0
+            {"x": [0, 0, 4.5e-322], "y": [0, 1e-322, 2e-322]},
+        ],
+        ids=lambda nl_data: repr(nl_data["x"][-1]),
+    )
+    def test_default_grid_at_a_subnormal_breakpoint(self, runner, tmp_path, nl_data):
+        # the report's curve is the df command's default curve, finite at every X
+        nl = write(tmp_path, "nl.json", nl_data)
         plant = write(tmp_path, "plant.json", {"num": [1], "den": [1, 1]})
-        assert runner.invoke(main, ["df", nl]).exit_code == 0
-        assert runner.invoke(main, ["analyze", nl, plant]).exit_code == 3
+        res = runner.invoke(main, ["df", nl])
+        assert res.exit_code == 0
+        rows = [tuple(map(float, l.split(","))) for l in res.stdout.splitlines()[1:]]
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 3
+        df = json.loads(res.stdout)["df"]
+        assert list(zip(df["X"], df["F"])) == rows
+        assert all(math.isfinite(f) for f in df["F"])
 
     @pytest.mark.parametrize(
         "args, message",

@@ -213,6 +213,14 @@ class TestOracle:
         nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e308)
         assert df_oracle(nl, 1.5) == pytest.approx(df_value(nl, 1.5), rel=1e-9)
 
+    @pytest.mark.parametrize("X", [2.25, 3.0])
+    def test_ordinates_past_the_largest_float(self, X):
+        # y(3) = 2e308 overflows and F(3) = 5.8e307 does not: the oracle scales
+        # the map and X down by a power of two
+        nl = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e308)
+        assert descfun._shift(nl, X) < 0
+        assert df_oracle(nl, X) == pytest.approx(df_value(nl, X), rel=1e-12)
+
     def test_value_near_the_largest_float(self):
         # b1 = X F(X) = 1.8e308 overflows, F(X) itself does not
         nl = PiecewiseNonlinearity(x=(1.0,), y=(1.5e308,), final_slope=0.0)
@@ -256,6 +264,12 @@ class TestSubnormalAmplitudes:
         f = df_value(self.TINY, X)
         assert math.isfinite(f)
         assert f == pytest.approx(df_oracle(self.TINY, X), rel=1e-6)
+
+    def test_tall_relay_at_the_least_float(self):
+        # the scale up for a subnormal X wins over the scale down for a tall y
+        nl = PiecewiseNonlinearity(x=(0.0, 0.0), y=(0.0, 1e308))
+        with pytest.raises(descfun.QuadratureError, match="non-finite value"):
+            df_oracle(nl, 5e-324)
 
     def test_least_float_closed_form(self):
         nl = self.TINY

@@ -297,7 +297,7 @@ class TestContour:
 class TestSerialization:
     def test_round_trip(self):
         p = plant_a(2.5)
-        again = LinearPlant.from_json(json.dumps(p.to_dict()))
+        again = LinearPlant.from_dict(json.loads(json.dumps(p.to_dict())))
         assert again == p
 
     def test_default_gain(self):
@@ -305,8 +305,10 @@ class TestSerialization:
         assert p.k == 1.0
 
     def test_rejects_bad_json(self):
-        with pytest.raises(PlantError):
-            LinearPlant.from_json("[1, 2")
+        # JSON values that are not an object; the CLI refuses text that is not JSON
+        for data in ([1, 2], "[1, 2", 3.0, None):
+            with pytest.raises(PlantError):
+                LinearPlant.from_dict(data)
 
     @pytest.mark.parametrize(
         "data",

@@ -276,7 +276,7 @@ class TestDecompose:
 
 class TestSerialization:
     def test_round_trip(self, nl_a):
-        again = PiecewiseNonlinearity.from_json(json.dumps(nl_a.to_dict()))
+        again = PiecewiseNonlinearity.from_dict(json.loads(json.dumps(nl_a.to_dict())))
         assert again == nl_a
 
     def test_from_dict_rejects_unknown_shape(self):
@@ -298,6 +298,8 @@ class TestSerialization:
         with pytest.raises(NonlinearityError):
             PiecewiseNonlinearity.from_dict(data)
 
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(NonlinearityError):
-            PiecewiseNonlinearity.from_json("not json")
+    def test_from_dict_rejects_garbage(self):
+        # JSON values that are not an object; the CLI refuses text that is not JSON
+        for data in ([1, 2], "not json", 3.0, None):
+            with pytest.raises(NonlinearityError):
+                PiecewiseNonlinearity.from_dict(data)
