@@ -146,30 +146,21 @@ def cmd_df(nl_file: str, grid, mode: str, out_path: str | None) -> None:
 
     if out_path and out_path.endswith(".svg"):
         series = [
-            svg.Series(
-                list(c.X),
-                list(c.F),
-                label=c.provenance,
-                color="#c02020" if c.provenance == "exact" else "#208040",
-                dash=None if c.provenance == "exact" else "6,4",
-            )
+            svg.Series(c.X, c.F, label=c.provenance,
+                       color="#c02020" if c.provenance == "exact" else "#208040",
+                       dash=None if c.provenance == "exact" else "6,4")
             for c in curves
         ]
         plot = svg.line_plot(series, title="describing function", xlabel="X", ylabel="F")
         _emit(plot, out_path)
         return
 
-    lines = []
-    if len(curves) == 1:
-        lines.append("X,F")
-        c = curves[0]
-        lines.extend(f"{_num(x)},{_num(f)}" for x, f in zip(c.X, c.F))
-    else:
-        lines.append("X,F,provenance")
-        for c in curves:
-            lines.extend(
-                f"{_num(x)},{_num(f)},{c.provenance}" for x, f in zip(c.X, c.F)
-            )
+    both = len(curves) > 1
+    lines = ["X,F,provenance" if both else "X,F"]
+    for c in curves:  # each curve's rows in one format operation, in _num's format
+        row = "%.17g,%.17g" + (f",{c.provenance}" if both else "")
+        values = np.column_stack((c.X, c.F)).ravel().tolist()
+        lines.append("\n".join([row] * len(c.X)) % tuple(values))
     _emit("\n".join(lines) + "\n", out_path)
 
 
@@ -280,15 +271,8 @@ def cmd_nyquist(plant_file, omega_range, points, mark_neg_axis, out_path) -> Non
         _fail(f"{plant_file}: {exc}")
 
     if out_path and out_path.endswith(".svg"):
-        series = [
-            svg.Series(
-                list(g.real),
-                list(g.imag),
-                label="G(jw)",
-                color="#2040c0",
-                points=[(-1.0 / km, 0.0) for _, km in marks],
-            )
-        ]
+        series = [svg.Series(g.real, g.imag, label="G(jw)", color="#2040c0",
+                             points=[(-1.0 / km, 0.0) for _, km in marks])]
         _emit(svg.line_plot(series, title="Nyquist", xlabel="Re", ylabel="Im"), out_path)
         return
 

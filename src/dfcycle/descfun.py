@@ -43,23 +43,36 @@ def _phi(X, X1: float):
 
     The closed form alone, for an array X >= X1 >= 0 with X > 0; it is 1 for
     X1 = 0.  ``df_value`` checks the amplitudes and passes only the tail at or
-    above the threshold, where the factor is nonzero.
+    above the threshold, where the factor is nonzero.  The expression is
+    evaluated in two buffers, operation by operation, so it keeps its bits.
     """
     u = X1 / X
-    return 1.0 - (2.0 / math.pi) * (np.arcsin(u) + u * np.sqrt(1.0 - u * u))
+    w = u * u
+    np.sqrt(np.subtract(1.0, w, out=w), out=w)
+    w *= u
+    w += np.arcsin(u, out=u)
+    w *= 2.0 / math.pi
+    return np.subtract(1.0, w, out=w)
 
 
 def _psi(X1: float, X, Y: float):
     """Relay term ``Y (4/(pi X)) sqrt(1 - (X1/X)^2)`` of a jump Y at X1, for
     an ascending array X >= X1 >= 0, X > 0.
 
-    Equals ``4Y/(pi X)`` for X1 = 0 (ideal relay).  Unchecked, as ``_phi``.
-    X and Y are scaled up exactly, by a power of two, until X[0] >= 2^-1000:
-    at a subnormal X, 4/(pi X) loses digits or overflows.
+    Equals ``4Y/(pi X)`` for X1 = 0 (ideal relay).  Unchecked and evaluated
+    in two buffers, as ``_phi``.  X and Y are scaled up exactly, by a power of
+    two c, until X[0] >= 2^-1000: at a subnormal X, 4/(pi X) loses digits or
+    overflows.  4/(pi X c) is formed as 1/(pi X c/4): the same bits wherever
+    pi X c is finite, and finite where pi X c overflows.
     """
     c = 2.0 ** max(0, -1000 - math.frexp(X[0])[1])
     u = X1 / X
-    return (Y * c) * ((4.0 / (math.pi * (X * c))) * np.sqrt(1.0 - u * u))
+    np.sqrt(np.subtract(1.0, np.multiply(u, u, out=u), out=u), out=u)
+    r = X * (c / 4.0)
+    np.divide(1.0, np.multiply(r, math.pi, out=r), out=r)
+    r *= u
+    r *= Y * c
+    return r
 
 
 def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
@@ -68,9 +81,9 @@ def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
     Each term of ``nl.terms`` adds its factor only on the tail at or above its
     threshold.
     """
-    pos = X > 0
     F = np.full_like(X, nl.initial_slope)
-    Xp = X[pos]
+    i = np.searchsorted(X, 0.0, side="right")
+    Xp = X[i:]  # X > 0
     acc = np.zeros_like(Xp)
     for x1, relay, magnitude in nl.terms:
         k = np.searchsorted(Xp, x1)  # Xp[k:] >= x1, the factors' domain
@@ -78,7 +91,7 @@ def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
             break  # the thresholds ascend, so no later term reaches Xp either
         tail = Xp[k:]
         acc[k:] += _psi(x1, tail, magnitude) if relay else magnitude * _phi(tail, x1)
-    F[pos] += acc
+    F[i:] += acc
     return F
 
 
@@ -156,18 +169,21 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
-def _integrate_piecewise(nl, X, shift, weight, splits, name):
-    """Integrate ``2^shift y(X sin t) * weight(t)`` over consecutive split panels.
+def _integrate_piecewise(nl, X, shift, quarter, full):
+    """Integrals of ``2^shift y(X sin t)`` times sin t between the ascending
+    splits ``quarter``, and times cos t between ``full``, in one pass.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
     looks that piece up once in ``nl.lines``, at its midpoint, and
     integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
     inside the panel, so a jump of y sitting on a split never leaks into the
     panel.  All panels are evaluated as one array.  The map and X are scaled
-    exactly by 2^shift; a line whose anchor overflows lies past X.
+    exactly by 2^shift; a line whose anchor overflows lies past X.  A
+    non-finite integral raises ``QuadratureError``, the sine integral first.
     """
     Xs = math.ldexp(X, shift)
-    splits = np.array(splits)
+    q = len(quarter) - 1  # row q, from pi/2 back to -pi, is no panel: it is skipped
+    splits = np.array(quarter + full)
     a, width = splits[:-1], np.diff(splits)
     x_mid = Xs * np.sin(a + 0.5 * width)
     lines = np.array(nl.lines)
@@ -176,14 +192,19 @@ def _integrate_piecewise(nl, X, shift, weight, splits, name):
     _, _, x0, y0, m = lines[np.searchsorted(lines[:, 0], x_mid, side="right") - 1].T
     y_mid = y0 + m * (x_mid - x0)
     t = a[:, None] + width[:, None] * _NODES
+    sin_t = np.sin(t)
     with np.errstate(all="ignore"):
-        f = (y_mid[:, None] + m[:, None] * (Xs * np.sin(t) - x_mid[:, None])) * weight(t)
-        total = float(width @ (f @ _WEIGHTS))
-    if not math.isfinite(total):
-        raise QuadratureError(
-            f"quadrature gave a non-finite value in the {name} integral at X = {X}"
-        )
-    return total
+        f = y_mid[:, None] + m[:, None] * (Xs * sin_t - x_mid[:, None])
+        f[:q] *= sin_t[:q]
+        f[q + 1:] *= np.cos(t[q + 1:])
+        totals = [float(width[rows] @ (f[rows] @ _WEIGHTS))
+                  for rows in (slice(q), slice(q + 1, None))]
+    for total, name in zip(totals, ("quarter-period b1", "full-period a1")):
+        if not math.isfinite(total):
+            raise QuadratureError(
+                f"quadrature gave a non-finite value in the {name} integral at X = {X}"
+            )
+    return totals
 
 
 def _shift(nl: PiecewiseNonlinearity, X: float) -> int:
@@ -223,19 +244,17 @@ def df_oracle(nl: PiecewiseNonlinearity, X: float) -> float:
     marks = sorted({xj for xj in nl.x if 0.0 < xj < X})
     thetas = [0.0] + [math.asin(xj / X) for xj in marks] + [math.pi / 2.0]
 
-    shift = _shift(nl, X)
-    quarter = _integrate_piecewise(nl, X, shift, np.sin, thetas, "quarter-period b1")
-    value = (4.0 / math.pi) * (quarter / math.ldexp(X, shift))  # finite wherever F(X) is
-
     # a1 over the full period; kinks occur wherever |X sin t| hits a breakpoint
     full_marks = {-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi}
-    for xj in marks:
-        t = math.asin(xj / X)
+    for t in thetas[1:-1]:
         full_marks.update((t, math.pi - t, -t, -math.pi + t))
-    splits = sorted(full_marks)
+
+    shift = _shift(nl, X)
+    quarter, full = _integrate_piecewise(nl, X, shift, thetas, sorted(full_marks))
+    value = (4.0 / math.pi) * (quarter / math.ldexp(X, shift))  # finite wherever F(X) is
 
     # a1 and b1 scaled by 2^shift, as the integrals are: b1 = F X may overflow
-    a1 = _integrate_piecewise(nl, X, shift, np.cos, splits, "full-period a1") / math.pi
+    a1 = full / math.pi
     b1 = value * math.ldexp(X, shift)
     if abs(a1) > SYMMETRY_TOL * (math.ldexp(1.0, shift) + abs(b1)):
         raise QuadratureError(

@@ -1,8 +1,11 @@
-"""Dependency-free standalone SVG line plots for the CLI data products."""
+"""Standalone SVG line plots for the CLI data products: no plotting library;
+NumPy for the coordinate arithmetic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 WIDTH = 720
 HEIGHT = 480
@@ -14,8 +17,8 @@ _MARGIN_B = 44
 
 @dataclass(frozen=True)
 class Series:
-    x: list
-    y: list
+    x: np.typing.ArrayLike  # 1-D and finite, as long as y
+    y: np.typing.ArrayLike
     label: str
     color: str = "#c02020"
     dash: str | None = None  # e.g. "6,4"
@@ -26,11 +29,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _bounds(series):
-    xs = [v for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+def _bounds(coords):
+    # the first extreme in series order, as list min/max pick between -0.0 and 0.0
+    xs = np.concatenate([x for x, _ in coords])
+    ys = np.concatenate([y for _, y in coords])
+    x0, x1 = xs[xs.argmin()], xs[xs.argmax()]
+    y0, y1 = ys[ys.argmin()], ys[ys.argmax()]
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -47,13 +51,19 @@ def line_plot(
     ylabel: str,
 ) -> str:
     """Render polyline series on a WIDTH x HEIGHT canvas with axes, labels and legend."""
-    if not series or all(len(s.x) == 0 for s in series):
+    coords = [(np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)) for s in series]
+    for s, (x, y) in zip(series, coords):
+        if len(x) != len(y):
+            raise ValueError(f"series {s.label!r}: {len(x)} x values but {len(y)} y values")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"series {s.label!r} holds a non-finite value")
+    if not any(len(x) for x, _ in coords):
         raise ValueError("nothing to plot")
-    x0, x1, y0, y1 = _bounds(series)
+    x0, x1, y0, y1 = _bounds(coords)
     pw = WIDTH - _MARGIN_L - _MARGIN_R
     ph = HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(v):
+    def sx(v):  # a float or an array
         return _MARGIN_L + pw * (v - x0) / (x1 - x0)
 
     def sy(v):
@@ -91,8 +101,9 @@ def line_plot(
     ]
 
     legend_y = _MARGIN_T + 14
-    for s in series:
-        pts = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in zip(s.x, s.y))
+    for s, (x, y) in zip(series, coords):
+        xy = np.column_stack((sx(x), sy(y))).ravel().tolist()
+        pts = " ".join(["%.6g,%.6g"] * len(x)) % tuple(xy)  # the format of _fmt
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" '

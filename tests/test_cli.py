@@ -30,6 +30,7 @@ NL_SLOPE_OVERFLOW = {"x": [1e-300, 1], "y": [1e300, 1]}  # first slope is 1e600
 PLANT_OVERFLOW = {"num": [1e300], "den": [1, 4, 3, 0], "k": 1e10}  # G(jw) overflows
 PLANT_STATIC = {"num": [1], "den": [1]}  # G(jw) is real at every frequency
 NL_TALL = {"x": [1e-300, 1e-300], "y": [0, 1e300]}  # F(X) overflows above the jump
+NL_HUGE_RELAY = {"x": [5e307, 5e307], "y": [0, 1e308]}  # a relay where pi X overflows
 # JSON values that float() accepts but that are not numbers or arrays
 PLANTS_NOT_NUMBERS = [
     {"num": "1", "den": "143", "k": True},
@@ -144,6 +145,19 @@ class TestDf:
         assert list(curves["oracle"]) == [1.5, 3.0]  # the grid is 0, 1.5, 3
         for x, f in curves["oracle"].items():
             assert math.isfinite(f) and f == pytest.approx(curves["exact"][x], rel=1e-12)
+
+    def test_relay_past_half_the_largest_float(self, runner, tmp_path):
+        # pi X overflows above about 5.7e307; the relay term must not read 0 there
+        nl = write(tmp_path, "nl.json", NL_HUGE_RELAY)
+        curves = {}
+        for mode in ("exact", "oracle"):
+            res = runner.invoke(main, ["df", nl, "--grid", "1e307", "1.5e308", "--mode", mode])
+            assert res.exit_code == 0 and res.stderr == ""
+            rows = res.stdout.splitlines()[1:]
+            curves[mode] = dict(tuple(map(float, line.split(","))) for line in rows)
+        assert len(curves["oracle"]) == 15 and curves["oracle"][1.5e308] > 0.8
+        for x, f in curves["oracle"].items():
+            assert curves["exact"][x] == pytest.approx(f, rel=1e-13, abs=0.0)
 
     def test_oracle_failure_exits_2(self, runner, tmp_path, monkeypatch):
         def failing(nl, X):
