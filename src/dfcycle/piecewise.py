@@ -195,8 +195,9 @@ class PiecewiseNonlinearity:
     def evaluate(self, x: float) -> float:
         """Value y(x) on its entry of ``lines`` (odd extension, right limit at jumps).
 
-        The lookup is ``line_at``'s, written out: the RK4 check calls this
-        per stage, and the extra call would cost about half as much again.
+        The lookup is ``line_at``'s, written out, as ``sim.simulate`` writes
+        it for each stage of a straddling step: the extra call would cost
+        about half as much again.
         """
         _, _, x0, y0, m = self.lines[bisect_right(self.line_starts, x) - 1]
         return y0 + m * (x - x0)

@@ -11,18 +11,23 @@ u_i = y(x_i), and the step ends at s' = Phi s + G u.  On a linear piece
 y = m x + b the four stage inputs solve a unit lower-triangular system, so
 the step is an affine map of s.  A run of steps whose stages all stay on one
 piece is advanced by one product with that map's precomputed powers; only a
-step whose stages straddle a breakpoint is taken stage by stage through
-``nl.evaluate``.  Both are the same RK4 step, up to rounding.
+step whose stages straddle a breakpoint is taken stage by stage.  Both are
+the same RK4 step, up to rounding.
 
 The pieces are the nonlinearity's signed line table ``nl.lines``, one entry
 per signed piece: its line and the half-open interval ``lo <= x < hi`` of the
-floats that lie on it.  A batch finds the piece of C s by one bisection of
-the table's starts and makes one test of its product against the piece's
-stacked bound vectors: ``lo <= x < hi`` on each stage abscissa and
-``|s_i| <= DIVERGENCE_NORM`` on each state.  Each step's abscissae come
-before its state, so the first element off its bounds alone ends the batch:
-at a step that straddles a breakpoint, or at a state that diverges after
-an accepted step.
+floats that lie on it.  A batch costs a fixed handful of NumPy calls,
+whatever its length: ``C s`` and one bisection of the table's starts find
+the piece; one matrix-vector product with the piece's run map writes the
+stage abscissae and states of up to ``RUN_STEPS`` steps straight into the
+trajectory's record; two comparisons with the piece's stacked bound vectors,
+an or and an argmax find the first element off its bounds: ``lo <= x < hi``
+on each stage abscissa, ``|s_i| <= DIVERGENCE_NORM`` on each state.  Each
+step's abscissae come before its state, so that element alone ends the
+batch: at a step that straddles a breakpoint, or at a state that diverges
+after an accepted step.  A straddling step costs one product with
+``[R; Phi]``, four bisections of the table in Python floats, and one product
+with G.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ class SimResult:
     states: np.ndarray  # shape (len(t), order)
     x: np.ndarray  # loop signal fed to the nonlinearity
     verdict: str
-    full_steps: int  # steps taken stage by stage through nl.evaluate
+    full_steps: int  # steps that straddle a breakpoint, taken stage by stage
+    batches: int  # run-map products, each of up to RUN_STEPS steps on one piece
     amplitude: float | None = None
     frequency: float | None = None
 
@@ -91,106 +97,130 @@ def simulate(
 
     Every step is the classical RK4 step, folded into the matrices of
     ``_folded_step``.  Each batch looks up the piece of y holding C s in the
-    signed line table ``nl.lines`` (one bisection of its starts),
-    computes up to ``RUN_STEPS`` steps on that piece with one product, and
-    tests it once against the piece's bound vectors from ``_run_map``.  A
-    step with a stage abscissa below the piece's ``lo`` or at or above its
-    ``hi`` straddles a breakpoint: the batch ends before it, and it is taken
-    stage by stage through ``nl.evaluate`` and counted in ``full_steps``.
+    signed line table ``nl.lines`` (one bisection of its starts), writes up
+    to ``RUN_STEPS`` steps on that piece into the trajectory with one product
+    by the piece's run map from ``_run_map`` (built the first time the piece
+    is visited), and tests them once against the map's bound vectors.  Only
+    the short last batch slices the map.  A step with a stage abscissa below
+    the piece's ``lo`` or at or above its ``hi`` straddles a breakpoint: the
+    batch ends before it, and it is taken stage by stage, each stage's line
+    looked up in ``nl.lines`` as ``nl.evaluate`` does, and counted in
+    ``full_steps``.  ``batches`` counts the products.
 
     Divergence (a state component of magnitude above 1e8) truncates the run
     with a ``diverged`` verdict; the same bound test finds it in a batch.
     Otherwise the trailing half of the trajectory decides between
     ``sustained_oscillation`` (with measured amplitude and frequency) and
     ``converged_to_origin``.  ``ValueError`` rejects a non-finite x0, T or
-    dt, a dt <= 0 and a T < 100 dt.
+    dt, a dt <= 0, a T < 100 dt and an x0 that is not of shape (order,),
+    naming the values it got.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(T):
         raise ValueError(f"horizon must be finite, got {T}")
     if T < 100.0 * dt:
-        raise ValueError("horizon too short: need T >= 100*dt")
+        raise ValueError(f"horizon too short: need T >= 100*dt, got T = {T}, dt = {dt}")
     A, B, C_loop = loop_matrices(plant)
     n = len(B)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
-        raise ValueError(f"initial state must have shape ({n},)")
+        raise ValueError(f"initial state must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0}")
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
     R_Phi = np.vstack([R, Phi])
     lines, starts = nl.lines, nl.line_starts
-    piece_maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    piece_maps: list = [None] * len(lines)
     _, (c10, *_), (c20, c21, *_), (c30, c31, c32, _) = Cm.tolist()
-    evaluate = nl.evaluate
-
-    def full_step(s):
-        r = R_Phi @ s
-        r0, r1, r2, r3 = r[:4].tolist()
-        u0 = evaluate(r0)
-        u1 = evaluate(r1 + c10 * u0)
-        u2 = evaluate(r2 + (c20 * u0 + c21 * u1))
-        u3 = evaluate(r3 + (c30 * u0 + c31 * u1 + c32 * u2))
-        return r[4:] + G @ np.array([u0, u1, u2, u3])
 
     steps = int(round(T / dt))
-    traj = np.empty((steps + 1, n))
+    width = n + 4
+    # row k: the four stage abscissae of step k, then the state after it;
+    # a batch's product is written here, so its accepted states stay in place
+    rows = np.empty((steps + 1, width))
+    flat, traj = rows.reshape(-1), rows[:, 4:]
     traj[0] = x0
-    s = x0
     affine = np.ones(n + 1)  # [s, 1]
+    s = affine[:n]
+    off_all = np.empty(RUN_STEPS * width, dtype=bool)
+    above_all = np.empty_like(off_all)
+    r = np.empty(width)  # a straddling step's [R; Phi] s
+    r_stages, r_state = r[:4], r[4:]
+    u = np.empty(4)
+    Gu = np.empty(n)
     k = 0
-    full_steps = 0
-    diverged_at = None
+    full_steps = batches = 0
+    diverged = False
     while k < steps:
-        piece = bisect_right(starts, float(C_loop @ s)) - 1
-        if piece not in piece_maps:
-            piece_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
-        run_map, low, high = piece_maps[piece]
-        todo = min(RUN_STEPS, steps - k)
-        size = todo * (n + 4)
-        affine[:n] = s
-        out = run_map[:size] @ affine
+        s[:] = traj[k]
+        piece = bisect_right(starts, float(C_loop.dot(s))) - 1
+        maps = piece_maps[piece]
+        if maps is None:
+            maps = piece_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
+        run_map, low, high = maps
+        todo = steps - k
+        if todo >= RUN_STEPS:
+            todo, off, above = RUN_STEPS, off_all, above_all
+        else:  # the short last batch
+            size = todo * width
+            run_map, low, high = run_map[:size], low[:size], high[:size]
+            off, above = off_all[:size], above_all[:size]
+        out = flat[(k + 1) * width : (k + 1 + todo) * width]
+        run_map.dot(affine, out)
+        batches += 1
         # the first stage abscissa off [lo, hi) or state past the norm
-        bad = out < low[:size]
-        bad |= out >= high[:size]
-        first = int(bad.argmax())
-        run, row = divmod(first, n + 4)
-        if not bad.item(first):
+        np.less(out, low, off)
+        np.greater_equal(out, high, above)
+        off |= above
+        first = int(off.argmax())
+        run, row = divmod(first, width)
+        if not off.item(first):
             run = todo
         elif row >= 4:  # step run + 1 stays on the piece, and its state diverges
-            run += 1
-            diverged_at = k + run
-        if run:
-            traj[k + 1 : k + 1 + run] = out.reshape(todo, n + 4)[:run, 4:]
-            if diverged_at is not None:
-                break
-            k += run
-            s = traj[k]
+            k += run + 1
+            diverged = True
+            break
+        k += run
         if run < todo:
-            s = full_step(s)
+            # step k + 1 straddles a breakpoint: stage by stage, each stage's
+            # line looked up in nl.lines as nl.evaluate does
+            R_Phi.dot(traj[k], r)
+            r0, r1, r2, r3 = r_stages.tolist()
+            _, _, a, b, m = lines[bisect_right(starts, r0) - 1]
+            u0 = b + m * (r0 - a)
+            x = r1 + c10 * u0
+            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+            u1 = b + m * (x - a)
+            x = r2 + (c20 * u0 + c21 * u1)
+            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+            u2 = b + m * (x - a)
+            x = r3 + (c30 * u0 + c31 * u1 + c32 * u2)
+            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+            u3 = b + m * (x - a)
+            u[:] = u0, u1, u2, u3
             full_steps += 1
             k += 1
-            traj[k] = s
-            if any(abs(v) > DIVERGENCE_NORM for v in s.tolist()):
-                diverged_at = k
+            state = traj[k]
+            np.add(r_state, G.dot(u, Gu), state)
+            if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
+                diverged = True
                 break
 
-    if diverged_at is not None:
-        traj = traj[: diverged_at + 1]
+    traj = np.ascontiguousarray(traj[: k + 1])  # the result keeps no stage columns
     t = np.arange(len(traj)) * dt
-    x = traj @ np.asarray(C_loop)
+    x = traj.dot(C_loop)
 
-    if diverged_at is not None:
-        return SimResult(t, traj, x, DIVERGED, full_steps)
+    if diverged:
+        return SimResult(t, traj, x, DIVERGED, full_steps, batches)
 
     measured = measure_oscillation(t, x)
     if measured is None:
-        return SimResult(t, traj, x, CONVERGED, full_steps)
+        return SimResult(t, traj, x, CONVERGED, full_steps, batches)
     amp, freq = measured
     return SimResult(
-        t, traj, x, SUSTAINED, full_steps, amplitude=amp, frequency=freq
+        t, traj, x, SUSTAINED, full_steps, batches, amplitude=amp, frequency=freq
     )
 
 
@@ -238,21 +268,24 @@ def _run_map(
     U = np.empty((4, n))
     v = np.empty(4)
     for i in range(4):
-        U[i] = m * (R[i] + Cm[i, :i] @ U[:i])
-        v[i] = b + m * (Cm[i, :i] @ v[:i])
+        U[i] = m * (R[i] + Cm[i, :i].dot(U[:i]))
+        v[i] = b + m * Cm[i, :i].dot(v[:i])
     step = np.eye(n + 1)
-    step[:n, :n] = Phi + G @ U
-    step[:n, n] = G @ v
-    stages = np.hstack([R + Cm @ U, (Cm @ v)[:, None]])
+    step[:n, :n] = Phi + G.dot(U)
+    step[:n, n] = G.dot(v)
+    stages = np.hstack([R + Cm.dot(U), Cm.dot(v)[:, None]])
     powers = np.empty((RUN_STEPS + 1, n + 1, n + 1))
     powers[0] = np.eye(n + 1)
-    for k in range(RUN_STEPS):
-        np.matmul(step, powers[k], out=powers[k + 1])
+    chain = list(powers)
+    for power, following in zip(chain, chain[1:]):
+        step.dot(power, following)
     blocks = np.empty((RUN_STEPS, n + 4, n + 1))
     np.matmul(stages, powers[:-1], out=blocks[:, :4])
     blocks[:, 4:] = powers[1:, :n]
-    low = np.tile([lo] * 4 + [-DIVERGENCE_NORM] * n, RUN_STEPS)
-    high = np.tile([hi] * 4 + [np.nextafter(DIVERGENCE_NORM, math.inf)] * n, RUN_STEPS)
+    above = math.nextafter(DIVERGENCE_NORM, math.inf)
+    bounds = np.empty((2, RUN_STEPS, n + 4))
+    bounds[:] = np.array([[lo] * 4 + [-DIVERGENCE_NORM] * n, [hi] * 4 + [above] * n])[:, None]
+    low, high = bounds.reshape(2, -1)
     return blocks.reshape(-1, n + 1), low, high
 
 

@@ -29,16 +29,27 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _widen(v0, v1):
+    """The range [v0, v1], or a constant one v widened to [v, v + 1].
+
+    Where v + 1 rounds back to v (|v| >= 2^53), the range is 2^-50 |v| wide
+    and reaches from v toward zero instead, so that it and the 4 % pad of the
+    y range stay finite up to the largest float.
+    """
+    if v1 != v0:
+        return v0, v1
+    if v0 + 1.0 != v0:
+        return v0, v0 + 1.0
+    width = abs(v0) * 2.0**-50
+    return (v0 - width, v0) if v0 > 0 else (v0, v0 + width)
+
+
 def _bounds(coords):
     # the first extreme in series order, as list min/max pick between -0.0 and 0.0
     xs = np.concatenate([x for x, _ in coords])
     ys = np.concatenate([y for _, y in coords])
-    x0, x1 = xs[xs.argmin()], xs[xs.argmax()]
-    y0, y1 = ys[ys.argmin()], ys[ys.argmax()]
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, x1 = _widen(xs[xs.argmin()], xs[xs.argmax()])
+    y0, y1 = _widen(ys[ys.argmin()], ys[ys.argmax()])
     pad = 0.04 * (y1 - y0)
     return x0, x1, y0 - pad, y1 + pad
 

@@ -115,6 +115,28 @@ class TestDf:
         text = out.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize(
+        "nl_data, grid",
+        [
+            # one amplitude: the relay at the origin drops X = 0, so x is constant
+            ({"x": [0, 0], "y": [0, 1]}, ["--grid", "1e300", "1e300"]),
+            ({"x": [0, 0], "y": [0, 1]}, ["--grid", *["1.7976931348623157e308"] * 2]),
+            # F = 1e20 on the whole default grid, so y is constant
+            ({"x": [1], "y": [1e20], "final_slope": 1e20}, []),
+            ({"x": [1], "y": [-1e300], "final_slope": -1e300}, []),
+        ],
+        ids=["x-1e300", "x-largest", "y-1e20", "y-minus-1e300"],
+    )
+    def test_constant_range_past_float_precision(self, runner, tmp_path, nl_data, grid):
+        # a constant range widened by + 1.0 is lost above 2^53 and divided 0/0
+        nl = write(tmp_path, "nl.json", nl_data)
+        out = tmp_path / "curve.svg"
+        res = runner.invoke(main, ["df", nl, *grid, "--out", str(out)])
+        assert res.exit_code == 0 and res.stderr == ""
+        [points] = [l for l in out.read_text().splitlines() if l.startswith("<polyline")]
+        xy = [tuple(map(float, p.split(","))) for p in points.split('"')[1].split()]
+        assert xy and all(64 <= x <= 704 and 28 <= y <= 436 for x, y in xy)
+
     def test_subnormal_jump_has_a_finite_curve(self, runner, tmp_path):
         # 4/(pi X) overflows at the default grid's first amplitudes, 4 Y/(pi X) does not
         nl = write(tmp_path, "nl.json", {"x": [0, 0, 4.5e-322], "y": [0, 1e-322, 2e-322]})

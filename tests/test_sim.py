@@ -144,8 +144,15 @@ class TestVerdicts:
         assert res.frequency == pytest.approx(math.sqrt(3.0), rel=0.05)
 
     def test_requires_enough_steps(self, nl_b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             simulate(plant_b(30.0), nl_b, np.zeros(3), 1.0, 0.5)
+        assert str(err.value) == "horizon too short: need T >= 100*dt, got T = 1.0, dt = 0.5"
+
+    @pytest.mark.parametrize("x0, shape", [([1.0, 0.0], "(2,)"), ([[1.0, 0.0, 0.0]], "(1, 3)")])
+    def test_rejects_a_state_of_the_wrong_shape(self, nl_b, x0, shape):
+        with pytest.raises(ValueError) as err:
+            simulate(plant_b(30.0), nl_b, x0, 60.0, 0.01)
+        assert str(err.value) == f"initial state must have shape (3,), got {shape}"
 
     def test_rejects_nonfinite_inputs(self, nl_b):
         # a NaN state would run to a false "converged" verdict, and T = inf

@@ -8,8 +8,8 @@ replaced: it labels C s and every stage abscissa by its own search of |x| in
 the vertex abscissae of ``nl.pieces`` and the sign, checks divergence
 separately on the accepted states, builds each run map by its own chain of
 products, and takes a straddling step through a generic stage loop.  Both
-run the same folded matrices in the same order, so states, verdicts and step
-counts must be equal exactly.
+run the same folded matrices in the same order, so states, verdicts, step
+counts and batch counts must be equal exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dfcycle.sim import (
 )
 
 from conftest import plant_a, plant_b, random_nonlinearity
-from test_sim import NL_A, NL_B, RELAY, cycle_start
+from test_sim import NL_A, NL_B, RELAY, cycle_start, linear_gain
 
 
 def reference_pieces(nl):
@@ -87,7 +87,7 @@ def reference_run_map(R, Cm, Phi, G, m, b):
 
 
 def reference_simulate(plant, nl, x0, T, dt):
-    """(states, verdict, full_steps) of the labelling loop."""
+    """(states, verdict, full_steps, batches) of the labelling loop."""
     A, B, C_loop = loop_matrices(plant)
     n = len(B)
     x0 = np.asarray(x0, dtype=float)
@@ -110,9 +110,10 @@ def reference_simulate(plant, nl, x0, T, dt):
     s = x0
     affine = np.ones(n + 1)  # [s, 1]
     k = 0
-    full_steps = 0
+    full_steps = batches = 0
     diverged_at = None
     while k < steps:
+        batches += 1
         piece = int(piece_of(C_loop @ s))
         if piece not in piece_maps:
             piece_maps[piece] = reference_run_map(R, Cm, Phi, G, *line(piece))
@@ -140,18 +141,19 @@ def reference_simulate(plant, nl, x0, T, dt):
                 break
 
     if diverged_at is not None:
-        return traj[: diverged_at + 1], DIVERGED, full_steps
+        return traj[: diverged_at + 1], DIVERGED, full_steps, batches
     t = np.arange(len(traj)) * dt
     measured = measure_oscillation(t, traj @ np.asarray(C_loop))
-    return traj, CONVERGED if measured is None else SUSTAINED, full_steps
+    return traj, CONVERGED if measured is None else SUSTAINED, full_steps, batches
 
 
 def assert_matches_reference(plant, nl, x0, T, dt):
-    states, verdict, full_steps = reference_simulate(plant, nl, x0, T, dt)
+    states, verdict, full_steps, batches = reference_simulate(plant, nl, x0, T, dt)
     res = simulate(plant, nl, x0, T, dt)
     assert res.verdict == verdict
     assert len(res.t) == len(states)
     assert res.full_steps == full_steps
+    assert res.batches == batches
     assert np.array_equal(res.states, states)
     return res
 
@@ -242,3 +244,43 @@ def test_divergence_with_a_stage_off_its_piece_matches_reference():
     res = assert_matches_reference(plant, corner, x0, T, dt)
     assert res.verdict == DIVERGED
     assert res.full_steps == 1 and len(res.t) == len(plain.t)
+
+
+@pytest.mark.parametrize(
+    "steps", [100, 3 * RUN_STEPS - 1, 3 * RUN_STEPS, 3 * RUN_STEPS + 1, 4 * RUN_STEPS]
+)
+def test_horizon_at_a_batch_edge_matches_reference(steps):
+    # horizons under 100 steps are refused, so the edges of RUN_STEPS and
+    # 2 RUN_STEPS are taken at 3 and 4 RUN_STEPS: a last batch that is full,
+    # or short by 1, or of 1 or 4 steps
+    plant = plant_b(30.0)
+    x0, _, dt = cycle_start(plant, NL_B, 1.0, 1)
+    line = assert_matches_reference(plant, linear_gain(0.5), x0, steps * dt, dt)
+    assert len(line.t) == steps + 1
+    assert line.full_steps == 0 and line.batches == -(-steps // RUN_STEPS)
+    res = assert_matches_reference(plant, NL_B, x0, steps * dt, dt)
+    assert len(res.t) == steps + 1 and res.full_steps > 0
+
+
+def test_straddle_on_the_last_step_matches_reference():
+    # the double integrator of the jump test: C s moves by h a step from
+    # -0.125, so the last stage of step 100 lands on the jump at 3
+    plant = LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0))
+    relay = PiecewiseNonlinearity(x=(3.0, 3.0), y=(0.0, 1.0), final_slope=0.0)
+    dt = 2.0**-5
+    res = assert_matches_reference(plant, relay, [0.125, -1.0], 100 * dt, dt)
+    assert res.full_steps == 1 and res.batches == 3 and len(res.t) == 101
+    assert np.all(res.x[:-1] < 3.0) and res.x[-2] + dt == 3.0
+
+
+@pytest.mark.parametrize("last", [RUN_STEPS, 2 * RUN_STEPS])
+def test_divergence_on_the_last_step_of_a_full_batch_matches_reference(last):
+    # s grows by a factor g a step, so from 1e8 / g^(last - 1/2) the first
+    # state past the norm is the last of a full batch
+    plant, nl = unstable_loop()
+    T, dt = 10.0, 0.1
+    growth = simulate(plant, nl, [1.0], T, dt).states[:, 0]
+    x0 = [DIVERGENCE_NORM / math.sqrt(growth[last - 1] * growth[last])]
+    res = assert_matches_reference(plant, nl, x0, T, dt)
+    assert res.verdict == DIVERGED and len(res.t) == last + 1
+    assert res.full_steps == 0 and res.batches == last // RUN_STEPS
