@@ -5,8 +5,11 @@ solving F(X) = K are candidate limit cycles.  Stability is decided by probing
 whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
 contour while -1/F just below stays enclosed.  Both probes lie on the negative
 real axis, so each enclosure is a sum over the contour's signed crossings of
-that axis (``linsys.nyquist_contour``).  The steady-state orbit in state space
-is estimated as an ellipse spanned by two basis vectors.
+that axis (``linsys.nyquist_contour``).  ``analyze`` evaluates F once per
+cycle, at both probes and the amplitude, and ``classify`` once at both
+probes; both read the verdict off those values in ``_verdict``.  The
+steady-state orbit in state space is estimated as an ellipse spanned by two
+basis vectors.
 """
 
 from __future__ import annotations
@@ -43,17 +46,25 @@ class NonFiniteCycleError(ValueError):
 
 
 class AmbiguousStabilityError(RuntimeError):
-    """Both amplitude probes gave the same enclosure verdict."""
+    """Both amplitude probes gave the same enclosure verdict, or ``probe``
+    names the amplitude and the F <= 0 there, where -1/F is not on the
+    negative real axis (both enclosures are then None)."""
 
-    def __init__(self, X, omega, enclosed_below, enclosed_above):
+    def __init__(self, X, omega, enclosed_below, enclosed_above, *, probe=None):
+        if probe is None:
+            reason = f"probe below enclosed={enclosed_below}, above enclosed={enclosed_above}"
+        else:
+            reason = (f"F = {probe[1]} <= 0 at the probe X = {probe[0]}, "
+                      f"so -1/F is not on the negative real axis")
         super().__init__(
             f"cannot classify the stability of the cycle at X = {X}, omega = {omega}: "
-            f"probe below enclosed={enclosed_below}, above enclosed={enclosed_above}"
+            + reason
         )
         self.X = X
         self.omega = omega
         self.enclosed_below = enclosed_below
         self.enclosed_above = enclosed_above
+        self.probe = probe
 
 
 @dataclass(frozen=True)
@@ -153,23 +164,31 @@ def classify(
 ) -> str:
     """Stable/unstable verdict for a candidate cycle amplitude.
 
-    Probes p = -1/F at X*(1 +/- DELTA): the cycle is stable when the outward
-    probe escapes the closed Nyquist contour while the inward probe remains
-    enclosed, and unstable in the mirrored case.  ``contour`` is the crossing
-    table of ``nyquist_contour``; the contour winds about p by the signed
-    count of its crossings left of p.
+    Probes p = -1/F at X*(1 +/- DELTA), both from one ``df_value`` call: the
+    cycle is stable when the outward probe escapes the closed Nyquist contour
+    while the inward probe remains enclosed, and unstable in the mirrored
+    case.  ``contour`` is the crossing table of ``nyquist_contour``; the
+    contour winds about p by the signed count of its crossings left of p.
+    Raises ``AmbiguousStabilityError`` when F <= 0 at a probe or both probes
+    give the same verdict.
     """
-    probes = {}
-    for tag, xs in (("below", X * (1.0 - DELTA)), ("above", X * (1.0 + DELTA))):
-        F = df_value(nl, xs)
+    below, above = df_value(nl, [X * (1.0 - DELTA), X * (1.0 + DELTA)]).tolist()
+    return _verdict(X, omega, below, above, contour=contour)
+
+
+def _verdict(X: float, omega: float, F_below: float, F_above: float, *, contour) -> str:
+    """``classify``'s verdict from F at its two probes X*(1 -/+ DELTA)."""
+    enclosed = []
+    for xs, F in ((X * (1.0 - DELTA), F_below), (X * (1.0 + DELTA), F_above)):
         if F <= 0:
-            raise AmbiguousStabilityError(X, omega, None, None)
-        probes[tag] = bool(contour[contour[:, 0] < -1.0 / F, 1].sum() != 0)
-    if probes["below"] and not probes["above"]:
+            raise AmbiguousStabilityError(X, omega, None, None, probe=(xs, F))
+        enclosed.append(bool(contour[contour[:, 0] < -1.0 / F, 1].sum() != 0))
+    below, above = enclosed
+    if below and not above:
         return STABLE
-    if probes["above"] and not probes["below"]:
+    if above and not below:
         return UNSTABLE
-    raise AmbiguousStabilityError(X, omega, probes["below"], probes["above"])
+    raise AmbiguousStabilityError(X, omega, below, above)
 
 
 def ellipse_estimate(
@@ -191,15 +210,21 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
     """Full limit-cycle estimation for every phase crossover of the plant.
 
     One crossover scan gives both the crossovers and the contour's crossing
-    table that classifies their cycles.
+    table that classifies their cycles.  One ``_df`` call per cycle, on
+    X*(1 - DELTA), X, X*(1 + DELTA), gives both stability probes and
+    Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
+    F at an amplitude does not depend on the others, as the power-of-two
+    scale that ``_psi`` reads off the first one is exact.
     """
     results = []
     crossovers, contour = _contour(plant)
     for omega, K, _ in crossovers:
         cycles = []
         for X in find_intersections(nl, K):
-            stability = classify(plant, nl, X, omega, contour=contour)
-            Y1 = df_value(nl, X) * X
+            triple = np.array([X * (1.0 - DELTA), X, X * (1.0 + DELTA)])
+            below, F, above = _df(nl, triple).tolist()
+            stability = _verdict(X, omega, below, above, contour=contour)
+            Y1 = F * X
             with np.errstate(over="ignore", invalid="ignore"):
                 x0, xq = ellipse_estimate(plant, omega, Y1)
             if not np.isfinite([Y1, *x0, *xq]).all():

@@ -195,42 +195,54 @@ def _refine_sign_changes(f, grid, vals, sign, done):
     *BIT* 11, 1971): the secant point through the ends' stored values, where
     the stored value of an end kept on two steps in a row is halved.  Where
     that point is not strictly inside the bracket (a 0 value at an end, an
-    overflow, a NaN), the step is the midpoint.  The side kept comes from
-    the unscaled value ``sa``, since halving can underflow to 0.  ``f``
-    takes the array of all live trial points.  A bracket freezes at the
-    first point whose value meets ``done``, or after ``MAX_ITER`` steps.
-    Returns the last trial points, their values and ``sign`` at each
-    bracket's left end, in grid order.
+    overflow, a NaN, equal stored values), the step is the midpoint.  The
+    side kept comes from the unscaled value ``sa``, since halving can
+    underflow to 0.  A bracket freezes at the first point whose value meets
+    ``done``, or after ``MAX_ITER`` steps.  Returns the last trial points,
+    their values and ``sign`` at each bracket's left end, in grid order.
+
+    A step makes one array call of ``f`` on all live trial points, then one
+    of ``sign`` and one of ``done`` on its values.  Each bracket's ends,
+    stored values and state are Python floats: a float operation rounds as
+    the same NumPy operation on float64 does, so the points, values and
+    roots have the bits of an elementwise array form.  Only a division by
+    0, where that form gives inf or NaN and takes the midpoint, would raise
+    here; it takes the midpoint directly.
     """
     v = sign(vals)
     i = _brackets(v)
-    a, b, sa = grid[i], grid[i + 1], v[i]  # a < b throughout
-    fa, fb = sa, v[i + 1]
-    kept = np.zeros(len(i))  # +1: a was kept on the last step, -1: b was
-    x, fx = grid[i], vals[i]
-    live = np.arange(len(i))
-    for _ in range(MAX_ITER):
-        if not live.size:
-            break
-        mid = 0.5 * a + 0.5 * b  # a + b can overflow
-        with np.errstate(all="ignore"):
-            t = b - fb * (b - a) / (fb - fa)
-        t = np.where((a < t) & (t < b), t, mid)  # False for inf and NaN
-        ft = f(t)
-        x[live], fx[live] = t, ft
-        st = sign(ft)
-        left = (st > 0) == (sa > 0)  # t replaces a, b is kept
-        now = np.where(left, -1.0, 1.0)
-        again = now == kept
-        fa = np.where(left, st, np.where(again, 0.5 * fa, fa))
-        fb = np.where(left, np.where(again, 0.5 * fb, fb), st)
-        a, b = np.where(left, t, a), np.where(left, b, t)
-        sa, kept = np.where(left, st, sa), now
-        go = ~done(ft)
-        live, a, b, sa, fa, fb, kept = (
-            live[go], a[go], b[go], sa[go], fa[go], fb[go], kept[go]
+    x, fx = grid[i].tolist(), vals[i].tolist()  # each bracket takes a step
+    # [index, a, b, sa, fa, fb, kept]: a < b throughout; kept is +1 where a
+    # was kept on the last step, -1 where b was
+    live = [
+        [j, a, b, sa, sa, fb, 0.0]
+        for j, (a, b, sa, fb) in enumerate(
+            zip(grid[i].tolist(), grid[i + 1].tolist(), v[i].tolist(), v[i + 1].tolist())
         )
-    return x, fx, v[i]
+    ]
+    for _ in range(MAX_ITER):
+        if not live:
+            break
+        t = []
+        for _, a, b, _, fa, fb, _ in live:
+            d = fb - fa
+            tk = b - fb * (b - a) / d if d != 0.0 else math.nan
+            t.append(tk if a < tk < b else 0.5 * a + 0.5 * b)  # a + b can overflow
+        ft = f(np.array(t))
+        st, stop = sign(ft).tolist(), done(ft).tolist()
+        following = []
+        for bracket, tk, fk, s, halt in zip(live, t, ft.tolist(), st, stop):
+            j, a, b, sa, fa, fb, kept = bracket
+            x[j], fx[j] = tk, fk
+            if halt:
+                continue
+            if (s > 0) == (sa > 0):  # t replaces a, b is kept
+                bracket[1:] = tk, b, s, s, 0.5 * fb if kept == -1.0 else fb, -1.0
+            else:
+                bracket[2:] = tk, sa, 0.5 * fa if kept == 1.0 else fa, s, 1.0
+            following.append(bracket)
+        live = following
+    return np.array(x, dtype=grid.dtype), np.array(fx, dtype=vals.dtype), v[i]
 
 
 def _scan(

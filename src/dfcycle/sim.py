@@ -108,7 +108,9 @@ def simulate(
     ``full_steps``.  ``batches`` counts the products.
 
     Divergence (a state component of magnitude above 1e8) truncates the run
-    with a ``diverged`` verdict; the same bound test finds it in a batch.
+    with a ``diverged`` verdict; the same bound test finds it in a batch.  A
+    NaN state passes every bound test, so one check after the loop ends a
+    run whose last state is not finite ``diverged`` at its first such state.
     Otherwise the trailing half of the trajectory decides between
     ``sustained_oscillation`` (with measured amplitude and frequency) and
     ``converged_to_origin``.  ``ValueError`` rejects a non-finite x0, T or
@@ -207,6 +209,10 @@ def simulate(
             if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
                 diverged = True
                 break
+    if not np.isfinite(traj[k]).all():
+        # a NaN passes the bound tests, and every state after it is NaN
+        k = int(np.flatnonzero(~np.isfinite(traj[: k + 1]).all(axis=1))[0])
+        diverged = True
 
     traj = np.ascontiguousarray(traj[: k + 1])  # the result keeps no stage columns
     t = np.arange(len(traj)) * dt

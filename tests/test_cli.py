@@ -327,10 +327,10 @@ class TestAnalyze:
         assert res.stdout == ""
 
     def test_ambiguous_stability_exits_2(self, runner, tmp_path, monkeypatch):
-        def ambiguous(plant, nl, X, omega, **kwargs):
+        def ambiguous(X, omega, F_below, F_above, **kwargs):
             raise cycles.AmbiguousStabilityError(X, omega, True, True)
 
-        monkeypatch.setattr(cycles, "classify", ambiguous)
+        monkeypatch.setattr(cycles, "_verdict", ambiguous)
         nl = write(tmp_path, "nl.json", NL_A)
         plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
         res = runner.invoke(main, ["analyze", nl, plant])
@@ -341,6 +341,29 @@ class TestAnalyze:
             f"error: {plant}: cannot classify the stability of the cycle at X = "
         )
         assert "omega = 1.41421" in line
+        assert res.stdout == ""
+
+    def test_nonpositive_f_at_a_probe_names_the_probe(self, runner, tmp_path):
+        # F(X) = K is tiny here, and F falls below 0 just above the cycle: -1/F
+        # at the upper probe is not on the negative real axis
+        nl = write(tmp_path, "nl.json", {"x": [1], "y": [1], "final_slope": -2})
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 1e7})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        head, reason = line.split(": F = ")
+        assert head.startswith(
+            f"error: {plant}: cannot classify the stability of the cycle at X = "
+        )
+        F, X = reason.removesuffix(", so -1/F is not on the negative real axis").split(
+            " <= 0 at the probe X = "
+        )
+        X = float(X)
+        cycle_X = float(head.split("X = ")[1].split(",")[0])
+        assert X == cycle_X * (1.0 + cycles.DELTA)
+        assert float(F) == descfun.df_value(PiecewiseNonlinearity(x=(1,), y=(1,), final_slope=-2), X)
+        assert float(F) <= 0
         assert res.stdout == ""
 
     def test_overflowing_slope_exits_2(self, runner, tmp_path):

@@ -4,21 +4,28 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value
 from dfcycle.cycles import (
+    DELTA,
+    CrossoverAnalysis,
     IntersectionError,
+    LimitCycleEstimate,
+    NonFiniteCycleError,
     analyze,
     classify,
     ellipse_estimate,
     find_intersections,
 )
-from dfcycle.linsys import N_SCAN, h_of_jw, nyquist_contour
+from dfcycle.descfun import _df
+from dfcycle.linsys import N_SCAN, h_of_jw, nyquist_contour, phase_crossovers
+from dfcycle.piecewise import NonlinearityError
 
-from conftest import plant_a, plant_b
+from conftest import plant_a, plant_b, random_nonlinearity
 from test_enclosure_reference import winding_number
 
 
@@ -175,3 +182,104 @@ class TestAnalyze:
             points.clear()
             analyze(plant, nl)
             assert N_SCAN < sum(points) <= N_SCAN + 100, (plant, points)
+
+
+def composed_analyze(plant, nl):
+    """``analyze`` from its public calls, as the benchmark's traced op makes
+    them: ``classify`` per cycle, then Y1 = ``df_value(nl, X) * X``."""
+    contour = nyquist_contour(plant)
+    results = []
+    for omega, K in phase_crossovers(plant):
+        cycles = []
+        for X in find_intersections(nl, K):
+            stability = classify(plant, nl, X, omega, contour=contour)
+            Y1 = df_value(nl, X) * X
+            with np.errstate(over="ignore", invalid="ignore"):
+                x0, xq = ellipse_estimate(plant, omega, Y1)
+            if not np.isfinite([Y1, *x0, *xq]).all():
+                raise NonFiniteCycleError(
+                    f"the first harmonic Y1 = {Y1} or the state ellipse of the "
+                    f"cycle at omega = {omega}, X = {X} is not finite"
+                )
+            cycles.append(LimitCycleEstimate(
+                omega=omega, X=X, stability=stability, gain_margin=K, Y1=Y1,
+                ellipse_x0=tuple(float(v) for v in x0),
+                ellipse_xq=tuple(float(v) for v in xq),
+            ))
+        results.append(CrossoverAnalysis(omega=omega, gain_margin=K, cycles=tuple(cycles)))
+    return results
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# x and y scaled together by 2^e: F and the crossovers stay, the amplitudes
+# scale, down to subnormal breakpoints and amplitudes below 2^-1000 (where
+# descfun._psi scales its tail up by the tail's first amplitude)
+EXPONENTS = (0, -1060, -1040, -1010, -1000, 1000, 1010)
+
+
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_analyze_equals_its_public_parts(e):
+    rng = random.Random(1234 + e)
+    cycles = 0
+    for _ in range(20):
+        # an integrator and two or three lags: the plant crosses the axis
+        lags = [rng.uniform(0.2, 5.0) for _ in range(rng.randint(2, 3))]
+        den = tuple(np.poly([0.0] + [-p for p in lags]))
+        num = (1.0,) if rng.random() < 0.5 else (-1.0, rng.uniform(0.5, 5.0))
+        nl = random_nonlinearity(rng, max_breakpoints=6)
+        # y, or -y where F < 0, and the gain that puts a cycle at a random
+        # amplitude
+        F = df_value(nl, rng.uniform(0.1, 1.5) * nl.max_breakpoint)
+        sign = 1.0 if F >= 0 else -1.0
+        km = phase_crossovers(LinearPlant(num=num, den=den))[0][1]
+        plant = LinearPlant(num=num, den=den, k=km / abs(F) if F != 0 else 1.0)
+        nl = PiecewiseNonlinearity(
+            x=tuple(math.ldexp(v, e) for v in nl.x),
+            y=tuple(sign * math.ldexp(v, e) for v in nl.y),
+            final_slope=sign * nl.final_slope,
+        )
+        got = outcome(analyze, plant, nl)
+        assert got == outcome(composed_analyze, plant, nl)
+        for co in got if isinstance(got, list) else []:
+            for c in co.cycles:
+                # analyze's one call on the triple gives each value of its
+                # own one-point call
+                triple = np.array([c.X * (1.0 - DELTA), c.X, c.X * (1.0 + DELTA)])
+                assert _df(nl, triple).tolist() == [df_value(nl, x) for x in triple]
+                cycles += 1
+    assert cycles >= 15  # the comparison is not vacuous
+
+
+def test_one_call_on_the_probe_triple_keeps_each_value():
+    # X just above a power of two 2^e: X (1 - DELTA) lies below it, so below
+    # 2^-1000 the relay term's power-of-two scale, read off its tail's first
+    # amplitude, is twice that of a one-point call at X or X (1 + DELTA);
+    # the scale is exact there, so the bits stay
+    rng = random.Random(99)
+    tested = 0
+    for e in range(-1060, -990):
+        nl = random_nonlinearity(rng, max_breakpoints=4, max_jumps=2)
+        ex = e - 5 - math.frexp(nl.max_breakpoint)[1]  # breakpoints below X / 16
+        ey = rng.choice((ex, ex + 1000, ex - 40))  # as x, steep, subnormal y
+        try:
+            nl = PiecewiseNonlinearity(
+                x=tuple(math.ldexp(v, ex) for v in nl.x),
+                y=tuple(math.ldexp(v, ey) for v in nl.y),
+                final_slope=math.ldexp(nl.final_slope, ey - ex),
+            )
+        except NonlinearityError:  # subnormal rounding merged two vertices
+            continue
+        X = math.ldexp(1.0 + rng.uniform(0.0, 0.5) * DELTA, e)
+        triple = np.array([X * (1.0 - DELTA), X, X * (1.0 + DELTA)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _df(nl, triple).tolist()
+            want = [df_value(nl, x) for x in triple]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (e, nl, X)
+        tested += 1
+    assert tested >= 50

@@ -78,7 +78,8 @@ def reference_analyze(plant, nl):
     """``analyze`` with each cycle labelled by the polygon's winding numbers."""
     built = []  # the polygon, at the first cycle: most ops have none
 
-    def polygon_classify(plant, nl, X, omega, *, contour):
+    def polygon_verdict(X, omega, F_below, F_above, *, contour):
+        # F at each probe comes from its own df_value call, not from analyze
         if not built:
             built.append(polygon(plant))
         below, above = (
@@ -88,7 +89,7 @@ def reference_analyze(plant, nl):
         return {(True, False): STABLE, (False, True): UNSTABLE}[below, above]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "classify", polygon_classify)
+        mp.setattr(cycles, "_verdict", polygon_verdict)
         return analyze(plant, nl)
 
 

@@ -10,6 +10,12 @@ with Re G < 0 and carry the gain margin ``1/|G|`` exactly; each amplitude
 must meet ``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each
 root must lie in the same closed grid interval as its reference root.  The
 scans must also stop within ``MAX_CALLS`` array calls each.
+
+``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats.
+``array_refine_sign_changes`` below is the array form it replaced; on the
+same inputs both must call ``f`` on the same trial points and return the
+same bits, on random functions and grids, on the special values a step must
+survive, and inside the real scans.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dfcycle.linsys import (
     MAX_ITER,
     N_SCAN,
     OMEGA_RANGE,
+    _brackets,
     _refine_sign_changes,
     phase_crossovers,
 )
@@ -205,3 +212,174 @@ def test_random_loops_match_reference(lags, rhp_zero, k, seed):
     plant = LinearPlant(num=num, den=tuple(den), k=k)
     nl = random_nonlinearity(random.Random(seed), max_breakpoints=6)
     assert_matches_reference(plant, nl)
+
+
+# -- the array form of the refinement ---------------------------------------
+
+
+def array_refine_sign_changes(f, grid, vals, sign, done):
+    """``_refine_sign_changes`` with every bracket's state in arrays."""
+    v = sign(vals)
+    i = _brackets(v)
+    a, b, sa = grid[i], grid[i + 1], v[i]  # a < b throughout
+    fa, fb = sa, v[i + 1]
+    kept = np.zeros(len(i))  # +1: a was kept on the last step, -1: b was
+    x, fx = grid[i], vals[i]
+    live = np.arange(len(i))
+    for _ in range(MAX_ITER):
+        if not live.size:
+            break
+        mid = 0.5 * a + 0.5 * b  # a + b can overflow
+        with np.errstate(all="ignore"):
+            t = b - fb * (b - a) / (fb - fa)
+        t = np.where((a < t) & (t < b), t, mid)  # False for inf and NaN
+        ft = f(t)
+        x[live], fx[live] = t, ft
+        st = sign(ft)
+        left = (st > 0) == (sa > 0)  # t replaces a, b is kept
+        now = np.where(left, -1.0, 1.0)
+        again = now == kept
+        fa = np.where(left, st, np.where(again, 0.5 * fa, fa))
+        fb = np.where(left, np.where(again, 0.5 * fb, fb), st)
+        a, b = np.where(left, t, a), np.where(left, b, t)
+        sa, kept = np.where(left, st, sa), now
+        go = ~done(ft)
+        live, a, b, sa, fa, fb, kept = (
+            live[go], a[go], b[go], sa[go], fa[go], fb[go], kept[go]
+        )
+    return x, fx, v[i]
+
+
+def assert_same_refinement(f, grid, vals, sign, done):
+    """Both forms call ``f`` on the same points and return the same bits.
+
+    Returns the number of array calls of ``f``.
+    """
+    calls = ([], [])
+
+    def recorded(log):
+        def g(t):
+            log.append(t.copy())
+            return f(t)
+
+        return g
+
+    with np.errstate(all="ignore"):
+        got = _refine_sign_changes(recorded(calls[0]), grid, vals, sign, done)
+        want = array_refine_sign_changes(recorded(calls[1]), grid, vals, sign, done)
+    assert len(calls[0]) == len(calls[1])
+    for t_got, t_want in zip(*calls):
+        assert t_got.shape == t_want.shape and t_got.tobytes() == t_want.tobytes()
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), (g, w)
+    return len(calls[0])
+
+
+def never(v):
+    return np.zeros(np.shape(v), dtype=bool)
+
+
+def tiny_sign(v):
+    # the smallest subnormal: halving a stored value underflows to 0
+    return np.sign(v) * 5e-324
+
+
+def test_zero_value_at_a_bracket_end():
+    # f(0.5) = 0 on the grid: its left neighbour's bracket ends at a 0 value,
+    # so the secant point is b and the step is the midpoint
+    grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
+    f = lambda x: x - 0.5  # noqa: E731
+    assert assert_same_refinement(f, grid, f(grid), lambda v: v, lambda v: np.abs(v) <= 1e-12)
+
+
+def test_nan_and_inf_values():
+    # -inf at the left end and NaN inside the bracket: inf/inf and a NaN
+    # stored value make the secant point NaN
+    def f(x):
+        return np.where(x < 0.3, -np.inf, np.where(x < 0.6, np.nan, x - 0.7))
+
+    grid = np.array([0.0, 1.0, 2.0])
+    vals = np.array([-np.inf, 1.0, -np.inf])
+    for done in (never, lambda v: np.abs(v) <= 1e-9):
+        assert_same_refinement(f, grid, vals, lambda v: v, done)
+
+
+def test_overflowing_secant_numerator():
+    # fb (b - a) = 1e300 * 2e300 overflows to inf
+    grid = np.array([-1e300, 1e300])
+    f = lambda x: x - 1.0  # noqa: E731
+    assert_same_refinement(f, grid, f(grid), lambda v: v, lambda v: np.abs(v) <= 1e-12)
+
+
+def test_equal_stored_values():
+    # with the smallest subnormal as stored values, the end kept twice halves
+    # to 0; f hits the dyadic root exactly, so the other becomes 0 too, and
+    # fb - fa = 0 would divide by 0
+    grid = np.array([0.0, 1.0])
+    f = lambda x: x - 0.375  # noqa: E731
+    assert assert_same_refinement(f, grid, f(grid), tiny_sign, never) == MAX_ITER
+
+
+def test_brackets_that_run_out_of_steps():
+    grid = np.linspace(-3.0, 3.0, 13)
+    f = lambda x: np.sin(3.0 * x) + 0.1  # noqa: E731
+    assert assert_same_refinement(f, grid, f(grid), lambda v: v, never) == MAX_ITER
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_functions_and_grids(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    lo = rng.uniform(-10.0, 0.0)
+    grid = np.sort(rng.uniform(lo, lo + rng.choice((1e-6, 1.0, 20.0)), n))
+    grid = np.unique(grid)
+    roots = rng.uniform(grid[0], grid[-1], int(rng.integers(1, 6)))
+    scale = 10.0 ** rng.choice((-300, -5, 0, 5, 300))
+
+    def f(x):
+        return scale * np.prod(np.subtract.outer(x, roots), axis=-1)
+
+    with np.errstate(all="ignore"):
+        vals = f(grid)
+    # special values on the grid: exact zeros, infinities and NaNs
+    for special in rng.choice((0.0, np.inf, -np.inf, np.nan), int(rng.integers(0, 4))):
+        vals[rng.integers(0, len(vals))] = special
+    sign = (lambda v: v, np.sign, tiny_sign)[seed % 3]
+    tol = rng.choice((0.0, 1e-12, 1e-3)) * scale
+    done = never if seed % 5 == 0 else (lambda v: np.abs(v) <= tol)
+    assert_same_refinement(f, grid, vals, sign, done)
+
+
+@contextmanager
+def both_forms():
+    """Patch the root scans so that each runs both forms and compares them."""
+    def compared(f, grid, vals, sign, done):
+        assert_same_refinement(f, grid, vals, sign, done)
+        return _refine_sign_changes(f, grid, vals, sign, done)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsys, "_refine_sign_changes", compared)
+        mp.setattr(cycles, "_refine_sign_changes", compared)
+        yield
+
+
+@pytest.mark.parametrize("ex", (0, -1060, -1010, 1010))
+def test_scans_of_random_loops_match_the_array_form(ex):
+    rng = random.Random(7 + ex)
+    with both_forms():
+        for _ in range(6):
+            lags = [rng.uniform(0.2, 5.0) for _ in range(rng.randint(1, 3))]
+            den = np.poly([0.0] + [-p for p in lags])
+            plant = LinearPlant(num=(1.0,), den=tuple(den), k=rng.uniform(0.5, 40.0))
+            nl = random_nonlinearity(rng, max_breakpoints=6)
+            nl = PiecewiseNonlinearity(
+                x=tuple(math.ldexp(v, ex) for v in nl.x),
+                y=tuple(math.ldexp(v, ex) for v in nl.y),
+                final_slope=nl.final_slope,
+            )
+            for _, km in phase_crossovers(plant):
+                try:
+                    find_intersections(nl, km)
+                except cycles.IntersectionError:
+                    pass

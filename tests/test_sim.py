@@ -136,6 +136,19 @@ class TestVerdicts:
         assert res.verdict == DIVERGED
         assert res.t[-1] < 400.0  # truncated at the divergence threshold
 
+    def test_nan_states_end_the_run_diverged(self):
+        # the run map's powers overflow, so every state after x0 is NaN, and a
+        # NaN passes every bound test of the loop
+        p = LinearPlant(num=(1.0, 1.0), den=(1.0, 3.0, 2.0), k=1e200)
+        nl = PiecewiseNonlinearity(x=(1,), y=(1,), final_slope=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = simulate(p, nl, [1.0, 0.0], 3.0, 0.01)
+        assert res.verdict == DIVERGED
+        assert res.states.shape == (2, 2)
+        assert np.array_equal(res.states[0], [1.0, 0.0])
+        assert not np.isfinite(res.states[1]).any()
+        assert np.array_equal(res.t, [0.0, 0.01])
+
     def test_relay_loop_sustains(self, nl_b):
         p = plant_b(30.0)
         T, dt = default_horizon(math.sqrt(3.0))
