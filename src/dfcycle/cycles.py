@@ -1,7 +1,10 @@
 """Limit cycle estimation: solve F(X) G(jw) = -1 and classify the solutions.
 
 Each negative-real-axis crossing of G contributes a gain margin K; amplitudes
-solving F(X) = K are candidate limit cycles.  Stability is decided by probing
+solving F(X) = K are candidate limit cycles.  F on the scan's amplitude grid
+depends on the nonlinearity alone: its table is built and checked once per
+map and kept on it, so each K costs a subtraction and the refinement of its
+brackets.  Stability is decided by probing
 whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
 contour while -1/F just below stays enclosed.  Both probes lie on the negative
 real axis, so each enclosure is a sum over the contour's signed crossings of
@@ -89,27 +92,18 @@ class CrossoverAnalysis:
     cycles: tuple[LimitCycleEstimate, ...]
 
 
-def find_intersections(
-    nl: PiecewiseNonlinearity,
-    gain_margin: float,
-    *,
-    x_max: float | None = None,
-) -> list[float]:
-    """All amplitudes with F(X) = gain_margin, ascending.
+def _scan_table(
+    nl: PiecewiseNonlinearity, x_max: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The F = K scan's amplitudes and F on them, which no K changes, checked.
 
-    v = F - K is sampled on a dense log grid up to ``x_max`` (default 100x
-    the last breakpoint), built and checked here, so the scan and its
-    refinement run the unchecked ``descfun._df``.  As in ``phase_crossovers``,
-    a bracket opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a
-    sample with v = 0 is a root; the brackets, split at the breakpoints and
-    above each jump at ``RUN``, are refined together by
-    ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``.  Raises
-    ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when the
-    grid is not finite or positive, F on it is not finite, or v = 0 at two
-    consecutive samples.
+    The amplitudes ``Xr`` are a log grid up to ``x_max`` (default 100x the
+    last breakpoint), with the marks that end the brackets inserted; returns
+    ``Xr``, F on it (the unchecked ``descfun._df``), the positions of the log
+    grid's points in ``Xr`` and the least F on them.  Raises
+    ``IntersectionError`` when the grid is not finite or positive, or F on
+    the log grid is not finite.
     """
-    if not 0 < gain_margin < math.inf:
-        raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
     if x_max is None:
         ref = nl.max_breakpoint
         x_max = 100.0 * ref if ref > 0 else 100.0
@@ -128,27 +122,62 @@ def find_intersections(
     at = np.searchsorted(X, marks)
     Xr = np.insert(X, at, marks)
     with np.errstate(over="ignore", invalid="ignore"):
-        Fr = _df(nl, Xr) - gain_margin
-    F = np.delete(Fr, at + np.arange(len(marks)))  # F on the log grid
+        Fr = _df(nl, Xr)
+    on_grid = np.delete(np.arange(len(Xr)), at + np.arange(len(marks)))
+    F = Fr[on_grid]
     overflow = ~np.isfinite(F)
     if overflow.any():
         raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
+    for a in (Xr, Fr, on_grid):
+        a.flags.writeable = False
+    return Xr, Fr, on_grid, float(F.min())
+
+
+def find_intersections(
+    nl: PiecewiseNonlinearity,
+    gain_margin: float,
+    *,
+    x_max: float | None = None,
+) -> list[float]:
+    """All amplitudes with F(X) = gain_margin, ascending.
+
+    v = F - K is sampled on ``_scan_table``'s amplitudes, a dense log grid up
+    to ``x_max`` (default 100x the last breakpoint) with marks inserted.
+    The default grid's table is kept on ``nl`` (``nl._f_scan``), so one map
+    builds and checks it once for every K; the scan and its refinement run
+    the unchecked ``descfun._df``.  As in ``phase_crossovers``, a bracket
+    opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a sample with
+    v = 0 is a root; the brackets, split at the breakpoints and above each
+    jump at ``RUN``, are refined together by ``_refine_sign_changes`` down to
+    ``|F - K| <= VALUE_TOL``.  Raises ``ValueError`` unless 0 < K < inf, and
+    ``IntersectionError`` when the grid is not finite or positive, F - K on
+    its log grid is not finite, or v = 0 at two consecutive samples of it.
+    """
+    if not 0 < gain_margin < math.inf:
+        raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
+    Xr, Fr, on_grid, F_min = nl._f_scan if x_max is None else _scan_table(nl, x_max)
+    with np.errstate(over="ignore"):
+        v = Fr - gain_margin
+    if F_min - gain_margin == -math.inf:  # F - K overflows on the log grid
+        at = on_grid[v[on_grid] == -math.inf][0]
+        raise IntersectionError(f"F is not finite at X = {Xr[at]}")
     roots, _, _ = _refine_sign_changes(
         lambda x: _df(nl, x) - gain_margin,
         Xr,
-        Fr,
+        v,
         lambda v: v,
         lambda v: np.abs(v) <= VALUE_TOL,
     )
 
-    zero = F == 0.0
+    zero = v[on_grid] == 0.0
+    at_zero = Xr[on_grid[zero]]
     if (zero[:-1] & zero[1:]).any():
         raise IntersectionError(
             f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
-            f"consecutive amplitudes in X = [{X[zero][0]}, {X[zero][-1]}]"
+            f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
         )
     dedup: list[float] = []
-    for r in sorted(roots.tolist() + X[zero].tolist()):
+    for r in sorted(roots.tolist() + at_zero.tolist()):
         if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
             dedup.append(r)
     return dedup

@@ -128,16 +128,17 @@ def _sample(nl: PiecewiseNonlinearity, grid, kernel, provenance: str):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid must be a non-empty 1-D array")
-    if not np.all(np.diff(grid) > 0):
+    if not (grid[1:] > grid[:-1]).all():
         raise ValueError("grid must be strictly increasing")
     if not grid[0] >= 0:  # NaN fails too; a longer grid fails the diff test
         raise ValueError("grid amplitudes must be >= 0")
     if grid[0] == 0 and nl.has_origin_jump:
         raise ValueError("grid must exclude 0 when the nonlinearity jumps at the origin")
     F = kernel(nl, grid)
-    overflow = ~np.isfinite(F) & (grid > 0)
-    if overflow.any():
-        raise ValueError(f"F is not finite at X = {grid[overflow][0]}")
+    if not np.isfinite(F).all():
+        overflow = ~np.isfinite(F) & (grid > 0)
+        if overflow.any():
+            raise ValueError(f"F is not finite at X = {grid[overflow][0]}")
     return DescribingFunctionCurve(grid, F, provenance)
 
 

@@ -81,17 +81,25 @@ class LinearPlant:
     def transfer(self, s: complex | np.ndarray) -> complex | np.ndarray:
         """G(s) at a scalar or, elementwise, at an array of complex s.
 
-        A scalar s gives a NumPy complex scalar.  Raises ``PoleOnAxisError``
-        naming the first s at which the denominator is negligible.
+        A scalar s gives a NumPy complex scalar.  Both polynomials are
+        evaluated by ``_horner``, with the bits of ``np.polyval``.  Raises
+        ``PoleOnAxisError`` naming the first s at which the denominator is
+        negligible.
         """
-        return self.k * np.polyval(self.num, s) / self._den_at(s)
+        return self.k * _horner(self.num, s) / self._den_at(s)
+
+    @cached_property
+    def _abs_den(self) -> tuple[float, ...]:
+        """|den|'s coefficients, whose polynomial at |s| bounds |den(s)|."""
+        return tuple(abs(c) for c in self.den)
 
     def _den_at(self, s: complex | np.ndarray) -> complex | np.ndarray:
         """den(s), checked: ``PoleOnAxisError`` where it is negligible against
         the sum of its terms' sizes (a pole), or where that sum overflows, which
         leaves no size to compare den(s) with."""
-        den = np.polyval(self.den, s)
-        scale = np.maximum(np.abs(np.polyval(np.abs(self.den), np.abs(s))), 1.0)
+        den = _horner(self.den, s)
+        # the sum is >= 0 or NaN: all of its terms are
+        scale = np.maximum(_horner(self._abs_den, np.abs(s)), 1.0)
         # also holds wherever the scale is inf, unless den(s) is nan
         bad = np.abs(den) <= 1e-14 * scale
         if bad.any():
@@ -143,6 +151,23 @@ class LinearPlant:
         return {"num": list(self.num), "den": list(self.den), "k": self.k}
 
 
+def _horner(coeffs: tuple[float, ...], s):
+    """``np.polyval(coeffs, s)`` at a float or complex scalar or array s.
+
+    Its operations in its order, ``y = y * s + c`` from zeros, so its bits,
+    without its per-call conversions, which outweigh the arithmetic on the
+    few points of a refinement step.  Not in place: on one complex element
+    NumPy's in-place multiply takes another loop than ``y * s``, which may
+    round differently (it need not fuse a multiply and an add), and its
+    in-place add is slower there.  A scalar s gives a NumPy scalar, as there.
+    """
+    s = np.asarray(s)
+    y = np.zeros(s.shape, np.result_type(s, 0.0))
+    for c in coeffs:
+        y = y * s + c
+    return y[()]
+
+
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """``n`` >= 1 log-spaced points from lo to hi, 0 < lo < hi < inf.
 
@@ -155,6 +180,11 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     if grid[-1] == math.inf:
         grid[-1] = hi
     return grid
+
+
+# The crossover scan's grid over OMEGA_RANGE, which no plant changes.
+_SCAN_GRID = log_grid(*OMEGA_RANGE, N_SCAN)
+_SCAN_GRID.flags.writeable = False
 
 
 def freq_response(
@@ -245,20 +275,14 @@ def _refine_sign_changes(f, grid, vals, sign, done):
     return np.array(x, dtype=grid.dtype), np.array(fx, dtype=vals.dtype), v[i]
 
 
-def _scan(
-    plant: LinearPlant, omega_range: tuple[float, float]
-) -> tuple[list[list], complex, complex]:
-    """``phase_crossovers``' search, as ``[omega, gain margin, direction]``
-    rows, and G at both ends of its grid.
+def _scan(plant: LinearPlant, ws: np.ndarray) -> tuple[list[list], complex, complex]:
+    """``phase_crossovers``' search on the ascending positive grid ``ws``, as
+    ``[omega, gain margin, direction]`` rows, and G at both ends of the grid.
 
     A crossing's direction is the sign of Im G at its bracket's left end, +1
     where Im G falls through 0.  Brackets that refine to one omega give one
     row, whose direction is their sum (0 at a tangency).
     """
-    lo, hi = omega_range
-    if not (0 < lo < hi):
-        raise ValueError("omega_range must be a positive increasing interval")
-    ws = log_grid(lo, hi, N_SCAN)
     g_grid = freq_response(plant, ws)
     with np.errstate(over="ignore", invalid="ignore"):
         omegas, g, im_left = _refine_sign_changes(
@@ -303,18 +327,22 @@ def phase_crossovers(
     ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
     Raises ``PoleOnAxisError`` naming the first scanned or refined omega
     at which G overflows, or the first crossing whose gain margin 1/|G|
-    overflows or underflows to 0.
+    overflows or underflows to 0, and ``ValueError`` unless
+    0 < omega_min < omega_max < inf.
     """
-    return [(w, km) for w, km, _ in _scan(plant, omega_range)[0]]
+    lo, hi = omega_range
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"omega_range must satisfy 0 < lo < hi < inf, got {omega_range}")
+    return [(w, km) for w, km, _ in _scan(plant, log_grid(lo, hi, N_SCAN))[0]]
 
 
 def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
-    """``_scan``'s rows over ``OMEGA_RANGE`` and the table of ``nyquist_contour``."""
+    """``_scan``'s rows on ``_SCAN_GRID`` and the table of ``nyquist_contour``."""
     r = np.roots(plant.den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
     if on_axis.size:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    rows, g_lo, g_hi = _scan(plant, OMEGA_RANGE)
+    rows, g_lo, g_hi = _scan(plant, _SCAN_GRID)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles
     if q > 0:

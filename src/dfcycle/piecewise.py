@@ -176,6 +176,16 @@ class PiecewiseNonlinearity:
         """Distinct abscissae where the slope changes or the graph jumps."""
         return tuple(sorted({xb for xb, _, _ in self.terms}))
 
+    @cached_property
+    def _f_scan(self):
+        """``cycles.find_intersections``' table of F on its default amplitude
+        grid (``cycles._scan_table``), which no gain margin changes: kept on
+        the map, built on first use, and rebuilt (raising again) while the
+        build fails."""
+        from .cycles import _scan_table
+
+        return _scan_table(self)
+
     @property
     def max_breakpoint(self) -> float:
         """Largest vertex abscissa (0 when only the origin is recorded)."""

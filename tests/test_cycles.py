@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +116,62 @@ class TestIntersections:
             IntersectionError, match=r"grid is not positive: it starts at 0\.0$"
         ):
             find_intersections(tiny, 0.5)
+
+
+class TestKeptTable:
+    """``find_intersections`` keeps its F = K scan's table on the map."""
+
+    @staticmethod
+    def fresh(nl):
+        return PiecewiseNonlinearity(nl.x, nl.y, nl.final_slope)
+
+    def test_one_map_gives_what_fresh_maps_give(self, nl_a, nl_b):
+        rng = random.Random(11)
+        for nl in (nl_a, nl_b, random_nonlinearity(rng), random_nonlinearity(rng)):
+            margins = [math.exp(rng.uniform(math.log(0.05), math.log(5.0))) for _ in range(50)]
+            kept = [find_intersections(nl, km) for km in margins]
+            assert "_f_scan" in vars(nl)
+            assert kept == [find_intersections(self.fresh(nl), km) for km in margins]
+            assert any(kept), nl
+
+    def test_an_explicit_grid_end_is_not_kept(self, nl_b):
+        ref = nl_b.max_breakpoint
+        for km in (2.4, 0.8, 0.4):
+            assert find_intersections(nl_b, km, x_max=100.0 * ref) == find_intersections(
+                self.fresh(nl_b), km
+            )
+        assert "_f_scan" not in vars(nl_b)
+
+    def test_a_map_whose_f_overflows_raises_on_every_call(self):
+        tall = PiecewiseNonlinearity(x=(1e-300, 1e-300), y=(0.0, 1e300))
+        for km in (2.4, 2.4, 0.5):
+            with pytest.raises(IntersectionError, match=r"^F is not finite at X = 1\.00"):
+                find_intersections(tall, km)
+        assert "_f_scan" not in vars(tall)
+        with pytest.raises(ValueError, match="gain margin must be positive and finite"):
+            find_intersections(tall, math.nan)  # K is checked first
+
+    def test_f_minus_k_that_overflows_raises(self):
+        # F = -1e308 below X = 1 is finite, but F - K overflows for K = 1e308
+        deep = PiecewiseNonlinearity(x=(1.0,), y=(-1e308,), final_slope=0.0)
+        assert find_intersections(deep, 1e300) == []
+        for _ in range(2):
+            with pytest.raises(
+                IntersectionError, match=r"^F is not finite at X = 9\.999999999999999e-06$"
+            ):
+                find_intersections(deep, 1e308)
+        assert find_intersections(deep, 1e300) == []
+
+    def test_the_table_lives_and_dies_with_its_map(self):
+        # a map no other test builds, so that no cache keyed by equal maps
+        # could hold an earlier object in its place
+        nl = PiecewiseNonlinearity(x=(3.0, 6.0, 10.0, 19.125), y=(3.0, 3.0, 10.0, 10.0))
+        assert len(find_intersections(nl, 0.8)) == 3
+        assert "_f_scan" in vars(nl)
+        ref = weakref.ref(nl)
+        del nl
+        gc.collect()
+        assert ref() is None
 
 
 class TestClassification:

@@ -304,6 +304,11 @@ class TestCurveContainer:
             (nl_a, [2.0, 1.0], "grid must be strictly increasing"),
             (nl_a, [1.0, 1.0, 2.0], "grid must be strictly increasing"),
             (nl_a, [-1.0, 1.0], "grid amplitudes must be >= 0"),
+            # the step test compares neighbours: no difference to overflow or be NaN
+            (nl_a, [1.0, math.inf, math.inf], "grid must be strictly increasing"),
+            (nl_a, [1.0, math.nan, 2.0], "grid must be strictly increasing"),
+            (nl_a, [-math.inf, 1.0], "grid amplitudes must be >= 0"),
+            (nl_a, [-1e308, 1e308], "grid amplitudes must be >= 0"),
             (nl_a, [math.nan], "grid amplitudes must be >= 0"),
             (relay, [0.0, 1.0], "grid must exclude 0 when the nonlinearity jumps at the origin"),
             # F overflows above the jump: the df command's default grid, without 0

@@ -201,6 +201,17 @@ class TestCrossovers:
         with pytest.raises(PoleOnAxisError, match=r"1/\|G\| is inf at omega = 1\.73"):
             phase_crossovers(plant_b(1e-310))
 
+    @pytest.mark.parametrize(
+        "omega_range",
+        [(1e-3, math.inf), (0.0, 1e3), (-1.0, 1e3), (1e3, 1e-3), (1.0, 1.0), (math.nan, 1e3),
+         (1e-3, math.nan), (math.inf, math.inf)],
+    )
+    def test_rejects_a_range_outside_zero_to_inf(self, omega_range):
+        # an infinite end used to reach the scan as a grid of NaN
+        with pytest.raises(ValueError, match=r"^omega_range must satisfy 0 < lo < hi < inf, "
+                                             r"got \(.*\)$"):
+            phase_crossovers(plant_b(5.0), omega_range)
+
     def test_no_crossover_plant(self):
         # first-order lag never reaches -180 degrees
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))

@@ -1,0 +1,130 @@
+"""``LinearPlant.transfer`` against its ``np.polyval`` form, bit for bit.
+
+``transfer`` and ``_den_at`` evaluate their polynomials with
+``linsys._horner``, an in-place copy of ``np.polyval``'s loop.  The
+functions below are the ``np.polyval`` form it replaced:
+``G = k num(s) / den(s)``, with den(s) checked against the polynomial of
+|den|'s coefficients at |s|.  On random plants of order 1-6 with gains up to
+1e300, at scalar and array s, ``transfer``, ``freq_response`` and
+``h_of_jw`` must give the same bits, the same result types and the same
+errors as these.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from dfcycle import LinearPlant
+from dfcycle.linsys import PoleOnAxisError, freq_response, h_of_jw
+
+from conftest import plant_a
+
+
+def reference_den_at(plant, s):
+    den = np.polyval(plant.den, s)
+    scale = np.maximum(np.abs(np.polyval(np.abs(plant.den), np.abs(s))), 1.0)
+    bad = np.abs(den) <= 1e-14 * scale
+    if bad.any():
+        at, size = np.asarray(s)[bad][0], np.asarray(scale)[bad][0]
+        if size == math.inf:
+            raise PoleOnAxisError(f"the denominator overflows at s = {at}")
+        raise PoleOnAxisError(f"pole at s = {at}")
+    return den
+
+
+def reference_transfer(plant, s):
+    return plant.k * np.polyval(plant.num, s) / reference_den_at(plant, s)
+
+
+def reference_freq_response(plant, omega):
+    ws = np.asarray(omega)
+    if np.any(ws <= 0):
+        raise ValueError("frequency must be positive")
+    g = reference_transfer(plant, 1j * omega)
+    overflow = ~np.isfinite(g)
+    if overflow.any():
+        raise PoleOnAxisError(f"G(j omega) is not finite at omega = {ws[overflow][0]}")
+    return g
+
+
+def reference_h_of_jw(plant, omega):
+    s = 1j * omega
+    return s ** np.arange(plant.order) * (plant.den[0] / reference_den_at(plant, s))
+
+
+def outcome(f, *args):
+    """The result's type, shape and bytes, or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            r = f(*args)
+    except (PoleOnAxisError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(r), np.shape(r), np.atleast_1d(r).tobytes()
+
+
+def random_plant(rng: random.Random) -> LinearPlant:
+    order = rng.randint(1, 6)
+
+    def coeff():
+        if rng.random() < 0.15:
+            return 0.0
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+    den = [coeff() or 1.0] + [coeff() for _ in range(order)]
+    num = [coeff() for _ in range(rng.randint(1, order + 1))]
+    k = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+    return LinearPlant(tuple(num), tuple(den), k)
+
+
+def random_points(rng: random.Random):
+    """Scalar and array s: on the imaginary axis, off it, and as floats."""
+    w = 10.0 ** rng.uniform(-3.0, 3.0)
+    ws = 10.0 ** np.array([rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, 40))])
+    return (
+        1j * w,
+        complex(rng.uniform(-5.0, 5.0), w),
+        1j * ws,
+        ws * (rng.uniform(-1.0, 1.0) + 1j),
+        ws,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_plants_match_the_polyval_form(seed):
+    rng = random.Random(seed)
+    for _ in range(75):
+        plant = random_plant(rng)
+        for s in random_points(rng):
+            assert outcome(plant.transfer, s) == outcome(reference_transfer, plant, s), (
+                plant, s)
+        w = 10.0 ** rng.uniform(-3.0, 3.0)
+        ws = np.sort(10.0 ** np.array([rng.uniform(-3.0, 3.0) for _ in range(30)]))
+        for omega in (w, ws):
+            assert outcome(freq_response, plant, omega) == outcome(
+                reference_freq_response, plant, omega), (plant, omega)
+        assert outcome(h_of_jw, plant, w) == outcome(reference_h_of_jw, plant, w)
+
+
+@pytest.mark.parametrize(
+    "plant, s, message",
+    [
+        # poles at 0 and +-j, sampled at j
+        (LinearPlant(num=(1.0,), den=(1.0, 0.0, 1.0, 0.0)), np.array([0.5j, 1.0j, 2.0j]),
+         r"^pole at s = 1j$"),
+        (LinearPlant(num=(1.0,), den=(1.0, 0.0, 1.0, 0.0)), 1.0j, r"^pole at s = 1j$"),
+        # den(s) = s^2 + s overflows at s = 1e200j, far from the poles 0 and -1
+        (plant_a(2.5), np.array([1.0j, 1e100j, 1e200j, 1e300j]),
+         r"^the denominator overflows at s = 1e\+200j$"),
+        (plant_a(2.5), 1e200j, r"^the denominator overflows at s = 1e\+200j$"),
+    ],
+)
+def test_errors_match_the_polyval_form(plant, s, message):
+    got = outcome(plant.transfer, s)
+    assert got == outcome(reference_transfer, plant, s)
+    assert got[0] is PoleOnAxisError
+    with pytest.raises(PoleOnAxisError, match=message), np.errstate(all="ignore"):
+        plant.transfer(s)
