@@ -60,9 +60,13 @@ def _load(cls, path: str):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write ``text`` to ``out_path``, or echo it to stdout when there is none."""
+    """Write ``text`` to ``out_path``, or echo it to stdout when there is none;
+    a path that cannot be written fails with one line."""
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            _fail(f"{out_path}: {exc}")
     else:
         click.echo(text, nl=False)
 

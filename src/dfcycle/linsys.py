@@ -3,14 +3,17 @@ contour's crossing table, realization.
 
 The plant is stored as numerator/denominator polynomial coefficients plus a
 scalar gain.  A controllable canonical state-space realization is derived for
-the steady-state geometry and the time simulator.
+the steady-state geometry and the time simulator.  The contour's scan keeps
+the gain-free half of G on its fixed grid, num and den there and the check
+for poles on the imaginary axis, per coefficient set, so a sweep over gains
+evaluates them once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +24,8 @@ OMEGA_RANGE = (1e-3, 1e3)
 # bracket of both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
 N_SCAN = 4000
 MAX_ITER = 200
+# Coefficient sets whose grid terms the contour's scan keeps, 128 KB each.
+GRID_MEMO_SIZE = 16
 
 
 class PlantError(ValueError):
@@ -39,7 +44,8 @@ class LinearPlant:
     """Proper rational transfer function ``G(s) = k * num(s) / den(s)``.
 
     Coefficients are in descending powers of s.  The gain multiplier ``k``
-    is kept separate so gain sweeps reuse one coefficient set.
+    is kept separate so gain sweeps reuse one coefficient set: plants with
+    equal ``num`` and ``den`` share the contour scan's grid terms.
     """
 
     num: tuple[float, ...]
@@ -200,10 +206,16 @@ def freq_response(
         raise ValueError("frequency must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         g = plant.transfer(1j * omega)
+    return _finite(g, ws)
+
+
+def _finite(g, omega: np.ndarray):
+    """``g``, G at ``omega``; ``PoleOnAxisError`` naming the first omega at
+    which it is not finite."""
     overflow = ~np.isfinite(g)
     if overflow.any():
         raise PoleOnAxisError(
-            f"G(j omega) is not finite at omega = {ws[overflow][0]}"
+            f"G(j omega) is not finite at omega = {omega[overflow][0]}"
         )
     return g
 
@@ -275,15 +287,14 @@ def _refine_sign_changes(f, grid, vals, sign, done):
     return np.array(x, dtype=grid.dtype), np.array(fx, dtype=vals.dtype), v[i]
 
 
-def _scan(plant: LinearPlant, ws: np.ndarray) -> tuple[list[list], complex, complex]:
-    """``phase_crossovers``' search on the ascending positive grid ``ws``, as
-    ``[omega, gain margin, direction]`` rows, and G at both ends of the grid.
+def _scan(plant: LinearPlant, ws: np.ndarray, g_grid: np.ndarray) -> list[list]:
+    """``phase_crossovers``' search on the ascending positive grid ``ws``,
+    where G is ``g_grid``, as ``[omega, gain margin, direction]`` rows.
 
     A crossing's direction is the sign of Im G at its bracket's left end, +1
     where Im G falls through 0.  Brackets that refine to one omega give one
     row, whose direction is their sum (0 at a tangency).
     """
-    g_grid = freq_response(plant, ws)
     with np.errstate(over="ignore", invalid="ignore"):
         omegas, g, im_left = _refine_sign_changes(
             lambda w: plant.transfer(1j * w),
@@ -292,12 +303,7 @@ def _scan(plant: LinearPlant, ws: np.ndarray) -> tuple[list[list], complex, comp
             np.imag,
             lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
         )
-    overflow = ~np.isfinite(g)
-    if overflow.any():
-        raise PoleOnAxisError(
-            f"G(j omega) is not finite at omega = {omegas[overflow][0]}"
-        )
-    neg = g.real < 0
+    neg = _finite(g, omegas).real < 0
     omegas = omegas[neg]
     with np.errstate(over="ignore", divide="ignore"):
         margins = 1.0 / np.abs(g[neg])
@@ -312,7 +318,7 @@ def _scan(plant: LinearPlant, ws: np.ndarray) -> tuple[list[list], complex, comp
             rows[-1][2] += d
         else:
             rows.append([w, km, d])
-    return rows, g_grid[0], g_grid[-1]
+    return rows
 
 
 def phase_crossovers(
@@ -333,16 +339,45 @@ def phase_crossovers(
     lo, hi = omega_range
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"omega_range must satisfy 0 < lo < hi < inf, got {omega_range}")
-    return [(w, km) for w, km, _ in _scan(plant, log_grid(lo, hi, N_SCAN))[0]]
+    ws = log_grid(lo, hi, N_SCAN)
+    return [(w, km) for w, km, _ in _scan(plant, ws, freq_response(plant, ws))]
 
 
-def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
-    """``_scan``'s rows on ``_SCAN_GRID`` and the table of ``nyquist_contour``."""
-    r = np.roots(plant.den)
+@lru_cache(maxsize=GRID_MEMO_SIZE)
+def _grid_terms(
+    num: tuple[float, ...], den: tuple[float, ...], signs: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """num and den at j ``_SCAN_GRID``, read-only, as ``transfer`` evaluates
+    them, after ``nyquist_contour``'s check for poles on the imaginary axis.
+
+    ``signs``, the coefficients' signs, only completes the key: ``-0.0 ==
+    0.0``, but a zero's sign can move a bit of num or den.  Raises as that
+    check and ``transfer`` do; an error is not kept.
+    """
+    r = np.roots(den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
     if on_axis.size:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    rows, g_lo, g_hi = _scan(plant, _SCAN_GRID)
+    s = 1j * _SCAN_GRID
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _horner(num, s), LinearPlant(num, den)._den_at(s)
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
+    """``_scan``'s rows on ``_SCAN_GRID`` and the table of ``nyquist_contour``.
+
+    G there is ``k * num / den`` from ``_grid_terms``, kept per coefficient
+    set, with the bits and errors of ``freq_response``.
+    """
+    signs = tuple(math.copysign(1.0, c) for c in plant.num + plant.den)
+    num, den = _grid_terms(plant.num, plant.den, signs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_grid = _finite(plant.k * num / den, _SCAN_GRID)
+    rows = _scan(plant, _SCAN_GRID, g_grid)
+    g_lo, g_hi = g_grid[0], g_grid[-1]
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles
     if q > 0:
@@ -379,7 +414,10 @@ def nyquist_contour(plant: LinearPlant) -> np.ndarray:
     angle pi, -1; each straight segment that crosses.  Raises
     ``PoleOnAxisError`` for any other pole r on the imaginary axis
     (``|Re r| <= 1e-9 |r|``), sampled or not, for an arc that overflows, and
-    as ``phase_crossovers`` does.
+    as ``phase_crossovers`` does.  That pole check and num and den on the
+    scan's grid are kept for the last ``GRID_MEMO_SIZE`` coefficient sets,
+    so across a sweep of ``k`` only G = k num / den and its refinement are
+    computed again.
     """
     return _contour(plant)[1]
 

@@ -570,6 +570,18 @@ class TestMalformedInput:
         assert_one_line_exit_2(res)
         assert res.stderr.startswith(f"error: {bad}: invalid JSON: ")
 
+    @pytest.mark.parametrize("command", ["df", "nyquist", "analyze"])
+    @pytest.mark.parametrize("out", ["adir", "missing/dir/f.csv"])
+    def test_out_path_that_cannot_be_written(self, runner, tmp_path, command, out):
+        (tmp_path / "adir").mkdir()
+        out = str(tmp_path / out)
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 15})
+        inputs = {"df": [nl], "nyquist": [plant], "analyze": [nl, plant]}[command]
+        res = runner.invoke(main, [command, *inputs, "--out", out])
+        assert_one_line_exit_2(res)
+        assert res.stderr.startswith(f"error: {out}: [Errno ")
+
     @pytest.mark.parametrize("nl_data", NLS_NOT_NUMBERS)
     def test_df_refuses(self, runner, tmp_path, nl_data):
         nl = write(tmp_path, "nl.json", nl_data)

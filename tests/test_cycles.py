@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value
+from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value, linsys
 from dfcycle.cycles import (
     DELTA,
     CrossoverAnalysis,
@@ -224,22 +224,36 @@ class TestAnalyze:
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert analyze(p, nl_a) == []
 
-    def test_evaluates_g_at_the_scan_and_its_refinement_only(self, monkeypatch, nl_a, nl_b):
-        # the crossover scan's grid, plus a few refinement points per bracket
-        points = []
-        transfer = LinearPlant.transfer
+    def test_evaluates_g_at_the_scan_and_its_refinement_only(
+        self, monkeypatch, cold_grid_memo, nl_a, nl_b
+    ):
+        # num on the crossover scan's grid once per coefficient set, then G
+        # (so num) at a few refinement points per bracket at every gain
+        points, refined = [], []
+        horner, transfer = linsys._horner, LinearPlant.transfer
 
-        def counted(self, s):
-            points.append(np.size(s))
+        def counted_horner(coeffs, s):
+            if coeffs == plant.num:
+                points.append(np.size(s))
+            return horner(coeffs, s)
+
+        def counted_transfer(self, s):
+            refined.append(np.size(s))
             return transfer(self, s)
 
-        monkeypatch.setattr(LinearPlant, "transfer", counted)
-        for plant, nl in [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)] + [
-            (plant_b(k), nl_b) for k in (5.0, 15.0, 30.0)
-        ]:
-            points.clear()
-            analyze(plant, nl)
-            assert N_SCAN < sum(points) <= N_SCAN + 100, (plant, points)
+        monkeypatch.setattr(linsys, "_horner", counted_horner)
+        monkeypatch.setattr(LinearPlant, "transfer", counted_transfer)
+        cases = [(plant_a, nl_a, (1.0, 2.5, 6.0)), (plant_b, nl_b, (5.0, 15.0, 30.0))]
+        for make, nl, gains in cases:
+            for i, k in enumerate(gains):
+                plant = make(k)
+                points.clear()
+                refined.clear()
+                analyze(plant, nl)
+                grid = [n for n in points if n == N_SCAN]
+                assert grid == ([N_SCAN] if i == 0 else []), (plant, points)
+                assert sum(points) - sum(grid) == sum(refined), (plant, points, refined)
+                assert 0 < sum(refined) <= 100, (plant, refined)
 
 
 def composed_analyze(plant, nl):
