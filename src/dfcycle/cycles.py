@@ -1,18 +1,17 @@
 """Limit cycle estimation: solve F(X) G(jw) = -1 and classify the solutions.
 
-Each negative-real-axis crossing of G contributes a gain margin K; amplitudes
-solving F(X) = K are candidate limit cycles.  F on the scan's amplitude grid
-depends on the nonlinearity alone: its table is built and checked once per
-map and kept on it, so each K costs a subtraction and the refinement of its
-brackets.  Stability is decided by probing
-whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
-contour while -1/F just below stays enclosed.  Both probes lie on the negative
-real axis, so each enclosure is a sum over the contour's signed crossings of
-that axis (``linsys.nyquist_contour``).  ``analyze`` evaluates F once per
-cycle, at both probes and the amplitude, and ``classify`` once at both
-probes; both read the verdict off those values in ``_verdict``.  The
-steady-state orbit in state space is estimated as an ellipse spanned by two
-basis vectors.
+Each negative-real-axis crossing of G (``linsys._crossings``) contributes a
+gain margin K; amplitudes solving F(X) = K are candidate limit cycles.  F on
+the scan's amplitude grid depends on the nonlinearity alone: its table is
+built and checked once per map and kept on it, so each K costs a subtraction
+and the refinement of its brackets.  Stability is decided by probing whether
+-1/F just beyond the candidate amplitude leaves the closed Nyquist contour
+while -1/F just below stays enclosed.  Both probes lie on the negative real
+axis, so each enclosure is a sum over the contour's signed crossings of that
+axis (``linsys.nyquist_contour``).  ``analyze`` evaluates F once per cycle,
+at both probes and the amplitude, and ``classify`` once at both probes; both
+read the verdict off those values in ``_verdict``.  The steady-state orbit in
+state space is estimated as an ellipse spanned by two basis vectors.
 """
 
 from __future__ import annotations
@@ -23,16 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descfun import _df, df_value
-from .linsys import LinearPlant, _contour, _refine_sign_changes, h_of_jw, log_grid
+from .linsys import LinearPlant, _contour, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 
-# Log-grid points of the F(X) = K scan and the |F - K| that ends the
-# refinement of a root.
+# Log-grid points of the F(X) = K scan, the |F - K| that ends the refinement
+# of a root, and the cap on refinement steps per bracket.
 N_GRID = 4096
 VALUE_TOL = 1e-10
+MAX_ITER = 200
 # Relative offsets of the run of points above a jump: 4^-k, from a quarter
 # of the log grid's step (0.39 %) down to 2e-13.
 RUN = 4.0 ** -np.arange(5, 22)
@@ -133,6 +133,56 @@ def _scan_table(
     return Xr, Fr, on_grid, float(F.min())
 
 
+def _refine_sign_changes(f, grid, vals, done):
+    """The last trial points, in grid order, of every bracket of the sign
+    changes of ``vals = f(grid)``, refined at once by the Illinois variant of
+    false position (Dowell & Jarratt, *BIT* 11, 1971): the secant point
+    through the ends' stored values, an end's stored value halved when it is
+    kept twice in a row, or the midpoint where that point is not strictly
+    inside (a 0 value at an end, an overflow, a NaN, equal stored values).
+    The side kept comes from the unscaled value ``sa``, as halving can
+    underflow to 0.  A bracket freezes at the first point whose value meets
+    ``done``, or after ``MAX_ITER`` steps.  A step makes one array call of
+    ``f`` and one of ``done``; the bookkeeping in Python floats has the bits
+    of an elementwise array form, whose division by 0 takes the midpoint.
+    """
+    # the brackets' left ends: v_i != 0 and v_i v_i+1 <= 0, in signs, whose
+    # product cannot overflow or underflow to 0
+    v = np.sign(vals)
+    i = np.nonzero((v[:-1] != 0.0) & (v[:-1] * v[1:] <= 0.0))[0]
+    x = grid[i].tolist()  # each bracket takes a step
+    # [index, a, b, sa, fa, fb, kept]: a < b throughout; kept is +1 where a
+    # was kept on the last step, -1 where b was
+    live = [
+        [j, a, b, sa, sa, fb, 0.0]
+        for j, (a, b, sa, fb) in enumerate(
+            zip(grid[i].tolist(), grid[i + 1].tolist(), vals[i].tolist(), vals[i + 1].tolist())
+        )
+    ]
+    for _ in range(MAX_ITER):
+        if not live:
+            break
+        t = []
+        for _, a, b, _, fa, fb, _ in live:
+            d = fb - fa
+            tk = b - fb * (b - a) / d if d != 0.0 else math.nan
+            t.append(tk if a < tk < b else 0.5 * a + 0.5 * b)  # a + b can overflow
+        ft = f(np.array(t))
+        following = []
+        for bracket, tk, s, halt in zip(live, t, ft.tolist(), done(ft).tolist()):
+            j, a, b, sa, fa, fb, kept = bracket
+            x[j] = tk
+            if halt:
+                continue
+            if (s > 0) == (sa > 0):  # t replaces a, b is kept
+                bracket[1:] = tk, b, s, s, 0.5 * fb if kept == -1.0 else fb, -1.0
+            else:
+                bracket[2:] = tk, sa, 0.5 * fa if kept == 1.0 else fa, s, 1.0
+            following.append(bracket)
+        live = following
+    return np.array(x, dtype=grid.dtype)
+
+
 def find_intersections(
     nl: PiecewiseNonlinearity,
     gain_margin: float,
@@ -145,13 +195,13 @@ def find_intersections(
     to ``x_max`` (default 100x the last breakpoint) with marks inserted.
     The default grid's table is kept on ``nl`` (``nl._f_scan``), so one map
     builds and checks it once for every K; the scan and its refinement run
-    the unchecked ``descfun._df``.  As in ``phase_crossovers``, a bracket
-    opens wherever ``v_i != 0`` and ``v_i * v_i+1 <= 0``, and a sample with
-    v = 0 is a root; the brackets, split at the breakpoints and above each
-    jump at ``RUN``, are refined together by ``_refine_sign_changes`` down to
-    ``|F - K| <= VALUE_TOL``.  Raises ``ValueError`` unless 0 < K < inf, and
-    ``IntersectionError`` when the grid is not finite or positive, F - K on
-    its log grid is not finite, or v = 0 at two consecutive samples of it.
+    the unchecked ``descfun._df``.  A bracket opens wherever ``v_i != 0`` and
+    ``v_i * v_i+1 <= 0``, and a sample with v = 0 is a root; the brackets,
+    split at the breakpoints and above each jump at ``RUN``, are refined
+    together by ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``.
+    Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when
+    the grid is not finite or positive, F - K on its log grid is not finite,
+    or v = 0 at two consecutive samples of it.
     """
     if not 0 < gain_margin < math.inf:
         raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
@@ -161,12 +211,8 @@ def find_intersections(
     if F_min - gain_margin == -math.inf:  # F - K overflows on the log grid
         at = on_grid[v[on_grid] == -math.inf][0]
         raise IntersectionError(f"F is not finite at X = {Xr[at]}")
-    roots, _, _ = _refine_sign_changes(
-        lambda x: _df(nl, x) - gain_margin,
-        Xr,
-        v,
-        lambda v: v,
-        lambda v: np.abs(v) <= VALUE_TOL,
+    roots = _refine_sign_changes(
+        lambda x: _df(nl, x) - gain_margin, Xr, v, lambda v: np.abs(v) <= VALUE_TOL
     )
 
     zero = v[on_grid] == 0.0
@@ -238,8 +284,8 @@ def ellipse_estimate(
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
     """Full limit-cycle estimation for every phase crossover of the plant.
 
-    One crossover scan gives both the crossovers and the contour's crossing
-    table that classifies their cycles.  One ``_df`` call per cycle, on
+    One crossover search gives both the crossovers and the contour's
+    crossing table that classifies their cycles.  One ``_df`` call per cycle, on
     X*(1 - DELTA), X, X*(1 + DELTA), gives both stability probes and
     Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
     F at an amplitude does not depend on the others, as the power-of-two

@@ -3,29 +3,22 @@ contour's crossing table, realization.
 
 The plant is stored as numerator/denominator polynomial coefficients plus a
 scalar gain.  A controllable canonical state-space realization is derived for
-the steady-state geometry and the time simulator.  The contour's scan keeps
-the gain-free half of G on its fixed grid, num and den there and the check
-for poles on the imaginary axis, per coefficient set, so a sweep over gains
-evaluates them once.
+the steady-state geometry and the time simulator.  G(j omega) is real where
+P(omega) = Im N(j omega) conj(D(j omega)) = 0, so the phase crossovers are
+the real roots of P, and G is evaluated only there and at the range's ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-# Frequency interval of the crossover scan, which also bounds the Nyquist
+# Frequency interval of the crossover search, which also bounds the Nyquist
 # contour: its arc and its two straight segments sit at the interval's ends.
 OMEGA_RANGE = (1e-3, 1e3)
-# Log-grid points of the crossover scan, and the cap on refinement steps per
-# bracket of both root scans (Im G = 0 over omega here, F(X) = K in ``cycles``).
-N_SCAN = 4000
-MAX_ITER = 200
-# Coefficient sets whose grid terms the contour's scan keeps, 128 KB each.
-GRID_MEMO_SIZE = 16
 
 
 class PlantError(ValueError):
@@ -33,19 +26,18 @@ class PlantError(ValueError):
 
 
 class PoleOnAxisError(ValueError):
-    """G has a pole where it is sampled, or on the imaginary axis away from the
-    origin, or G or the gain margin 1/|G| is not finite at the frequency, or
-    the Nyquist contour's indentation arc overflows, or the denominator of G
-    overflows where it is sampled."""
+    """G has a pole where it is evaluated, or on the imaginary axis away from
+    the origin, G, its denominator or the gain margin 1/|G| is not finite at
+    the frequency, the Nyquist contour's indentation arc overflows, or the
+    roots of the denominator or of the crossover polynomial P are not finite."""
 
 
 @dataclass(frozen=True)
 class LinearPlant:
     """Proper rational transfer function ``G(s) = k * num(s) / den(s)``.
 
-    Coefficients are in descending powers of s.  The gain multiplier ``k``
-    is kept separate so gain sweeps reuse one coefficient set: plants with
-    equal ``num`` and ``den`` share the contour scan's grid terms.
+    Coefficients are in descending powers of s; the gain multiplier ``k``
+    is kept separate.
     """
 
     num: tuple[float, ...]
@@ -188,11 +180,6 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return grid
 
 
-# The crossover scan's grid over OMEGA_RANGE, which no plant changes.
-_SCAN_GRID = log_grid(*OMEGA_RANGE, N_SCAN)
-_SCAN_GRID.flags.writeable = False
-
-
 def freq_response(
     plant: LinearPlant, omega: float | np.ndarray
 ) -> complex | np.ndarray:
@@ -220,164 +207,131 @@ def _finite(g, omega: np.ndarray):
     return g
 
 
-def _brackets(v: np.ndarray) -> np.ndarray:
-    """Left ends i of the sign changes: ``v[i] != 0 and v[i] * v[i+1] <= 0``.
+def _roots(coeffs: list[float], name: str) -> list[complex]:
+    """``np.roots``' eigenvalues of the companion matrix of ``coeffs`` (end
+    coefficients nonzero) without its per-call conversions; ``PoleOnAxisError``
+    where they are not finite, as where dividing by ``coeffs[0]`` overflows."""
+    if len(coeffs) < 2:
+        return []
+    a = np.eye(len(coeffs) - 1, k=-1)
+    with np.errstate(all="ignore"):
+        a[0] = -np.array(coeffs[1:]) / coeffs[0]
+        try:
+            r = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError:  # an inf or NaN in the companion matrix
+            r = np.array([math.nan])
+    if not np.isfinite(r).all():
+        raise PoleOnAxisError(f"the roots of {name} are not finite")
+    return r.tolist()
 
-    The product is taken of the signs, so that it cannot overflow or
-    underflow to 0.
-    """
-    s = np.sign(v)
-    return np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
+
+def _sign_and_step(p: list[float], size: list[float], w: float) -> tuple[int, float]:
+    """P's sign at w > 0 (0 where |P(w)| is within its rounding bound) and
+    Newton's step P(w) / P'(w); above w = 1 from P(w) / w^m, in powers of
+    1/w, so that no power of w overflows."""
+    x, terms = (w, zip(reversed(p), reversed(size))) if w <= 1.0 else (1.0 / w, zip(p, size))
+    v = dv = bound = 0.0
+    for c, a in terms:  # Horner's rule for the polynomial, its derivative and its size
+        dv = dv * x + v
+        v = v * x + c
+        bound = bound * x + a
+    bound *= 2.0**-50 * len(p)  # 8 roundings per coefficient of P
+    if w > 1.0:  # P'(w) / w^(m-1) = m v - x dv
+        v, dv = w * v, (len(p) - 1) * v - x * dv
+    return (v > bound) - (v < -bound), v / dv if dv else math.inf
 
 
-def _refine_sign_changes(f, grid, vals, sign, done):
-    """Refine every bracket of ``sign(vals)``, ``vals = f(grid)``, at once.
-
-    Each step is the Illinois variant of false position (Dowell & Jarratt,
-    *BIT* 11, 1971): the secant point through the ends' stored values, where
-    the stored value of an end kept on two steps in a row is halved.  Where
-    that point is not strictly inside the bracket (a 0 value at an end, an
-    overflow, a NaN, equal stored values), the step is the midpoint.  The
-    side kept comes from the unscaled value ``sa``, since halving can
-    underflow to 0.  A bracket freezes at the first point whose value meets
-    ``done``, or after ``MAX_ITER`` steps.  Returns the last trial points,
-    their values and ``sign`` at each bracket's left end, in grid order.
-
-    A step makes one array call of ``f`` on all live trial points, then one
-    of ``sign`` and one of ``done`` on its values.  Each bracket's ends,
-    stored values and state are Python floats: a float operation rounds as
-    the same NumPy operation on float64 does, so the points, values and
-    roots have the bits of an elementwise array form.  Only a division by
-    0, where that form gives inf or NaN and takes the midpoint, would raise
-    here; it takes the midpoint directly.
-    """
-    v = sign(vals)
-    i = _brackets(v)
-    x, fx = grid[i].tolist(), vals[i].tolist()  # each bracket takes a step
-    # [index, a, b, sa, fa, fb, kept]: a < b throughout; kept is +1 where a
-    # was kept on the last step, -1 where b was
-    live = [
-        [j, a, b, sa, sa, fb, 0.0]
-        for j, (a, b, sa, fb) in enumerate(
-            zip(grid[i].tolist(), grid[i + 1].tolist(), v[i].tolist(), v[i + 1].tolist())
-        )
-    ]
-    for _ in range(MAX_ITER):
-        if not live:
+def _newton(p, size, a: float, b: float, sign_a: int, t: float) -> float:
+    """A root of P in [a, b], P of sign ``sign_a`` at a and not at b, by
+    Newton's method from t, a step out of the bracket going to its geometric
+    midpoint; one step past the first t where P has no sign or the step
+    leaves t as it is, if in [a, b]."""
+    for _ in range(100):  # geometric bisection alone ends within 64 steps
+        sign, step = _sign_and_step(p, size, t)
+        t_next = t - step
+        if sign == 0 or t_next == t:
+            return t_next if a < t_next < b else t
+        a, b = (t, b) if sign == sign_a else (a, t)
+        t_next = t_next if a < t_next < b else math.sqrt(a) * math.sqrt(b)
+        if not a < t_next < b:  # a and b are neighbouring floats
             break
-        t = []
-        for _, a, b, _, fa, fb, _ in live:
-            d = fb - fa
-            tk = b - fb * (b - a) / d if d != 0.0 else math.nan
-            t.append(tk if a < tk < b else 0.5 * a + 0.5 * b)  # a + b can overflow
-        ft = f(np.array(t))
-        st, stop = sign(ft).tolist(), done(ft).tolist()
-        following = []
-        for bracket, tk, fk, s, halt in zip(live, t, ft.tolist(), st, stop):
-            j, a, b, sa, fa, fb, kept = bracket
-            x[j], fx[j] = tk, fk
-            if halt:
-                continue
-            if (s > 0) == (sa > 0):  # t replaces a, b is kept
-                bracket[1:] = tk, b, s, s, 0.5 * fb if kept == -1.0 else fb, -1.0
-            else:
-                bracket[2:] = tk, sa, 0.5 * fa if kept == 1.0 else fa, s, 1.0
-            following.append(bracket)
-        live = following
-    return np.array(x, dtype=grid.dtype), np.array(fx, dtype=vals.dtype), v[i]
+        t = t_next
+    return t
 
 
-def _scan(plant: LinearPlant, ws: np.ndarray, g_grid: np.ndarray) -> list[list]:
-    """``phase_crossovers``' search on the ascending positive grid ``ws``,
-    where G is ``g_grid``, as ``[omega, gain margin, direction]`` rows.
-
-    A crossing's direction is the sign of Im G at its bracket's left end, +1
-    where Im G falls through 0.  Brackets that refine to one omega give one
-    row, whose direction is their sum (0 at a tangency).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        omegas, g, im_left = _refine_sign_changes(
-            lambda w: plant.transfer(1j * w),
-            ws,
-            g_grid,
-            np.imag,
-            lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
-        )
-    neg = _finite(g, omegas).real < 0
-    omegas = omegas[neg]
-    with np.errstate(over="ignore", divide="ignore"):
-        margins = 1.0 / np.abs(g[neg])
-    bad = ~(np.isfinite(margins) & (margins > 0.0))
-    if bad.any():
-        raise PoleOnAxisError(
-            f"the gain margin 1/|G| is {margins[bad][0]} at omega = {omegas[bad][0]}"
-        )
-    rows: list[list] = []
-    for w, km, d in zip(omegas.tolist(), margins.tolist(), np.sign(im_left[neg]).tolist()):
-        if rows and abs(w - rows[-1][0]) <= 1e-9 * w:
-            rows[-1][2] += d
-        else:
-            rows.append([w, km, d])
-    return rows
+def _crossings(plant: LinearPlant, lo: float, hi: float) -> tuple[list[list], complex, complex]:
+    """``[omega, gain margin, direction]`` rows of the phase crossovers in
+    (lo, hi), and G at lo and at hi.  The crossovers are the real roots of P
+    at which Re G < 0, P from num and den scaled to a largest |coefficient|
+    of 1.  (lo, hi) is split at the midpoints between the candidates, the
+    real parts in it of P's roots with imaginary parts at most 1e-7 of them.
+    Each pair of neighbouring edges where P has opposite signs, past edges
+    where it has none, brackets one root (``_newton``); where they agree, as
+    where G touches the axis, there is none.  The direction is Im G's sign
+    at the left edge, +1 where Im G falls through 0.  G comes from one
+    ``transfer`` call at lo, the roots and hi.  Raises ``PoleOnAxisError``
+    where P's roots are not finite, and as ``phase_crossovers`` says."""
+    num, den = ([c / (max(map(abs, cs)) or 1.0) for c in reversed(cs)]
+                for cs in (plant.num, plant.den))
+    p = [0.0] * (len(num) + len(den) - 1)
+    size = p.copy()
+    for i, a in enumerate(num):
+        for m, b in enumerate(den):
+            s = (0.0, 1.0, 0.0, -1.0)[(i - m) % 4]  # Im j^i conj(j^m)
+            p[i + m] += s * a * b
+            size[i + m] += abs(s * a * b)
+    # divided by the largest power of omega that divides P; [] where P = 0
+    nonzero = [e for e, c in enumerate(p) if c != 0.0] or [0, -1]
+    p, size = p[nonzero[0]:nonzero[-1] + 1], size[nonzero[0]:nonzero[-1] + 1]
+    # _roots divides by the leading coefficient: those below 2^-1022 of the
+    # largest are left out, though a root they add still changes P's sign
+    top = max(map(abs, p), default=0.0)
+    lead = max((e for e, c in enumerate(p) if abs(c) >= 2.0**-1022 * top), default=-1)
+    r = _roots(p[lead::-1], "the crossover polynomial")
+    candidates = sorted(z.real for z in r if abs(z.imag) <= 1e-7 * z.real and lo < z.real < hi)
+    edges = [lo] + [0.5 * u + 0.5 * v for u, v in zip(candidates, candidates[1:])] + [hi]
+    signs = [_sign_and_step(p, size, e)[0] for e in edges]
+    roots, directions, left = [], [], None
+    for i, sign in enumerate(signs):
+        if sign and left is not None and sign != signs[left]:
+            t = candidates[left] if candidates else math.sqrt(lo) * math.sqrt(hi)  # no candidate
+            roots.append(_newton(p, size, edges[left], edges[i], signs[left], t))
+            directions.append(math.copysign(1.0, plant.k) * signs[left])  # Im G = k P / |D|^2
+        left = i if sign else left
+    ws = np.array([lo, *roots, hi])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = _finite(plant.transfer(1j * ws), ws)
+        margins = (1.0 / np.abs(g)).tolist()
+    rows = [[w, km, d] for w, re, km, d in
+            zip(roots, g.real.tolist()[1:-1], margins[1:-1], directions) if re < 0]
+    for w, km, _ in rows:
+        if not 0.0 < km < math.inf:
+            raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
+    return rows, g[0], g[-1]
 
 
 def phase_crossovers(
-    plant: LinearPlant,
-    omega_range: tuple[float, float] = OMEGA_RANGE,
+    plant: LinearPlant, omega_range: tuple[float, float] = OMEGA_RANGE
 ) -> list[tuple[float, float]]:
-    """Negative-real-axis crossings of G(j*omega) as (omega, gain margin).
-
-    Im G is sampled on a log grid, and a bracket opens wherever
-    ``Im G_i != 0`` and ``Im G_i * Im G_i+1 <= 0``.  All brackets are
-    refined together by ``_refine_sign_changes`` until
-    ``|Im G| <= 1e-12 * |G|``; crossings with Re G >= 0 are discarded.
-    Raises ``PoleOnAxisError`` naming the first scanned or refined omega
-    at which G overflows, or the first crossing whose gain margin 1/|G|
-    overflows or underflows to 0, and ``ValueError`` unless
-    0 < omega_min < omega_max < inf.
-    """
+    """Negative-real-axis crossings of G(j*omega) as (omega, gain margin):
+    ``_crossings`` in ``omega_range``, on ``OMEGA_RANGE`` ``analyze``'s
+    crossovers bit for bit.  Raises ``PoleOnAxisError`` naming the first
+    crossing or end of the range at which G has a pole or is not finite, or
+    the first crossing whose gain margin 1/|G| overflows or underflows to 0,
+    and ``ValueError`` unless 0 < omega_min < omega_max < inf."""
     lo, hi = omega_range
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"omega_range must satisfy 0 < lo < hi < inf, got {omega_range}")
-    ws = log_grid(lo, hi, N_SCAN)
-    return [(w, km) for w, km, _ in _scan(plant, ws, freq_response(plant, ws))]
-
-
-@lru_cache(maxsize=GRID_MEMO_SIZE)
-def _grid_terms(
-    num: tuple[float, ...], den: tuple[float, ...], signs: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """num and den at j ``_SCAN_GRID``, read-only, as ``transfer`` evaluates
-    them, after ``nyquist_contour``'s check for poles on the imaginary axis.
-
-    ``signs``, the coefficients' signs, only completes the key: ``-0.0 ==
-    0.0``, but a zero's sign can move a bit of num or den.  Raises as that
-    check and ``transfer`` do; an error is not kept.
-    """
-    r = np.roots(den)
-    on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
-    if on_axis.size:
-        raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    s = 1j * _SCAN_GRID
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _horner(num, s), LinearPlant(num, den)._den_at(s)
-    for a in terms:
-        a.flags.writeable = False
-    return terms
+    return [(w, km) for w, km, _ in _crossings(plant, lo, hi)[0]]
 
 
 def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
-    """``_scan``'s rows on ``_SCAN_GRID`` and the table of ``nyquist_contour``.
-
-    G there is ``k * num / den`` from ``_grid_terms``, kept per coefficient
-    set, with the bits and errors of ``freq_response``.
-    """
-    signs = tuple(math.copysign(1.0, c) for c in plant.num + plant.den)
-    num, den = _grid_terms(plant.num, plant.den, signs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_grid = _finite(plant.k * num / den, _SCAN_GRID)
-    rows = _scan(plant, _SCAN_GRID, g_grid)
-    g_lo, g_hi = g_grid[0], g_grid[-1]
+    """``_crossings``' rows on ``OMEGA_RANGE`` and ``nyquist_contour``'s table."""
+    r = _roots(plant.den[:len(plant.den) - plant.origin_poles], "the denominator")
+    on_axis = [z.imag for z in r if z.imag > 0 and abs(z.real) <= 1e-9 * z.imag]
+    if on_axis:
+        raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
+    rows, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles
     if q > 0:
@@ -413,11 +367,9 @@ def nyquist_contour(plant: LinearPlant) -> np.ndarray:
     twice (branch and mirror) in its direction; each pass of the arc through
     angle pi, -1; each straight segment that crosses.  Raises
     ``PoleOnAxisError`` for any other pole r on the imaginary axis
-    (``|Re r| <= 1e-9 |r|``), sampled or not, for an arc that overflows, and
-    as ``phase_crossovers`` does.  That pole check and num and den on the
-    scan's grid are kept for the last ``GRID_MEMO_SIZE`` coefficient sets,
-    so across a sweep of ``k`` only G = k num / den and its refinement are
-    computed again.
+    (``|Re r| <= 1e-9 Im r``), in ``OMEGA_RANGE`` or not, for an arc that
+    overflows, where the denominator's roots are not finite, and as
+    ``phase_crossovers`` does.
     """
     return _contour(plant)[1]
 

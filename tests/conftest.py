@@ -1,5 +1,4 @@
-"""Shared fixtures: case-study inputs, a random-nonlinearity generator and a
-cold start of the contour scan's memo."""
+"""Shared fixtures: case-study inputs and a random-nonlinearity generator."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import random
 import pytest
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity
-from dfcycle.linsys import _grid_terms
 
 
 def random_nonlinearity(
@@ -74,10 +72,3 @@ def plant_b(k: float) -> LinearPlant:
     """k / (s (s + 1) (s + 3)): integrator plus two lags."""
     return LinearPlant(num=(1.0,), den=(1.0, 4.0, 3.0, 0.0), k=k)
 
-
-@pytest.fixture
-def cold_grid_memo():
-    """``linsys._grid_terms`` empty before the test, and again after it."""
-    _grid_terms.cache_clear()
-    yield _grid_terms
-    _grid_terms.cache_clear()

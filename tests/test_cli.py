@@ -312,6 +312,17 @@ class TestAnalyze:
         assert res.stderr.splitlines() == [f"error: {plant}: pole at s = {pole}"]
         assert res.stdout == ""
 
+    def test_denominator_roots_that_overflow_exit_2(self, runner, tmp_path):
+        # np.roots divides by den[0] = 1e-300 and overflows; this used to end
+        # in a LinAlgError traceback
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", {"num": [1], "den": [1e-300, 1e300]})
+        res = runner.invoke(main, ["analyze", nl, plant])
+        assert_one_line_exit_2(res)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: the roots of the denominator are not finite"
+        ]
+
     @pytest.mark.parametrize(
         "nl_data, plant_data",
         [(NL_B, {"num": ["a"], "den": [1, 1]}), ({"x": [None], "y": [1]}, PLANT_B)],
@@ -532,6 +543,22 @@ class TestNyquist:
             # G(jw) = 1 / (1 + jw), in a form that does not overflow
             assert re == pytest.approx(1.0 / w / (w + 1.0 / w), rel=1e-12)
             assert im == pytest.approx(-1.0 / (w + 1.0 / w), rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [[], ["--mark-neg-axis"]])
+    @pytest.mark.parametrize(
+        "plant_data", [PLANT_A, PLANT_B, PLANT_STATIC, {"num": [1], "den": [1, 1]},
+                       {"num": [1, -1], "den": [1, 1]}, {"num": [1], "den": [1e-300, 1e300]}],
+    )
+    def test_widest_omega_range_ends_in_a_documented_exit(self, runner, tmp_path,
+                                                           plant_data, extra):
+        plant = write(tmp_path, "plant.json", plant_data)
+        args = ["nyquist", plant, "--omega-range", "1e-300", "1e300", "--points", "64", *extra]
+        res = runner.invoke(main, args)
+        if res.exit_code == 0:
+            assert res.stderr == ""
+            assert res.stdout.startswith("omega,re,im\n")
+        else:
+            assert_one_line_exit_2(res)
 
 
 def assert_one_line_exit_2(res):

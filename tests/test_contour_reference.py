@@ -1,22 +1,35 @@
-"""``_contour`` with its kept grid terms against the form it replaced.
+"""``_contour`` against the grid scan it replaced, kept as an independent check.
 
-``_contour`` takes num and den on ``_SCAN_GRID``, checked for poles on the
-imaginary axis, from ``linsys._grid_terms``, which keeps them per coefficient
-set, and computes G = k num / den on every call.  ``reference_contour`` below
-is the form it replaced: ``np.roots`` and ``freq_response`` on every call.
+``_contour`` takes the phase crossovers as the real roots of the polynomial
+P(omega) = Im N(j omega) conj(D(j omega)) (``linsys._crossings``).
+``reference_contour`` below is the search it replaced: ``np.roots`` for
+poles on the imaginary axis, G sampled on a 4 000-point log grid over
+``OMEGA_RANGE``, and each sign change of Im G refined by false position
+(``test_scan_reference.array_refine_sign_changes``, the array form of the
+F = K scan's refinement).  It refines until |Im G| <= 1e-15 |G| or for
+``MAX_ITER`` steps, tighter than the 1e-12 the library's scan stopped
+at, so that its roots are good to the tolerance ``REL`` wherever G can be
+evaluated that well (``omega_condition``).
+
 On random coefficient sets of order 1-6, each at gains of both signs from
-1e-300 to 1e300, with the memo cold and then warm, ``_contour``,
-``nyquist_contour`` and ``analyze`` must give the same rows, the same table
-bits and the same errors as the reference, RuntimeWarnings raised as errors
-included; so must plants with a sampled pole, a pole on the axis, an
-overflowing denominator, a G that overflows only at a large gain, and a
-denominator that ``np.roots`` overflows on.  The memo's own tests follow.
+1e-300 to 1e300, ``_contour`` and ``analyze`` must give the same crossing
+counts and directions as the reference wherever no two crossings share a
+grid cell, the same cycle counts and labels, and omega, gain margins and
+table abscissae within those tolerances.  Where the reference raises,
+``_contour`` must raise an error of the same type, or succeed where the grid
+sampled a pole, or a G or a denominator that overflows, away from the points
+it evaluates; where ``np.roots`` overflows on the denominator, it raises
+``PoleOnAxisError`` instead of a RuntimeWarning.  The plant
+1/(s^5 + s^4 + 2 s^3 + 3 s^2 + (1 + eps) s + 1) shows what the grid missed:
+two crossings 1e-4 apart, inside one grid cell.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,34 +37,41 @@ import pytest
 from dfcycle import LinearPlant, cycles
 from dfcycle.cycles import analyze
 from dfcycle.linsys import (
-    GRID_MEMO_SIZE,
+    OMEGA_RANGE,
     PoleOnAxisError,
-    _SCAN_GRID,
     _contour,
-    _refine_sign_changes,
+    _roots,
     freq_response,
+    log_grid,
     nyquist_contour,
+    phase_crossovers,
 )
 
 from conftest import plant_b
+from test_scan_reference import array_refine_sign_changes
 
+# Relative tolerance on omega, fixed before the polynomial search was
+# compared with the grid scan; the gain margin and the table's abscissae get
+# omega's tolerance times their condition in omega (``margin_condition``).
+REL = 1e-12
 GAINS = (1.0, -1.0, 1e-300, -1e300, 1e300)
+GRID = log_grid(*OMEGA_RANGE, 4000)
 
 
 def reference_contour(plant):
-    """``_contour`` with ``np.roots`` and ``freq_response`` on every call."""
+    """The crossing rows and contour table from the grid scan."""
     r = np.roots(plant.den)
     on_axis = r.imag[(r.imag > 0) & (np.abs(r.real) <= 1e-9 * np.abs(r))]
     if on_axis.size:
         raise PoleOnAxisError(f"pole at s = {on_axis.min():.7g}j")
-    g_grid = freq_response(plant, _SCAN_GRID)
+    g_grid = freq_response(plant, GRID)
     with np.errstate(over="ignore", invalid="ignore"):
-        omegas, g, im_left = _refine_sign_changes(
+        omegas, g, im_left = array_refine_sign_changes(
             lambda w: plant.transfer(1j * w),
-            _SCAN_GRID,
+            GRID,
             g_grid,
             np.imag,
-            lambda g: np.abs(g.imag) <= 1e-12 * np.abs(g),
+            lambda g: np.abs(g.imag) <= 1e-15 * np.abs(g),
         )
     overflow = ~np.isfinite(g)
     if overflow.any():
@@ -99,29 +119,100 @@ def reference_analyze(plant, nl):
 
 
 def outcome(f, *args):
-    """Rows and the table's dtype, shape and bytes, a result's repr, or the
-    error's type and message (a RuntimeWarning is raised as an error)."""
+    """The result, or the error (a RuntimeWarning is raised as an error)."""
     try:
-        r = f(*args)
+        return f(*args)
     except Exception as exc:
-        return type(exc), str(exc)
-    if isinstance(r, np.ndarray):
-        return r.dtype, r.shape, r.tobytes()
-    if isinstance(r, tuple):
-        rows, table = r
-        return repr(rows), outcome(lambda: table)
-    return repr(r)
+        return exc
 
 
-def assert_matches_reference(plant, nl):
-    expected = outcome(reference_contour, plant)
-    assert outcome(_contour, plant) == expected, plant
-    table = expected if isinstance(expected[0], type) else expected[1]  # an error, or the table
-    assert outcome(nyquist_contour, plant) == table, plant
-    assert outcome(analyze, plant, nl) == outcome(reference_analyze, plant, nl), plant
+# Errors of the grid scan that the polynomial search need not raise: it
+# evaluates G only at the range's ends and at the crossings.
+SAMPLED = (r"^G\(j omega\) is not finite at omega = ", r"^pole at s = ",
+           r"^the denominator overflows at s = ")
+
+
+def assert_close_to_reference(plant, nl) -> str:
+    """Compares ``_contour``, ``nyquist_contour`` and ``analyze`` with the
+    reference; returns how: "error", "sampled", "shared cell" or "rows"."""
+    want, got = outcome(reference_contour, plant), outcome(_contour, plant)
+    if isinstance(want, RuntimeWarning):  # np.roots overflowed on den
+        assert str(got) == "the roots of the denominator are not finite", (plant, got)
+        return "error"
+    if isinstance(want, Exception):
+        if not isinstance(got, Exception):
+            assert isinstance(want, PoleOnAxisError), (plant, want)
+            if str(want).startswith("the gain margin 1/|G| is inf at omega = "):
+                # a crossing of the grid's Im G where G is subnormal, whose
+                # sign the underflow lost
+                w = float(str(want).rsplit(" ", 1)[1])
+                assert abs(plant.transfer(1j * w)) < sys.float_info.min, (plant, want)
+            else:
+                assert any(re.match(pat, str(want)) for pat in SAMPLED), (plant, want)
+            return "sampled"
+        assert type(got) is type(want), (plant, got, want)
+        assert type(outcome(nyquist_contour, plant)) is type(want), plant
+        return "error"
+    assert not isinstance(got, Exception), (plant, got, want)
+    (rows, table), (ref_rows, ref_table) = got, want
+    assert nyquist_contour(plant).tobytes() == table.tobytes(), plant
+    cells = np.searchsorted(GRID, [w for w, _, _ in rows])
+    if len(set(cells.tolist())) < len(cells):
+        return "shared cell"
+    assert [d for _, _, d in rows] == [d for _, _, d in ref_rows], (plant, rows, ref_rows)
+    assert sorted(table[:, 1].tolist()) == sorted(ref_table[:, 1].tolist()), (plant, table)
+    for (w, km, _), (w_ref, km_ref, _) in zip(rows, ref_rows):
+        tol_w = max(REL, 2.0**-48 * omega_condition(plant, w))
+        assert w == pytest.approx(w_ref, rel=tol_w, abs=0.0), (plant, rows, ref_rows)
+        tol = tol_w * margin_condition(plant, w)
+        assert km == pytest.approx(km_ref, rel=tol, abs=0.0), (plant, rows, ref_rows)
+        for x in (-1.0 / km, -1.0 / km_ref):  # the crossing's row in both tables
+            assert np.any(np.abs(table[:, 0] - x) <= tol * abs(x)), (plant, table)
+            assert np.any(np.abs(ref_table[:, 0] - x) <= tol * abs(x)), (plant, ref_table)
+    others = ~np.isin(table[:, 0], [-1.0 / km for _, km, _ in rows])
+    ref_others = ~np.isin(ref_table[:, 0], [-1.0 / km for _, km, _ in ref_rows])
+    assert table[others].tobytes() == ref_table[ref_others].tobytes(), (plant, table, ref_table)
+
+    result, ref_result = outcome(analyze, plant, nl), outcome(reference_analyze, plant, nl)
+    if isinstance(ref_result, Exception):
+        assert type(result) is type(ref_result), (plant, result, ref_result)
+        return "rows"
+    assert [(co.omega, co.gain_margin) for co in result] == [(w, km) for w, km, _ in rows]
+    labels = [[c.stability for c in co.cycles] for co in result]
+    assert labels == [[c.stability for c in co.cycles] for co in ref_result], plant
+    return "rows"
+
+
+def omega_condition(plant, w) -> float:
+    """How much the reference's rounding moves its root at w, relative to
+    the rounding: the cancellation in num and den at j w (the sum of their
+    terms' sizes over their size) over the rate at which Im G / |G| turns
+    with ln omega.  The reference's root is good to 32 units of rounding (2^-48)
+    times this, which exceeds ``REL`` on a few plants with poles in
+    near-symmetric pairs."""
+    s = 1j * w * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+    with np.errstate(all="ignore"):
+        g = plant.transfer(s)
+        turn = abs(g[2].imag / abs(g[2]) - g[0].imag / abs(g[0])) / 2e-6
+        cancel = sum(
+            np.polyval(np.abs(c), w) / abs(np.polyval(c, s[1])) for c in (plant.num, plant.den)
+        )
+    return cancel / turn
+
+
+def margin_condition(plant, w) -> float:
+    """|d ln |G| / d ln omega| at w, at least 1: a relative error e in
+    omega moves the gain margin 1/|G| by about that times e."""
+    with np.errstate(all="ignore"):
+        lo, hi = np.abs(plant.transfer(1j * w * np.array([1.0 - 1e-6, 1.0 + 1e-6])))
+    return max(1.0, abs(math.log(hi / lo)) / 2e-6)
 
 
 def random_coefficients(rng: random.Random) -> tuple[tuple, tuple]:
+    """num and den of order 1-6, with random zero coefficients; num(j omega)
+    is neither real nor imaginary unless num is one power of s, since such a
+    num has zeros on the imaginary axis, where G passes through 0 and the
+    sign of Re G at the crossing there is rounding."""
     order = rng.randint(1, 6)
 
     def coeff():
@@ -130,24 +221,69 @@ def random_coefficients(rng: random.Random) -> tuple[tuple, tuple]:
         return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
 
     den = [coeff() or 1.0] + [coeff() for _ in range(order)]
-    num = [coeff() for _ in range(rng.randint(1, order + 1))]
-    return tuple(num), tuple(den)
+    while True:
+        num = [coeff() for _ in range(rng.randint(1, order + 1))]
+        halves = [any(num[-1 - i::-2]) for i in (0, 1)]  # even and odd powers
+        if all(halves) or sum(c != 0.0 for c in num) <= 1:
+            return tuple(num), tuple(den)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_random_plants_match_the_reference(seed, cold_grid_memo, nl_b):
+@pytest.mark.parametrize("seed", range(4))
+def test_random_plants_match_the_reference(seed, nl_b):
     rng = random.Random(seed)
-    # more sets than the memo holds, so that later sets evict earlier ones
-    for _ in range(GRID_MEMO_SIZE + 4):
+    seen = []
+    for _ in range(20):
         num, den = random_coefficients(rng)
         gains = GAINS + tuple(
             rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2)
         )
-        for k in gains + gains:  # the first call cold, all later ones warm
-            assert_matches_reference(LinearPlant(num, den, k), nl_b)
+        for k in gains:
+            plant = LinearPlant(num, den, k)
+            how = assert_close_to_reference(plant, nl_b)
+            seen.append((how, len(_contour(plant)[0]) if how == "rows" else 0))
+    # the comparison is not vacuous: most plants are compared row by row
+    assert sum(1 for how, _ in seen if how == "rows") >= len(seen) // 3, seen
+    assert sum(n for _, n in seen) >= 10, seen
 
 
-W = float(_SCAN_GRID[2100])
+def gap_plant(eps: float) -> LinearPlant:
+    """1 / (s^5 + s^4 + 2 s^3 + 3 s^2 + (1 + eps) s + 1): Im G = 0 where
+    (omega^2 - 1)^2 + eps = 0, and there G = 1 / (omega^4 - 3 omega^2 + 1)."""
+    return LinearPlant((1.0,), (1.0, 1.0, 2.0, 3.0, 1.0 + eps, 1.0))
+
+
+def test_two_crossings_in_one_grid_cell():
+    plant = gap_plant(-1e-8)
+    rows = _contour(plant)[0]
+    assert [d for _, _, d in rows] == [-1.0, 1.0]
+    for (w, km, _), x in zip(rows, (1.0 - 1e-4, 1.0 + 1e-4)):
+        assert w == pytest.approx(math.sqrt(x), rel=1e-12)
+        assert km == pytest.approx(abs(x * x - 3.0 * x + 1.0), rel=1e-12)  # 0.9999, 1.0001
+    (w1, _, _), (w2, _, _) = rows
+    assert np.searchsorted(GRID, w1) == np.searchsorted(GRID, w2)
+    assert reference_contour(plant)[0] == []  # the grid scan saw neither
+    # the two count in opposite directions: no net winding about -1
+    table = nyquist_contour(plant)
+    assert table[np.abs(table[:, 0] + 1.0) < 1e-3, 1].tolist() == [-2.0, 2.0]
+
+
+def test_tangency_counts_nothing():
+    # G touches the negative real axis at omega = 1
+    plant = gap_plant(0.0)
+    rows, table = _contour(plant)
+    assert rows == [] or [d for _, _, d in rows] == [0.0]
+    assert table[np.abs(table[:, 0] + 1.0) < 1e-3, 1].sum() == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-15])
+def test_near_real_root_pair_is_no_crossing(eps):
+    # np.roots gives P a complex pair about 1.6e-7 or 1.6e-8 off the real axis
+    plant = gap_plant(eps)
+    assert _contour(plant)[0] == []
+    assert phase_crossovers(plant) == []
+
+
+W = float(GRID[2100])
 SAMPLED_DOUBLE_POLE = tuple(np.polymul([1.0, 0.0, W * W], [1.0, 0.0, W * W]).tolist())
 
 
@@ -162,48 +298,91 @@ SAMPLED_DOUBLE_POLE = tuple(np.polymul([1.0, 0.0, W * W], [1.0, 0.0, W * W]).tol
         ((1e10,), plant_b(1.0).den, r"^G\(j omega\) is not finite at omega = 0.001$"),
         # np.roots overflows on den / den[0]
         ((1.0,), (1e-300, 1e300), r"^overflow encountered in divide$"),
+        # G overflows near omega = 1 at the gains 1e300 and -1e300 only
+        ((1e7,), (1.0, 0.02, 1.0), r"^G\(j omega\) is not finite at omega = 0\.97"),
     ],
 )
-def test_errors_match_the_reference(num, den, message, cold_grid_memo, nl_b):
-    for k in GAINS + GAINS:
-        assert_matches_reference(LinearPlant(num, den, k), nl_b)
+def test_errors_match_the_reference(num, den, message, nl_b):
+    for k in GAINS:
+        assert_close_to_reference(LinearPlant(num, den, k), nl_b)
     with pytest.raises((PoleOnAxisError, RuntimeWarning), match=message):
-        _contour(LinearPlant(num, den, 1e300))
+        reference_contour(LinearPlant(num, den, 1e300))
 
 
-class TestGridMemo:
-    # G = -3 s / (-s): a zero's sign in den moves the last bit of the table
-    SIGNED = [LinearPlant((1.0, 0.0), (-1.0, z), 3.0) for z in (0.0, -0.0)]
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        # |G| = 1e307 / |1 - omega^2 + 0.02 j omega| overflows near omega = 1
+        (LinearPlant((1e7,), (1.0, 0.02, 1.0), 1e300),
+         r"^G\(j omega\) is not finite at omega = 0\.97"),
+        # np.roots puts the double pole off the axis; den(j W) is negligible
+        (LinearPlant((1.0,), SAMPLED_DOUBLE_POLE), rf"^pole at s = {W!r}j$"),
+    ],
+)
+def test_errors_only_the_grid_sampled(plant, message):
+    # behaviour change: G is no longer evaluated between the range's ends
+    # and the crossings, none of which is near these points
+    with pytest.raises(PoleOnAxisError, match=message):
+        reference_contour(plant)
+    assert _contour(plant)[0] == []
 
-    def test_signed_zeros_are_kept_apart(self, cold_grid_memo):
-        cold = []
-        for plant in self.SIGNED:
-            cold_grid_memo.cache_clear()
-            cold.append(outcome(_contour, plant))
-        assert cold[0] != cold[1]
-        for order in ((0, 1), (1, 0)):
-            cold_grid_memo.cache_clear()
-            for i in order + order:
-                assert outcome(_contour, self.SIGNED[i]) == cold[i]
-        assert cold_grid_memo.cache_info().currsize == 2
 
-    def test_holds_at_most_its_bound(self, cold_grid_memo):
-        for i in range(GRID_MEMO_SIZE + 5):
-            _contour(LinearPlant((1.0,), (1.0, 1.0 + i, 0.0)))
-            assert cold_grid_memo.cache_info().currsize == min(i + 1, GRID_MEMO_SIZE)
+@pytest.mark.parametrize(
+    "num, den, k, message",
+    [
+        ((1.0,), (1.0, 0.0, 4.0), 1.0, r"^pole at s = 2j$"),
+        ((1.0,), (1.0, 1e306, 1e306, 0.0), 1.0, r"^the denominator overflows at s = 1000j$"),
+        ((1e10,), plant_b(1.0).den, 1e300, r"^G\(j omega\) is not finite at omega = 0\.001$"),
+        # np.roots overflows on den / den[0]; it used to raise LinAlgError
+        ((1.0,), (1e-300, 1e300), 1.0, r"^the roots of the denominator are not finite$"),
+        ((1.0,), (5e-324, 1.0, 1.0), 1.0, r"^the roots of the denominator are not finite$"),
+    ],
+)
+def test_errors(num, den, k, message, nl_b):
+    plant = LinearPlant(num, den, k)
+    for f in (_contour, nyquist_contour, lambda p: analyze(p, nl_b)):
+        with pytest.raises(PoleOnAxisError, match=message):
+            f(plant)
 
-    def test_keeps_no_error(self, cold_grid_memo):
-        plant = LinearPlant((1.0,), (1.0, 0.0, 1.0, 0.0))
-        for _ in range(2):
-            with pytest.raises(PoleOnAxisError, match=r"^pole at s = 1j$"):
-                _contour(plant)
-        assert cold_grid_memo.cache_info().currsize == 0
 
-    def test_kept_arrays_are_read_only(self, cold_grid_memo):
-        plant = plant_b(15.0)
-        _contour(plant)
-        signs = tuple(math.copysign(1.0, c) for c in plant.num + plant.den)
-        for a in cold_grid_memo(plant.num, plant.den, signs):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+def test_roots_have_the_bits_of_np_roots():
+    # the same companion matrix and eigenvalue call, without np.roots'
+    # conversions; np.roots appends a 0 for each trailing zero coefficient
+    rng = random.Random(11)
+    for _ in range(300):
+        coeffs = list(random_coefficients(rng)[1])
+        while coeffs[-1] == 0.0:
+            coeffs.pop()
+        want = np.roots(coeffs)
+        got = np.array(_roots(coeffs, "den"), dtype=want.dtype)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), coeffs
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_roots_that_are_not_finite(monkeypatch, bad):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.append(eigvals(a), bad))
+    with pytest.raises(PoleOnAxisError, match=r"^the roots of the denominator are not"):
+        nyquist_contour(plant_b(15.0))
+    with pytest.raises(PoleOnAxisError, match=r"^the roots of the crossover polynomial are"):
+        phase_crossovers(plant_b(15.0))
+
+
+@pytest.mark.parametrize(
+    "num, den, crossings",
+    [
+        # P's leading coefficient is subnormal: left out of np.roots
+        ((5e-324, 0.0, 0.0, 1.0), plant_b(1.0).den, [(math.sqrt(3.0), 12.0)]),
+        ((5e-324, 1.0), (1.0, 1.0, 1.0), []),
+        # products of these coefficients overflow unless num and den are
+        # scaled first
+        ((1e290,), (1e290, 4e290, 3e290, 0.0), [(math.sqrt(3.0), 12.0)]),
+        ((1e300, 1e300), (1e290, 4e290, 3e290, 0.0), []),
+    ],
+)
+def test_coefficients_at_float_extremes(num, den, crossings):
+    found = phase_crossovers(LinearPlant(num, den))
+    assert len(found) == len(crossings)
+    for (w, km), (w_ref, km_ref) in zip(found, crossings):
+        assert w == pytest.approx(w_ref, rel=1e-12)
+        assert km == pytest.approx(km_ref, rel=1e-12)

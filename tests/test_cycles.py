@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value, linsys
+from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value
 from dfcycle.cycles import (
     DELTA,
     CrossoverAnalysis,
@@ -24,10 +24,11 @@ from dfcycle.cycles import (
     find_intersections,
 )
 from dfcycle.descfun import _df
-from dfcycle.linsys import N_SCAN, h_of_jw, nyquist_contour, phase_crossovers
+from dfcycle.linsys import OMEGA_RANGE, _contour, h_of_jw, nyquist_contour, phase_crossovers
 from dfcycle.piecewise import NonlinearityError
 
 from conftest import plant_a, plant_b, random_nonlinearity
+from test_contour_reference import random_coefficients
 from test_enclosure_reference import winding_number
 
 
@@ -224,36 +225,24 @@ class TestAnalyze:
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert analyze(p, nl_a) == []
 
-    def test_evaluates_g_at_the_scan_and_its_refinement_only(
-        self, monkeypatch, cold_grid_memo, nl_a, nl_b
-    ):
-        # num on the crossover scan's grid once per coefficient set, then G
-        # (so num) at a few refinement points per bracket at every gain
-        points, refined = [], []
-        horner, transfer = linsys._horner, LinearPlant.transfer
-
-        def counted_horner(coeffs, s):
-            if coeffs == plant.num:
-                points.append(np.size(s))
-            return horner(coeffs, s)
+    def test_evaluates_g_once_at_the_range_ends_and_the_roots(self, monkeypatch, nl_a, nl_b):
+        # the contour's crossings: one transfer call, at OMEGA_RANGE's ends and
+        # at each root of P, kept (Re G < 0) or not (plant_b(-15): Re G > 0)
+        calls = []
+        transfer = LinearPlant.transfer
 
         def counted_transfer(self, s):
-            refined.append(np.size(s))
+            calls.append(np.size(s))
             return transfer(self, s)
 
-        monkeypatch.setattr(linsys, "_horner", counted_horner)
         monkeypatch.setattr(LinearPlant, "transfer", counted_transfer)
-        cases = [(plant_a, nl_a, (1.0, 2.5, 6.0)), (plant_b, nl_b, (5.0, 15.0, 30.0))]
-        for make, nl, gains in cases:
-            for i, k in enumerate(gains):
-                plant = make(k)
-                points.clear()
-                refined.clear()
-                analyze(plant, nl)
-                grid = [n for n in points if n == N_SCAN]
-                assert grid == ([N_SCAN] if i == 0 else []), (plant, points)
-                assert sum(points) - sum(grid) == sum(refined), (plant, points, refined)
-                assert 0 < sum(refined) <= 100, (plant, refined)
+        cases = [(plant_a(k), nl_a, 1) for k in (1.0, 2.5, 6.0)]
+        cases += [(plant_b(k), nl_b, 1) for k in (5.0, 15.0, 30.0, -15.0)]
+        cases.append((LinearPlant(num=(1.0,), den=(1.0, 1.0)), nl_a, 0))
+        for plant, nl, roots in cases:
+            calls.clear()
+            analyze(plant, nl)
+            assert calls == [2 + roots], (plant, calls)
 
 
 def composed_analyze(plant, nl):
@@ -287,6 +276,38 @@ def outcome(f, *args):
         return f(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+def assert_public_crossings_are_analyzes(plant, nl):
+    """``phase_crossovers`` on ``OMEGA_RANGE`` and ``nyquist_contour`` give
+    the bits of ``analyze``'s crossovers and of its contour, as the
+    benchmark's traced op, which makes the public calls, relies on."""
+    rows, table = _contour(plant)
+    assert nyquist_contour(plant).tobytes() == table.tobytes()
+    crossings = phase_crossovers(plant, OMEGA_RANGE)
+    assert crossings == [(w, km) for w, km, _ in rows]
+    assert crossings == [(co.omega, co.gain_margin) for co in analyze(plant, nl)]
+
+
+@pytest.mark.parametrize("make, k", [(plant_a, k) for k in (1.0, 2.5, 6.0)]
+                         + [(plant_b, k) for k in (5.0, 15.0, 30.0)])
+def test_public_crossings_of_the_case_studies(make, k, nl_a, nl_b):
+    assert_public_crossings_are_analyzes(make(k), nl_a if make is plant_a else nl_b)
+
+
+def test_public_crossings_of_random_plants(nl_b):
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(100):
+        num, den = random_coefficients(rng)
+        plant = LinearPlant(num, den, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3))
+        try:
+            analyze(plant, nl_b)
+        except (ValueError, RuntimeError):
+            continue
+        assert_public_crossings_are_analyzes(plant, nl_b)
+        compared += bool(phase_crossovers(plant))
+    assert compared >= 15
 
 
 # x and y scaled together by 2^e: F and the crossovers stay, the amplitudes

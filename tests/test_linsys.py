@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PlantError
+from dfcycle.cycles import _refine_sign_changes
 from dfcycle.linsys import (
     PoleOnAxisError,
-    _refine_sign_changes,
     h_of_jw,
     log_grid,
     nyquist_contour,
@@ -194,7 +194,7 @@ class TestCrossovers:
             return np.where(x < 0.3, 5e-324, -1.0)
 
         grid = np.array([0.0, 1.0])
-        [x], _, _ = _refine_sign_changes(f, grid, f(grid), lambda v: v, lambda v: v == 0.0)
+        [x] = _refine_sign_changes(f, grid, f(grid), lambda v: v == 0.0)
         assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
@@ -211,6 +211,13 @@ class TestCrossovers:
         with pytest.raises(ValueError, match=r"^omega_range must satisfy 0 < lo < hi < inf, "
                                              r"got \(.*\)$"):
             phase_crossovers(plant_b(5.0), omega_range)
+
+    @pytest.mark.parametrize("hi", [1e120, 1e150])
+    def test_range_where_the_crossover_polynomial_overflows(self, hi):
+        # P has degree 3: at omega = hi its powers overflow, but not P / omega^3
+        [(w, km)] = phase_crossovers(plant_a(2.5), (1e-10, hi))
+        assert w == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert km == pytest.approx(0.4, rel=1e-15)
 
     def test_no_crossover_plant(self):
         # first-order lag never reaches -180 degrees

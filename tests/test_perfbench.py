@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from dfcycle.cycles import analyze
+from dfcycle.linsys import OMEGA_RANGE, _contour, nyquist_contour, phase_crossovers
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 OPS = 3
 
@@ -43,3 +46,15 @@ def test_first_ops_of_seed_1(bench, name):
         assert wl.check(op, plain) == []
         assert wl.check(op, traced) == []
         assert wl.same(traced, plain)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_traced_crossings_are_analyzes(bench, seed):
+    # the traced op calls phase_crossovers and nyquist_contour, the untraced
+    # one analyze, and run.py requires the same result from both
+    workloads, _ = bench
+    for op in next(workloads.inputs.gain_sweep_rounds(seed)):
+        rows, table = _contour(op.plant)
+        assert nyquist_contour(op.plant).tobytes() == table.tobytes()
+        crossings = phase_crossovers(op.plant, OMEGA_RANGE)
+        assert crossings == [(co.omega, co.gain_margin) for co in analyze(op.plant, op.nl)]

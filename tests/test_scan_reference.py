@@ -1,21 +1,22 @@
-"""The array root scans against plain scalar bisection loops.
+"""The root searches against plain scalar bisection loops.
 
-``phase_crossovers`` and ``find_intersections`` refine all of their brackets
-together as arrays.  The references below walk the same grids one interval
-at a time and bisect one bracket at a time with scalar calls.  The two
-searches step differently, so their roots differ by rounding; the checks
-are the searches' own stopping rules instead.  The counts of crossovers and
-of roots must be equal; each crossover must meet ``|Im G| <= 1e-12 |G|``
-with Re G < 0 and carry the gain margin ``1/|G|`` exactly; each amplitude
-must meet ``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each
-root must lie in the same closed grid interval as its reference root.  The
-scans must also stop within ``MAX_CALLS`` array calls each.
+``find_intersections`` refines all of its brackets together as arrays, and
+``phase_crossovers`` takes the real roots of a polynomial.  The references
+below walk log grids one interval at a time and bisect one bracket at a
+time with scalar calls.  The searches step differently, so their roots
+differ by rounding; the checks are the searches' own stopping rules
+instead.  The counts of crossovers and of roots must be equal; each
+crossover must meet ``|Im G| <= 1e-12 |G|`` with Re G < 0 and carry the
+gain margin ``1/|G|`` exactly; each amplitude must meet
+``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each root must
+lie in the same closed grid interval as its reference root.  The F = K scan
+must also stop within ``MAX_CALLS`` array calls.
 
 ``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats.
 ``array_refine_sign_changes`` below is the array form it replaced; on the
 same inputs both must call ``f`` on the same trial points and return the
 same bits, on random functions and grids, on the special values a step must
-survive, and inside the real scans.
+survive, and inside the real F = K scan.
 """
 
 from __future__ import annotations
@@ -29,26 +30,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity, cycles, linsys
-from dfcycle.cycles import N_GRID, VALUE_TOL, find_intersections
-from dfcycle.descfun import df_value
-from dfcycle.linsys import (
+from dfcycle import LinearPlant, PiecewiseNonlinearity, cycles
+from dfcycle.cycles import (
     MAX_ITER,
-    N_SCAN,
-    OMEGA_RANGE,
-    _brackets,
+    N_GRID,
+    VALUE_TOL,
     _refine_sign_changes,
-    phase_crossovers,
+    find_intersections,
 )
+from dfcycle.descfun import df_value
+from dfcycle.linsys import OMEGA_RANGE, phase_crossovers
 
 from conftest import plant_a, plant_b, random_nonlinearity
 
 # Array calls of ``f`` that one scan may make; halving took up to about 30.
 MAX_CALLS = 8
+# The reference crossover scan's log grid over OMEGA_RANGE.
+OMEGA_GRID = np.logspace(math.log10(OMEGA_RANGE[0]), math.log10(OMEGA_RANGE[1]), 4000)
 
 
 def reference_crossovers(plant):
-    ws = np.logspace(math.log10(OMEGA_RANGE[0]), math.log10(OMEGA_RANGE[1]), N_SCAN)
+    ws = OMEGA_GRID
     im = plant.transfer(1j * ws).imag
     out = []
     for i in range(len(ws) - 1):
@@ -125,7 +127,7 @@ def _intervals(grid, r):
 
 @contextmanager
 def counting_scans():
-    """Patch the shared root scan so that it records its array calls a scan."""
+    """Patch the F = K scan so that it records its array calls a scan."""
     calls = []
 
     def counted(f, *args):
@@ -138,7 +140,6 @@ def counting_scans():
         return _refine_sign_changes(f_counted, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linsys, "_refine_sign_changes", counted)
         mp.setattr(cycles, "_refine_sign_changes", counted)
         yield calls
 
@@ -147,14 +148,11 @@ def assert_matches_reference(plant, nl):
     with counting_scans() as calls:
         crossings = phase_crossovers(plant)
         roots = [find_intersections(nl, km) for _, km in crossings]
-    assert max(calls) <= MAX_CALLS, calls
+    assert max(calls, default=0) <= MAX_CALLS, calls
 
     reference = reference_crossovers(plant)
     assert len(crossings) == len(reference)
-    omega_grid = np.logspace(
-        math.log10(OMEGA_RANGE[0]), math.log10(OMEGA_RANGE[1]), N_SCAN
-    )
-    assert_same_interval(omega_grid, [w for w, _ in crossings], [w for w, _ in reference])
+    assert_same_interval(OMEGA_GRID, [w for w, _ in crossings], [w for w, _ in reference])
     for (w, km), xs in zip(crossings, roots):
         g = plant.transfer(1j * w)
         assert abs(g.imag) <= 1e-12 * abs(g) and g.real < 0
@@ -220,7 +218,8 @@ def test_random_loops_match_reference(lags, rhp_zero, k, seed):
 def array_refine_sign_changes(f, grid, vals, sign, done):
     """``_refine_sign_changes`` with every bracket's state in arrays."""
     v = sign(vals)
-    i = _brackets(v)
+    s = np.sign(v)
+    i = np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
     a, b, sa = grid[i], grid[i + 1], v[i]  # a < b throughout
     fa, fb = sa, v[i + 1]
     kept = np.zeros(len(i))  # +1: a was kept on the last step, -1: b was
@@ -251,7 +250,8 @@ def array_refine_sign_changes(f, grid, vals, sign, done):
 
 
 def assert_same_refinement(f, grid, vals, sign, done):
-    """Both forms call ``f`` on the same points and return the same bits.
+    """Both forms call ``f`` on the same points and return the same roots,
+    the array form's ``sign`` taken into ``f`` for ``_refine_sign_changes``.
 
     Returns the number of array calls of ``f``.
     """
@@ -264,15 +264,17 @@ def assert_same_refinement(f, grid, vals, sign, done):
 
         return g
 
+    signed = recorded(calls[0])
     with np.errstate(all="ignore"):
-        got = _refine_sign_changes(recorded(calls[0]), grid, vals, sign, done)
-        want = array_refine_sign_changes(recorded(calls[1]), grid, vals, sign, done)
+        got = _refine_sign_changes(lambda t: sign(signed(t)), grid, sign(vals), done)
+        want, _, _ = array_refine_sign_changes(
+            recorded(calls[1]), grid, vals, sign, lambda v: done(sign(v))
+        )
     assert len(calls[0]) == len(calls[1])
     for t_got, t_want in zip(*calls):
         assert t_got.shape == t_want.shape and t_got.tobytes() == t_want.tobytes()
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes(), (g, w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
     return len(calls[0])
 
 
@@ -353,13 +355,12 @@ def test_random_functions_and_grids(seed):
 
 @contextmanager
 def both_forms():
-    """Patch the root scans so that each runs both forms and compares them."""
-    def compared(f, grid, vals, sign, done):
-        assert_same_refinement(f, grid, vals, sign, done)
-        return _refine_sign_changes(f, grid, vals, sign, done)
+    """Patch the F = K scan so that it runs both forms and compares them."""
+    def compared(f, grid, vals, done):
+        assert_same_refinement(f, grid, vals, lambda v: v, done)
+        return _refine_sign_changes(f, grid, vals, done)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linsys, "_refine_sign_changes", compared)
         mp.setattr(cycles, "_refine_sign_changes", compared)
         yield
 
