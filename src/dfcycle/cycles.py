@@ -3,15 +3,18 @@
 Each negative-real-axis crossing of G (``linsys._crossings``) contributes a
 gain margin K; amplitudes solving F(X) = K are candidate limit cycles.  F on
 the scan's amplitude grid depends on the nonlinearity alone: its table is
-built and checked once per map and kept on it, so each K costs a subtraction
-and the refinement of its brackets.  Stability is decided by probing whether
--1/F just beyond the candidate amplitude leaves the closed Nyquist contour
-while -1/F just below stays enclosed.  Both probes lie on the negative real
-axis, so each enclosure is a sum over the contour's signed crossings of that
-axis (``linsys.nyquist_contour``).  ``analyze`` evaluates F once per cycle,
-at both probes and the amplitude, and ``classify`` once at both probes; both
-read the verdict off those values in ``_verdict``.  The steady-state orbit in
-state space is estimated as an ellipse spanned by two basis vectors.
+built and checked once per map (the array kernel ``descfun._df``) and kept
+on it, so each K costs a subtraction and the refinement of its brackets,
+whose trial points take F one amplitude at a time in Python floats
+(``descfun._df_at``, with ``_df``'s bits).  Stability is decided by probing
+whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
+contour while -1/F just below stays enclosed.  Both probes lie on the
+negative real axis, so each enclosure is a sum over the contour's signed
+crossings of that axis (``linsys.nyquist_contour``).  ``analyze`` takes F
+at both probes and the amplitude from ``_df_at``, and ``classify`` from one
+``df_value`` call at both probes; both read the verdict off those values in
+``_verdict``.  The steady-state orbit in state space is estimated as an
+ellipse spanned by two basis vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descfun import _df, df_value
+from .descfun import _df, _df_at, df_value
 from .linsys import LinearPlant, _contour, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
@@ -133,7 +136,7 @@ def _scan_table(
     return Xr, Fr, on_grid, float(F.min())
 
 
-def _refine_sign_changes(f, grid, vals, done):
+def _refine_sign_changes(f, grid, vals, tol):
     """The last trial points, in grid order, of every bracket of the sign
     changes of ``vals = f(grid)``, refined at once by the Illinois variant of
     false position (Dowell & Jarratt, *BIT* 11, 1971): the secant point
@@ -141,10 +144,11 @@ def _refine_sign_changes(f, grid, vals, done):
     kept twice in a row, or the midpoint where that point is not strictly
     inside (a 0 value at an end, an overflow, a NaN, equal stored values).
     The side kept comes from the unscaled value ``sa``, as halving can
-    underflow to 0.  A bracket freezes at the first point whose value meets
-    ``done``, or after ``MAX_ITER`` steps.  A step makes one array call of
-    ``f`` and one of ``done``; the bookkeeping in Python floats has the bits
-    of an elementwise array form, whose division by 0 takes the midpoint.
+    underflow to 0.  A bracket freezes at the first point whose value v has
+    ``|v| <= tol``, or after ``MAX_ITER`` steps.  A step makes one call of
+    ``f``, from the list of the live brackets' trial points to the list of
+    their values; the bookkeeping in Python floats has the bits of an
+    elementwise array form, whose division by 0 takes the midpoint.
     """
     # the brackets' left ends: v_i != 0 and v_i v_i+1 <= 0, in signs, whose
     # product cannot overflow or underflow to 0
@@ -167,12 +171,11 @@ def _refine_sign_changes(f, grid, vals, done):
             d = fb - fa
             tk = b - fb * (b - a) / d if d != 0.0 else math.nan
             t.append(tk if a < tk < b else 0.5 * a + 0.5 * b)  # a + b can overflow
-        ft = f(np.array(t))
         following = []
-        for bracket, tk, s, halt in zip(live, t, ft.tolist(), done(ft).tolist()):
+        for bracket, tk, s in zip(live, t, f(t)):
             j, a, b, sa, fa, fb, kept = bracket
             x[j] = tk
-            if halt:
+            if abs(s) <= tol:
                 continue
             if (s > 0) == (sa > 0):  # t replaces a, b is kept
                 bracket[1:] = tk, b, s, s, 0.5 * fb if kept == -1.0 else fb, -1.0
@@ -180,7 +183,7 @@ def _refine_sign_changes(f, grid, vals, done):
                 bracket[2:] = tk, sa, 0.5 * fa if kept == 1.0 else fa, s, 1.0
             following.append(bracket)
         live = following
-    return np.array(x, dtype=grid.dtype)
+    return x
 
 
 def find_intersections(
@@ -194,11 +197,12 @@ def find_intersections(
     v = F - K is sampled on ``_scan_table``'s amplitudes, a dense log grid up
     to ``x_max`` (default 100x the last breakpoint) with marks inserted.
     The default grid's table is kept on ``nl`` (``nl._f_scan``), so one map
-    builds and checks it once for every K; the scan and its refinement run
-    the unchecked ``descfun._df``.  A bracket opens wherever ``v_i != 0`` and
+    builds and checks it once for every K; the scan runs the unchecked array
+    kernel ``descfun._df``.  A bracket opens wherever ``v_i != 0`` and
     ``v_i * v_i+1 <= 0``, and a sample with v = 0 is a root; the brackets,
     split at the breakpoints and above each jump at ``RUN``, are refined
-    together by ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``.
+    together by ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``,
+    F at each trial point from the unchecked one-amplitude ``descfun._df_at``.
     Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when
     the grid is not finite or positive, F - K on its log grid is not finite,
     or v = 0 at two consecutive samples of it.
@@ -212,7 +216,7 @@ def find_intersections(
         at = on_grid[v[on_grid] == -math.inf][0]
         raise IntersectionError(f"F is not finite at X = {Xr[at]}")
     roots = _refine_sign_changes(
-        lambda x: _df(nl, x) - gain_margin, Xr, v, lambda v: np.abs(v) <= VALUE_TOL
+        lambda ts: [_df_at(nl, t) - gain_margin for t in ts], Xr, v, VALUE_TOL
     )
 
     zero = v[on_grid] == 0.0
@@ -223,7 +227,7 @@ def find_intersections(
             f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
         )
     dedup: list[float] = []
-    for r in sorted(roots.tolist() + at_zero.tolist()):
+    for r in sorted(roots + at_zero.tolist()):
         if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
             dedup.append(r)
     return dedup
@@ -285,19 +289,19 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
     """Full limit-cycle estimation for every phase crossover of the plant.
 
     One crossover search gives both the crossovers and the contour's
-    crossing table that classifies their cycles.  One ``_df`` call per cycle, on
-    X*(1 - DELTA), X, X*(1 + DELTA), gives both stability probes and
-    Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
-    F at an amplitude does not depend on the others, as the power-of-two
-    scale that ``_psi`` reads off the first one is exact.
+    crossing table that classifies their cycles.  Three ``_df_at`` calls per
+    cycle, at X*(1 - DELTA), X and X*(1 + DELTA), give both stability probes
+    and Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
+    F at an amplitude does not depend on the others in an array call, as the
+    power-of-two scale that ``_psi`` reads off the first one is exact.
     """
     results = []
     crossovers, contour = _contour(plant)
     for omega, K, _ in crossovers:
         cycles = []
         for X in find_intersections(nl, K):
-            triple = np.array([X * (1.0 - DELTA), X, X * (1.0 + DELTA)])
-            below, F, above = _df(nl, triple).tolist()
+            probes = (X * (1.0 - DELTA), X, X * (1.0 + DELTA))
+            below, F, above = (_df_at(nl, x) for x in probes)
             stability = _verdict(X, omega, below, above, contour=contour)
             Y1 = F * X
             with np.errstate(over="ignore", invalid="ignore"):

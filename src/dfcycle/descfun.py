@@ -5,7 +5,10 @@ the relay factor ``_psi``.  The full curve is the superposition of one term per
 slope change and per jump of the nonlinearity.  Each public entry checks its
 input once, then runs an unchecked kernel: ``df_value`` its amplitudes before
 ``_df``, and the curve samplers their grid in ``_sample``, the one builder of
-a ``DescribingFunctionCurve``.
+a ``DescribingFunctionCurve``.  ``_df`` is the kernel for arrays and the
+definition of F; ``_df_at`` repeats its operations on one amplitude in
+Python floats, with its bits, for the F = K refinement and the stability
+probes of ``cycles``.
 
 ``df_oracle`` recomputes the same value by quadrature of the first Fourier
 harmonic and serves as an independent cross-check of the closed forms: it
@@ -93,6 +96,30 @@ def _df(nl: PiecewiseNonlinearity, X: np.ndarray) -> np.ndarray:
         acc[k:] += _psi(x1, tail, magnitude) if relay else magnitude * _phi(tail, x1)
     F[i:] += acc
     return F
+
+
+def _df_at(nl: PiecewiseNonlinearity, X: float) -> float:
+    """F at one amplitude X > 0, unchecked, in Python floats.
+
+    ``_df`` is the definition: this runs its operations in its order, with
+    ``_phi``'s and ``_psi``'s expressions and the scale c of ``_psi``, so it
+    returns the bits of ``_df(nl, np.array([X]))[0]`` without NumPy's
+    per-call overhead, which outweighs the arithmetic on one amplitude.  Only
+    arcsin is NumPy's, on a Python float: that runs the array loop, which
+    ``math.asin`` does not always match.
+    """
+    acc = 0.0
+    for x1, relay, magnitude in nl.terms:
+        if X < x1:
+            break  # the thresholds ascend
+        u = x1 / X
+        if relay:
+            c = 2.0 ** max(0, -1000 - math.frexp(X)[1])
+            acc += 1.0 / (X * (c / 4.0) * math.pi) * math.sqrt(1.0 - u * u) * (magnitude * c)
+        else:
+            w = (math.sqrt(1.0 - u * u) * u + float(np.arcsin(u))) * (2.0 / math.pi)
+            acc += magnitude * (1.0 - w)
+    return nl.initial_slope + acc
 
 
 def df_value(nl: PiecewiseNonlinearity, X):

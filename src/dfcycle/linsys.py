@@ -325,10 +325,23 @@ def phase_crossovers(
     return [(w, km) for w, km, _ in _crossings(plant, lo, hi)[0]]
 
 
+def _negligible_den(plant: LinearPlant, omega: float) -> bool:
+    """Whether ``_den_at`` refuses j omega: den is negligible there, or the
+    sum of its terms' sizes overflows."""
+    try:
+        plant._den_at(1j * omega)
+    except PoleOnAxisError:
+        return True
+    return False
+
+
 def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
     """``_crossings``' rows on ``OMEGA_RANGE`` and ``nyquist_contour``'s table."""
     r = _roots(plant.den[:len(plant.den) - plant.origin_poles], "the denominator")
-    on_axis = [z.imag for z in r if z.imag > 0 and abs(z.real) <= 1e-9 * z.imag]
+    on_axis = [z.imag for z in r if z.imag > 0 and (
+        abs(z.real) <= 1e-9 * z.imag
+        # np.roots moves a double root about 1e-8 off the axis
+        or (abs(z.real) <= 1e-7 * z.imag and _negligible_den(plant, z.imag)))]
     if on_axis:
         raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
     rows, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
@@ -348,7 +361,11 @@ def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
     # straight segments a -> b, counted as a polygon edge: Im <= 0 is below
     for a, b in ((g_hi, np.conj(g_hi)), (end, g_lo)):
         if (a.imag > 0) != (b.imag > 0):
-            t = 0.5 * a.imag / (0.5 * a.imag - 0.5 * b.imag)  # halves cannot overflow
+            ya, yb = float(a.imag), float(b.imag)
+            if min(abs(ya), abs(yb)) < 2.0**-1021:  # a half rounds, or is 0/0
+                e = math.frexp(max(abs(ya), abs(yb)))[1]  # the larger to [0.5, 1)
+                ya, yb = math.ldexp(ya, -e), math.ldexp(yb, -e)
+            t = 0.5 * ya / (0.5 * ya - 0.5 * yb)  # halves cannot overflow
             table.append(((1.0 - t) * a.real + t * b.real, 1.0 if a.imag > 0 else -1.0))
     table = np.array(table, dtype=float).reshape(-1, 2)
     table = table[(table[:, 0] < 0.0) & (table[:, 1] != 0.0)]
@@ -367,9 +384,10 @@ def nyquist_contour(plant: LinearPlant) -> np.ndarray:
     twice (branch and mirror) in its direction; each pass of the arc through
     angle pi, -1; each straight segment that crosses.  Raises
     ``PoleOnAxisError`` for any other pole r on the imaginary axis
-    (``|Re r| <= 1e-9 Im r``), in ``OMEGA_RANGE`` or not, for an arc that
-    overflows, where the denominator's roots are not finite, and as
-    ``phase_crossovers`` does.
+    (``|Re r| <= 1e-9 Im r``, or ``<= 1e-7 Im r`` where the denominator is
+    negligible at j Im r, as at a double pole), in ``OMEGA_RANGE`` or not,
+    for an arc that overflows, where the denominator's roots are not finite,
+    and as ``phase_crossovers`` does.
     """
     return _contour(plant)[1]
 

@@ -23,6 +23,11 @@ PLANT_B = {"num": [1], "den": [1, 4, 3, 0]}
 PLANT_OSC = {"num": [1], "den": [1, 0, 1, 0]}  # poles at 0 and +-j
 PLANT_PM2J = {"num": [1], "den": [1, 0, 4]}  # G(jw) is real wherever it is sampled
 PLANT_DOUBLE_J = {"num": [1], "den": [1, 0, 2, 0, 1, 0]}  # s (s^2 + 1)^2
+# (s^2 + W^2)^2, W = 1.4151018441148748: np.roots puts the poles 1.2e-8 off the axis
+PLANT_DOUBLE_W = {
+    "num": [1],
+    "den": [1.0, 0.0, 4.005026458434639, 0.0, 4.010059233190376],
+}
 PLANT_FEEDTHROUGH = {"num": [0.01, 0, 0, 1], "den": [1, 2, 1, 0], "k": 5}  # D != 0
 NL_SAT = {"x": [1], "y": [1], "final_slope": 0}
 NL_STEEP = {"x": [1], "y": [1], "final_slope": 1e308}  # y overflows before F does
@@ -302,7 +307,10 @@ class TestAnalyze:
         assert complex(line.rsplit(" ", 1)[1]) == pytest.approx(1j)
         assert res.stdout == ""
 
-    @pytest.mark.parametrize("plant_data, pole", [(PLANT_PM2J, "2j"), (PLANT_DOUBLE_J, "1j")])
+    @pytest.mark.parametrize(
+        "plant_data, pole",
+        [(PLANT_PM2J, "2j"), (PLANT_DOUBLE_J, "1j"), (PLANT_DOUBLE_W, "1.415102j")],
+    )
     def test_unsampled_axis_pole_exits_2(self, runner, tmp_path, plant_data, pole):
         nl = write(tmp_path, "nl.json", NL_B)
         plant = write(tmp_path, "plant.json", plant_data)

@@ -315,8 +315,6 @@ def test_errors_match_the_reference(num, den, message, nl_b):
         # |G| = 1e307 / |1 - omega^2 + 0.02 j omega| overflows near omega = 1
         (LinearPlant((1e7,), (1.0, 0.02, 1.0), 1e300),
          r"^G\(j omega\) is not finite at omega = 0\.97"),
-        # np.roots puts the double pole off the axis; den(j W) is negligible
-        (LinearPlant((1.0,), SAMPLED_DOUBLE_POLE), rf"^pole at s = {W!r}j$"),
     ],
 )
 def test_errors_only_the_grid_sampled(plant, message):
@@ -336,6 +334,9 @@ def test_errors_only_the_grid_sampled(plant, message):
         # np.roots overflows on den / den[0]; it used to raise LinAlgError
         ((1.0,), (1e-300, 1e300), 1.0, r"^the roots of the denominator are not finite$"),
         ((1.0,), (5e-324, 1.0, 1.0), 1.0, r"^the roots of the denominator are not finite$"),
+        # np.roots puts the double pole 1.2e-8 W off the axis; den(j W) is
+        # negligible.  _contour used to return no rows and an empty table
+        ((1.0,), SAMPLED_DOUBLE_POLE, 1.0, r"^pole at s = 1\.415102j$"),
     ],
 )
 def test_errors(num, den, k, message, nl_b):
@@ -343,6 +344,36 @@ def test_errors(num, den, k, message, nl_b):
     for f in (_contour, nyquist_contour, lambda p: analyze(p, nl_b)):
         with pytest.raises(PoleOnAxisError, match=message):
             f(plant)
+
+
+@pytest.mark.parametrize("damping", [2e-9, 1e-8, 5e-8, 1e-7])
+def test_lightly_damped_simple_pole_is_off_the_axis(damping):
+    # within 1e-7 of the axis but simple: den(j Im r) is not negligible.
+    # 1 / (s (s^2 + 2 damping W s + W^2)) crosses at omega = W, where
+    # G = -1 / (2 damping W^3)
+    p = complex(-damping * W, W)
+    plant = LinearPlant((1.0,), tuple(np.poly([0.0, p, p.conjugate()]).real.tolist()))
+    [(w, km, _)] = _contour(plant)[0]
+    assert w == pytest.approx(W, rel=1e-9)
+    assert km == pytest.approx(2.0 * damping * W**3, rel=1e-6)
+
+
+def test_subnormal_response_at_the_range_ends():
+    # Im G is -5e-324 at omega_min and -2.5e-323 at omega_max: the straight
+    # segments' crossing halved both ends' Im to 0 and divided 0 by 0 (a
+    # RuntimeWarning, and a NaN abscissa)
+    plant = LinearPlant(
+        (3.202069545373259e72,),
+        (1.9422518020839135e148, 3.69976601961347e-34, -1.0485800513650513e101,
+         -4.268472551601897e31, -1.2946244939109703e87, -4.000229760123883e126,
+         0.06992343001098883, 5.013191393774831e148),
+        -1.433488335415259e-226,
+    )
+    g_lo = complex(plant.transfer(1j * OMEGA_RANGE[0]))
+    assert g_lo.imag == -5e-324
+    rows, table = _contour(plant)
+    # the chord from conj(G(j omega_min)) to G(j omega_min) crosses at its midpoint
+    assert rows == [] and table.tolist() == [[g_lo.real, 1.0]]
 
 
 def test_roots_have_the_bits_of_np_roots():

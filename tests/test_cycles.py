@@ -23,7 +23,7 @@ from dfcycle.cycles import (
     ellipse_estimate,
     find_intersections,
 )
-from dfcycle.descfun import _df
+from dfcycle.descfun import _df, _df_at
 from dfcycle.linsys import OMEGA_RANGE, _contour, h_of_jw, nyquist_contour, phase_crossovers
 from dfcycle.piecewise import NonlinearityError
 
@@ -341,10 +341,10 @@ def test_analyze_equals_its_public_parts(e):
         assert got == outcome(composed_analyze, plant, nl)
         for co in got if isinstance(got, list) else []:
             for c in co.cycles:
-                # analyze's one call on the triple gives each value of its
-                # own one-point call
-                triple = np.array([c.X * (1.0 - DELTA), c.X, c.X * (1.0 + DELTA)])
-                assert _df(nl, triple).tolist() == [df_value(nl, x) for x in triple]
+                # analyze's one-amplitude calls give the values of df_value's
+                # array calls, whose power-of-two scale may differ
+                triple = [c.X * (1.0 - DELTA), c.X, c.X * (1.0 + DELTA)]
+                assert [_df_at(nl, x) for x in triple] == [df_value(nl, x) for x in triple]
                 cycles += 1
     assert cycles >= 15  # the comparison is not vacuous
 
@@ -374,5 +374,9 @@ def test_one_call_on_the_probe_triple_keeps_each_value():
             got = _df(nl, triple).tolist()
             want = [df_value(nl, x) for x in triple]
         assert np.array(got).tobytes() == np.array(want).tobytes(), (e, nl, X)
+        # and analyze's one-amplitude kernel, scaled by its own amplitude
+        one = [_df_at(nl, x) for x in triple.tolist()]
+        assert np.array(one).tobytes() == np.array(want).tobytes(), (e, nl, X)
         tested += 1
     assert tested >= 50
+

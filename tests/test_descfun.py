@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dfcycle import PiecewiseNonlinearity
 from dfcycle import descfun, df_exact, df_qualitative, df_value
-from dfcycle.descfun import _phi, _psi, df_oracle, df_oracle_curve
+from dfcycle.descfun import _df, _df_at, _phi, _psi, df_oracle, df_oracle_curve
 
 from conftest import random_nonlinearity
 
@@ -276,6 +276,55 @@ class TestSubnormalAmplitudes:
         expected = nl.initial_slope + (4.0 / math.pi) * (1e-322 / 5e-324)
         assert df_value(nl, 5e-324) == pytest.approx(expected, rel=1e-14)
         assert df_qualitative(nl, [5e-324]).F[0] == pytest.approx(expected, rel=1e-14)
+
+
+class TestOneAmplitudeKernel:
+    """``_df_at`` has the bits of ``_df`` on a one-point array."""
+
+    @staticmethod
+    def assert_same_bits(nl, xs):
+        for x in xs:
+            with np.errstate(all="ignore"):
+                want = _df(nl, np.array([x]))
+            got = np.array([_df_at(nl, x)])
+            assert got.tobytes() == want.tobytes(), (nl, x, got, want)
+
+    def amplitudes(self, nl, rng):
+        xs = [2.0 ** -1030, 1e-300, 1e300, 1.7e308]
+        for x1, _, _ in nl.terms:
+            if x1 > 0:
+                xs += [x1, math.nextafter(x1, math.inf)]
+        top = max(nl.max_breakpoint, 1.0)
+        return xs + [rng.uniform(0.0, 3.0 * top) or 1.0 for _ in range(300)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_nonlinearities(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            nl = random_nonlinearity(rng)
+            self.assert_same_bits(nl, self.amplitudes(nl, rng))
+
+    def test_case_studies(self, nl_a, nl_b):
+        rng = random.Random(1)
+        for nl in (nl_a, nl_b):
+            self.assert_same_bits(nl, self.amplitudes(nl, rng))
+
+    @pytest.mark.parametrize("x1", [0.0, 2.0 ** -1040, 5e-324])
+    def test_relay_below_the_psi_scale(self, x1):
+        # amplitudes below 2^-1000: _psi scales X and Y up by a power of two
+        nl = PiecewiseNonlinearity(x=(x1, x1, 1e-300), y=(0.0, 1.5, 2.0))
+        xs = [math.ldexp(1.0 + 0.3 * i, e) for e in range(-1074, -990, 3) for i in range(3)]
+        self.assert_same_bits(nl, [x for x in xs if x >= x1] + [math.nextafter(x1, 1.0)])
+
+    def test_arcsin_of_a_float_runs_the_array_loop(self):
+        u = np.random.default_rng(0).uniform(0.0, 1.0, 100_000)
+        got = np.array([np.arcsin(float(v)) for v in u])
+        bad = np.flatnonzero(got != np.arcsin(u))
+        assert not bad.size, (
+            f"np.arcsin on a Python float differs from np.arcsin on an array at "
+            f"{bad.size} of {u.size} points (u = {u[bad[0]]!r}): NumPy's loop for "
+            f"one element rounds otherwise, so descfun._df_at no longer has _df's bits"
+        )
 
 
 class TestCurveContainer:

@@ -194,7 +194,7 @@ class TestCrossovers:
             return np.where(x < 0.3, 5e-324, -1.0)
 
         grid = np.array([0.0, 1.0])
-        [x] = _refine_sign_changes(f, grid, f(grid), lambda v: v == 0.0)
+        [x] = _refine_sign_changes(lambda ts: f(np.array(ts)).tolist(), grid, f(grid), 0.0)
         assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):

@@ -14,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from dfcycle import cycles
 from dfcycle.cycles import analyze
+from dfcycle.descfun import _df
 from dfcycle.linsys import OMEGA_RANGE, _contour, nyquist_contour, phase_crossovers
+
+from test_scan_reference import MAX_CALLS, counting_scans
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 OPS = 3
@@ -58,3 +62,29 @@ def test_traced_crossings_are_analyzes(bench, seed):
         assert nyquist_contour(op.plant).tobytes() == table.tobytes()
         crossings = phase_crossovers(op.plant, OMEGA_RANGE)
         assert crossings == [(co.omega, co.gain_margin) for co in analyze(op.plant, op.nl)]
+
+
+def test_analyze_makes_no_array_kernel_call(bench, monkeypatch):
+    # with F's scan table kept on the map, the F = K refinement and the
+    # probes take F one amplitude at a time, in Python floats
+    # (descfun._df_at), on the six case studies and gain_sweep's first round;
+    # each refinement still stops within MAX_CALLS steps
+    inputs = bench[0].inputs
+    ops = [inputs._case_study_op(i) for i in range(6)]
+    ops += next(inputs.gain_sweep_rounds(1))
+    for op in ops:
+        op.nl._f_scan
+    calls = []
+
+    def counted(nl, X):
+        calls.append(len(X))
+        return _df(nl, X)
+
+    monkeypatch.setattr(cycles, "_df", counted)
+    n_cycles = 0
+    with counting_scans() as steps:
+        for op in ops:
+            n_cycles += sum(len(co.cycles) for co in analyze(op.plant, op.nl))
+    assert calls == []
+    assert steps and max(steps) <= MAX_CALLS, steps
+    assert n_cycles >= 10  # the guard is not vacuous

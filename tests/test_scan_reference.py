@@ -10,13 +10,15 @@ crossover must meet ``|Im G| <= 1e-12 |G|`` with Re G < 0 and carry the
 gain margin ``1/|G|`` exactly; each amplitude must meet
 ``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each root must
 lie in the same closed grid interval as its reference root.  The F = K scan
-must also stop within ``MAX_CALLS`` array calls.
+must also stop within ``MAX_CALLS`` steps.
 
-``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats.
+``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats
+and calls ``f`` on a list of trial points a step.
 ``array_refine_sign_changes`` below is the array form it replaced; on the
-same inputs both must call ``f`` on the same trial points and return the
-same bits, on random functions and grids, on the special values a step must
-survive, and inside the real F = K scan.
+same inputs, with an array ``f`` wrapped as
+``lambda ts: f(np.array(ts)).tolist()``, both must call ``f`` on the same
+trial points and return the same bits, on random functions and grids, on the
+special values a step must survive, and inside the real F = K scan.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ from dfcycle.linsys import OMEGA_RANGE, phase_crossovers
 
 from conftest import plant_a, plant_b, random_nonlinearity
 
-# Array calls of ``f`` that one scan may make; halving took up to about 30.
+# Steps (calls of ``f``) that one scan may make; halving took up to about 30.
 MAX_CALLS = 8
+# A tolerance that no value meets, NaN included: the brackets run out of steps.
+NEVER = -math.inf
 # The reference crossover scan's log grid over OMEGA_RANGE.
 OMEGA_GRID = np.logspace(math.log10(OMEGA_RANGE[0]), math.log10(OMEGA_RANGE[1]), 4000)
 
@@ -127,7 +131,7 @@ def _intervals(grid, r):
 
 @contextmanager
 def counting_scans():
-    """Patch the F = K scan so that it records its array calls a scan."""
+    """Patch the F = K scan so that it records its steps (calls of ``f``) a scan."""
     calls = []
 
     def counted(f, *args):
@@ -249,11 +253,13 @@ def array_refine_sign_changes(f, grid, vals, sign, done):
     return x, fx, v[i]
 
 
-def assert_same_refinement(f, grid, vals, sign, done):
-    """Both forms call ``f`` on the same points and return the same roots,
-    the array form's ``sign`` taken into ``f`` for ``_refine_sign_changes``.
+def assert_same_refinement(f, grid, vals, sign, tol):
+    """Both forms call the array function ``f`` on the same points and return
+    the same roots, the array form's ``sign`` taken into ``f`` for
+    ``_refine_sign_changes``, which gets it wrapped to map lists to lists;
+    both end a bracket where ``|sign(v)| <= tol``.
 
-    Returns the number of array calls of ``f``.
+    Returns the number of steps, the calls of ``f``.
     """
     calls = ([], [])
 
@@ -266,20 +272,19 @@ def assert_same_refinement(f, grid, vals, sign, done):
 
     signed = recorded(calls[0])
     with np.errstate(all="ignore"):
-        got = _refine_sign_changes(lambda t: sign(signed(t)), grid, sign(vals), done)
+        got = _refine_sign_changes(
+            lambda ts: sign(signed(np.array(ts))).tolist(), grid, sign(vals), tol
+        )
         want, _, _ = array_refine_sign_changes(
-            recorded(calls[1]), grid, vals, sign, lambda v: done(sign(v))
+            recorded(calls[1]), grid, vals, sign, lambda v: np.abs(sign(v)) <= tol
         )
     assert len(calls[0]) == len(calls[1])
     for t_got, t_want in zip(*calls):
         assert t_got.shape == t_want.shape and t_got.tobytes() == t_want.tobytes()
+    got = np.array(got, dtype=float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes(), (got, want)
     return len(calls[0])
-
-
-def never(v):
-    return np.zeros(np.shape(v), dtype=bool)
 
 
 def tiny_sign(v):
@@ -292,7 +297,7 @@ def test_zero_value_at_a_bracket_end():
     # so the secant point is b and the step is the midpoint
     grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
     f = lambda x: x - 0.5  # noqa: E731
-    assert assert_same_refinement(f, grid, f(grid), lambda v: v, lambda v: np.abs(v) <= 1e-12)
+    assert assert_same_refinement(f, grid, f(grid), lambda v: v, 1e-12)
 
 
 def test_nan_and_inf_values():
@@ -303,15 +308,15 @@ def test_nan_and_inf_values():
 
     grid = np.array([0.0, 1.0, 2.0])
     vals = np.array([-np.inf, 1.0, -np.inf])
-    for done in (never, lambda v: np.abs(v) <= 1e-9):
-        assert_same_refinement(f, grid, vals, lambda v: v, done)
+    for tol in (NEVER, 1e-9):
+        assert_same_refinement(f, grid, vals, lambda v: v, tol)
 
 
 def test_overflowing_secant_numerator():
     # fb (b - a) = 1e300 * 2e300 overflows to inf
     grid = np.array([-1e300, 1e300])
     f = lambda x: x - 1.0  # noqa: E731
-    assert_same_refinement(f, grid, f(grid), lambda v: v, lambda v: np.abs(v) <= 1e-12)
+    assert_same_refinement(f, grid, f(grid), lambda v: v, 1e-12)
 
 
 def test_equal_stored_values():
@@ -320,13 +325,13 @@ def test_equal_stored_values():
     # fb - fa = 0 would divide by 0
     grid = np.array([0.0, 1.0])
     f = lambda x: x - 0.375  # noqa: E731
-    assert assert_same_refinement(f, grid, f(grid), tiny_sign, never) == MAX_ITER
+    assert assert_same_refinement(f, grid, f(grid), tiny_sign, NEVER) == MAX_ITER
 
 
 def test_brackets_that_run_out_of_steps():
     grid = np.linspace(-3.0, 3.0, 13)
     f = lambda x: np.sin(3.0 * x) + 0.1  # noqa: E731
-    assert assert_same_refinement(f, grid, f(grid), lambda v: v, never) == MAX_ITER
+    assert assert_same_refinement(f, grid, f(grid), lambda v: v, NEVER) == MAX_ITER
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -349,16 +354,15 @@ def test_random_functions_and_grids(seed):
         vals[rng.integers(0, len(vals))] = special
     sign = (lambda v: v, np.sign, tiny_sign)[seed % 3]
     tol = rng.choice((0.0, 1e-12, 1e-3)) * scale
-    done = never if seed % 5 == 0 else (lambda v: np.abs(v) <= tol)
-    assert_same_refinement(f, grid, vals, sign, done)
+    assert_same_refinement(f, grid, vals, sign, NEVER if seed % 5 == 0 else tol)
 
 
 @contextmanager
 def both_forms():
     """Patch the F = K scan so that it runs both forms and compares them."""
-    def compared(f, grid, vals, done):
-        assert_same_refinement(f, grid, vals, lambda v: v, done)
-        return _refine_sign_changes(f, grid, vals, done)
+    def compared(f, grid, vals, tol):
+        assert_same_refinement(lambda t: np.array(f(t.tolist())), grid, vals, lambda v: v, tol)
+        return _refine_sign_changes(f, grid, vals, tol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "_refine_sign_changes", compared)
