@@ -11,10 +11,10 @@ whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
 contour while -1/F just below stays enclosed.  Both probes lie on the
 negative real axis, so each enclosure is a sum over the contour's signed
 crossings of that axis (``linsys.nyquist_contour``).  ``analyze`` takes F
-at both probes and the amplitude from ``_df_at``, and ``classify`` from one
-``df_value`` call at both probes; both read the verdict off those values in
-``_verdict``.  The steady-state orbit in state space is estimated as an
-ellipse spanned by two basis vectors.
+at both probes and the amplitude from ``_df_at``, and ``classify`` at both
+probes; both read the verdict off those values in ``_verdict``.  The
+steady-state orbit in state space is estimated as an ellipse spanned by two
+basis vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descfun import _df, _df_at, df_value
+from .descfun import _df, _df_at
 from .linsys import LinearPlant, _contour, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
@@ -243,15 +243,22 @@ def classify(
 ) -> str:
     """Stable/unstable verdict for a candidate cycle amplitude.
 
-    Probes p = -1/F at X*(1 +/- DELTA), both from one ``df_value`` call: the
-    cycle is stable when the outward probe escapes the closed Nyquist contour
-    while the inward probe remains enclosed, and unstable in the mirrored
-    case.  ``contour`` is the crossing table of ``nyquist_contour``; the
-    contour winds about p by the signed count of its crossings left of p.
-    Raises ``AmbiguousStabilityError`` when F <= 0 at a probe or both probes
+    Probes p = -1/F at X*(1 +/- DELTA), F from ``_df_at`` with the bits of
+    ``df_value``: the cycle is stable when the outward probe escapes the
+    closed Nyquist contour while the inward probe remains enclosed, and
+    unstable in the mirrored case.  ``contour`` is the crossing table of
+    ``nyquist_contour``; the contour winds about p by the signed count of its
+    crossings left of p.  Raises ``ValueError`` as ``df_value`` does on the
+    probes, where X < 0 or is NaN, or X = 0 and ``nl`` jumps at the origin,
+    and ``AmbiguousStabilityError`` when F <= 0 at a probe or both probes
     give the same verdict.
     """
-    below, above = df_value(nl, [X * (1.0 - DELTA), X * (1.0 + DELTA)]).tolist()
+    probes = (X * (1.0 - DELTA), X * (1.0 + DELTA))
+    if not all(x >= 0 for x in probes):  # NaN fails too
+        raise ValueError("amplitudes must be >= 0")
+    if 0.0 in probes and nl.has_origin_jump:
+        raise ValueError("X = 0 is singular for a nonlinearity jumping at the origin")
+    below, above = (_df_at(nl, x) if x > 0 else nl.initial_slope for x in probes)
     return _verdict(X, omega, below, above, contour=contour)
 
 

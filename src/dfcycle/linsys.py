@@ -6,19 +6,25 @@ scalar gain.  A controllable canonical state-space realization is derived for
 the steady-state geometry and the time simulator.  G(j omega) is real where
 P(omega) = Im N(j omega) conj(D(j omega)) = 0, so the phase crossovers are
 the real roots of P, and G is evaluated only there and at the range's ends.
+All of that but G's gain k is kept per coefficient set in two small memos,
+so a plant shape swept over gains finds its crossovers once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 # Frequency interval of the crossover search, which also bounds the Nyquist
 # contour: its arc and its two straight segments sit at the interval's ends.
 OMEGA_RANGE = (1e-3, 1e3)
+# Entries of each memo of the gain-free crossover data (``_gain_free``,
+# ``_axis_poles``), least recently used first out.
+MEMO_SIZE = 64
 
 
 class PlantError(ValueError):
@@ -92,20 +98,8 @@ class LinearPlant:
         return tuple(abs(c) for c in self.den)
 
     def _den_at(self, s: complex | np.ndarray) -> complex | np.ndarray:
-        """den(s), checked: ``PoleOnAxisError`` where it is negligible against
-        the sum of its terms' sizes (a pole), or where that sum overflows, which
-        leaves no size to compare den(s) with."""
-        den = _horner(self.den, s)
-        # the sum is >= 0 or NaN: all of its terms are
-        scale = np.maximum(_horner(self._abs_den, np.abs(s)), 1.0)
-        # also holds wherever the scale is inf, unless den(s) is nan
-        bad = np.abs(den) <= 1e-14 * scale
-        if bad.any():
-            at, size = np.asarray(s)[bad][0], np.asarray(scale)[bad][0]
-            if size == math.inf:
-                raise PoleOnAxisError(f"the denominator overflows at s = {at}")
-            raise PoleOnAxisError(f"pole at s = {at}")
-        return den
+        """den(s), checked as ``_checked_den`` says."""
+        return _checked_den(self.den, self._abs_den, s)
 
     @cached_property
     def state_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -164,6 +158,34 @@ def _horner(coeffs: tuple[float, ...], s):
     for c in coeffs:
         y = y * s + c
     return y[()]
+
+
+def _checked_den(den: tuple[float, ...], abs_den: tuple[float, ...], s):
+    """den(s): ``PoleOnAxisError`` where it is negligible against the sum of
+    its terms' sizes (a pole), |den|'s polynomial ``abs_den`` at |s|, or
+    where that sum overflows, which leaves no size to compare den(s) with."""
+    value = _horner(den, s)
+    # the sum is >= 0 or NaN: all of its terms are
+    scale = np.maximum(_horner(abs_den, np.abs(s)), 1.0)
+    # also holds wherever the scale is inf, unless den(s) is nan
+    bad = np.abs(value) <= 1e-14 * scale
+    if bad.any():
+        at, size = np.asarray(s)[bad][0], np.asarray(scale)[bad][0]
+        if size == math.inf:
+            raise PoleOnAxisError(f"the denominator overflows at s = {at}")
+        raise PoleOnAxisError(f"pole at s = {at}")
+    return value
+
+
+def _bits(coeffs: tuple[float, ...]) -> bytes:
+    """A memo key for ``coeffs``: their floats' bits, which, unlike the
+    tuple's ==, tell 0.0 from -0.0, whose sign can reach G."""
+    return struct.pack(f"{len(coeffs)}d", *coeffs)
+
+
+def _floats(bits: bytes) -> tuple[float, ...]:
+    """The coefficients whose ``_bits`` these are."""
+    return struct.unpack(f"{len(bits) // 8}d", bits)
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -259,24 +281,29 @@ def _newton(p, size, a: float, b: float, sign_a: int, t: float) -> float:
     return t
 
 
-def _crossings(plant: LinearPlant, lo: float, hi: float) -> tuple[list[list], complex, complex]:
-    """``[omega, gain margin, direction]`` rows of the phase crossovers in
-    (lo, hi), and G at lo and at hi.  The crossovers are the real roots of P
-    at which Re G < 0, P from num and den scaled to a largest |coefficient|
-    of 1.  (lo, hi) is split at the midpoints between the candidates, the
-    real parts in it of P's roots with imaginary parts at most 1e-7 of them.
-    Each pair of neighbouring edges where P has opposite signs, past edges
-    where it has none, brackets one root (``_newton``); where they agree, as
-    where G touches the axis, there is none.  The direction is Im G's sign
-    at the left edge, +1 where Im G falls through 0.  G comes from one
-    ``transfer`` call at lo, the roots and hi.  Raises ``PoleOnAxisError``
-    where P's roots are not finite, and as ``phase_crossovers`` says."""
-    num, den = ([c / (max(map(abs, cs)) or 1.0) for c in reversed(cs)]
-                for cs in (plant.num, plant.den))
+@lru_cache(maxsize=MEMO_SIZE)
+def _gain_free(
+    num_bits: bytes, den_bits: bytes, lo: float, hi: float
+) -> tuple[tuple[float, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_crossings`` finds without G's gain k, kept per coefficient set
+    and range: the phase crossovers' candidates ``roots``, the real roots of P
+    in (lo, hi) at which it changes sign, P's sign at each one's left edge,
+    and the read-only arrays ``ws = [lo, *roots, hi]``, N(j ws) and D(j ws)
+    (``_checked_den``).  P comes from num and den scaled to a largest
+    |coefficient| of 1.  (lo, hi) is split at the midpoints between the
+    candidates, the real parts in it of P's roots with imaginary parts at
+    most 1e-7 of them.  Each pair of neighbouring edges where P has opposite
+    signs, past edges where it has none, brackets one root (``_newton``);
+    where they agree, as where G touches the axis, there is none.  Raises
+    ``PoleOnAxisError`` where P's roots are not finite or D is refused, on
+    every call: an error is not kept."""
+    num, den = _floats(num_bits), _floats(den_bits)
+    scaled_num, scaled_den = ([c / (max(map(abs, cs)) or 1.0) for c in reversed(cs)]
+                              for cs in (num, den))
     p = [0.0] * (len(num) + len(den) - 1)
     size = p.copy()
-    for i, a in enumerate(num):
-        for m, b in enumerate(den):
+    for i, a in enumerate(scaled_num):
+        for m, b in enumerate(scaled_den):
             s = (0.0, 1.0, 0.0, -1.0)[(i - m) % 4]  # Im j^i conj(j^m)
             p[i + m] += s * a * b
             size[i + m] += abs(s * a * b)
@@ -291,19 +318,36 @@ def _crossings(plant: LinearPlant, lo: float, hi: float) -> tuple[list[list], co
     candidates = sorted(z.real for z in r if abs(z.imag) <= 1e-7 * z.real and lo < z.real < hi)
     edges = [lo] + [0.5 * u + 0.5 * v for u, v in zip(candidates, candidates[1:])] + [hi]
     signs = [_sign_and_step(p, size, e)[0] for e in edges]
-    roots, directions, left = [], [], None
+    roots, left_signs, left = [], [], None
     for i, sign in enumerate(signs):
         if sign and left is not None and sign != signs[left]:
             t = candidates[left] if candidates else math.sqrt(lo) * math.sqrt(hi)  # no candidate
             roots.append(_newton(p, size, edges[left], edges[i], signs[left], t))
-            directions.append(math.copysign(1.0, plant.k) * signs[left])  # Im G = k P / |D|^2
+            left_signs.append(signs[left])
         left = i if sign else left
     ws = np.array([lo, *roots, hi])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = _finite(plant.transfer(1j * ws), ws)
+        n = _horner(num, 1j * ws)
+        d = _checked_den(den, tuple(map(abs, den)), 1j * ws)
+    for a in (ws, n, d):
+        a.flags.writeable = False
+    return tuple(roots), tuple(left_signs), ws, n, d
+
+
+def _crossings(plant: LinearPlant, lo: float, hi: float) -> tuple[list[list], complex, complex]:
+    """``[omega, gain margin, direction]`` rows of the phase crossovers in
+    (lo, hi), and G at lo and at hi.  The crossovers are ``_gain_free``'s
+    roots of P at which Re G < 0, G = k N / D with ``transfer``'s bits.  The
+    direction is Im G's sign at the root's left edge, +1 where Im G falls
+    through 0.  Raises ``PoleOnAxisError`` as ``_gain_free`` and
+    ``phase_crossovers`` say."""
+    roots, left_signs, ws, n, d = _gain_free(_bits(plant.num), _bits(plant.den), lo, hi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = _finite(plant.k * n / d, ws)
         margins = (1.0 / np.abs(g)).tolist()
-    rows = [[w, km, d] for w, re, km, d in
-            zip(roots, g.real.tolist()[1:-1], margins[1:-1], directions) if re < 0]
+    sign = math.copysign(1.0, plant.k)  # Im G = k P / |D|^2
+    rows = [[w, km, sign * s] for w, re, km, s in
+            zip(roots, g.real.tolist()[1:-1], margins[1:-1], left_signs) if re < 0]
     for w, km, _ in rows:
         if not 0.0 < km < math.inf:
             raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
@@ -325,25 +369,36 @@ def phase_crossovers(
     return [(w, km) for w, km, _ in _crossings(plant, lo, hi)[0]]
 
 
-def _negligible_den(plant: LinearPlant, omega: float) -> bool:
-    """Whether ``_den_at`` refuses j omega: den is negligible there, or the
-    sum of its terms' sizes overflows."""
+def _negligible_den(den: tuple[float, ...], abs_den: tuple[float, ...], omega: float) -> bool:
+    """Whether ``_checked_den`` refuses j omega: den is negligible there, or
+    the sum of its terms' sizes overflows."""
     try:
-        plant._den_at(1j * omega)
+        _checked_den(den, abs_den, 1j * omega)
     except PoleOnAxisError:
         return True
     return False
 
 
-def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
-    """``_crossings``' rows on ``OMEGA_RANGE`` and ``nyquist_contour``'s table."""
-    r = _roots(plant.den[:len(plant.den) - plant.origin_poles], "the denominator")
+@lru_cache(maxsize=MEMO_SIZE)
+def _axis_poles(den_bits: bytes) -> None:
+    """``PoleOnAxisError`` for a root r of den, the poles at the origin left
+    out, on the imaginary axis as ``nyquist_contour`` says, or for roots that
+    are not finite, on every call: only a den that passes is kept."""
+    den = _floats(den_bits)
+    q = next(i for i, c in enumerate(reversed(den)) if c != 0.0)  # den[0] != 0
+    r = _roots(den[:len(den) - q], "the denominator")
+    abs_den = tuple(map(abs, den))
     on_axis = [z.imag for z in r if z.imag > 0 and (
         abs(z.real) <= 1e-9 * z.imag
         # np.roots moves a double root about 1e-8 off the axis
-        or (abs(z.real) <= 1e-7 * z.imag and _negligible_den(plant, z.imag)))]
+        or (abs(z.real) <= 1e-7 * z.imag and _negligible_den(den, abs_den, z.imag)))]
     if on_axis:
         raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
+
+
+def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
+    """``_crossings``' rows on ``OMEGA_RANGE`` and ``nyquist_contour``'s table."""
+    _axis_poles(_bits(plant.den))
     rows, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles

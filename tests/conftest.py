@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity
+from dfcycle import LinearPlant, PiecewiseNonlinearity, linsys
 
 
 def random_nonlinearity(
@@ -49,6 +49,21 @@ def random_nonlinearity(
         slope = new_slope
         prev = xi
     return PiecewiseNonlinearity(x=tuple(x), y=tuple(y), final_slope=slope)
+
+
+@pytest.fixture
+def cold_crossing_memo():
+    """Empties both memos of the gain-free crossover data (``linsys._gain_free``
+    and ``linsys._axis_poles``) before and after the test; the value empties
+    them again when called."""
+
+    def clear():
+        linsys._gain_free.cache_clear()
+        linsys._axis_poles.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 @pytest.fixture

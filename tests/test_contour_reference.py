@@ -390,7 +390,8 @@ def test_roots_have_the_bits_of_np_roots():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_roots_that_are_not_finite(monkeypatch, bad):
+def test_roots_that_are_not_finite(monkeypatch, bad, cold_crossing_memo):
+    # a warm memo would keep both roots from the eigenvalue call
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.append(eigvals(a), bad))
     with pytest.raises(PoleOnAxisError, match=r"^the roots of the denominator are not"):

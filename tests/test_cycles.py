@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity, df_value
+from dfcycle import LinearPlant, PiecewiseNonlinearity, cycles, df_value, linsys
 from dfcycle.cycles import (
     DELTA,
     CrossoverAnalysis,
@@ -190,6 +190,52 @@ class TestClassification:
         labels = [classify(p, nl_b, X, w, contour=nyquist_contour(p)) for X in roots]
         assert labels == ["stable", "unstable", "stable"]
 
+    def test_probes_have_the_bits_of_df_value(self, monkeypatch, nl_a, nl_b):
+        # classify takes F at each probe from _df_at; it took both from one
+        # df_value call, whose checks it keeps
+        seen = []
+        verdict = cycles._verdict
+
+        def recorded(X, omega, below, above, *, contour):
+            seen.append((float.hex(below), float.hex(above)))
+            return verdict(X, omega, below, above, contour=contour)
+
+        def df_value_path(plant, nl, X, omega, contour):
+            below, above = df_value(nl, [X * (1.0 - DELTA), X * (1.0 + DELTA)]).tolist()
+            return cycles._verdict(X, omega, below, above, contour=contour)
+
+        monkeypatch.setattr(cycles, "_verdict", recorded)
+        relay = PiecewiseNonlinearity(x=(0.0, 0.0, 5.0), y=(0.0, 1.0, 1.0))
+        cases = [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)]
+        cases += [(plant_b(k), nl) for k in (5.0, 15.0, 30.0) for nl in (nl_b, relay)]
+        rng = random.Random(8)
+        for e in (0, 0, 0, -1010, -1040, 1000):  # x and y scaled by 2^e
+            nl = random_nonlinearity(rng)
+            nl = PiecewiseNonlinearity(
+                x=tuple(math.ldexp(v, e) for v in nl.x),
+                y=tuple(math.ldexp(v, e) for v in nl.y),
+                final_slope=nl.final_slope,
+            )
+            cases.append((plant_b(rng.uniform(2.0, 40.0)), nl))
+        compared = 0
+        for plant, nl in cases:
+            contour = nyquist_contour(plant)
+            [(omega, K)] = phase_crossovers(plant)
+            top = nl.max_breakpoint
+            amplitudes = find_intersections(nl, K) + list(nl.breakpoints) + [
+                top * rng.uniform(0.0, 3.0) for _ in range(20)
+            ] + [math.nextafter(x, math.inf) for x in nl.breakpoints]
+            amplitudes += [-1.0, -0.0, 0.0, math.nan, math.inf, 5e-324]
+            for X in amplitudes:
+                seen.clear()
+                got = outcome(lambda: classify(plant, nl, X, omega, contour=contour))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = outcome(lambda: df_value_path(plant, nl, X, omega, contour))
+                assert repr(got) == repr(want), (nl, X)
+                assert seen[:1] == seen[1:], (nl, X)
+                compared += len(seen) == 2
+        assert compared >= 300
+
 
 class TestEllipse:
     def test_points_follow_harmonic_solution(self):
@@ -225,24 +271,38 @@ class TestAnalyze:
         p = LinearPlant(num=(1.0,), den=(1.0, 1.0))
         assert analyze(p, nl_a) == []
 
-    def test_evaluates_g_once_at_the_range_ends_and_the_roots(self, monkeypatch, nl_a, nl_b):
-        # the contour's crossings: one transfer call, at OMEGA_RANGE's ends and
-        # at each root of P, kept (Re G < 0) or not (plant_b(-15): Re G > 0)
+    def test_evaluates_g_once_at_the_range_ends_and_the_roots(
+        self, monkeypatch, nl_a, nl_b, cold_crossing_memo
+    ):
+        # on a cold memo the contour's crossings evaluate N and D once each, at
+        # OMEGA_RANGE's ends and at each root of P, kept (Re G < 0) or not
+        # (plant_b(-15): Re G > 0); on a warm one, at any gain, not at all
         calls = []
-        transfer = LinearPlant.transfer
+        horner, checked_den = linsys._horner, linsys._checked_den
 
-        def counted_transfer(self, s):
-            calls.append(np.size(s))
-            return transfer(self, s)
+        def counted_horner(coeffs, s):
+            if coeffs == plant.num and np.ndim(s) == 1:
+                calls.append(("N", np.size(s)))
+            return horner(coeffs, s)
 
-        monkeypatch.setattr(LinearPlant, "transfer", counted_transfer)
+        def counted_den(den, abs_den, s):
+            if np.ndim(s) == 1:
+                calls.append(("D", np.size(s)))
+            return checked_den(den, abs_den, s)
+
+        monkeypatch.setattr(linsys, "_horner", counted_horner)
+        monkeypatch.setattr(linsys, "_checked_den", counted_den)
         cases = [(plant_a(k), nl_a, 1) for k in (1.0, 2.5, 6.0)]
         cases += [(plant_b(k), nl_b, 1) for k in (5.0, 15.0, 30.0, -15.0)]
         cases.append((LinearPlant(num=(1.0,), den=(1.0, 1.0)), nl_a, 0))
         for plant, nl, roots in cases:
+            cold_crossing_memo()
             calls.clear()
             analyze(plant, nl)
-            assert calls == [2 + roots], (plant, calls)
+            assert calls == [("N", 2 + roots), ("D", 2 + roots)], (plant, calls)
+            analyze(LinearPlant(plant.num, plant.den, 2.0 * plant.k), nl)
+            analyze(plant, nl)
+            assert calls == [("N", 2 + roots), ("D", 2 + roots)], (plant, calls)
 
 
 def composed_analyze(plant, nl):

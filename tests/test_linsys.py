@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PlantError
-from dfcycle.cycles import _refine_sign_changes
+from dfcycle.cycles import _refine_sign_changes, analyze
 from dfcycle.linsys import (
+    MEMO_SIZE,
+    OMEGA_RANGE,
     PoleOnAxisError,
+    _axis_poles,
+    _bits,
+    _gain_free,
     h_of_jw,
     log_grid,
     nyquist_contour,
@@ -23,6 +31,7 @@ from dfcycle.linsys import (
 )
 
 from conftest import plant_a, plant_b
+from test_contour_reference import random_coefficients
 
 
 class TestValidation:
@@ -310,6 +319,112 @@ class TestContour:
         # s^2 + 2e-6 s + 1: poles 1e-6 off the axis, relative
         c = nyquist_contour(LinearPlant(num=(1.0,), den=(1.0, 2e-6, 1.0, 0.0)))
         assert np.all(np.isfinite(c))
+
+
+def outcomes(plant, nl):
+    """repr of ``analyze``, ``nyquist_contour`` and ``phase_crossovers`` on
+    ``plant``, or of the error each raises."""
+    calls = (analyze, lambda p, _: nyquist_contour(p).tolist(), lambda p, _: phase_crossovers(p))
+    found = []
+    for f in calls:
+        try:
+            found.append(repr(f(plant, nl)))
+        except (ValueError, RuntimeError) as exc:
+            found.append(f"{type(exc).__name__}: {exc}")
+    return found
+
+
+def flip_zeros(coeffs):
+    """``coeffs`` with the sign of each zero flipped."""
+    return tuple(-c if c == 0.0 else c for c in coeffs)
+
+
+class TestMemo:
+    """The gain-free crossover data kept per coefficient set."""
+
+    def test_size_stays_bounded(self, cold_crossing_memo):
+        for i in range(200):
+            nyquist_contour(LinearPlant(num=(1.0,), den=(1.0, 4.0 + i, 3.0, 0.0), k=2.0))
+            for memo in (_gain_free, _axis_poles):
+                assert memo.cache_info().currsize <= memo.cache_info().maxsize == MEMO_SIZE
+        assert _gain_free.cache_info().currsize == MEMO_SIZE
+
+    def test_stored_arrays_are_read_only(self, cold_crossing_memo):
+        plant = plant_b(15.0)
+        nyquist_contour(plant)
+        assert _gain_free.cache_info().currsize == 1
+        roots, _, ws, n, d = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
+        assert len(ws) == len(n) == len(d) == 2 + len(roots) == 3
+        for a in (ws, n, d):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_holds_no_plant(self, cold_crossing_memo):
+        plant = LinearPlant(num=(1.0, 0.5), den=(1.0, 5.0, 6.0, 0.0, 0.0), k=4.0)
+        nyquist_contour(plant)
+        phase_crossovers(plant)
+        ref = weakref.ref(plant)
+        del plant
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize(
+        "num, den, k, message",
+        [
+            ((1.0,), (1.0, 0.0, 4.0), 1.0, "^pole at s = 2j$"),
+            ((1.0,), plant_b(1.0).den, 1e308, "^G\\(j omega\\) is not finite at omega = 0.001$"),
+        ],
+    )
+    def test_an_error_is_raised_on_every_call(self, cold_crossing_memo, nl_b, num, den, k, message):
+        for _ in range(3):
+            with pytest.raises(PoleOnAxisError, match=message):
+                analyze(LinearPlant(num, den, k), nl_b)
+        # the next gain on the same shape gives a cold call's result
+        other = LinearPlant(num, den, 30.0)
+        warm = outcomes(other, nl_b)
+        cold_crossing_memo()
+        assert warm == outcomes(other, nl_b)
+
+    def test_warm_analyze_makes_no_eigenvalue_call(self, cold_crossing_memo, monkeypatch, nl_b):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        analyze(plant_b(15.0), nl_b)
+        assert len(calls) == 2  # the denominator's roots and P's
+        calls.clear()
+        for k in (5.0, 30.0, -15.0):
+            analyze(plant_b(k), nl_b)
+        assert calls == []
+
+    def test_zero_signs_are_part_of_the_key(self, cold_crossing_memo, nl_b):
+        # -78 s / (-41 s) at k = -1: a real G whose Im is a signed zero; with
+        # den's trailing -0.0 the contour has no crossing, with 0.0 it has one
+        shapes = [((-78.08665438061327, 0.0), (-41.330426673779805, 0.0))]
+        rng = random.Random(5)
+        while len(shapes) < 40:
+            num, den = random_coefficients(rng)
+            if 0.0 in num + den:
+                shapes.append((num, den))
+        differ = 0
+        for num, den in shapes:
+            for k in (-1.0, 3.0):
+                plants = [LinearPlant(n, d, k) for n in (num, flip_zeros(num))
+                          for d in (den, flip_zeros(den))]
+                cold = []
+                for p in plants:
+                    cold_crossing_memo()
+                    cold.append(outcomes(p, nl_b))
+                differ += len(set(map(tuple, cold))) > 1
+                for order in (plants, plants[::-1]):
+                    cold_crossing_memo()
+                    assert [outcomes(p, nl_b) for p in order] == (
+                        cold if order is plants else cold[::-1]), (num, den, k)
+        assert differ >= 1
 
 
 class TestSerialization:
