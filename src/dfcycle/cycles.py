@@ -4,28 +4,33 @@ Each negative-real-axis crossing of G (``linsys._crossings``) contributes a
 gain margin K; amplitudes solving F(X) = K are candidate limit cycles.  F on
 the scan's amplitude grid depends on the nonlinearity alone: its table is
 built and checked once per map (the array kernel ``descfun._df``) and kept
-on it, so each K costs a subtraction and the refinement of its brackets,
-whose trial points take F one amplitude at a time in Python floats
-(``descfun._df_at``, with ``_df``'s bits).  Stability is decided by probing
-whether -1/F just beyond the candidate amplitude leaves the closed Nyquist
-contour while -1/F just below stays enclosed.  Both probes lie on the
-negative real axis, so each enclosure is a sum over the contour's signed
-crossings of that axis (``linsys.nyquist_contour``).  ``analyze`` takes F
-at both probes and the amplitude from ``_df_at``, and ``classify`` at both
-probes; both read the verdict off those values in ``_verdict``.  The
-steady-state orbit in state space is estimated as an ellipse spanned by two
-basis vectors.
+on it with the index of the runs on which F is monotone.  So each K costs a
+bisection in each run, which gives its brackets and exact zeros, and the
+refinement of the brackets, whose trial points take F one amplitude at a
+time in Python floats (``descfun._df_at``, with ``_df``'s bits).  Stability
+is decided by probing whether -1/F just beyond the candidate amplitude
+leaves the closed Nyquist contour while -1/F just below stays enclosed.
+Both probes lie on the negative real axis, so each enclosure is a sum over
+the contour's signed crossings of that axis (``linsys.nyquist_contour``),
+taken as a list.  ``analyze`` takes F at both probes and the amplitude from
+``_df_at``, and ``classify`` at both probes; both read the verdict off those
+values in ``_verdict``.  The steady-state orbit in state space is estimated
+as an ellipse spanned by two basis vectors, Y1 times the polar form of the
+state resolvent (``_ellipse``), which depends on the plant's denominator
+and omega alone and is kept with the crossovers (``linsys._gain_free``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
 from .descfun import _df, _df_at
-from .linsys import LinearPlant, _contour, h_of_jw, log_grid
+from .linsys import LinearPlant, _contour, _polar, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
@@ -97,13 +102,18 @@ class CrossoverAnalysis:
 
 def _scan_table(
     nl: PiecewiseNonlinearity, x_max: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, tuple[tuple[int, int, bool], ...]]:
     """The F = K scan's amplitudes and F on them, which no K changes, checked.
 
     The amplitudes ``Xr`` are a log grid up to ``x_max`` (default 100x the
     last breakpoint), with the marks that end the brackets inserted; returns
     ``Xr``, F on it (the unchecked ``descfun._df``), the positions of the log
-    grid's points in ``Xr`` and the least F on them.  Raises
+    grid's points in ``Xr``, the least F on them, and the run index: the
+    maximal runs ``(start, stop, rising)`` of positions on which F is
+    nondecreasing (``rising``) or nonincreasing and not NaN, in order.
+    Neighbouring runs share the position where F turns, unless a NaN (at a
+    mark, where F is not checked) lies between them; every pair of
+    neighbouring positions without a NaN lies in one run.  Raises
     ``IntersectionError`` when the grid is not finite or positive, or F on
     the log grid is not finite.
     """
@@ -133,16 +143,43 @@ def _scan_table(
         raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
     for a in (Xr, Fr, on_grid):
         a.flags.writeable = False
-    return Xr, Fr, on_grid, float(F.min())
+    return Xr, Fr, on_grid, float(F.min()), _runs(Fr)
 
 
-def _refine_sign_changes(f, grid, vals, tol):
-    """The last trial points, in grid order, of every bracket of the sign
-    changes of ``vals = f(grid)``, refined at once by the Illinois variant of
-    false position (Dowell & Jarratt, *BIT* 11, 1971): the secant point
-    through the ends' stored values, an end's stored value halved when it is
-    kept twice in a row, or the midpoint where that point is not strictly
-    inside (a 0 value at an end, an overflow, a NaN, equal stored values).
+def _runs(F: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
+    """``_scan_table``'s run index of F, by array code."""
+    nan = np.isnan(F)
+    # each step's direction: +1 up, -1 down, 0 flat, 2 to or from a NaN
+    step = (F[1:] > F[:-1]).astype(np.int8) - (F[1:] < F[:-1])
+    step[nan[1:] | nan[:-1]] = 2
+    # the first steps of the stretches of equal steps that are not flat
+    heads = np.flatnonzero(np.concatenate([[True], step[1:] != step[:-1]]))
+    moves = heads[step[heads] != 0]
+    way = step[moves]
+    # a run starts where a stretch without NaN starts, and where a step
+    # opposes the last step before it that is not flat, which only the
+    # first of equal steps can
+    first = ~nan & np.concatenate([[True], nan[:-1]])
+    first[moves[1:][way[1:] == -way[:-1]]] = True
+    firsts = np.flatnonzero(first)
+    stops = np.flatnonzero(~nan & np.concatenate([nan[1:], [True]])) + 1
+    # a run stops past the next run's first position or at its stretch's stop
+    ends = np.minimum(np.append(firsts[1:] + 1, len(F)),
+                      stops[np.searchsorted(stops, firsts, side="right")])
+    # it falls where its last step that is not flat falls; flat, it rises
+    last = np.searchsorted(moves, ends - 1) - 1
+    rising = np.append(way, 1)[last] != -1
+    return tuple(zip(firsts.tolist(), ends.tolist(), rising.tolist()))
+
+
+def _refine_sign_changes(f, brackets, tol):
+    """The last trial points of ``brackets``, tuples ``(a, b, f(a), f(b))``
+    of floats with a < b, f(a) != 0 and f(a) f(b) <= 0, refined at once by
+    the Illinois variant of false position (Dowell & Jarratt, *BIT* 11,
+    1971): the secant point through the ends' stored values, an end's stored
+    value halved when it is kept twice in a row, or the midpoint where that
+    point is not strictly inside (a 0 value at an end, an overflow, a NaN,
+    equal stored values).
     The side kept comes from the unscaled value ``sa``, as halving can
     underflow to 0.  A bracket freezes at the first point whose value v has
     ``|v| <= tol``, or after ``MAX_ITER`` steps.  A step makes one call of
@@ -150,19 +187,10 @@ def _refine_sign_changes(f, grid, vals, tol):
     their values; the bookkeeping in Python floats has the bits of an
     elementwise array form, whose division by 0 takes the midpoint.
     """
-    # the brackets' left ends: v_i != 0 and v_i v_i+1 <= 0, in signs, whose
-    # product cannot overflow or underflow to 0
-    v = np.sign(vals)
-    i = np.nonzero((v[:-1] != 0.0) & (v[:-1] * v[1:] <= 0.0))[0]
-    x = grid[i].tolist()  # each bracket takes a step
+    x = [a for a, _, _, _ in brackets]  # each bracket takes a step
     # [index, a, b, sa, fa, fb, kept]: a < b throughout; kept is +1 where a
     # was kept on the last step, -1 where b was
-    live = [
-        [j, a, b, sa, sa, fb, 0.0]
-        for j, (a, b, sa, fb) in enumerate(
-            zip(grid[i].tolist(), grid[i + 1].tolist(), vals[i].tolist(), vals[i + 1].tolist())
-        )
-    ]
+    live = [[j, a, b, sa, sa, fb, 0.0] for j, (a, b, sa, fb) in enumerate(brackets)]
     for _ in range(MAX_ITER):
         if not live:
             break
@@ -194,40 +222,55 @@ def find_intersections(
 ) -> list[float]:
     """All amplitudes with F(X) = gain_margin, ascending.
 
-    v = F - K is sampled on ``_scan_table``'s amplitudes, a dense log grid up
+    v = F - K is taken on ``_scan_table``'s amplitudes, a dense log grid up
     to ``x_max`` (default 100x the last breakpoint) with marks inserted.
     The default grid's table is kept on ``nl`` (``nl._f_scan``), so one map
     builds and checks it once for every K; the scan runs the unchecked array
     kernel ``descfun._df``.  A bracket opens wherever ``v_i != 0`` and
-    ``v_i * v_i+1 <= 0``, and a sample with v = 0 is a root; the brackets,
-    split at the breakpoints and above each jump at ``RUN``, are refined
-    together by ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``,
-    F at each trial point from the unchecked one-amplitude ``descfun._df_at``.
+    ``v_i * v_i+1 <= 0``, and a sample of the log grid with v = 0 is a root.
+    F is monotone on each run of the table's run index, so each run holds
+    at most one bracket and one range of zeros, found by bisection in Python
+    floats; no K touches the rest of the table.  The brackets, split at the
+    breakpoints and above each jump at ``RUN``, are refined together by
+    ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``, F at each
+    trial point from the unchecked one-amplitude ``descfun._df_at``.
     Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when
     the grid is not finite or positive, F - K on its log grid is not finite,
     or v = 0 at two consecutive samples of it.
     """
     if not 0 < gain_margin < math.inf:
         raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
-    Xr, Fr, on_grid, F_min = nl._f_scan if x_max is None else _scan_table(nl, x_max)
-    with np.errstate(over="ignore"):
-        v = Fr - gain_margin
+    Xr, Fr, on_grid, F_min, runs = nl._f_scan if x_max is None else _scan_table(nl, x_max)
     if F_min - gain_margin == -math.inf:  # F - K overflows on the log grid
-        at = on_grid[v[on_grid] == -math.inf][0]
+        with np.errstate(over="ignore"):
+            at = on_grid[Fr[on_grid] - gain_margin == -math.inf][0]
         raise IntersectionError(f"F is not finite at X = {Xr[at]}")
-    roots = _refine_sign_changes(
-        lambda ts: [_df_at(nl, t) - gain_margin for t in ts], Xr, v, VALUE_TOL
-    )
+    K, X, F = gain_margin, memoryview(Xr), memoryview(Fr)
+    brackets, zeros = [], []
+    for start, stop, rising in runs:
+        # F, or -F where F falls, ascends on the run
+        key, k = (None, K) if rising else (neg, -K)
+        i = bisect_left(F, k, start, stop, key=key)  # the first F >= K, or F <= K
+        if start < i < stop:
+            brackets.append((X[i - 1], X[i], F[i - 1] - K, F[i] - K))
+        if i < stop and F[i] == K:
+            zeros += range(i, bisect_right(F, k, i, stop, key=key))
+    roots = _refine_sign_changes(lambda ts: [_df_at(nl, t) - K for t in ts], brackets, VALUE_TOL)
 
-    zero = v[on_grid] == 0.0
-    at_zero = Xr[on_grid[zero]]
-    if (zero[:-1] & zero[1:]).any():
-        raise IntersectionError(
-            f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
-            f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
-        )
+    at_zero = []
+    if zeros:  # rare: F equals K at a position of the table
+        zero = np.zeros(len(Xr), bool)
+        zero[zeros] = True
+        zero = zero[on_grid]
+        at_zero = Xr[on_grid[zero]]
+        if (zero[:-1] & zero[1:]).any():
+            raise IntersectionError(
+                f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
+                f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
+            )
+        at_zero = at_zero.tolist()
     dedup: list[float] = []
-    for r in sorted(roots + at_zero.tolist()):
+    for r in sorted(roots + at_zero):
         if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
             dedup.append(r)
     return dedup
@@ -259,16 +302,19 @@ def classify(
     if 0.0 in probes and nl.has_origin_jump:
         raise ValueError("X = 0 is singular for a nonlinearity jumping at the origin")
     below, above = (_df_at(nl, x) if x > 0 else nl.initial_slope for x in probes)
-    return _verdict(X, omega, below, above, contour=contour)
+    return _verdict(X, omega, below, above, contour=contour.tolist())
 
 
 def _verdict(X: float, omega: float, F_below: float, F_above: float, *, contour) -> str:
-    """``classify``'s verdict from F at its two probes X*(1 -/+ DELTA)."""
+    """``classify``'s verdict from F at its two probes X*(1 -/+ DELTA);
+    ``contour`` is the crossing table as a list of rows.  The counts are
+    small integers, so their sum is exact in any order."""
     enclosed = []
     for xs, F in ((X * (1.0 - DELTA), F_below), (X * (1.0 + DELTA), F_above)):
         if F <= 0:
             raise AmbiguousStabilityError(X, omega, None, None, probe=(xs, F))
-        enclosed.append(bool(contour[contour[:, 0] < -1.0 / F, 1].sum() != 0))
+        p = -1.0 / F
+        enclosed.append(sum(n for x, n in contour if x < p) != 0)
     below, above = enclosed
     if below and not above:
         return STABLE
@@ -286,10 +332,20 @@ def ellipse_estimate(
     ``A = Y1 |H(jw)|`` and phase ``ph = arg H(jw)``; the two returned
     vectors are ``A sin(ph)`` and ``A cos(ph)``.
     """
-    h = h_of_jw(plant, omega)
-    amp = Y1 * np.abs(h)
-    ph = np.angle(h)
-    return amp * np.sin(ph), amp * np.cos(ph)
+    x0, xq = np.array(_ellipse(Y1, _polar(h_of_jw(plant, omega))), dtype=float)
+    return x0, xq
+
+
+def _ellipse(Y1: float, polar: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
+    """``ellipse_estimate``'s vectors from H's polar form ``(|H|, sin ph,
+    cos ph)`` (``linsys._polar``), in Python floats: a float product is
+    correctly rounded, so they have the bits of the array products."""
+    x0, xq = [], []
+    for magnitude, sin, cos in zip(*polar):
+        amp = Y1 * magnitude
+        x0.append(amp * sin)
+        xq.append(amp * cos)
+    return tuple(x0), tuple(xq)
 
 
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
@@ -300,20 +356,22 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
     cycle, at X*(1 - DELTA), X and X*(1 + DELTA), give both stability probes
     and Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
     F at an amplitude does not depend on the others in an array call, as the
-    power-of-two scale that ``_psi`` reads off the first one is exact.
+    power-of-two scale that ``_psi`` reads off the first one is exact.  The
+    ellipse is ``ellipse_estimate``'s (``_ellipse``) from the polar form of
+    the state resolvent that ``_contour`` hands over with each crossover.
     """
     results = []
-    crossovers, contour = _contour(plant)
-    for omega, K, _ in crossovers:
+    crossovers, contour, polars = _contour(plant)
+    table = contour.tolist()
+    for (omega, K, _), polar in zip(crossovers, polars):
         cycles = []
         for X in find_intersections(nl, K):
             probes = (X * (1.0 - DELTA), X, X * (1.0 + DELTA))
             below, F, above = (_df_at(nl, x) for x in probes)
-            stability = _verdict(X, omega, below, above, contour=contour)
+            stability = _verdict(X, omega, below, above, contour=table)
             Y1 = F * X
-            with np.errstate(over="ignore", invalid="ignore"):
-                x0, xq = ellipse_estimate(plant, omega, Y1)
-            if not np.isfinite([Y1, *x0, *xq]).all():
+            x0, xq = _ellipse(Y1, polar)
+            if not all(map(math.isfinite, (Y1, *x0, *xq))):
                 raise NonFiniteCycleError(
                     f"the first harmonic Y1 = {Y1} or the state ellipse of the "
                     f"cycle at omega = {omega}, X = {X} is not finite"
@@ -325,8 +383,8 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
                     stability=stability,
                     gain_margin=K,
                     Y1=Y1,
-                    ellipse_x0=tuple(float(v) for v in x0),
-                    ellipse_xq=tuple(float(v) for v in xq),
+                    ellipse_x0=x0,
+                    ellipse_xq=xq,
                 )
             )
         results.append(CrossoverAnalysis(omega=omega, gain_margin=K, cycles=tuple(cycles)))

@@ -7,7 +7,9 @@ the steady-state geometry and the time simulator.  G(j omega) is real where
 P(omega) = Im N(j omega) conj(D(j omega)) = 0, so the phase crossovers are
 the real roots of P, and G is evaluated only there and at the range's ends.
 All of that but G's gain k is kept per coefficient set in two small memos,
-so a plant shape swept over gains finds its crossovers once.
+so a plant shape swept over gains finds its crossovers once; the polar form
+of the state resolvent at each crossover, which spans a cycle's ellipse, is
+kept with them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ OMEGA_RANGE = (1e-3, 1e3)
 # Entries of each memo of the gain-free crossover data (``_gain_free``,
 # ``_axis_poles``), least recently used first out.
 MEMO_SIZE = 64
+# |N(j omega)| against the sum of its terms' sizes at or below which a root
+# of P is a zero of num on the axis, where G passes through 0.  P's root is
+# good to P's rounding, which leaves N up to about 2e-12 of that sum there
+# (nums with only even powers, zeros at j 0.01 to j 30, random dens of
+# order 1-7); the crossings of random coefficient sets lie above 3e-7 of it.
+# A crossing at a zero of num damped by about 1e-10 or less, relative to
+# its frequency, is dropped with them.
+NUM_ZERO = 1e-10
 
 
 class PlantError(ValueError):
@@ -62,6 +72,9 @@ class LinearPlant:
             raise PlantError("coefficients must be finite")
         if den[0] == 0.0:
             raise PlantError("denominator leading coefficient must be nonzero")
+        if num[-1] == 0.0 and den[-1] == 0.0:
+            # the cancelled origin pole would still count on the contour
+            raise PlantError("numerator and denominator share a factor s: both end in 0")
         num_deg = len(num) - 1 - next(
             (i for i, c in enumerate(num) if c != 0.0), len(num) - 1
         )
@@ -284,19 +297,26 @@ def _newton(p, size, a: float, b: float, sign_a: int, t: float) -> float:
 @lru_cache(maxsize=MEMO_SIZE)
 def _gain_free(
     num_bits: bytes, den_bits: bytes, lo: float, hi: float
-) -> tuple[tuple[float, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[float, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, tuple]:
     """What ``_crossings`` finds without G's gain k, kept per coefficient set
     and range: the phase crossovers' candidates ``roots``, the real roots of P
-    in (lo, hi) at which it changes sign, P's sign at each one's left edge,
-    and the read-only arrays ``ws = [lo, *roots, hi]``, N(j ws) and D(j ws)
-    (``_checked_den``).  P comes from num and den scaled to a largest
-    |coefficient| of 1.  (lo, hi) is split at the midpoints between the
-    candidates, the real parts in it of P's roots with imaginary parts at
-    most 1e-7 of them.  Each pair of neighbouring edges where P has opposite
-    signs, past edges where it has none, brackets one root (``_newton``);
-    where they agree, as where G touches the axis, there is none.  Raises
-    ``PoleOnAxisError`` where P's roots are not finite or D is refused, on
-    every call: an error is not kept."""
+    in (lo, hi) at which it changes sign and N(j omega) is not negligible,
+    P's sign at each one's left edge, the read-only arrays
+    ``ws = [lo, *roots, hi]``, N(j ws) and D(j ws) (``_checked_den``), and
+    the polar form (``_polar``) of ``h_of_jw`` at each root, from its D.
+    P comes from num and den scaled to a largest |coefficient| of 1.
+    (lo, hi) is split at the midpoints between the candidates, the real
+    parts in it of P's roots with imaginary parts at most 1e-7 of them.  Each
+    pair of neighbouring edges where P has opposite signs, past edges where
+    it has none, brackets one root (``_newton``); where they agree, as where
+    G touches the axis, there is none.  A root where |N(j omega)| is at most
+    ``NUM_ZERO`` of the finite sum of its terms' sizes (``_checked_den``'s
+    rule, with a tolerance for the root's rounding and no floor at 1) is a
+    zero of num on the axis, where G passes through 0 and the sign of Re G
+    is rounding: it is dropped, as is a crossing at a zero of num damped by
+    about ``NUM_ZERO`` of its frequency or less.  Raises ``PoleOnAxisError``
+    where P's roots are not finite or D is refused, on every call: an error
+    is not kept."""
     num, den = _floats(num_bits), _floats(den_bits)
     scaled_num, scaled_den = ([c / (max(map(abs, cs)) or 1.0) for c in reversed(cs)]
                               for cs in (num, den))
@@ -329,29 +349,48 @@ def _gain_free(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = _horner(num, 1j * ws)
         d = _checked_den(den, tuple(map(abs, den)), 1j * ws)
+    keep = [i for i, (w, v) in enumerate(zip(roots, n[1:-1].tolist()))
+            if not abs(v) <= NUM_ZERO * _size(num, w) < math.inf]
+    if len(keep) < len(roots):
+        at = [0, *(i + 1 for i in keep), len(ws) - 1]
+        roots, left_signs = [roots[i] for i in keep], [left_signs[i] for i in keep]
+        ws, n, d = ws[at], n[at], d[at]
     for a in (ws, n, d):
         a.flags.writeable = False
-    return tuple(roots), tuple(left_signs), ws, n, d
+    with np.errstate(over="ignore", invalid="ignore"):
+        polar = tuple(_polar(_resolvent(den, 1j * w, v)) for w, v in zip(roots, d[1:-1]))
+    return tuple(roots), tuple(left_signs), ws, n, d, polar
 
 
-def _crossings(plant: LinearPlant, lo: float, hi: float) -> tuple[list[list], complex, complex]:
+def _size(coeffs: tuple[float, ...], w: float) -> float:
+    """The sum of the sizes of the terms of ``coeffs``' polynomial at j w, w > 0."""
+    size = 0.0
+    for c in coeffs:
+        size = size * w + abs(c)
+    return size
+
+
+def _crossings(
+    plant: LinearPlant, lo: float, hi: float
+) -> tuple[list[list], list[tuple], complex, complex]:
     """``[omega, gain margin, direction]`` rows of the phase crossovers in
-    (lo, hi), and G at lo and at hi.  The crossovers are ``_gain_free``'s
-    roots of P at which Re G < 0, G = k N / D with ``transfer``'s bits.  The
-    direction is Im G's sign at the root's left edge, +1 where Im G falls
-    through 0.  Raises ``PoleOnAxisError`` as ``_gain_free`` and
-    ``phase_crossovers`` say."""
-    roots, left_signs, ws, n, d = _gain_free(_bits(plant.num), _bits(plant.den), lo, hi)
+    (lo, hi), the polar form of ``h_of_jw`` at each, and G at lo and at hi.
+    The crossovers are ``_gain_free``'s roots of P at which Re G < 0,
+    G = k N / D with ``transfer``'s bits.  The direction is Im G's sign at
+    the root's left edge, +1 where Im G falls through 0.  Raises
+    ``PoleOnAxisError`` as ``_gain_free`` and ``phase_crossovers`` say."""
+    roots, left_signs, ws, n, d, polar = _gain_free(_bits(plant.num), _bits(plant.den), lo, hi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _finite(plant.k * n / d, ws)
         margins = (1.0 / np.abs(g)).tolist()
     sign = math.copysign(1.0, plant.k)  # Im G = k P / |D|^2
-    rows = [[w, km, sign * s] for w, re, km, s in
-            zip(roots, g.real.tolist()[1:-1], margins[1:-1], left_signs) if re < 0]
+    crossing = [re < 0 for re in g.real.tolist()[1:-1]]
+    rows = [[w, km, sign * s] for w, km, s, c in
+            zip(roots, margins[1:-1], left_signs, crossing) if c]
     for w, km, _ in rows:
         if not 0.0 < km < math.inf:
             raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
-    return rows, g[0], g[-1]
+    return rows, [h for h, c in zip(polar, crossing) if c], g[0], g[-1]
 
 
 def phase_crossovers(
@@ -396,10 +435,11 @@ def _axis_poles(den_bits: bytes) -> None:
         raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
 
 
-def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
-    """``_crossings``' rows on ``OMEGA_RANGE`` and ``nyquist_contour``'s table."""
+def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray, list[tuple]]:
+    """``_crossings``' rows on ``OMEGA_RANGE``, ``nyquist_contour``'s table
+    and the polar form of ``h_of_jw`` at each row's omega."""
     _axis_poles(_bits(plant.den))
-    rows, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
+    rows, polar, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles
     if q > 0:
@@ -424,7 +464,7 @@ def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray]:
             table.append(((1.0 - t) * a.real + t * b.real, 1.0 if a.imag > 0 else -1.0))
     table = np.array(table, dtype=float).reshape(-1, 2)
     table = table[(table[:, 0] < 0.0) & (table[:, 1] != 0.0)]
-    return rows, table[np.argsort(table[:, 0], kind="stable")]
+    return rows, table[np.argsort(table[:, 0], kind="stable")], polar
 
 
 def nyquist_contour(plant: LinearPlant) -> np.ndarray:
@@ -454,4 +494,17 @@ def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:
     at s = j omega (Kailath, *Linear Systems*, 1980).
     """
     s = 1j * omega
-    return s ** np.arange(plant.order) * (plant.den[0] / plant._den_at(s))
+    return _resolvent(plant.den, s, plant._den_at(s))
+
+
+def _resolvent(den: tuple[float, ...], s: complex, den_s) -> np.ndarray:
+    """``h_of_jw``'s resolvent at s from den(s) = ``den_s``."""
+    return s ** np.arange(len(den) - 1) * (den[0] / den_s)
+
+
+def _polar(h: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """|h|, sin(arg h) and cos(arg h) as tuples of floats, by ``np.abs``,
+    ``np.angle``, ``np.sin`` and ``np.cos``: the factors of a cycle's
+    ellipse (``cycles.ellipse_estimate``)."""
+    ph = np.angle(h)
+    return tuple(np.abs(h).tolist()), tuple(np.sin(ph).tolist()), tuple(np.cos(ph).tolist())

@@ -296,6 +296,23 @@ class TestAnalyze:
         plant = write(tmp_path, "plant.json", {"num": [1, 2, 3], "den": [1, 1]})
         assert runner.invoke(main, ["analyze", nl, plant]).exit_code == 2
 
+    @pytest.mark.parametrize("num_zero, den_zero", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)])
+    @pytest.mark.parametrize("command", ["analyze", "nyquist"])
+    def test_common_factor_s_exits_2(self, runner, tmp_path, command, num_zero, den_zero):
+        # -78 s / (-41 s) at k = -1: the cancelled pole at the origin counted
+        # on the contour, whose table hung on the sign of den's zero
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", {
+            "num": [-78.08665438061327, num_zero], "den": [-41.330426673779805, den_zero],
+            "k": -1,
+        })
+        args = ["analyze", nl, plant] if command == "analyze" else ["nyquist", plant]
+        res = runner.invoke(main, args)
+        assert_one_line_exit_2(res)
+        assert res.stderr.splitlines() == [
+            f"error: {plant}: numerator and denominator share a factor s: both end in 0"
+        ]
+
     def test_pole_on_axis_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
         plant = write(tmp_path, "plant.json", PLANT_OSC)

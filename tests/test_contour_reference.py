@@ -19,7 +19,12 @@ table abscissae within those tolerances.  Where the reference raises,
 ``_contour`` must raise an error of the same type, or succeed where the grid
 sampled a pole, or a G or a denominator that overflows, away from the points
 it evaluates; where ``np.roots`` overflows on the denominator, it raises
-``PoleOnAxisError`` instead of a RuntimeWarning.  The plant
+``PoleOnAxisError`` instead of a RuntimeWarning.  Neither takes a zero of
+num on the imaginary axis, where G passes through 0, for a crossing: the
+reference drops a refined omega where |num(j omega)| is at most the
+library's ``NUM_ZERO`` of the sum of its terms' sizes (its refinement,
+which cannot meet its tolerance on Im G / |G| there, runs to neighbouring
+floats about the zero), so both drop the same band.  The plant
 1/(s^5 + s^4 + 2 s^3 + 3 s^2 + (1 + eps) s + 1) shows what the grid missed:
 two crossings 1e-4 apart, inside one grid cell.
 """
@@ -37,11 +42,14 @@ import pytest
 from dfcycle import LinearPlant, cycles
 from dfcycle.cycles import analyze
 from dfcycle.linsys import (
+    NUM_ZERO,
     OMEGA_RANGE,
     PoleOnAxisError,
     _contour,
+    _polar,
     _roots,
     freq_response,
+    h_of_jw,
     log_grid,
     nyquist_contour,
     phase_crossovers,
@@ -73,6 +81,12 @@ def reference_contour(plant):
             np.imag,
             lambda g: np.abs(g.imag) <= 1e-15 * np.abs(g),
         )
+    # a zero of num on the axis, where G passes through 0, is no crossing
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.polyval(np.abs(plant.num), omegas)
+        through_zero = np.abs(np.polyval(plant.num, 1j * omegas)) <= NUM_ZERO * size
+    keep = ~(through_zero & (size < math.inf))
+    omegas, g, im_left = omegas[keep], g[keep], im_left[keep]
     overflow = ~np.isfinite(g)
     if overflow.any():
         raise PoleOnAxisError(f"G(j omega) is not finite at omega = {omegas[overflow][0]}")
@@ -113,8 +127,15 @@ def reference_contour(plant):
 
 
 def reference_analyze(plant, nl):
+    def contour(plant):
+        # with the polar form of the resolvent at each crossover, as
+        # ``_contour`` hands it to ``analyze``
+        rows, table = reference_contour(plant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rows, table, [_polar(h_of_jw(plant, w)) for w, _, _ in rows]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_contour", reference_contour)
+        mp.setattr(cycles, "_contour", contour)
         return analyze(plant, nl)
 
 
@@ -154,7 +175,7 @@ def assert_close_to_reference(plant, nl) -> str:
         assert type(outcome(nyquist_contour, plant)) is type(want), plant
         return "error"
     assert not isinstance(got, Exception), (plant, got, want)
-    (rows, table), (ref_rows, ref_table) = got, want
+    (rows, table, _), (ref_rows, ref_table) = got, want
     assert nyquist_contour(plant).tobytes() == table.tobytes(), plant
     cells = np.searchsorted(GRID, [w for w, _, _ in rows])
     if len(set(cells.tolist())) < len(cells):
@@ -209,10 +230,10 @@ def margin_condition(plant, w) -> float:
 
 
 def random_coefficients(rng: random.Random) -> tuple[tuple, tuple]:
-    """num and den of order 1-6, with random zero coefficients; num(j omega)
-    is neither real nor imaginary unless num is one power of s, since such a
-    num has zeros on the imaginary axis, where G passes through 0 and the
-    sign of Re G at the crossing there is rounding."""
+    """num and den of order 1-6, with random zero coefficients, not both
+    ending in 0 (a common factor s, which ``LinearPlant`` refuses).  One num
+    in eight has its even or its odd powers all 0, so that num(j omega) is
+    real or imaginary and may vanish on the axis."""
     order = rng.randint(1, 6)
 
     def coeff():
@@ -223,8 +244,10 @@ def random_coefficients(rng: random.Random) -> tuple[tuple, tuple]:
     den = [coeff() or 1.0] + [coeff() for _ in range(order)]
     while True:
         num = [coeff() for _ in range(rng.randint(1, order + 1))]
-        halves = [any(num[-1 - i::-2]) for i in (0, 1)]  # even and odd powers
-        if all(halves) or sum(c != 0.0 for c in num) <= 1:
+        if rng.random() < 0.125:
+            parity = rng.randint(0, 1)
+            num = [0.0 if (len(num) - 1 - i) % 2 == parity else c for i, c in enumerate(num)]
+        if num[-1] != 0.0 or den[-1] != 0.0:
             return tuple(num), tuple(den)
 
 
@@ -270,7 +293,7 @@ def test_two_crossings_in_one_grid_cell():
 def test_tangency_counts_nothing():
     # G touches the negative real axis at omega = 1
     plant = gap_plant(0.0)
-    rows, table = _contour(plant)
+    rows, table, _ = _contour(plant)
     assert rows == [] or [d for _, _, d in rows] == [0.0]
     assert table[np.abs(table[:, 0] + 1.0) < 1e-3, 1].sum() == 0.0
 
@@ -281,6 +304,52 @@ def test_near_real_root_pair_is_no_crossing(eps):
     plant = gap_plant(eps)
     assert _contour(plant)[0] == []
     assert phase_crossovers(plant) == []
+
+
+NUM_ON_AXIS = (0.00296, 0.0, 0.122, 0.0, -3.80, 0.0, -30.75)
+
+
+def test_zero_of_num_on_the_axis_is_no_crossing():
+    # num(j omega) is real and vanishes at omega = 2.6152 and 7.7320, where P
+    # does too and G passes through 0: the sign of Re G there is rounding,
+    # and a crossover with a gain margin near 1e18 was kept or dropped by it
+    zeros = (2.6152408805837255, 7.731977047217515)
+    rng = random.Random(1)
+    kept = 0
+    for i in range(20):
+        den = tuple(np.poly([-rng.uniform(0.1, 5.0) for _ in range(7)]).tolist())
+        for k in (1.0, -1.0, 3.7, -0.2):
+            plant = LinearPlant(NUM_ON_AXIS, den, k)
+            rows = _contour(plant)[0]
+            assert all(abs(w - z) > 1e-6 * z for w, _, _ in rows for z in zeros), (den, k)
+            assert all(km < 1e6 for _, km, _ in rows), (den, k)
+            kept += len(rows)
+            if i < 4:  # the reference drops them too
+                assert len(reference_contour(plant)[0]) == len(rows), (den, k)
+    assert kept >= 20
+
+
+@pytest.mark.parametrize(
+    "zeta, kept", [(1e-9, True), (1e-10, True), (5e-11, False), (1e-11, False), (0.0, False)]
+)
+def test_zero_of_num_damped_about_num_zero(zeta, kept):
+    # num = s^2 + 2 zeta s + 1, whose zeros are damped by zeta: at P's root
+    # next to omega = 1, |num| is about 1.41 zeta of the sum of its terms'
+    # sizes, so the crossing there stays above NUM_ZERO and goes below it,
+    # in the library and in the reference alike
+    num, den = (1.0, 2.0 * zeta, 1.0), (1.0, 3.0, 3.0, 1.0)
+    found = 0  # Re G < 0 there at one sign of k
+    for k in (1.0, -1.0):
+        plant = LinearPlant(num, den, k)
+        got, want = (
+            [w for w, _, _ in rows if abs(w - 1.0) < 1e-6]
+            for rows in (_contour(plant)[0], reference_contour(plant)[0])
+        )
+        assert len(got) == len(want), (k, got, want)
+        for w in got:
+            assert abs(np.polyval(num, 1j * w)) > NUM_ZERO * np.polyval(np.abs(num), w)
+        found += len(got)
+    assert found == kept
 
 
 W = float(GRID[2100])
@@ -371,7 +440,7 @@ def test_subnormal_response_at_the_range_ends():
     )
     g_lo = complex(plant.transfer(1j * OMEGA_RANGE[0]))
     assert g_lo.imag == -5e-324
-    rows, table = _contour(plant)
+    rows, table, _ = _contour(plant)
     # the chord from conj(G(j omega_min)) to G(j omega_min) crosses at its midpoint
     assert rows == [] and table.tolist() == [[g_lo.real, 1.0]]
 

@@ -249,6 +249,30 @@ class TestEllipse:
         np.testing.assert_allclose(x0, (Y1 * H).imag, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(xq, (Y1 * H).real, rtol=1e-12, atol=1e-15)
 
+    def test_has_the_bits_of_the_array_products(self):
+        # the products in Python floats against Y1 |H| sin(arg H) and
+        # Y1 |H| cos(arg H) as arrays, overflows and NaNs included
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(400):
+            num, den = random_coefficients(rng)
+            plant = LinearPlant(num, den, 1.0)
+            omega = 10.0 ** rng.uniform(-3.0, 3.0)
+            Y1 = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+            Y1 = rng.choice((Y1, Y1, 0.0, math.inf, 1e308))
+            try:
+                h = h_of_jw(plant, omega)
+            except linsys.PoleOnAxisError:
+                continue
+            with np.errstate(all="ignore"):
+                amp, ph = Y1 * np.abs(h), np.angle(h)
+                want = amp * np.sin(ph), amp * np.cos(ph)
+                got = ellipse_estimate(plant, omega, Y1)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (plant, omega, Y1)
+            checked += 1
+        assert checked >= 300
+
 
 class TestAnalyze:
     def test_full_first_case(self, nl_a):
@@ -342,7 +366,7 @@ def assert_public_crossings_are_analyzes(plant, nl):
     """``phase_crossovers`` on ``OMEGA_RANGE`` and ``nyquist_contour`` give
     the bits of ``analyze``'s crossovers and of its contour, as the
     benchmark's traced op, which makes the public calls, relies on."""
-    rows, table = _contour(plant)
+    rows, table, _ = _contour(plant)
     assert nyquist_contour(plant).tobytes() == table.tobytes()
     crossings = phase_crossovers(plant, OMEGA_RANGE)
     assert crossings == [(w, km) for w, km, _ in rows]
@@ -407,6 +431,71 @@ def test_analyze_equals_its_public_parts(e):
                 assert [_df_at(nl, x) for x in triple] == [df_value(nl, x) for x in triple]
                 cycles += 1
     assert cycles >= 15  # the comparison is not vacuous
+
+
+def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, nl_b):
+    # on a warm memo and a kept table, the work per K and per cycle runs in
+    # Python floats: no h_of_jw, _polar, np.angle or np.sign call beyond the
+    # contour's own (the angle of its arc at poles at the origin); and the
+    # cycles keep the bits of classify, df_value(nl, X) * X and
+    # ellipse_estimate, which the benchmark's traced op composes
+    rng = random.Random(77)
+    cases = [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)]
+    cases += [(plant_b(k), nl_b) for k in (5.0, 15.0, 30.0, -15.0)]
+    cases += [
+        (LinearPlant(num=(1.0,), den=(1.0, 4.0, 3.0, 0.0), k=6.0606),
+         PiecewiseNonlinearity(x=(1.7e306,), y=(1.7e306,), final_slope=2.0)),  # Y1 = inf
+        (LinearPlant(num=(1.0,), den=(1.0, 0.02, 0.0001, 0.0), k=5e-6),
+         PiecewiseNonlinearity(x=(1e305,), y=(1e305,), final_slope=0.0)),  # x0 = inf
+    ]
+    for _ in range(30):
+        # as in test_analyze_equals_its_public_parts: a gain that puts a
+        # cycle at a random amplitude, x and y scaled by 2^e
+        lags = [rng.uniform(0.2, 5.0) for _ in range(rng.randint(2, 3))]
+        den = tuple(np.poly([0.0] + [-p for p in lags]))
+        num = (1.0,) if rng.random() < 0.5 else (-1.0, rng.uniform(0.5, 5.0))
+        nl = random_nonlinearity(rng, max_breakpoints=6)
+        F = df_value(nl, rng.uniform(0.1, 1.5) * nl.max_breakpoint)
+        sign = 1.0 if F >= 0 else -1.0
+        km = phase_crossovers(LinearPlant(num=num, den=den))[0][1]
+        e = rng.choice((0, 0, -1010, 1000))
+        nl = PiecewiseNonlinearity(
+            x=tuple(math.ldexp(v, e) for v in nl.x),
+            y=tuple(sign * math.ldexp(v, e) for v in nl.y),
+            final_slope=sign * nl.final_slope,
+        )
+        cases.append((LinearPlant(num, den, km / abs(F) if F != 0 else 1.0), nl))
+    calls = []
+
+    def counted(name, f):
+        def g(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return g
+
+    n_cycles = errors = 0
+    for plant, nl in cases:
+        want = outcome(composed_analyze, plant, nl)
+        outcome(analyze, plant, nl)  # warms the memo and the table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "angle", counted("angle", np.angle))
+            mp.setattr(np, "sign", counted("sign", np.sign))
+            for module in (cycles, linsys):
+                mp.setattr(module, "h_of_jw", counted("h_of_jw", module.h_of_jw))
+                mp.setattr(module, "_polar", counted("_polar", module._polar))
+            calls.clear()
+            _contour(plant)
+            contour_calls = list(calls)
+            calls.clear()
+            got = outcome(analyze, plant, nl)
+        assert calls == contour_calls, (plant, nl, calls)
+        assert repr(got) == repr(want), (plant, nl)
+        if isinstance(got, list):
+            n_cycles += sum(len(co.cycles) for co in got)
+        else:
+            errors += got[0] is NonFiniteCycleError
+    assert n_cycles >= 40 and errors == 2, (n_cycles, errors)
 
 
 def test_one_call_on_the_probe_triple_keeps_each_value():

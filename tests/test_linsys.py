@@ -47,6 +47,17 @@ class TestValidation:
         with pytest.raises(PlantError):
             LinearPlant(num=(float("inf"),), den=(1.0, 1.0))
 
+    @pytest.mark.parametrize("num_zero", [0.0, -0.0])
+    @pytest.mark.parametrize("den_zero", [0.0, -0.0])
+    def test_rejects_common_factor_s(self, num_zero, den_zero):
+        with pytest.raises(PlantError, match="^numerator and denominator share a factor s"):
+            LinearPlant(num=(-78.08665438061327, num_zero), den=(-41.330426673779805, den_zero))
+        with pytest.raises(PlantError, match="share a factor s"):
+            LinearPlant(num=(num_zero,), den=(1.0, 2.0, den_zero))
+        # one of them ending in 0 is a zero or a pole at the origin
+        LinearPlant(num=(1.0, num_zero), den=(1.0, 2.0, 1.0))
+        LinearPlant(num=(1.0, 1.0), den=(1.0, 2.0, den_zero))
+
     def test_counts_origin_poles(self):
         assert plant_b(1.0).origin_poles == 1
         assert LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0)).origin_poles == 2
@@ -202,8 +213,9 @@ class TestCrossovers:
         def f(x):
             return np.where(x < 0.3, 5e-324, -1.0)
 
-        grid = np.array([0.0, 1.0])
-        [x] = _refine_sign_changes(lambda ts: f(np.array(ts)).tolist(), grid, f(grid), 0.0)
+        [x] = _refine_sign_changes(
+            lambda ts: f(np.array(ts)).tolist(), [(0.0, 1.0, 5e-324, -1.0)], 0.0
+        )
         assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
@@ -353,7 +365,7 @@ class TestMemo:
         plant = plant_b(15.0)
         nyquist_contour(plant)
         assert _gain_free.cache_info().currsize == 1
-        roots, _, ws, n, d = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
+        roots, _, ws, n, d, _ = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
         assert len(ws) == len(n) == len(d) == 2 + len(roots) == 3
         for a in (ws, n, d):
             with pytest.raises(ValueError, match="read-only"):
@@ -402,15 +414,18 @@ class TestMemo:
         assert calls == []
 
     def test_zero_signs_are_part_of_the_key(self, cold_crossing_memo, nl_b):
-        # -78 s / (-41 s) at k = -1: a real G whose Im is a signed zero; with
-        # den's trailing -0.0 the contour has no crossing, with 0.0 it has one
-        shapes = [((-78.08665438061327, 0.0), (-41.330426673779805, 0.0))]
+        # -78 s / (-41 s) at k = -1, a real G whose Im is a signed zero, had a
+        # crossing with den's trailing 0.0 and none with -0.0; such a common
+        # factor s is refused now (TestValidation), and no outcome below
+        # depends on a zero's sign.  The key still tells the signs apart:
+        # each zero-sign variant that passes takes its own entry
+        shapes = []
         rng = random.Random(5)
         while len(shapes) < 40:
             num, den = random_coefficients(rng)
             if 0.0 in num + den:
                 shapes.append((num, den))
-        differ = 0
+        differ = keyed = 0
         for num, den in shapes:
             for k in (-1.0, 3.0):
                 plants = [LinearPlant(n, d, k) for n in (num, flip_zeros(num))
@@ -424,7 +439,14 @@ class TestMemo:
                     cold_crossing_memo()
                     assert [outcomes(p, nl_b) for p in order] == (
                         cold if order is plants else cold[::-1]), (num, den, k)
-        assert differ >= 1
+                if all(c[1].startswith("[") for c in cold):  # nyquist_contour passed
+                    # repr tells -0.0 from 0.0, as the key must
+                    keys = {(repr(p.num), repr(p.den)) for p in plants}
+                    assert _gain_free.cache_info().currsize == len(keys), (num, den)
+                    assert _axis_poles.cache_info().currsize == len({d for _, d in keys})
+                    keyed += len(keys) > 1
+        assert differ == 0
+        assert keyed >= 60, keyed  # the key check is not vacuous
 
 
 class TestSerialization:

@@ -13,12 +13,23 @@ lie in the same closed grid interval as its reference root.  The F = K scan
 must also stop within ``MAX_CALLS`` steps.
 
 ``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats
-and calls ``f`` on a list of trial points a step.
-``array_refine_sign_changes`` below is the array form it replaced; on the
-same inputs, with an array ``f`` wrapped as
-``lambda ts: f(np.array(ts)).tolist()``, both must call ``f`` on the same
-trial points and return the same bits, on random functions and grids, on the
-special values a step must survive, and inside the real F = K scan.
+and calls ``f`` on a list of trial points a step.  ``array_refine`` below is
+the array form it replaced; on the same brackets, with an array ``f``
+wrapped as ``lambda ts: f(np.array(ts)).tolist()``, both must call ``f`` on
+the same trial points and return the same bits, on random functions and
+grids, on the special values a step must survive, and inside the real
+F = K scan.  The brackets come from ``reference_bracket_starts``, the array
+scan of the sign changes that ``_refine_sign_changes`` ran before it took a
+bracket list.
+
+``find_intersections`` finds its brackets and exact zeros by bisection in
+the runs on which F is monotone (``cycles._runs``).
+``reference_find_intersections`` below finds them by array passes over the
+whole table, as before; on random maps, scaled by 2^+-1000 or with NaN at
+some marks, and at gain margins taken from the table (exact zeros, F's
+values at the ends of each run, where it turns or is flat, and their
+neighbouring floats), both must refine the same brackets, return equal
+roots and raise errors of the same type and message.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from dfcycle.cycles import (
     _refine_sign_changes,
     find_intersections,
 )
-from dfcycle.descfun import df_value
+from dfcycle.descfun import _df_at, df_value
 from dfcycle.linsys import OMEGA_RANGE, phase_crossovers
 
 from conftest import plant_a, plant_b, random_nonlinearity
@@ -219,16 +230,33 @@ def test_random_loops_match_reference(lags, rhp_zero, k, seed):
 # -- the array form of the refinement ---------------------------------------
 
 
-def array_refine_sign_changes(f, grid, vals, sign, done):
-    """``_refine_sign_changes`` with every bracket's state in arrays."""
-    v = sign(vals)
+def reference_bracket_starts(v):
+    """The left ends of the brackets of the sign changes of ``v``, by the
+    array scan that ``_refine_sign_changes`` ran before it took a bracket
+    list: ``v_i != 0`` and ``v_i v_i+1 <= 0``, in signs, whose product
+    cannot overflow or underflow to 0."""
     s = np.sign(v)
-    i = np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
-    a, b, sa = grid[i], grid[i + 1], v[i]  # a < b throughout
-    fa, fb = sa, v[i + 1]
-    kept = np.zeros(len(i))  # +1: a was kept on the last step, -1: b was
-    x, fx = grid[i], vals[i]
-    live = np.arange(len(i))
+    return np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
+
+
+def array_refine_sign_changes(f, grid, vals, sign, done):
+    """The array form of the refinement of every bracket of the sign changes
+    of ``sign(vals)``; returns the last trial points, their values and
+    ``sign(vals)`` at the brackets' left ends."""
+    v = sign(vals)
+    i = reference_bracket_starts(v)
+    x, fx = array_refine(f, grid[i], grid[i + 1], v[i], v[i + 1], vals[i], sign, done)
+    return x, fx, v[i]
+
+
+def array_refine(f, a, b, fa, fb, fx, sign, done):
+    """``_refine_sign_changes`` with every bracket's state in arrays: the
+    brackets [a, b] with ``sign`` of f at their ends ``fa``, ``fb``, and f at
+    a ``fx``; returns the last trial points and their values."""
+    sa = fa  # a < b throughout
+    kept = np.zeros(len(a))  # +1: a was kept on the last step, -1: b was
+    x, fx = a.copy(), fx.copy()
+    live = np.arange(len(a))
     for _ in range(MAX_ITER):
         if not live.size:
             break
@@ -250,14 +278,22 @@ def array_refine_sign_changes(f, grid, vals, sign, done):
         live, a, b, sa, fa, fb, kept = (
             live[go], a[go], b[go], sa[go], fa[go], fb[go], kept[go]
         )
-    return x, fx, v[i]
+    return x, fx
 
 
 def assert_same_refinement(f, grid, vals, sign, tol):
+    """``assert_same_on_brackets`` on the brackets of the sign changes of
+    ``sign(vals)``, ``vals = f(grid)``."""
+    i = reference_bracket_starts(sign(vals))
+    return assert_same_on_brackets(f, grid[i], grid[i + 1], vals[i], vals[i + 1], sign, tol)
+
+
+def assert_same_on_brackets(f, a, b, fa, fb, sign, tol):
     """Both forms call the array function ``f`` on the same points and return
-    the same roots, the array form's ``sign`` taken into ``f`` for
-    ``_refine_sign_changes``, which gets it wrapped to map lists to lists;
-    both end a bracket where ``|sign(v)| <= tol``.
+    the same roots of the brackets [a, b] with values ``fa``, ``fb`` of f,
+    the array form's ``sign`` taken into ``f`` for ``_refine_sign_changes``,
+    which gets it wrapped to map lists to lists; both end a bracket where
+    ``|sign(v)| <= tol``.
 
     Returns the number of steps, the calls of ``f``.
     """
@@ -272,11 +308,13 @@ def assert_same_refinement(f, grid, vals, sign, tol):
 
     signed = recorded(calls[0])
     with np.errstate(all="ignore"):
+        brackets = list(zip(a.tolist(), b.tolist(), sign(fa).tolist(), sign(fb).tolist()))
         got = _refine_sign_changes(
-            lambda ts: sign(signed(np.array(ts))).tolist(), grid, sign(vals), tol
+            lambda ts: sign(signed(np.array(ts))).tolist(), brackets, tol
         )
-        want, _, _ = array_refine_sign_changes(
-            recorded(calls[1]), grid, vals, sign, lambda v: np.abs(sign(v)) <= tol
+        want, _ = array_refine(
+            recorded(calls[1]), a, b, sign(fa), sign(fb), fa, sign,
+            lambda v: np.abs(sign(v)) <= tol,
         )
     assert len(calls[0]) == len(calls[1])
     for t_got, t_want in zip(*calls):
@@ -360,9 +398,11 @@ def test_random_functions_and_grids(seed):
 @contextmanager
 def both_forms():
     """Patch the F = K scan so that it runs both forms and compares them."""
-    def compared(f, grid, vals, tol):
-        assert_same_refinement(lambda t: np.array(f(t.tolist())), grid, vals, lambda v: v, tol)
-        return _refine_sign_changes(f, grid, vals, tol)
+    def compared(f, brackets, tol):
+        a, b, fa, fb = np.array(brackets, dtype=float).reshape(-1, 4).T
+        assert_same_on_brackets(lambda t: np.array(f(t.tolist())), a, b, fa, fb,
+                                lambda v: v, tol)
+        return _refine_sign_changes(f, brackets, tol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "_refine_sign_changes", compared)
@@ -388,3 +428,130 @@ def test_scans_of_random_loops_match_the_array_form(ex):
                     find_intersections(nl, km)
                 except cycles.IntersectionError:
                     pass
+
+
+# -- the run index against the array bracket scan ---------------------------
+
+
+def reference_find_intersections(nl, gain_margin):
+    """``find_intersections`` with its brackets and exact zeros from array
+    passes over the whole table (``reference_bracket_starts``), as it found
+    them before the run index; returns the roots and the brackets."""
+    if not 0 < gain_margin < math.inf:
+        raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
+    Xr, Fr, on_grid, F_min, _ = nl._f_scan
+    with np.errstate(over="ignore"):
+        v = Fr - gain_margin
+    if F_min - gain_margin == -math.inf:
+        at = on_grid[v[on_grid] == -math.inf][0]
+        raise cycles.IntersectionError(f"F is not finite at X = {Xr[at]}")
+    i = reference_bracket_starts(v)
+    brackets = list(zip(Xr[i].tolist(), Xr[i + 1].tolist(), v[i].tolist(), v[i + 1].tolist()))
+    roots = _refine_sign_changes(
+        lambda ts: [_df_at(nl, t) - gain_margin for t in ts], brackets, VALUE_TOL
+    )
+    zero = v[on_grid] == 0.0
+    at_zero = Xr[on_grid[zero]]
+    if (zero[:-1] & zero[1:]).any():
+        raise cycles.IntersectionError(
+            f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
+            f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
+        )
+    dedup = []
+    for r in sorted(roots + at_zero.tolist()):
+        if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
+            dedup.append(r)
+    return dedup, brackets
+
+
+def library_find_intersections(nl, gain_margin):
+    """``find_intersections``' roots and the brackets it refines."""
+    seen = []
+
+    def recorded(f, brackets, tol):
+        seen.append(brackets)
+        return _refine_sign_changes(f, brackets, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "_refine_sign_changes", recorded)
+        roots = find_intersections(nl, gain_margin)
+    return roots, seen[0]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:  # IntersectionError too
+        return type(exc), str(exc)
+
+
+def with_nan_marks(nl, rng):
+    """``nl`` with F replaced by NaN at a few marks of its kept table (F is
+    checked on the log grid only), and the table's run index rebuilt."""
+    Xr, Fr, on_grid, F_min, _ = nl._f_scan
+    marks = np.setdiff1d(np.arange(len(Xr)), on_grid)
+    if not marks.size:
+        return None
+    Fr = Fr.copy()
+    Fr[rng.sample(marks.tolist(), min(len(marks), rng.randint(1, 4)))] = math.nan
+    Fr.flags.writeable = False
+    nl.__dict__["_f_scan"] = Xr, Fr, on_grid, F_min, cycles._runs(Fr)
+    return nl
+
+
+def probe_margins(nl, rng):
+    """Gain margins from the table itself: values of F at random positions
+    (exact zeros of F - K), at the ends of every run (F's extrema and
+    plateaus), and between them."""
+    _, Fr, _, _, runs = nl._f_scan
+    ends = [Fr[i] for start, stop, _ in runs for i in (start, stop - 1)]
+    picked = [Fr[rng.randrange(len(Fr))] for _ in range(6)]
+    ks = [float(k) for k in ends + picked]
+    ks += [0.5 * (a + b) for a, b in zip(ks, ks[1:])]
+    ks += [math.nextafter(k, math.inf) for k in ks[:4]] + [math.nextafter(k, 0.0) for k in ks[:4]]
+    return [k for k in ks if 0 < k < math.inf]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_run_index_matches_the_array_scan(seed):
+    rng = random.Random(500 + seed)
+    counts = {"maps": 0, "runs": [], "nan runs": 0, "roots": 0, "zeros": 0, "plateaus": 0}
+    for m in range(8):
+        nl = random_nonlinearity(rng, max_breakpoints=6)
+        e = (0, 0, 1000, -1000)[m % 4]  # x and y scaled by 2^e
+        nl = PiecewiseNonlinearity(
+            x=tuple(math.ldexp(v, e) for v in nl.x),
+            y=tuple(math.ldexp(v, e) for v in nl.y),
+            final_slope=nl.final_slope,
+        )
+        try:
+            nl._f_scan
+        except cycles.IntersectionError:
+            continue
+        if m % 2 and with_nan_marks(nl, rng) is None:
+            continue
+        Fr, runs = nl._f_scan[1], nl._f_scan[4]
+        counts["maps"] += 1
+        counts["runs"].append(len(runs))
+        counts["nan runs"] += bool(np.isnan(Fr).any())
+        for k in probe_margins(nl, rng):
+            got = outcome(library_find_intersections, nl, k)
+            want = outcome(reference_find_intersections, nl, k)
+            assert got == want, (nl, k)
+            if isinstance(got, tuple) and got[0] is cycles.IntersectionError:
+                counts["plateaus"] += "plateau" in got[1]
+                continue
+            counts["roots"] += len(got[0])
+            counts["zeros"] += k in Fr
+    # the comparison is not vacuous: it meets each case it is written for
+    assert counts["maps"] >= 6 and max(counts["runs"]) >= 3, counts
+    assert counts["plateaus"] and counts["zeros"] and counts["roots"] >= 25, counts
+    assert counts["nan runs"] >= 2, counts
+
+
+def test_runs_split_at_turns_and_nan():
+    F = np.array([1.0, 2.0, 2.0, 1.0, 1.0, math.nan, 3.0, math.nan, 0.0, 0.0, 5.0, 4.0])
+    assert cycles._runs(F) == (
+        (0, 3, True), (2, 5, False), (6, 7, True), (8, 11, True), (10, 12, False)
+    )
+    assert cycles._runs(np.array([2.0, 2.0, 2.0])) == ((0, 3, True),)

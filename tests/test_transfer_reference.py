@@ -75,7 +75,10 @@ def random_plant(rng: random.Random) -> LinearPlant:
         return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
 
     den = [coeff() or 1.0] + [coeff() for _ in range(order)]
-    num = [coeff() for _ in range(rng.randint(1, order + 1))]
+    while True:
+        num = [coeff() for _ in range(rng.randint(1, order + 1))]
+        if num[-1] != 0.0 or den[-1] != 0.0:  # a common factor s is refused
+            break
     k = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
     return LinearPlant(tuple(num), tuple(den), k)
 
