@@ -24,8 +24,6 @@ from .linsys import (
     PlantError,
     PoleOnAxisError,
     freq_response,
-    h_of_jw,
-    nyquist_contour,
     phase_crossovers,
 )
 from .cycles import (
@@ -35,15 +33,10 @@ from .cycles import (
     LimitCycleEstimate,
     NonFiniteCycleError,
     analyze,
-    classify,
-    ellipse_estimate,
-    find_intersections,
 )
 from .sim import (
     AlgebraicLoopError,
     SimResult,
-    loop_matrices,
-    measure_oscillation,
     simulate,
 )
 
@@ -63,18 +56,11 @@ __all__ = [
     "QuadratureError",
     "SimResult",
     "analyze",
-    "classify",
     "df_exact",
     "df_oracle",
     "df_qualitative",
     "df_value",
-    "ellipse_estimate",
-    "find_intersections",
     "freq_response",
-    "h_of_jw",
-    "loop_matrices",
-    "measure_oscillation",
-    "nyquist_contour",
     "phase_crossovers",
     "simulate",
 ]

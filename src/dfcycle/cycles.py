@@ -6,15 +6,15 @@ the scan's amplitude grid depends on the nonlinearity alone: its table is
 built and checked once per map (the array kernel ``descfun._df``) and kept
 on it with the index of the runs on which F is monotone.  So each K costs a
 bisection in each run, which gives its brackets and exact zeros, and the
-refinement of the brackets, whose trial points take F one amplitude at a
-time in Python floats (``descfun._df_at``, with ``_df``'s bits).  Stability
-is decided by probing whether -1/F just beyond the candidate amplitude
-leaves the closed Nyquist contour while -1/F just below stays enclosed.
-Both probes lie on the negative real axis, so each enclosure is a sum over
-the contour's signed crossings of that axis (``linsys.nyquist_contour``),
-taken as a list.  ``analyze`` takes F at both probes and the amplitude from
-``_df_at``, and ``classify`` at both probes; both read the verdict off those
-values in ``_verdict``.  The steady-state orbit in state space is estimated
+refinement of each bracket on its own, whose trial points take F one
+amplitude at a time in Python floats (``descfun._df_at``, with ``_df``'s
+bits).  Stability is decided by probing whether -1/F just beyond the
+candidate amplitude leaves the closed Nyquist contour while -1/F just below
+stays enclosed.  Both probes lie on the negative real axis, so each
+enclosure is a sum over the contour's signed crossings of that axis
+(``linsys.nyquist_contour``), taken as a list.  ``analyze`` takes F at
+both probes and the amplitude from ``_df_at``, and ``classify`` at both
+probes; both read the verdict off those values in ``_verdict``.  The steady-state orbit in state space is estimated
 as an ellipse spanned by two basis vectors, Y1 times the polar form of the
 state resolvent (``_ellipse``), which depends on the plant's denominator
 and omega alone and is kept with the crossovers (``linsys._gain_free``).
@@ -172,46 +172,31 @@ def _runs(F: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     return tuple(zip(firsts.tolist(), ends.tolist(), rising.tolist()))
 
 
-def _refine_sign_changes(f, brackets, tol):
-    """The last trial points of ``brackets``, tuples ``(a, b, f(a), f(b))``
-    of floats with a < b, f(a) != 0 and f(a) f(b) <= 0, refined at once by
-    the Illinois variant of false position (Dowell & Jarratt, *BIT* 11,
-    1971): the secant point through the ends' stored values, an end's stored
-    value halved when it is kept twice in a row, or the midpoint where that
-    point is not strictly inside (a 0 value at an end, an overflow, a NaN,
-    equal stored values).
-    The side kept comes from the unscaled value ``sa``, as halving can
-    underflow to 0.  A bracket freezes at the first point whose value v has
-    ``|v| <= tol``, or after ``MAX_ITER`` steps.  A step makes one call of
-    ``f``, from the list of the live brackets' trial points to the list of
-    their values; the bookkeeping in Python floats has the bits of an
-    elementwise array form, whose division by 0 takes the midpoint.
+def _refine_bracket(f, a, b, fa, fb, tol):
+    """The last trial point in the bracket [a, b] of floats, a < b, with the
+    values ``fa = f(a) != 0`` and ``fb = f(b)``, fa fb <= 0, refined by the
+    Illinois variant of false position (Dowell & Jarratt, *BIT* 11, 1971):
+    the secant point through the ends' stored values, an end's stored value
+    halved when it is kept twice in a row, or the midpoint where that point
+    is not strictly inside (a 0 value at an end, an overflow, a NaN, equal
+    stored values).  The side kept comes from the unscaled value ``sa``, as
+    halving can underflow to 0.  The refinement stops at the first point
+    whose value v = f(t) has ``|v| <= tol``, or after ``MAX_ITER`` steps.
     """
-    x = [a for a, _, _, _ in brackets]  # each bracket takes a step
-    # [index, a, b, sa, fa, fb, kept]: a < b throughout; kept is +1 where a
-    # was kept on the last step, -1 where b was
-    live = [[j, a, b, sa, sa, fb, 0.0] for j, (a, b, sa, fb) in enumerate(brackets)]
+    sa, kept = fa, 0  # kept is +1 where a was kept on the last step, -1 where b was
     for _ in range(MAX_ITER):
-        if not live:
+        d = fb - fa
+        t = b - fb * (b - a) / d if d != 0.0 else math.nan
+        if not a < t < b:
+            t = 0.5 * a + 0.5 * b  # a + b can overflow
+        s = f(t)
+        if abs(s) <= tol:
             break
-        t = []
-        for _, a, b, _, fa, fb, _ in live:
-            d = fb - fa
-            tk = b - fb * (b - a) / d if d != 0.0 else math.nan
-            t.append(tk if a < tk < b else 0.5 * a + 0.5 * b)  # a + b can overflow
-        following = []
-        for bracket, tk, s in zip(live, t, f(t)):
-            j, a, b, sa, fa, fb, kept = bracket
-            x[j] = tk
-            if abs(s) <= tol:
-                continue
-            if (s > 0) == (sa > 0):  # t replaces a, b is kept
-                bracket[1:] = tk, b, s, s, 0.5 * fb if kept == -1.0 else fb, -1.0
-            else:
-                bracket[2:] = tk, sa, 0.5 * fa if kept == 1.0 else fa, s, 1.0
-            following.append(bracket)
-        live = following
-    return x
+        if (s > 0) == (sa > 0):  # t replaces a, b is kept
+            a, sa, fa, fb, kept = t, s, s, 0.5 * fb if kept == -1 else fb, -1
+        else:
+            b, fa, fb, kept = t, 0.5 * fa if kept == 1 else fa, s, 1
+    return t
 
 
 def find_intersections(
@@ -230,10 +215,10 @@ def find_intersections(
     ``v_i * v_i+1 <= 0``, and a sample of the log grid with v = 0 is a root.
     F is monotone on each run of the table's run index, so each run holds
     at most one bracket and one range of zeros, found by bisection in Python
-    floats; no K touches the rest of the table.  The brackets, split at the
-    breakpoints and above each jump at ``RUN``, are refined together by
-    ``_refine_sign_changes`` down to ``|F - K| <= VALUE_TOL``, F at each
-    trial point from the unchecked one-amplitude ``descfun._df_at``.
+    floats; no K touches the rest of the table.  Each bracket, split at the
+    breakpoints and above each jump at ``RUN``, is refined by
+    ``_refine_bracket`` down to ``|F - K| <= VALUE_TOL``, F at each trial
+    point from the unchecked one-amplitude ``descfun._df_at``.
     Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when
     the grid is not finite or positive, F - K on its log grid is not finite,
     or v = 0 at two consecutive samples of it.
@@ -246,16 +231,16 @@ def find_intersections(
             at = on_grid[Fr[on_grid] - gain_margin == -math.inf][0]
         raise IntersectionError(f"F is not finite at X = {Xr[at]}")
     K, X, F = gain_margin, memoryview(Xr), memoryview(Fr)
-    brackets, zeros = [], []
+    roots, zeros = [], []
     for start, stop, rising in runs:
         # F, or -F where F falls, ascends on the run
         key, k = (None, K) if rising else (neg, -K)
         i = bisect_left(F, k, start, stop, key=key)  # the first F >= K, or F <= K
         if start < i < stop:
-            brackets.append((X[i - 1], X[i], F[i - 1] - K, F[i] - K))
+            roots.append(_refine_bracket(lambda t: _df_at(nl, t) - K, X[i - 1], X[i],
+                                         F[i - 1] - K, F[i] - K, VALUE_TOL))
         if i < stop and F[i] == K:
             zeros += range(i, bisect_right(F, k, i, stop, key=key))
-    roots = _refine_sign_changes(lambda ts: [_df_at(nl, t) - K for t in ts], brackets, VALUE_TOL)
 
     at_zero = []
     if zeros:  # rare: F equals K at a position of the table

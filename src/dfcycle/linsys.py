@@ -371,15 +371,16 @@ def _size(coeffs: tuple[float, ...], w: float) -> float:
 
 
 def _crossings(
-    plant: LinearPlant, lo: float, hi: float
+    plant: LinearPlant, den_bits: bytes, lo: float, hi: float
 ) -> tuple[list[list], list[tuple], complex, complex]:
     """``[omega, gain margin, direction]`` rows of the phase crossovers in
-    (lo, hi), the polar form of ``h_of_jw`` at each, and G at lo and at hi.
+    (lo, hi), the polar form of ``h_of_jw`` at each, and G at lo and at hi;
+    ``den_bits`` is ``_bits(plant.den)``, which the caller packs once.
     The crossovers are ``_gain_free``'s roots of P at which Re G < 0,
     G = k N / D with ``transfer``'s bits.  The direction is Im G's sign at
     the root's left edge, +1 where Im G falls through 0.  Raises
     ``PoleOnAxisError`` as ``_gain_free`` and ``phase_crossovers`` say."""
-    roots, left_signs, ws, n, d, polar = _gain_free(_bits(plant.num), _bits(plant.den), lo, hi)
+    roots, left_signs, ws, n, d, polar = _gain_free(_bits(plant.num), den_bits, lo, hi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _finite(plant.k * n / d, ws)
         margins = (1.0 / np.abs(g)).tolist()
@@ -405,7 +406,7 @@ def phase_crossovers(
     lo, hi = omega_range
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"omega_range must satisfy 0 < lo < hi < inf, got {omega_range}")
-    return [(w, km) for w, km, _ in _crossings(plant, lo, hi)[0]]
+    return [(w, km) for w, km, _ in _crossings(plant, _bits(plant.den), lo, hi)[0]]
 
 
 def _negligible_den(den: tuple[float, ...], abs_den: tuple[float, ...], omega: float) -> bool:
@@ -438,8 +439,9 @@ def _axis_poles(den_bits: bytes) -> None:
 def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray, list[tuple]]:
     """``_crossings``' rows on ``OMEGA_RANGE``, ``nyquist_contour``'s table
     and the polar form of ``h_of_jw`` at each row's omega."""
-    _axis_poles(_bits(plant.den))
-    rows, polar, g_lo, g_hi = _crossings(plant, *OMEGA_RANGE)
+    den_bits = _bits(plant.den)
+    _axis_poles(den_bits)
+    rows, polar, g_lo, g_hi = _crossings(plant, den_bits, *OMEGA_RANGE)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
     end, q = np.conj(g_lo), plant.origin_poles
     if q > 0:

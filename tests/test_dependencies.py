@@ -52,8 +52,8 @@ def test_exports_are_exactly_the_public_names():
 def test_enclosure_api_keeps_the_names_the_benchmark_calls():
     # classify reads nyquist_contour's crossing table through its contour
     # keyword; the polygon's winding_number is no longer part of the package
-    contour = inspect.signature(dfcycle.classify).parameters["contour"]
+    contour = inspect.signature(dfcycle.cycles.classify).parameters["contour"]
     assert contour.kind is inspect.Parameter.KEYWORD_ONLY
-    assert "nyquist_contour" in dfcycle.__all__
+    assert callable(dfcycle.linsys.nyquist_contour)
     assert not hasattr(dfcycle, "winding_number")
     assert not hasattr(dfcycle.cycles, "winding_number")

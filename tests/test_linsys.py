@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfcycle import LinearPlant, PlantError
-from dfcycle.cycles import _refine_sign_changes, analyze
+from dfcycle import LinearPlant, PlantError, linsys
+from dfcycle.cycles import _refine_bracket, analyze
 from dfcycle.linsys import (
     MEMO_SIZE,
     OMEGA_RANGE,
@@ -211,11 +211,9 @@ class TestCrossovers:
         # falls on that end, so every step is the midpoint, and keeping the
         # end twice halves its stored value to 0
         def f(x):
-            return np.where(x < 0.3, 5e-324, -1.0)
+            return 5e-324 if x < 0.3 else -1.0
 
-        [x] = _refine_sign_changes(
-            lambda ts: f(np.array(ts)).tolist(), [(0.0, 1.0, 5e-324, -1.0)], 0.0
-        )
+        x = _refine_bracket(f, 0.0, 1.0, 5e-324, -1.0, 0.0)
         assert x == pytest.approx(0.3, abs=1e-15)
 
     def test_overflowing_gain_margin_names_the_frequency(self):
@@ -412,6 +410,15 @@ class TestMemo:
         for k in (5.0, 30.0, -15.0):
             analyze(plant_b(k), nl_b)
         assert calls == []
+
+    def test_warm_analyze_packs_each_key_once(self, cold_crossing_memo, monkeypatch, nl_b):
+        # den's key serves both memos, so an op packs den once and num once
+        plant = plant_b(15.0)
+        analyze(plant, nl_b)
+        packed = []
+        monkeypatch.setattr(linsys, "_bits", lambda cs: packed.append(cs) or _bits(cs))
+        analyze(plant, nl_b)
+        assert packed == [plant.den, plant.num]
 
     def test_zero_signs_are_part_of_the_key(self, cold_crossing_memo, nl_b):
         # -78 s / (-41 s) at k = -1, a real G whose Im is a signed zero, had a

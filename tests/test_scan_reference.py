@@ -1,26 +1,27 @@
 """The root searches against plain scalar bisection loops.
 
-``find_intersections`` refines all of its brackets together as arrays, and
-``phase_crossovers`` takes the real roots of a polynomial.  The references
-below walk log grids one interval at a time and bisect one bracket at a
-time with scalar calls.  The searches step differently, so their roots
-differ by rounding; the checks are the searches' own stopping rules
-instead.  The counts of crossovers and of roots must be equal; each
+``find_intersections`` refines each of its brackets on its own by false
+position, and ``phase_crossovers`` takes the real roots of a polynomial.
+The references below walk log grids one interval at a time and bisect one
+bracket at a time with scalar calls.  The searches step differently, so
+their roots differ by rounding; the checks are the searches' own stopping
+rules instead.  The counts of crossovers and of roots must be equal; each
 crossover must meet ``|Im G| <= 1e-12 |G|`` with Re G < 0 and carry the
 gain margin ``1/|G|`` exactly; each amplitude must meet
 ``|F - K| <= VALUE_TOL`` or be an exact zero on the grid; and each root must
 lie in the same closed grid interval as its reference root.  The F = K scan
-must also stop within ``MAX_CALLS`` steps.
+must also stop within ``MAX_CALLS`` steps of each bracket.
 
-``_refine_sign_changes`` keeps its brackets' bookkeeping in Python floats
-and calls ``f`` on a list of trial points a step.  ``array_refine`` below is
-the array form it replaced; on the same brackets, with an array ``f``
-wrapped as ``lambda ts: f(np.array(ts)).tolist()``, both must call ``f`` on
-the same trial points and return the same bits, on random functions and
-grids, on the special values a step must survive, and inside the real
-F = K scan.  The brackets come from ``reference_bracket_starts``, the array
-scan of the sign changes that ``_refine_sign_changes`` ran before it took a
-bracket list.
+``_refine_bracket`` keeps one bracket's bookkeeping in Python floats and
+calls ``f`` on one trial point a step.  ``array_refine`` below is the array
+form that refined all the brackets together; on each bracket, with an array
+``f`` wrapped as ``lambda t: float(f(np.array([t]))[0])``, both must call
+``f`` on the same trial points and return the same bits, and the array form
+on all the brackets at once must return the same last points, on random
+functions and grids, on the special values a step must survive, and inside
+the real F = K scan.  The brackets come from ``reference_bracket_starts``,
+the array scan of the sign changes that the refinement ran before it took
+brackets.
 
 ``find_intersections`` finds its brackets and exact zeros by bisection in
 the runs on which F is monotone (``cycles._runs``).
@@ -48,7 +49,7 @@ from dfcycle.cycles import (
     MAX_ITER,
     N_GRID,
     VALUE_TOL,
-    _refine_sign_changes,
+    _refine_bracket,
     find_intersections,
 )
 from dfcycle.descfun import _df_at, df_value
@@ -56,7 +57,8 @@ from dfcycle.linsys import OMEGA_RANGE, phase_crossovers
 
 from conftest import plant_a, plant_b, random_nonlinearity
 
-# Steps (calls of ``f``) that one scan may make; halving took up to about 30.
+# Steps (calls of ``f``) that the refinement of one bracket may make; halving
+# took up to about 30.
 MAX_CALLS = 8
 # A tolerance that no value meets, NaN included: the brackets run out of steps.
 NEVER = -math.inf
@@ -142,7 +144,8 @@ def _intervals(grid, r):
 
 @contextmanager
 def counting_scans():
-    """Patch the F = K scan so that it records its steps (calls of ``f``) a scan."""
+    """Patch the F = K scan so that it records its steps (calls of ``f``) a
+    bracket."""
     calls = []
 
     def counted(f, *args):
@@ -152,10 +155,10 @@ def counting_scans():
             calls[-1] += 1
             return f(x)
 
-        return _refine_sign_changes(f_counted, *args)
+        return _refine_bracket(f_counted, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_refine_sign_changes", counted)
+        mp.setattr(cycles, "_refine_bracket", counted)
         yield calls
 
 
@@ -232,9 +235,9 @@ def test_random_loops_match_reference(lags, rhp_zero, k, seed):
 
 def reference_bracket_starts(v):
     """The left ends of the brackets of the sign changes of ``v``, by the
-    array scan that ``_refine_sign_changes`` ran before it took a bracket
-    list: ``v_i != 0`` and ``v_i v_i+1 <= 0``, in signs, whose product
-    cannot overflow or underflow to 0."""
+    array scan that the refinement ran before it took brackets: ``v_i != 0``
+    and ``v_i v_i+1 <= 0``, in signs, whose product cannot overflow or
+    underflow to 0."""
     s = np.sign(v)
     return np.nonzero((s[:-1] != 0.0) & (s[:-1] * s[1:] <= 0.0))[0]
 
@@ -250,9 +253,9 @@ def array_refine_sign_changes(f, grid, vals, sign, done):
 
 
 def array_refine(f, a, b, fa, fb, fx, sign, done):
-    """``_refine_sign_changes`` with every bracket's state in arrays: the
-    brackets [a, b] with ``sign`` of f at their ends ``fa``, ``fb``, and f at
-    a ``fx``; returns the last trial points and their values."""
+    """``_refine_bracket`` on every bracket at once, their states in arrays:
+    the brackets [a, b] with ``sign`` of f at their ends ``fa``, ``fb``, and
+    f at a ``fx``; returns the last trial points and their values."""
     sa = fa  # a < b throughout
     kept = np.zeros(len(a))  # +1: a was kept on the last step, -1: b was
     x, fx = a.copy(), fx.copy()
@@ -290,39 +293,42 @@ def assert_same_refinement(f, grid, vals, sign, tol):
 
 def assert_same_on_brackets(f, a, b, fa, fb, sign, tol):
     """Both forms call the array function ``f`` on the same points and return
-    the same roots of the brackets [a, b] with values ``fa``, ``fb`` of f,
-    the array form's ``sign`` taken into ``f`` for ``_refine_sign_changes``,
-    which gets it wrapped to map lists to lists; both end a bracket where
-    ``|sign(v)| <= tol``.
+    the same root of each bracket [a, b] with values ``fa``, ``fb`` of f, the
+    array form's ``sign`` taken into ``f`` for ``_refine_bracket``, which
+    gets it wrapped to map a float to a float; both end a bracket where
+    ``|sign(v)| <= tol``.  The array form on all the brackets at once must
+    return the same last points too.
 
-    Returns the number of steps, the calls of ``f``.
+    Returns the largest number of steps, the calls of ``f``, of a bracket.
     """
-    calls = ([], [])
-
-    def recorded(log):
-        def g(t):
-            log.append(t.copy())
-            return f(t)
-
-        return g
-
-    signed = recorded(calls[0])
+    done = lambda v: np.abs(sign(v)) <= tol  # noqa: E731
+    got, steps = [], 0
     with np.errstate(all="ignore"):
-        brackets = list(zip(a.tolist(), b.tolist(), sign(fa).tolist(), sign(fb).tolist()))
-        got = _refine_sign_changes(
-            lambda ts: sign(signed(np.array(ts))).tolist(), brackets, tol
-        )
-        want, _ = array_refine(
-            recorded(calls[1]), a, b, sign(fa), sign(fb), fa, sign,
-            lambda v: np.abs(sign(v)) <= tol,
-        )
-    assert len(calls[0]) == len(calls[1])
-    for t_got, t_want in zip(*calls):
-        assert t_got.shape == t_want.shape and t_got.tobytes() == t_want.tobytes()
+        for j in range(len(a)):
+            calls = ([], [])
+
+            def scalar(t):
+                calls[0].append(t)
+                return float(sign(f(np.array([t])))[0])
+
+            def recorded(t):
+                calls[1].extend(t.tolist())
+                return f(t)
+
+            one = slice(j, j + 1)
+            x = _refine_bracket(scalar, float(a[j]), float(b[j]),
+                                float(sign(fa[one])[0]), float(sign(fb[one])[0]), tol)
+            want, _ = array_refine(recorded, a[one], b[one], sign(fa[one]), sign(fb[one]),
+                                   fa[one], sign, done)
+            assert np.array(calls[0]).tobytes() == np.array(calls[1]).tobytes()
+            assert np.array([x]).tobytes() == want.tobytes(), (x, want)
+            got.append(x)
+            steps = max(steps, len(calls[0]))
+        want, _ = array_refine(f, a, b, sign(fa), sign(fb), fa, sign, done)
     got = np.array(got, dtype=float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes(), (got, want)
-    return len(calls[0])
+    return steps
 
 
 def tiny_sign(v):
@@ -397,15 +403,16 @@ def test_random_functions_and_grids(seed):
 
 @contextmanager
 def both_forms():
-    """Patch the F = K scan so that it runs both forms and compares them."""
-    def compared(f, brackets, tol):
-        a, b, fa, fb = np.array(brackets, dtype=float).reshape(-1, 4).T
-        assert_same_on_brackets(lambda t: np.array(f(t.tolist())), a, b, fa, fb,
-                                lambda v: v, tol)
-        return _refine_sign_changes(f, brackets, tol)
+    """Patch the F = K scan so that it runs both forms on each bracket and
+    compares them."""
+    def compared(f, *bracket):
+        *ends, tol = bracket
+        assert_same_on_brackets(lambda t: np.array([f(x) for x in t.tolist()]),
+                                *(np.array([v]) for v in ends), lambda v: v, tol)
+        return _refine_bracket(f, *bracket)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_refine_sign_changes", compared)
+        mp.setattr(cycles, "_refine_bracket", compared)
         yield
 
 
@@ -447,9 +454,8 @@ def reference_find_intersections(nl, gain_margin):
         raise cycles.IntersectionError(f"F is not finite at X = {Xr[at]}")
     i = reference_bracket_starts(v)
     brackets = list(zip(Xr[i].tolist(), Xr[i + 1].tolist(), v[i].tolist(), v[i + 1].tolist()))
-    roots = _refine_sign_changes(
-        lambda ts: [_df_at(nl, t) - gain_margin for t in ts], brackets, VALUE_TOL
-    )
+    roots = [_refine_bracket(lambda t: _df_at(nl, t) - gain_margin, *bracket, VALUE_TOL)
+             for bracket in brackets]
     zero = v[on_grid] == 0.0
     at_zero = Xr[on_grid[zero]]
     if (zero[:-1] & zero[1:]).any():
@@ -468,14 +474,14 @@ def library_find_intersections(nl, gain_margin):
     """``find_intersections``' roots and the brackets it refines."""
     seen = []
 
-    def recorded(f, brackets, tol):
-        seen.append(brackets)
-        return _refine_sign_changes(f, brackets, tol)
+    def recorded(f, *bracket):
+        seen.append(bracket[:4])
+        return _refine_bracket(f, *bracket)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_refine_sign_changes", recorded)
+        mp.setattr(cycles, "_refine_bracket", recorded)
         roots = find_intersections(nl, gain_margin)
-    return roots, seen[0]
+    return roots, seen
 
 
 def outcome(f, *args):
