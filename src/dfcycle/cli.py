@@ -21,6 +21,7 @@ from .cycles import AmbiguousStabilityError, IntersectionError, NonFiniteCycleEr
 from .cycles import analyze
 from .descfun import QuadratureError, df_exact, df_oracle_curve
 from .linsys import (
+    OMEGA_RANGE,
     LinearPlant,
     PoleOnAxisError,
     freq_response,
@@ -251,7 +252,7 @@ def _verify(plant, nl, cyc) -> list[dict]:
 
 @main.command("nyquist")
 @click.argument("plant_file", type=click.Path())
-@click.option("--omega-range", nargs=2, type=float, default=(1e-3, 1e3),
+@click.option("--omega-range", nargs=2, type=float, default=OMEGA_RANGE,
               show_default=True, help="Positive frequency interval to sample.")
 @click.option("--points", type=int, default=1024, show_default=True,
               help=f"Number of frequencies to sample (1 to {MAX_POINTS}).")

@@ -14,10 +14,12 @@ stays enclosed.  Both probes lie on the negative real axis, so each
 enclosure is a sum over the contour's signed crossings of that axis
 (``linsys.nyquist_contour``), taken as a list.  ``analyze`` takes F at
 both probes and the amplitude from ``_df_at``, and ``classify`` at both
-probes; both read the verdict off those values in ``_verdict``.  The steady-state orbit in state space is estimated
-as an ellipse spanned by two basis vectors, Y1 times the polar form of the
-state resolvent (``_ellipse``), which depends on the plant's denominator
-and omega alone and is kept with the crossovers (``linsys._gain_free``).
+probes; both read the verdict off those values in ``_verdict``.  The
+steady-state orbit in state space is estimated as an ellipse spanned by two
+basis vectors, Y1 times the imaginary and the real parts of the state
+resolvent h(j omega) (``_ellipse``), which depends on the plant's
+denominator and omega alone and is kept with the crossovers
+(``linsys._gain_free``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import neg
 import numpy as np
 
 from .descfun import _df, _df_at
-from .linsys import LinearPlant, _contour, _polar, h_of_jw, log_grid
+from .linsys import LinearPlant, _contour, h_of_jw, log_grid
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
@@ -313,24 +315,19 @@ def ellipse_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Basis vectors x(0) and x(pi/2w) of the steady-state state ellipse.
 
-    Componentwise the steady state is ``A(w) sin(wt + ph)`` with amplitude
-    ``A = Y1 |H(jw)|`` and phase ``ph = arg H(jw)``; the two returned
-    vectors are ``A sin(ph)`` and ``A cos(ph)``.
+    Componentwise the steady state is ``Im(Y1 H(jw) exp(j w t))``, H the
+    state resolvent ``h_of_jw``; the two returned vectors, at t = 0 and a
+    quarter period later, are ``Y1 Im H`` and ``Y1 Re H`` (``_ellipse``).
     """
-    x0, xq = np.array(_ellipse(Y1, _polar(h_of_jw(plant, omega))), dtype=float)
+    x0, xq = np.array(_ellipse(Y1, h_of_jw(plant, omega).tolist()), dtype=float)
     return x0, xq
 
 
-def _ellipse(Y1: float, polar: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], ...]:
-    """``ellipse_estimate``'s vectors from H's polar form ``(|H|, sin ph,
-    cos ph)`` (``linsys._polar``), in Python floats: a float product is
+def _ellipse(Y1: float, h) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``ellipse_estimate``'s vectors ``Y1 Im h`` and ``Y1 Re h`` from the
+    resolvent ``h`` as complex numbers, in Python floats: a float product is
     correctly rounded, so they have the bits of the array products."""
-    x0, xq = [], []
-    for magnitude, sin, cos in zip(*polar):
-        amp = Y1 * magnitude
-        x0.append(amp * sin)
-        xq.append(amp * cos)
-    return tuple(x0), tuple(xq)
+    return tuple(Y1 * v.imag for v in h), tuple(Y1 * v.real for v in h)
 
 
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
@@ -342,20 +339,19 @@ def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnal
     and Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
     F at an amplitude does not depend on the others in an array call, as the
     power-of-two scale that ``_psi`` reads off the first one is exact.  The
-    ellipse is ``ellipse_estimate``'s (``_ellipse``) from the polar form of
-    the state resolvent that ``_contour`` hands over with each crossover.
+    ellipse is ``ellipse_estimate``'s (``_ellipse``) from the state
+    resolvent that ``_contour`` hands over with each crossover.
     """
     results = []
-    crossovers, contour, polars = _contour(plant)
-    table = contour.tolist()
-    for (omega, K, _), polar in zip(crossovers, polars):
+    crossovers, table, hs = _contour(plant)
+    for (omega, K, _), h in zip(crossovers, hs):
         cycles = []
         for X in find_intersections(nl, K):
             probes = (X * (1.0 - DELTA), X, X * (1.0 + DELTA))
             below, F, above = (_df_at(nl, x) for x in probes)
             stability = _verdict(X, omega, below, above, contour=table)
             Y1 = F * X
-            x0, xq = _ellipse(Y1, polar)
+            x0, xq = _ellipse(Y1, h)
             if not all(map(math.isfinite, (Y1, *x0, *xq))):
                 raise NonFiniteCycleError(
                     f"the first harmonic Y1 = {Y1} or the state ellipse of the "

@@ -7,9 +7,11 @@ the steady-state geometry and the time simulator.  G(j omega) is real where
 P(omega) = Im N(j omega) conj(D(j omega)) = 0, so the phase crossovers are
 the real roots of P, and G is evaluated only there and at the range's ends.
 All of that but G's gain k is kept per coefficient set in two small memos,
-so a plant shape swept over gains finds its crossovers once; the polar form
-of the state resolvent at each crossover, which spans a cycle's ellipse, is
-kept with them.
+so a plant shape swept over gains finds its crossovers once; the state
+resolvent h(j omega) at each crossover, which spans a cycle's ellipse, is
+kept with them.  The Nyquist contour's crossings of the negative real axis
+away from the crossovers lie where plane geometry puts them, in closed form
+from G at the range's ends (``nyquist_contour``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -303,7 +306,7 @@ def _gain_free(
     in (lo, hi) at which it changes sign and N(j omega) is not negligible,
     P's sign at each one's left edge, the read-only arrays
     ``ws = [lo, *roots, hi]``, N(j ws) and D(j ws) (``_checked_den``), and
-    the polar form (``_polar``) of ``h_of_jw`` at each root, from its D.
+    ``h_of_jw`` at each root, from its D, as a tuple of complex numbers.
     P comes from num and den scaled to a largest |coefficient| of 1.
     (lo, hi) is split at the midpoints between the candidates, the real
     parts in it of P's roots with imaginary parts at most 1e-7 of them.  Each
@@ -358,8 +361,8 @@ def _gain_free(
     for a in (ws, n, d):
         a.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
-        polar = tuple(_polar(_resolvent(den, 1j * w, v)) for w, v in zip(roots, d[1:-1]))
-    return tuple(roots), tuple(left_signs), ws, n, d, polar
+        hs = tuple(tuple(_resolvent(den, 1j * w, v).tolist()) for w, v in zip(roots, d[1:-1]))
+    return tuple(roots), tuple(left_signs), ws, n, d, hs
 
 
 def _size(coeffs: tuple[float, ...], w: float) -> float:
@@ -372,18 +375,20 @@ def _size(coeffs: tuple[float, ...], w: float) -> float:
 
 def _crossings(
     plant: LinearPlant, den_bits: bytes, lo: float, hi: float
-) -> tuple[list[list], list[tuple], complex, complex]:
+) -> tuple[list[list], list[tuple], complex, float, complex]:
     """``[omega, gain margin, direction]`` rows of the phase crossovers in
-    (lo, hi), the polar form of ``h_of_jw`` at each, and G at lo and at hi;
-    ``den_bits`` is ``_bits(plant.den)``, which the caller packs once.
+    (lo, hi), ``h_of_jw`` at each as a tuple, G and ``np.abs`` of G at lo,
+    and G at hi; ``den_bits`` is ``_bits(plant.den)``, which the caller
+    packs once.
     The crossovers are ``_gain_free``'s roots of P at which Re G < 0,
     G = k N / D with ``transfer``'s bits.  The direction is Im G's sign at
     the root's left edge, +1 where Im G falls through 0.  Raises
     ``PoleOnAxisError`` as ``_gain_free`` and ``phase_crossovers`` say."""
-    roots, left_signs, ws, n, d, polar = _gain_free(_bits(plant.num), den_bits, lo, hi)
+    roots, left_signs, ws, n, d, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = _finite(plant.k * n / d, ws)
-        margins = (1.0 / np.abs(g)).tolist()
+        size = np.abs(g)
+        margins = (1.0 / size).tolist()
     sign = math.copysign(1.0, plant.k)  # Im G = k P / |D|^2
     crossing = [re < 0 for re in g.real.tolist()[1:-1]]
     rows = [[w, km, sign * s] for w, km, s, c in
@@ -391,7 +396,8 @@ def _crossings(
     for w, km, _ in rows:
         if not 0.0 < km < math.inf:
             raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
-    return rows, [h for h, c in zip(polar, crossing) if c], g[0], g[-1]
+    g_lo, g_hi = complex(g[0]), complex(g[-1])
+    return rows, [h for h, c in zip(hs, crossing) if c], g_lo, float(size[0]), g_hi
 
 
 def phase_crossovers(
@@ -436,57 +442,59 @@ def _axis_poles(den_bits: bytes) -> None:
         raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
 
 
-def _contour(plant: LinearPlant) -> tuple[list[list], np.ndarray, list[tuple]]:
+def _contour(plant: LinearPlant) -> tuple[list[list], list[tuple[float, float]], list[tuple]]:
     """``_crossings``' rows on ``OMEGA_RANGE``, ``nyquist_contour``'s table
-    and the polar form of ``h_of_jw`` at each row's omega."""
+    as a list of ``(abscissa, count)`` rows, and ``h_of_jw`` at each row's
+    omega as a tuple of complex numbers."""
     den_bits = _bits(plant.den)
     _axis_poles(den_bits)
-    rows, polar, g_lo, g_hi = _crossings(plant, den_bits, *OMEGA_RANGE)
+    rows, hs, g_lo, size_lo, g_hi = _crossings(plant, den_bits, *OMEGA_RANGE)
     table = [(-1.0 / km, 2.0 * d) for _, km, d in rows]
-    end, q = np.conj(g_lo), plant.origin_poles
+    q = plant.origin_poles
     if q > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            radius = 10.0 * abs(g_lo)
-            theta0 = np.angle(end)
-            start = radius * np.exp(1j * theta0)
-        if not np.isfinite(start):
-            raise PoleOnAxisError(f"the Nyquist contour is not finite: it reaches {start}")
-        # turning clockwise through q pi from theta0, it passes angle pi
-        # upwards (q + 1) // 2 times if it starts below the axis, else q // 2
+        radius = 10.0 * size_lo
+        if radius == math.inf:
+            raise PoleOnAxisError("the Nyquist contour is not finite: its arc's radius overflows")
         table.append((-radius, -float((q + (g_lo.imag > 0)) // 2)))
-        end = radius * np.exp(1j * (theta0 - q * math.pi))
-    # straight segments a -> b, counted as a polygon edge: Im <= 0 is below
-    for a, b in ((g_hi, np.conj(g_hi)), (end, g_lo)):
-        if (a.imag > 0) != (b.imag > 0):
-            ya, yb = float(a.imag), float(b.imag)
-            if min(abs(ya), abs(yb)) < 2.0**-1021:  # a half rounds, or is 0/0
-                e = math.frexp(max(abs(ya), abs(yb)))[1]  # the larger to [0.5, 1)
-                ya, yb = math.ldexp(ya, -e), math.ldexp(yb, -e)
-            t = 0.5 * ya / (0.5 * ya - 0.5 * yb)  # halves cannot overflow
-            table.append(((1.0 - t) * a.real + t * b.real, 1.0 if a.imag > 0 else -1.0))
-    table = np.array(table, dtype=float).reshape(-1, 2)
-    table = table[(table[:, 0] < 0.0) & (table[:, 1] != 0.0)]
-    return rows, table[np.argsort(table[:, 0], kind="stable")], polar
+    if g_hi.imag != 0.0:
+        table.append((g_hi.real, 1.0 if g_hi.imag > 0 else -1.0))
+    if q % 2 == 0 and g_lo.imag != 0.0:
+        table.append(((20.0 / 11.0 if q else 1.0) * g_lo.real, 1.0 if g_lo.imag < 0 else -1.0))
+    table = sorted((row for row in table if row[0] < 0.0 and row[1] != 0.0), key=itemgetter(0))
+    return rows, table, hs
 
 
 def nyquist_contour(plant: LinearPlant) -> np.ndarray:
     """The closed Nyquist contour's crossings of the negative real axis.
 
     Sorted rows ``[abscissa, signed count]``, +1 where the contour runs down,
-    so it winds about a real p < 0 ``table[table[:, 0] < p, 1].sum()`` times.
-    The contour is G(j omega) over ``OMEGA_RANGE``, its mirror, the segment
-    joining them at omega_max, and for q poles at the origin a clockwise arc
-    of q pi at ten times |G(j omega_min)| (the indentation image); a chord
-    closes it at G(j omega_min).  Rows: each phase crossover at -1/K, counted
-    twice (branch and mirror) in its direction; each pass of the arc through
-    angle pi, -1; each straight segment that crosses.  Raises
-    ``PoleOnAxisError`` for any other pole r on the imaginary axis
+    so it winds about a real p < 0 ``table[table[:, 0] < p, 1].sum()`` times;
+    rows at an abscissa >= 0 or with a count of 0 are left out.  The contour
+    is G(j omega) over ``OMEGA_RANGE``, its mirror, the segment joining them
+    at omega_max, and for q poles at the origin a clockwise arc of q pi from
+    10 conj(G(j omega_min)) (the indentation image); a chord closes it at
+    G(j omega_min).  With G = x + j y at a range end, the rows are closed
+    forms of plane geometry, with no angle taken:
+
+    - each phase crossover at -1/K, twice (branch and mirror) in its
+      direction;
+    - the arc at -10 |G|: clockwise, it runs up through angle pi, which a
+      turn of q pi passes (q + 1) // 2 times from below the axis (y > 0 at
+      omega_min), else q // 2 times;
+    - the segment at omega_max, from x + j y to x - j y: at x where y != 0,
+      +1 where y > 0;
+    - the chord from the arc's end (-1)^q 10 (x - j y) to x + j y: for odd
+      q both ends lie on one side of the axis; for even q it crosses where
+      y != 0, at the fraction c / (c + 1) of its length, c = 10 (q >= 2) or
+      1 (q = 0, no arc), so at 2 c x / (c + 1): (20/11) x or x, +1 where y < 0.
+
+    Raises ``PoleOnAxisError`` for any other pole r on the imaginary axis
     (``|Re r| <= 1e-9 Im r``, or ``<= 1e-7 Im r`` where the denominator is
     negligible at j Im r, as at a double pole), in ``OMEGA_RANGE`` or not,
-    for an arc that overflows, where the denominator's roots are not finite,
-    and as ``phase_crossovers`` does.
+    for an arc whose radius overflows, where the denominator's roots are
+    not finite, and as ``phase_crossovers`` does.
     """
-    return _contour(plant)[1]
+    return np.array(_contour(plant)[1], dtype=float).reshape(-1, 2)
 
 
 def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:
@@ -502,11 +510,3 @@ def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:
 def _resolvent(den: tuple[float, ...], s: complex, den_s) -> np.ndarray:
     """``h_of_jw``'s resolvent at s from den(s) = ``den_s``."""
     return s ** np.arange(len(den) - 1) * (den[0] / den_s)
-
-
-def _polar(h: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """|h|, sin(arg h) and cos(arg h) as tuples of floats, by ``np.abs``,
-    ``np.angle``, ``np.sin`` and ``np.cos``: the factors of a cycle's
-    ellipse (``cycles.ellipse_estimate``)."""
-    ph = np.angle(h)
-    return tuple(np.abs(h).tolist()), tuple(np.sin(ph).tolist()), tuple(np.cos(ph).tolist())

@@ -180,9 +180,8 @@ class PiecewiseNonlinearity:
     def _f_scan(self):
         """``cycles.find_intersections``' table of F on its default amplitude
         grid and its run index (``cycles._scan_table``), which no gain
-        margin changes: kept on
-        the map, built on first use, and rebuilt (raising again) while the
-        build fails."""
+        margin changes: kept on the map, built on first use, and rebuilt
+        (raising again) while the build fails."""
         from .cycles import _scan_table
 
         return _scan_table(self)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity, cli, cycles, descfun, phase_crossovers
 from dfcycle.cli import MAX_POINTS, main
+from dfcycle.linsys import OMEGA_RANGE
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
 NL_B = {"x": [3, 6, 10, 19], "y": [3, 3, 10, 10]}
@@ -511,6 +512,10 @@ class TestNyquist:
             assert w2 == w1
             assert re2 == pytest.approx(2.0 * re1, rel=1e-12)
             assert im2 == pytest.approx(2.0 * im1, rel=1e-12)
+
+    def test_default_range_is_the_analysis_range(self):
+        [option] = [p for p in cli.cmd_nyquist.params if p.name == "omega_range"]
+        assert option.default is OMEGA_RANGE
 
     def test_invalid_range_exits_2(self, runner, tmp_path):
         plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 1.0})

@@ -250,8 +250,8 @@ class TestEllipse:
         np.testing.assert_allclose(xq, (Y1 * H).real, rtol=1e-12, atol=1e-15)
 
     def test_has_the_bits_of_the_array_products(self):
-        # the products in Python floats against Y1 |H| sin(arg H) and
-        # Y1 |H| cos(arg H) as arrays, overflows and NaNs included
+        # the products in Python floats against Y1 Im H and Y1 Re H as
+        # arrays, overflows and NaNs included
         rng = random.Random(11)
         checked = 0
         for _ in range(400):
@@ -265,8 +265,7 @@ class TestEllipse:
             except linsys.PoleOnAxisError:
                 continue
             with np.errstate(all="ignore"):
-                amp, ph = Y1 * np.abs(h), np.angle(h)
-                want = amp * np.sin(ph), amp * np.cos(ph)
+                want = Y1 * h.imag, Y1 * h.real
                 got = ellipse_estimate(plant, omega, Y1)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (plant, omega, Y1)
@@ -367,7 +366,7 @@ def assert_public_crossings_are_analyzes(plant, nl):
     the bits of ``analyze``'s crossovers and of its contour, as the
     benchmark's traced op, which makes the public calls, relies on."""
     rows, table, _ = _contour(plant)
-    assert nyquist_contour(plant).tobytes() == table.tobytes()
+    assert nyquist_contour(plant).tolist() == [list(row) for row in table]
     crossings = phase_crossovers(plant, OMEGA_RANGE)
     assert crossings == [(w, km) for w, km, _ in rows]
     assert crossings == [(co.omega, co.gain_margin) for co in analyze(plant, nl)]
@@ -435,10 +434,10 @@ def test_analyze_equals_its_public_parts(e):
 
 def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, nl_b):
     # on a warm memo and a kept table, the work per K and per cycle runs in
-    # Python floats: no h_of_jw, _polar, np.angle or np.sign call beyond the
-    # contour's own (the angle of its arc at poles at the origin); and the
-    # cycles keep the bits of classify, df_value(nl, X) * X and
-    # ellipse_estimate, which the benchmark's traced op composes
+    # Python floats, and the contour's arc and chord in closed form: no
+    # h_of_jw, np.angle, np.exp or np.sign call at all; and the cycles keep
+    # the bits of classify, df_value(nl, X) * X and ellipse_estimate, which
+    # the benchmark's traced op composes
     rng = random.Random(77)
     cases = [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)]
     cases += [(plant_b(k), nl_b) for k in (5.0, 15.0, 30.0, -15.0)]
@@ -480,16 +479,13 @@ def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, n
         outcome(analyze, plant, nl)  # warms the memo and the table
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "angle", counted("angle", np.angle))
+            mp.setattr(np, "exp", counted("exp", np.exp))
             mp.setattr(np, "sign", counted("sign", np.sign))
             for module in (cycles, linsys):
                 mp.setattr(module, "h_of_jw", counted("h_of_jw", module.h_of_jw))
-                mp.setattr(module, "_polar", counted("_polar", module._polar))
-            calls.clear()
-            _contour(plant)
-            contour_calls = list(calls)
             calls.clear()
             got = outcome(analyze, plant, nl)
-        assert calls == contour_calls, (plant, nl, calls)
+        assert calls == [], (plant, nl, calls)
         assert repr(got) == repr(want), (plant, nl)
         if isinstance(got, list):
             n_cycles += sum(len(co.cycles) for co in got)

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -324,6 +325,22 @@ class TestContour:
         # |G(j 0.001)| is finite, ten times it is not
         with pytest.raises(PoleOnAxisError, match=r"^the Nyquist contour is not finite"):
             nyquist_contour(plant_b(1e305))
+
+    @pytest.mark.parametrize("a", [1e2, 1e8, 1e12, 1e16])
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_chord_next_to_the_axis(self, a, k):
+        # G = a / (s^2 (s + a)) at omega_min lies about 1e3 / a of |G| off
+        # the negative real axis; the chord from 10 conj(G) to G crosses the
+        # axis at (20/11) Re G, which an angle's rounding used to move
+        plant = LinearPlant(num=(a,), den=(1.0, a, 0.0, 0.0), k=k)
+        g = complex(plant.transfer(1j * OMEGA_RANGE[0]))
+        table = nyquist_contour(plant)
+        if k < 0:  # Re G > 0: the chord crosses right of the origin
+            assert table[:, 1].tolist() == [-1.0]  # the arc alone
+            return
+        assert table[:, 1].tolist() == [-1.0, -1.0, 1.0]  # arc, chord, segment
+        want = Fraction(20, 11) * Fraction(g.real)
+        assert abs(Fraction(table[1, 0]) - want) <= 4 * Fraction(math.ulp(float(want)))
 
     def test_keeps_lightly_damped_poles(self):
         # s^2 + 2e-6 s + 1: poles 1e-6 off the axis, relative
