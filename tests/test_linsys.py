@@ -329,9 +329,9 @@ class TestContour:
     @pytest.mark.parametrize("a", [1e2, 1e8, 1e12, 1e16])
     @pytest.mark.parametrize("k", [1.0, -1.0])
     def test_chord_next_to_the_axis(self, a, k):
-        # G = a / (s^2 (s + a)) at omega_min lies about 1e3 / a of |G| off
-        # the negative real axis; the chord from 10 conj(G) to G crosses the
-        # axis at (20/11) Re G, which an angle's rounding used to move
+        # G = a / (s^2 (s + a)) at omega_min lies about 1e-3 / a of |G| off
+        # the negative real axis, closer than an angle's rounding resolves;
+        # the chord from 10 conj(G) to G crosses the axis at (20/11) Re G
         plant = LinearPlant(num=(a,), den=(1.0, a, 0.0, 0.0), k=k)
         g = complex(plant.transfer(1j * OMEGA_RANGE[0]))
         table = nyquist_contour(plant)
