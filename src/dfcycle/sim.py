@@ -7,27 +7,38 @@ measured from zero crossings of the loop signal.
 
 The loop is linear apart from u = y(x), so one RK4 step folds into matrices
 built once per run: stage i reads x_i = R_i s + sum_{j<i} Cm_ij u_j, feeds
-u_i = y(x_i), and the step ends at s' = Phi s + G u.  On a linear piece
-y = m x + b the four stage inputs solve a unit lower-triangular system, so
-the step is an affine map of s.  A run of steps whose stages all stay on one
-piece is advanced by one product with that map's precomputed powers; only a
-step whose stages straddle a breakpoint is taken stage by stage.  Both are
-the same RK4 step, up to rounding.
+u_i = y(x_i), and the step ends at s' = Phi s + G u.  When stage i lies on a
+linear piece y = m_i x + b_i, the four stage inputs solve a unit
+lower-triangular system, so the step is an affine map of s for each pattern
+of pieces its stages lie on.  A run of steps whose stages all stay on one
+piece is advanced by one product with that map's precomputed powers; a step
+whose stages straddle a breakpoint is taken through its own pattern's map,
+in the same product as the run after it.  All are the same RK4 step, up to
+rounding.
 
 The pieces are the nonlinearity's signed line table ``nl.lines``, one entry
 per signed piece: its line and the half-open interval ``lo <= x < hi`` of the
-floats that lie on it.  A batch costs a fixed handful of NumPy calls,
-whatever its length: ``C s`` and one bisection of the table's starts find
-the piece; one matrix-vector product with the piece's run map writes the
-stage abscissae and states of up to ``RUN_STEPS`` steps straight into the
-trajectory's record; two comparisons with the piece's stacked bound vectors,
-an or and an argmax find the first element off its bounds: ``lo <= x < hi``
-on each stage abscissa, ``|s_i| <= DIVERGENCE_NORM`` on each state.  Each
-step's abscissae come before its state, so that element alone ends the
-batch: at a step that straddles a breakpoint, or at a state that diverges
-after an accepted step.  A straddling step costs one product with
-``[R; Phi]``, four bisections of the table in Python floats, and one product
-with G.
+floats that lie on it.  A product costs a fixed handful of NumPy calls,
+whatever its length: one matrix-vector product with a stacked map writes
+the stage abscissae and states of up to ``RUN_STEPS`` steps straight into
+the trajectory's record, reading [s, 1] from the record's row before them;
+two comparisons with the map's stacked bound vectors, an or and an argmax
+find the first element off its bounds: ``lo <= x < hi`` on each stage
+abscissa, ``|s_i| <= DIVERGENCE_NORM`` on each state.  Each step's
+abscissae come before its state, so that element alone ends the product: at
+a step that straddles a breakpoint, or at a state that diverges after an
+accepted step.
+
+At a straddling step the product has already computed the abscissa of its
+first stage off the piece, exactly, since the stages before it lie on the
+piece; one bisection of the table gives that stage's piece q, and the guess
+is that the later stages lie on q too.  The crossing map for (piece, stage,
+q) stacks that pattern's step, each stage row bounded by its own piece, in
+front of q's run map times that step, so the next product takes the
+straddling step and the run after it, and its bound test checks the guess.
+A crossing map is built at its pattern's second straddle in a run; the
+first, and a step whose guess fails, go stage by stage, each stage's line
+looked up in ``nl.lines`` as ``nl.evaluate`` does.
 """
 
 from __future__ import annotations
@@ -64,8 +75,9 @@ class SimResult:
     states: np.ndarray  # shape (len(t), order)
     x: np.ndarray  # loop signal fed to the nonlinearity
     verdict: str
-    full_steps: int  # steps that straddle a breakpoint, taken stage by stage
-    batches: int  # run-map products, each of up to RUN_STEPS steps on one piece
+    # steps that straddle a breakpoint, through a crossing map or stage by stage
+    full_steps: int
+    batches: int  # products with a run map or a crossing map
     amplitude: float | None = None
     frequency: float | None = None
 
@@ -96,20 +108,23 @@ def simulate(
     """Fixed-step RK4 integration of the closed loop from state x0.
 
     Every step is the classical RK4 step, folded into the matrices of
-    ``_folded_step``.  Each batch looks up the piece of y holding C s in the
-    signed line table ``nl.lines`` (one bisection of its starts), writes up
-    to ``RUN_STEPS`` steps on that piece into the trajectory with one product
-    by the piece's run map from ``_run_map`` (built the first time the piece
-    is visited), and tests them once against the map's bound vectors.  Only
-    the short last batch slices the map.  A step with a stage abscissa below
-    the piece's ``lo`` or at or above its ``hi`` straddles a breakpoint: the
-    batch ends before it, and it is taken stage by stage, each stage's line
-    looked up in ``nl.lines`` as ``nl.evaluate`` does, and counted in
-    ``full_steps``.  ``batches`` counts the products.
+    ``_folded_step`` and taken as the module docstring says.  A batch starts
+    on the piece holding C s (one bisection of ``nl.line_starts``) and takes
+    up to ``RUN_STEPS`` steps on it with one product by the piece's run map
+    from ``_run_map``, built at the piece's first visit.  A batch that ends
+    at its cap is followed by a product on the same piece, which looks the
+    piece up again only when its first stage abscissa is off it.  A step
+    that straddles a breakpoint ends the batch, and the next product is the
+    crossing map from ``_crossing_map`` for (piece, stage, q), built at that
+    guess's second straddle in the run; its first straddle, and a step whose
+    guess misses in the crossing map's first block, go through
+    ``_stage_by_stage``.  Only the short last product slices its map.
+    ``full_steps`` counts the straddling steps, however they were taken, and
+    ``batches`` the products.
 
     Divergence (a state component of magnitude above 1e8) truncates the run
-    with a ``diverged`` verdict; the same bound test finds it in a batch.  A
-    NaN state passes every bound test, so one check after the loop ends a
+    with a ``diverged`` verdict; the same bound test finds it in a product.
+    A NaN state passes every bound test, so one check after the loop ends a
     run whose last state is not finite ``diverged`` at its first such state.
     Otherwise the trailing half of the trajectory decides between
     ``sustained_oscillation`` (with measured amplitude and frequency) and
@@ -133,82 +148,91 @@ def simulate(
 
     R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
     R_Phi = np.vstack([R, Phi])
+    c = tuple(Cm[np.tril_indices(4, -1)].tolist())
     lines, starts = nl.lines, nl.line_starts
-    piece_maps: list = [None] * len(lines)
-    _, (c10, *_), (c20, c21, *_), (c30, c31, c32, _) = Cm.tolist()
+    run_maps: list = [None] * len(lines)
+    # (piece, stage, q) -> crossing map; None after the pattern's first straddle
+    crossings: dict = {}
 
     steps = int(round(T / dt))
-    width = n + 4
-    # row k: the four stage abscissae of step k, then the state after it;
-    # a batch's product is written here, so its accepted states stay in place
+    width = n + 5
+    # row k: the four stage abscissae of step k, the state after it and 1; a
+    # product reads [s, 1] from a row and writes its steps, each with its 1,
+    # into the rows after it, so their accepted states stay in place
     rows = np.empty((steps + 1, width))
-    flat, traj = rows.reshape(-1), rows[:, 4:]
+    rows[0, -1] = 1.0
+    flat, traj = rows.reshape(-1), rows[:, 4:-1]
     traj[0] = x0
-    affine = np.ones(n + 1)  # [s, 1]
-    s = affine[:n]
-    off_all = np.empty(RUN_STEPS * width, dtype=bool)
-    above_all = np.empty_like(off_all)
-    r = np.empty(width)  # a straddling step's [R; Phi] s
-    r_stages, r_state = r[:4], r[4:]
-    u = np.empty(4)
-    Gu = np.empty(n)
+
+    def run_map(piece: int):
+        maps = run_maps[piece]
+        if maps is None:
+            maps = run_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
+        return maps
+
+    piece = bisect_right(starts, float(C_loop.dot(x0))) - 1
+    maps = run_map(piece)
+    # lead: 1 when the map's first block is a straddling step, 0 for a run
+    # map; looked_up: the piece was just found from C s, so the batch's first
+    # step starting off it is a straddle
+    lead, looked_up = 0, True
     k = 0
     full_steps = batches = 0
     diverged = False
     while k < steps:
-        s[:] = traj[k]
-        piece = bisect_right(starts, float(C_loop.dot(s))) - 1
-        maps = piece_maps[piece]
-        if maps is None:
-            maps = piece_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
-        run_map, low, high = maps
-        todo = steps - k
-        if todo >= RUN_STEPS:
-            todo, off, above = RUN_STEPS, off_all, above_all
-        else:  # the short last batch
-            size = todo * width
-            run_map, low, high = run_map[:size], low[:size], high[:size]
-            off, above = off_all[:size], above_all[:size]
-        out = flat[(k + 1) * width : (k + 1 + todo) * width]
-        run_map.dot(affine, out)
+        matrix, low, high = maps
+        size = len(low)
+        out = flat[(k + 1) * width : (k + 1) * width + size]
+        if len(out) < size:  # the short last product
+            size = len(out)
+            matrix, low, high = matrix[:size], low[:size], high[:size]
+        matrix.dot(flat[k * width + 4 : (k + 1) * width], out)
         batches += 1
-        # the first stage abscissa off [lo, hi) or state past the norm
-        np.less(out, low, off)
-        np.greater_equal(out, high, above)
-        off |= above
+        # the first stage abscissa off its piece or state past the norm
+        off = out < low
+        off |= out >= high
         first = int(off.argmax())
-        run, row = divmod(first, width)
         if not off.item(first):
-            run = todo
-        elif row >= 4:  # step run + 1 stays on the piece, and its state diverges
+            k += size // width
+            maps, lead, looked_up = run_map(piece), 0, False
+            continue
+        run, row = divmod(first, width)
+        if row >= 4:  # step run + 1 stays on its pieces, and its state diverges
             k += run + 1
             diverged = True
             break
         k += run
-        if run < todo:
-            # step k + 1 straddles a breakpoint: stage by stage, each stage's
-            # line looked up in nl.lines as nl.evaluate does
-            R_Phi.dot(traj[k], r)
-            r0, r1, r2, r3 = r_stages.tolist()
-            _, _, a, b, m = lines[bisect_right(starts, r0) - 1]
-            u0 = b + m * (r0 - a)
-            x = r1 + c10 * u0
-            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-            u1 = b + m * (x - a)
-            x = r2 + (c20 * u0 + c21 * u1)
-            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-            u2 = b + m * (x - a)
-            x = r3 + (c30 * u0 + c31 * u1 + c32 * u2)
-            _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-            u3 = b + m * (x - a)
-            u[:] = u0, u1, u2, u3
+        x = out.item(first)  # stage `row` of step k + 1
+        if row == 0 and run == lead and not looked_up:
+            # the batch's first step starts on another piece: not a straddle
+            piece = bisect_right(starts, x) - 1
+            maps, lead, looked_up = run_map(piece), 0, True
+            continue
+        if run or not lead:
+            # step k + 1 straddles a breakpoint; the stages before `row` lie
+            # on the piece, so x is the stage's abscissa: guess that it and
+            # the stages after it lie on its piece
             full_steps += 1
-            k += 1
-            state = traj[k]
-            np.add(r_state, G.dot(u, Gu), state)
-            if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
-                diverged = True
-                break
+            q = bisect_right(starts, x) - 1
+            key = (piece, row, q)
+            if key in crossings:
+                maps = crossings[key]
+                if maps is None:
+                    pattern = (lines[piece],) * row + (lines[q],) * (4 - row)
+                    maps = crossings[key] = _crossing_map(R, Cm, Phi, G, pattern, run_map(q))
+                piece, lead, looked_up = q, 1, False
+                continue
+            crossings[key] = None
+        # the pattern's first straddle, or a step, counted already, whose
+        # guess missed in the crossing map's first block
+        k += 1
+        state = traj[k]
+        _stage_by_stage(R_Phi, G, c, lines, starts, traj[k - 1], state)
+        if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
+            diverged = True
+            break
+        piece = bisect_right(starts, float(C_loop.dot(state))) - 1
+        maps, lead, looked_up = run_map(piece), 0, True
     if not np.isfinite(traj[k]).all():
         # a NaN passes the bound tests, and every state after it is NaN
         k = int(np.flatnonzero(~np.isfinite(traj[: k + 1]).all(axis=1))[0])
@@ -228,6 +252,30 @@ def simulate(
     return SimResult(
         t, traj, x, SUSTAINED, full_steps, batches, amplitude=amp, frequency=freq
     )
+
+
+def _stage_by_stage(R_Phi, G, c, lines, starts, s, state) -> None:
+    """Write the RK4 step from ``s`` into ``state``, taken stage by stage.
+
+    Each stage's line is looked up in the signed line table ``lines`` as
+    ``nl.evaluate`` does; ``c`` is the strict lower triangle of the folded
+    step's ``Cm``, row by row, and ``R_Phi`` stacks its R and Phi.
+    """
+    r = R_Phi.dot(s)
+    r0, r1, r2, r3 = r[:4].tolist()
+    c10, c20, c21, c30, c31, c32 = c
+    _, _, a, b, m = lines[bisect_right(starts, r0) - 1]
+    u0 = b + m * (r0 - a)
+    x = r1 + c10 * u0
+    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+    u1 = b + m * (x - a)
+    x = r2 + (c20 * u0 + c21 * u1)
+    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+    u2 = b + m * (x - a)
+    x = r3 + (c30 * u0 + c31 * u1 + c32 * u2)
+    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
+    u3 = b + m * (x - a)
+    np.add(r[4:], G.dot((u0, u1, u2, u3)), state)
 
 
 def _folded_step(
@@ -255,52 +303,101 @@ def _folded_step(
     return x[:, :n], x[:, n:], end[:, :n], end[:, n:]
 
 
+def _step(R, Cm, Phi, G, pattern: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(stages, step): one RK4 step whose stage i lies on the line ``pattern[i]``.
+
+    ``pattern`` holds four entries of ``nl.lines``.  On the lines
+    y = m_i x + b_i the stage inputs solve
+    ``(I - diag(m) Cm) u = diag(m) R s + b``, a unit lower-triangular system,
+    so u = U s + v and the step is the affine map ``s' = (Phi + G U) s + G v``.
+    ``step`` is that map on [s, 1], and ``stages``, applied to [s, 1], gives
+    the four stage abscissae.
+    """
+    n = Phi.shape[0]
+    U = np.empty((4, n))
+    v = np.empty(4)
+    for i, (_, _, x0, y0, m) in enumerate(pattern):
+        c = Cm[i, :i]
+        U[i] = m * (R[i] + c.dot(U[:i]))
+        v[i] = (y0 - m * x0) + m * c.dot(v[:i])
+    step = np.zeros((n + 1, n + 1))
+    np.add(Phi, G.dot(U), step[:n, :n])
+    step[:n, n] = G.dot(v)
+    step[n, n] = 1.0
+    stages = np.empty((4, n + 1))
+    np.add(R, Cm.dot(U), stages[:, :n])
+    stages[:, n] = Cm.dot(v)
+    return stages, step
+
+
+def _bounds(pattern: tuple, n: int) -> np.ndarray:
+    """[low, high] of one step's block: its stages on their pieces of ``pattern``.
+
+    ``low <= block @ [s, 1] < high`` row by row holds where stage i's
+    abscissa lies within ``pattern[i]``'s [lo, hi) and each state component,
+    and the 1 after them, within ``DIVERGENCE_NORM``.
+    """
+    above = math.nextafter(DIVERGENCE_NORM, math.inf)
+    return np.array([
+        [line[0] for line in pattern] + [-DIVERGENCE_NORM] * (n + 1),
+        [line[1] for line in pattern] + [above] * (n + 1),
+    ])
+
+
 def _run_map(
     R, Cm, Phi, G, line: tuple[float, float, float, float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(map, low, high): 1..RUN_STEPS steps on the piece ``line`` of ``nl.lines``.
 
-    On the piece y = m x + b the stage inputs solve ``(I - m Cm) u = m R s + b``,
-    a unit lower-triangular system, so u = U s + v and one step is the affine
-    map ``s' = (Phi + G U) s + G v``.  Row block k of ``map`` (of n + 4 rows),
-    applied to [s, 1], gives the four stage abscissae of step k + 1 and then
-    the state after it.  ``low <= map @ [s, 1] < high`` row by row holds where
-    each stage abscissa lies within the piece's [lo, hi) and each state within
-    ``DIVERGENCE_NORM``.
+    Row block k of ``map`` (of n + 5 rows), applied to [s, 1], gives the four
+    stage abscissae of step k + 1, then the state after it and 1: the
+    powers of ``_step``'s map with every stage on ``line``.  ``low`` and
+    ``high`` repeat ``_bounds`` for each block.
     """
-    lo, hi, x0, y0, m = line
-    b = y0 - m * x0
-    n = Phi.shape[0]
-    U = np.empty((4, n))
-    v = np.empty(4)
-    for i in range(4):
-        U[i] = m * (R[i] + Cm[i, :i].dot(U[:i]))
-        v[i] = b + m * Cm[i, :i].dot(v[:i])
-    step = np.eye(n + 1)
-    step[:n, :n] = Phi + G.dot(U)
-    step[:n, n] = G.dot(v)
-    stages = np.hstack([R + Cm.dot(U), Cm.dot(v)[:, None]])
-    powers = np.empty((RUN_STEPS + 1, n + 1, n + 1))
-    powers[0] = np.eye(n + 1)
+    stages, step = _step(R, Cm, Phi, G, (line,) * 4)
+    n1 = len(step)
+    powers = np.empty((RUN_STEPS + 1, n1, n1))
+    powers[0] = np.eye(n1)
     chain = list(powers)
     for power, following in zip(chain, chain[1:]):
         step.dot(power, following)
-    blocks = np.empty((RUN_STEPS, n + 4, n + 1))
+    blocks = np.empty((RUN_STEPS, n1 + 4, n1))
     np.matmul(stages, powers[:-1], out=blocks[:, :4])
-    blocks[:, 4:] = powers[1:, :n]
-    above = math.nextafter(DIVERGENCE_NORM, math.inf)
-    bounds = np.empty((2, RUN_STEPS, n + 4))
-    bounds[:] = np.array([[lo] * 4 + [-DIVERGENCE_NORM] * n, [hi] * 4 + [above] * n])[:, None]
-    low, high = bounds.reshape(2, -1)
-    return blocks.reshape(-1, n + 1), low, high
+    blocks[:, 4:] = powers[1:]
+    low, high = np.tile(_bounds((line,) * 4, n1 - 1), RUN_STEPS)
+    return blocks.reshape(-1, n1), low, high
+
+
+def _crossing_map(
+    R, Cm, Phi, G, pattern: tuple, tail: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(map, low, high): a straddling step, then the run ``tail`` after it.
+
+    Block 0 is ``_step``'s map for ``pattern``, each stage row bounded by its
+    own piece; the blocks after it are those of the run map ``tail`` (from
+    ``_run_map``) times that step.  So one product from [s, 1] takes the
+    straddling step and up to ``RUN_STEPS`` steps after it, in
+    ``RUN_STEPS + 1`` blocks.
+    """
+    stages, step = _step(R, Cm, Phi, G, pattern)
+    run_map, low, high = tail
+    n1 = len(step)
+    matrix = np.empty((n1 + 4 + len(run_map), n1))
+    matrix[:4] = stages
+    matrix[4 : n1 + 4] = step
+    np.matmul(run_map, step, out=matrix[n1 + 4 :])
+    first_low, first_high = _bounds(pattern, n1 - 1)
+    return matrix, np.concatenate([first_low, low]), np.concatenate([first_high, high])
 
 
 def measure_oscillation(t: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:
     """Amplitude and angular frequency of a sustained oscillation, or None.
 
     The first half of the record is discarded as transient; the second half
-    is the analysis window.  Zero crossings are located by linear
-    interpolation; the mean rising-to-rising gap gives the period.
+    is the analysis window.  A zero crossing is a change of sign bit between
+    two samples, so a sample of 0.0 counts as positive and one of -0.0 as
+    negative; its instant is located by linear interpolation, and the mean
+    rising-to-rising gap gives the period.
     Returns None when there are too few crossings or the half peak-to-peak
     amplitude drifts more than ``DRIFT_TOL`` between the two halves of the
     window.
@@ -315,15 +412,17 @@ def measure_oscillation(t: np.ndarray, x: np.ndarray) -> tuple[float, float] | N
         return None
     tw, xw = t[sel], x[sel]
 
-    sign = np.sign(xw)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    negative = np.signbit(xw)
+    flips = np.nonzero(negative[:-1] != negative[1:])[0]
     if len(flips) < MIN_CROSSINGS:
         return None
-    # linear interpolation of each crossing instant
-    tc = tw[flips] - xw[flips] * (tw[flips + 1] - tw[flips]) / (
-        xw[flips + 1] - xw[flips]
-    )
-    rising = tc[xw[flips] < 0]
+    # linear interpolation of each crossing instant; from -0.0 to 0.0 it is
+    # the first sample's
+    x0, x1 = xw[flips], xw[flips + 1]
+    shift = np.divide(x0 * (tw[flips + 1] - tw[flips]), x1 - x0,
+                      out=np.zeros(len(flips)), where=x1 != x0)
+    tc = tw[flips] - shift
+    rising = tc[negative[flips]]
     if len(rising) < 2:
         return None
     period = float(np.mean(np.diff(rising)))

@@ -243,3 +243,24 @@ class TestMeasurement:
     def test_flat_signal_rejected(self):
         t = np.linspace(0.0, 10.0, 1001)
         assert measure_oscillation(t, np.full_like(t, 1e-12)) is None
+
+    @staticmethod
+    def triangle(zero: float, repeats: int = 40):
+        # 0, 1, 2, 1, 0, -1, -2, -1 at step 0.1: every crossing lands on a sample
+        x = np.tile([zero, 1.0, 2.0, 1.0, zero, -1.0, -2.0, -1.0], repeats)
+        return np.arange(len(x)) * 0.1, x
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_crossings_on_a_sample_are_counted(self, zero):
+        t, x = self.triangle(zero)
+        amp, freq = measure_oscillation(t, x)
+        shifted = measure_oscillation(t, x + 1e-9)
+        assert amp == 2.0 and freq == pytest.approx(2.0 * math.pi / 0.8, rel=1e-12)
+        assert freq == pytest.approx(shifted[1], rel=1e-12)
+
+    def test_crossing_from_minus_zero_to_zero(self):
+        # each period rises once, from -0.0 to 0.0, at the first of the two
+        x = np.tile([-1.0, -0.0, 0.0, 1.0, 2.0, 1.0, 0.0, -1.0], 40)
+        t = np.arange(len(x)) * 0.1
+        amp, freq = measure_oscillation(t, x)
+        assert amp == 1.5 and freq == pytest.approx(2.0 * math.pi / 0.8, rel=1e-12)
