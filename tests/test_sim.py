@@ -244,15 +244,11 @@ class TestMeasurement:
         t = np.linspace(0.0, 10.0, 1001)
         assert measure_oscillation(t, np.full_like(t, 1e-12)) is None
 
-    @staticmethod
-    def triangle(zero: float, repeats: int = 40):
-        # 0, 1, 2, 1, 0, -1, -2, -1 at step 0.1: every crossing lands on a sample
-        x = np.tile([zero, 1.0, 2.0, 1.0, zero, -1.0, -2.0, -1.0], repeats)
-        return np.arange(len(x)) * 0.1, x
-
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_crossings_on_a_sample_are_counted(self, zero):
-        t, x = self.triangle(zero)
+        # 0, 1, 2, 1, 0, -1, -2, -1 at step 0.1: every crossing lands on a sample
+        x = np.tile([zero, 1.0, 2.0, 1.0, zero, -1.0, -2.0, -1.0], 40)
+        t = np.arange(len(x)) * 0.1
         amp, freq = measure_oscillation(t, x)
         shifted = measure_oscillation(t, x + 1e-9)
         assert amp == 2.0 and freq == pytest.approx(2.0 * math.pi / 0.8, rel=1e-12)
