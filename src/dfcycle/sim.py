@@ -36,9 +36,10 @@ is that the later stages lie on q too.  The crossing map for (piece, stage,
 q) stacks that pattern's step, each stage row bounded by its own piece, in
 front of q's run map times that step, so the next product takes the
 straddling step and the run after it, and its bound test checks the guess.
-A crossing map is built at its pattern's second straddle in a run; the
-first, and a step whose guess fails, go stage by stage, each stage's line
-looked up in ``nl.lines`` as ``nl.evaluate`` does.
+A crossing map is built at its pattern's first straddle in a run.  A step
+whose guess fails goes stage by stage, each stage's line looked up in
+``nl.lines`` as ``nl.evaluate`` does, and so do the pattern's later
+straddles in the run.
 """
 
 from __future__ import annotations
@@ -108,17 +109,19 @@ def simulate(
     """Fixed-step RK4 integration of the closed loop from state x0.
 
     Every step is the classical RK4 step, folded into the matrices of
-    ``_folded_step`` and taken as the module docstring says.  A batch starts
-    on the piece holding C s (one bisection of ``nl.line_starts``) and takes
-    up to ``RUN_STEPS`` steps on it with one product by the piece's run map
-    from ``_run_map``, built at the piece's first visit.  A batch that ends
-    at its cap is followed by a product on the same piece, which looks the
-    piece up again only when its first stage abscissa is off it.  A step
-    that straddles a breakpoint ends the batch, and the next product is the
-    crossing map from ``_crossing_map`` for (piece, stage, q), built at that
-    guess's second straddle in the run; its first straddle, and a step whose
-    guess misses in the crossing map's first block, go through
-    ``_stage_by_stage``.  Only the short last product slices its map.
+    ``_folded_step`` and taken as the module docstring says.  The first
+    product starts on the piece holding C x0 (one bisection of
+    ``nl.line_starts``) and takes up to ``RUN_STEPS`` steps on it by the
+    piece's run map from ``_run_map``, built at the piece's first visit.
+    Each product after it goes on with the piece it ended on; where its
+    first step starts off that piece, it stops there, and the next product
+    takes the piece of that step's first stage abscissa, C s: not a
+    straddle.  A step that straddles a breakpoint ends the product, and the
+    next product is the crossing map from ``_crossing_map`` for (piece,
+    stage, q), built at that guess's first straddle in the run.  A step
+    whose guess misses in the crossing map's first block goes through
+    ``_stage_by_stage``, and so do the guess's later straddles in the run.
+    Only the short last product slices its map.
     ``full_steps`` counts the straddling steps, however they were taken, and
     ``batches`` the products.
 
@@ -151,7 +154,7 @@ def simulate(
     c = tuple(Cm[np.tril_indices(4, -1)].tolist())
     lines, starts = nl.lines, nl.line_starts
     run_maps: list = [None] * len(lines)
-    # (piece, stage, q) -> crossing map; None after the pattern's first straddle
+    # (piece, stage, q) -> crossing map; None once its guess has missed
     crossings: dict = {}
 
     steps = int(round(T / dt))
@@ -170,17 +173,16 @@ def simulate(
             maps = run_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
         return maps
 
+    # the crossing map the next product takes, or None for the run map of
+    # the piece
+    crossing = None
     piece = bisect_right(starts, float(C_loop.dot(x0))) - 1
-    maps = run_map(piece)
-    # lead: 1 when the map's first block is a straddling step, 0 for a run
-    # map; looked_up: the piece was just found from C s, so the batch's first
-    # step starting off it is a straddle
-    lead, looked_up = 0, True
     k = 0
     full_steps = batches = 0
     diverged = False
     while k < steps:
-        matrix, low, high = maps
+        lead = crossing is not None  # the first block is a straddling step
+        matrix, low, high = crossing if lead else run_map(piece)
         size = len(low)
         out = flat[(k + 1) * width : (k + 1) * width + size]
         if len(out) < size:  # the short last product
@@ -194,7 +196,7 @@ def simulate(
         first = int(off.argmax())
         if not off.item(first):
             k += size // width
-            maps, lead, looked_up = run_map(piece), 0, False
+            crossing = None
             continue
         run, row = divmod(first, width)
         if row >= 4:  # step run + 1 stays on its pieces, and its state diverges
@@ -202,37 +204,34 @@ def simulate(
             diverged = True
             break
         k += run
-        x = out.item(first)  # stage `row` of step k + 1
-        if row == 0 and run == lead and not looked_up:
-            # the batch's first step starts on another piece: not a straddle
-            piece = bisect_right(starts, x) - 1
-            maps, lead, looked_up = run_map(piece), 0, True
+        q = bisect_right(starts, out.item(first)) - 1
+        if row == 0 and run == lead:
+            # the run after the lead starts on another piece: not a straddle
+            piece, crossing = q, None
             continue
         if run or not lead:
             # step k + 1 straddles a breakpoint; the stages before `row` lie
-            # on the piece, so x is the stage's abscissa: guess that it and
-            # the stages after it lie on its piece
+            # on the piece, so this is the stage's abscissa: guess that it
+            # and the stages after it lie on its piece q
             full_steps += 1
-            q = bisect_right(starts, x) - 1
             key = (piece, row, q)
-            if key in crossings:
-                maps = crossings[key]
-                if maps is None:
-                    pattern = (lines[piece],) * row + (lines[q],) * (4 - row)
-                    maps = crossings[key] = _crossing_map(R, Cm, Phi, G, pattern, run_map(q))
-                piece, lead, looked_up = q, 1, False
+            if key not in crossings:
+                pattern = (lines[piece],) * row + (lines[q],) * (4 - row)
+                crossings[key] = _crossing_map(R, Cm, Phi, G, pattern, run_map(q))
+            crossing, piece = crossings[key], q
+            if crossing is not None:
                 continue
+        else:
+            # the guess missed in the crossing map's first block, on a step
+            # counted already: that pattern goes stage by stage from now on
             crossings[key] = None
-        # the pattern's first straddle, or a step, counted already, whose
-        # guess missed in the crossing map's first block
         k += 1
         state = traj[k]
         _stage_by_stage(R_Phi, G, c, lines, starts, traj[k - 1], state)
         if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
             diverged = True
             break
-        piece = bisect_right(starts, float(C_loop.dot(state))) - 1
-        maps, lead, looked_up = run_map(piece), 0, True
+        crossing = None
     if not np.isfinite(traj[k]).all():
         # a NaN passes the bound tests, and every state after it is NaN
         k = int(np.flatnonzero(~np.isfinite(traj[: k + 1]).all(axis=1))[0])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,10 +109,10 @@ def reference_full_step(R, Cm, Phi, G, nl, s):
     return Phi @ s + G @ np.array(u), abscissae
 
 
-def reference_simulate(plant, nl, along, T, dt):
-    """(states, verdict, full_steps) of the labelling loop along another run.
+def reference_simulate(plant, nl, x0, T, dt, along=None):
+    """(states, verdict, full_steps) of the labelling loop from x0.
 
-    ``along`` holds the states of a run from along[0].  Each batch and each
+    With ``along``, the states of another run from x0, each batch and each
     straddling step starts from along's state at its step, while along has
     one, and from the loop's own after that, so the loop's decisions and
     states are checked a batch at a time along that run.  On a loop parked
@@ -127,7 +128,9 @@ def reference_simulate(plant, nl, along, T, dt):
 
     steps = int(round(T / dt))
     traj = np.empty((steps + 1, n))
-    traj[0] = along[0]
+    traj[0] = x0
+    if along is None:
+        along = traj[:1]
 
     def start(k):
         return along[k] if k < len(along) else traj[k]
@@ -170,9 +173,12 @@ def reference_simulate(plant, nl, along, T, dt):
     return traj, CONVERGED if measured is None else SUSTAINED, full_steps
 
 
-def assert_matches_reference(plant, nl, x0, T, dt):
+def assert_matches_reference(plant, nl, x0, T, dt, along=False):
+    """``simulate``'s run against the labelling loop from x0, or along the run."""
     res = simulate(plant, nl, x0, T, dt)
-    states, verdict, full_steps = reference_simulate(plant, nl, res.states, T, dt)
+    states, verdict, full_steps = reference_simulate(
+        plant, nl, x0, T, dt, res.states if along else None
+    )
     assert res.verdict == verdict
     assert len(res.t) == len(states)
     assert res.full_steps == full_steps
@@ -245,9 +251,9 @@ def test_crossing_maps_take_the_labelled_full_step(
 
 
 def test_missed_guesses_go_stage_by_stage(monkeypatch):
-    # every crossing map guesses its last stage on the wrong piece, so each
-    # of its products misses in its first block, and every straddling step
-    # is taken stage by stage
+    # every crossing map guesses its last stage on the wrong piece, so its
+    # one product misses in its first block, and every straddling step is
+    # taken stage by stage
     plant, nl = plant_b(30.0), NL_B
     built, fallbacks = [], []
     crossing_map, stage_by_stage = sim._crossing_map, sim._stage_by_stage
@@ -266,6 +272,13 @@ def test_missed_guesses_go_stage_by_stage(monkeypatch):
     x0, T, dt = cycle_start(plant, nl, 0.5, 20)
     res = assert_matches_reference(plant, nl, x0, T, dt)
     assert len(built) > 0 and len(fallbacks) == res.full_steps > len(built)
+    # the same run with no crossing map (None marks a missed guess) takes
+    # every product but the missed ones: a guess that missed is not tried
+    # again
+    monkeypatch.setattr(sim, "_crossing_map", lambda *args: None)
+    plain = simulate(plant, nl, x0, T, dt)
+    assert np.array_equal(plain.states, res.states)
+    assert res.batches == plain.batches + len(built)
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
@@ -280,15 +293,52 @@ def test_relay_from_zero_loop_signal_matches_reference(first):
     assert res.full_steps > 0
 
 
+def exact_rk4(plant, nl, x0, steps, h):
+    """States of ``steps`` RK4 steps of the closed loop from x0, in rationals.
+
+    y is evaluated on ``nl.pieces``: odd, and the right limit at a jump.
+    """
+    A, B, C_loop = (np.vectorize(Fraction)(a).tolist() for a in loop_matrices(plant))
+    xs, ys, slopes = ([Fraction(v) for v in vs] for vs in nl.pieces)
+
+    def y(x):
+        i = sum(end <= abs(x) for end in xs[1:])
+        v = ys[i] + slopes[i] * (abs(x) - xs[i])
+        return -v if x < 0 else v
+
+    def slope(s):
+        u = y(sum(c * v for c, v in zip(C_loop, s)))
+        return [sum(a * v for a, v in zip(row, s)) + b * u for row, b in zip(A, B)]
+
+    h = Fraction(h)
+    s = [Fraction(v) for v in x0]
+    states = [s]
+    for _ in range(steps):
+        k1 = slope(s)
+        k2 = slope([v + h / 2 * d for v, d in zip(s, k1)])
+        k3 = slope([v + h / 2 * d for v, d in zip(s, k2)])
+        k4 = slope([v + h * d for v, d in zip(s, k3)])
+        s = [v + h / 6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip(s, k1, k2, k3, k4)]
+        states.append(s)
+    return np.array(states, dtype=float)
+
+
 @pytest.mark.parametrize("start", [2.75, 3.0])
 def test_stage_exactly_on_a_jump_matches_reference(start):
     # a double integrator in a dead zone moves C s by exactly h per step, so
     # from 2.75 the last stage of the first step lands on the jump at 3, and
-    # from 3.0 the first stage starts on it
+    # from 3.0 the first stage starts on it.  From 2.75 the last stage of
+    # step 41 is -3 in rationals, on the saturated piece: ``simulate`` rounds
+    # it to -3.0000000000000004, the labelling loop to the dead zone's side,
+    # so that loop runs along ``simulate``'s states, and RK4 in rationals
+    # checks the run on its own
     plant = LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0))
     relay = PiecewiseNonlinearity(x=(3.0, 3.0), y=(0.0, 1.0), final_slope=0.0)
-    res = assert_matches_reference(plant, relay, [-start, -1.0], 25.0, 0.25)
+    x0 = [-start, -1.0]
+    res = assert_matches_reference(plant, relay, x0, 25.0, 0.25, along=True)
     assert res.full_steps > 0
+    exact = exact_rk4(plant, relay, x0, len(res.t) - 1, 0.25)
+    assert np.max(np.abs(res.states - exact)) <= STATE_TOL * np.max(np.abs(exact))
 
 
 @given(
@@ -307,7 +357,7 @@ def test_random_loops_match_reference(lags, k, seed, scale, zero):
     x0 = scale * np.random.default_rng(seed).standard_normal(plant.order)
     if zero is not None:
         x0[0] = zero  # C s is zero
-    assert_matches_reference(plant, nl, x0, 20.0, 0.01)
+    assert_matches_reference(plant, nl, x0, 20.0, 0.01, along=True)
 
 
 def unstable_loop():
@@ -359,12 +409,13 @@ def test_horizon_at_a_batch_edge_matches_reference(steps):
 
 def test_straddle_on_the_last_step_matches_reference():
     # the double integrator of the jump test: C s moves by h a step from
-    # -0.125, so the last stage of step 100 lands on the jump at 3
+    # -0.125, so the last stage of step 100 lands on the jump at 3; two full
+    # products, one that stops at step 100, and a crossing map's first block
     plant = LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0))
     relay = PiecewiseNonlinearity(x=(3.0, 3.0), y=(0.0, 1.0), final_slope=0.0)
     dt = 2.0**-5
     res = assert_matches_reference(plant, relay, [0.125, -1.0], 100 * dt, dt)
-    assert res.full_steps == 1 and res.batches == 3 and len(res.t) == 101
+    assert res.full_steps == 1 and res.batches == 4 and len(res.t) == 101
     assert np.all(res.x[:-1] < 3.0) and res.x[-2] + dt == 3.0
 
 
