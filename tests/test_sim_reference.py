@@ -10,11 +10,13 @@ separately on the accepted states, builds each run map by its own chain of
 products, and takes a straddling step through a generic stage loop, then
 starts a batch from the state after it.  ``simulate`` takes a straddling
 step through its stage pattern's map in front of the next batch, so the two
-round differently.  The reference runs along ``simulate``'s states, each
-batch from the state ``simulate`` reached: verdicts, step counts and
-straddling-step counts must be equal, states equal within ``STATE_TOL``.  A
-run with no straddling step runs the same products in the same order, so
-its states must be equal exactly.
+round differently.  The reference runs from x0 on its own: verdicts, step
+counts and straddling-step counts must be equal, states equal within
+``STATE_TOL``.  A run with no straddling step runs the same products in the
+same order, so its states must be equal exactly.  Where a stage lands on a
+jump and the two round it to either side, the runs part; there the
+reference runs along ``simulate``'s states, each batch from the state
+``simulate`` reached.
 """
 
 from __future__ import annotations
