@@ -6,11 +6,11 @@ or lock onto a sustained oscillation, whose amplitude and frequency are
 measured from zero crossings of the loop signal.
 
 The loop is linear apart from u = y(x), so one RK4 step folds into matrices
-built once per run: stage i reads x_i = R_i s + sum_{j<i} Cm_ij u_j, feeds
-u_i = y(x_i), and the step ends at s' = Phi s + G u.  When stage i lies on a
-linear piece y = m_i x + b_i, the four stage inputs solve a unit
-lower-triangular system, so the step is an affine map of s for each pattern
-of pieces its stages lie on.  A run of steps whose stages all stay on one
+built once per (plant, nl, dt): stage i reads
+x_i = R_i s + sum_{j<i} Cm_ij u_j, feeds u_i = y(x_i), and the step ends at
+s' = Phi s + G u.  When stage i lies on a linear piece y = m_i x + b_i, the
+four stage inputs solve a unit lower-triangular system, so the step is an
+affine map of s for each pattern of pieces its stages lie on.  A run of steps whose stages all stay on one
 piece is advanced by one product with that map's precomputed powers; a step
 whose stages straddle a breakpoint is taken through its own pattern's map,
 in the same product as the run after it.  All are the same RK4 step, up to
@@ -36,10 +36,15 @@ is that the later stages lie on q too.  The crossing map for (piece, stage,
 q) stacks that pattern's step, each stage row bounded by its own piece, in
 front of q's run map times that step, so the next product takes the
 straddling step and the run after it, and its bound test checks the guess.
-A crossing map is built at its pattern's first straddle in a run.  A step
-whose guess fails goes stage by stage, each stage's line looked up in
+A step whose guess fails goes stage by stage, each stage's line looked up in
 ``nl.lines`` as ``nl.evaluate`` does, and so do the pattern's later
 straddles in the run.
+
+The folded step, the run maps and the crossing maps are kept for the last
+(plant, nl, dt) simulated, each map built at its first use, so calls in a
+row on one loop, as a cycle's two runs are, share them.  A missed guess is
+not kept: the next call tries that crossing map again, so a call takes the
+same products whatever ran before it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,16 +118,17 @@ def simulate(
     ``_folded_step`` and taken as the module docstring says.  The first
     product starts on the piece holding C x0 (one bisection of
     ``nl.line_starts``) and takes up to ``RUN_STEPS`` steps on it by the
-    piece's run map from ``_run_map``, built at the piece's first visit.
+    piece's run map from ``_run_map``.
     Each product after it goes on with the piece it ended on; where its
     first step starts off that piece, it stops there, and the next product
     takes the piece of that step's first stage abscissa, C s: not a
     straddle.  A step that straddles a breakpoint ends the product, and the
     next product is the crossing map from ``_crossing_map`` for (piece,
-    stage, q), built at that guess's first straddle in the run.  A step
-    whose guess misses in the crossing map's first block goes through
-    ``_stage_by_stage``, and so do the guess's later straddles in the run.
-    Only the short last product slices its map.
+    stage, q).  The folded step and the maps come from ``_loop``, kept
+    across calls on one (plant, nl, dt), each map built at its first use.  A step whose guess misses in the crossing
+    map's first block goes through ``_stage_by_stage``, and so do the
+    guess's later straddles in the call.  Only the short last product
+    slices its map.
     ``full_steps`` counts the straddling steps, however they were taken, and
     ``batches`` the products.
 
@@ -149,13 +156,11 @@ def simulate(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"initial state must be finite, got {x0}")
 
-    R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
-    R_Phi = np.vstack([R, Phi])
-    c = tuple(Cm[np.tril_indices(4, -1)].tolist())
+    bits = np.concatenate([A.ravel(), B, C_loop, np.ravel(nl.lines)]).tobytes()
+    R_Phi, G, c, run_maps, crossings = _loop(n, dt, bits)
     lines, starts = nl.lines, nl.line_starts
-    run_maps: list = [None] * len(lines)
-    # (piece, stage, q) -> crossing map; None once its guess has missed
-    crossings: dict = {}
+    # (piece, stage, q) whose guess missed in this call: they go stage by stage
+    missed: set = set()
 
     steps = int(round(T / dt))
     width = n + 5
@@ -167,12 +172,6 @@ def simulate(
     flat, traj = rows.reshape(-1), rows[:, 4:-1]
     traj[0] = x0
 
-    def run_map(piece: int):
-        maps = run_maps[piece]
-        if maps is None:
-            maps = run_maps[piece] = _run_map(R, Cm, Phi, G, lines[piece])
-        return maps
-
     # the crossing map the next product takes, or None for the run map of
     # the piece
     crossing = None
@@ -182,7 +181,7 @@ def simulate(
     diverged = False
     while k < steps:
         lead = crossing is not None  # the first block is a straddling step
-        matrix, low, high = crossing if lead else run_map(piece)
+        matrix, low, high = crossing if lead else run_maps[piece]
         size = len(low)
         out = flat[(k + 1) * width : (k + 1) * width + size]
         if len(out) < size:  # the short last product
@@ -215,16 +214,14 @@ def simulate(
             # and the stages after it lie on its piece q
             full_steps += 1
             key = (piece, row, q)
-            if key not in crossings:
-                pattern = (lines[piece],) * row + (lines[q],) * (4 - row)
-                crossings[key] = _crossing_map(R, Cm, Phi, G, pattern, run_map(q))
-            crossing, piece = crossings[key], q
+            crossing = None if key in missed else crossings[key]
+            piece = q
             if crossing is not None:
                 continue
         else:
             # the guess missed in the crossing map's first block, on a step
             # counted already: that pattern goes stage by stage from now on
-            crossings[key] = None
+            missed.add(key)
         k += 1
         state = traj[k]
         _stage_by_stage(R_Phi, G, c, lines, starts, traj[k - 1], state)
@@ -251,6 +248,54 @@ def simulate(
     return SimResult(
         t, traj, x, SUSTAINED, full_steps, batches, amplitude=amp, frequency=freq
     )
+
+
+@lru_cache(maxsize=1)
+def _loop(n: int, dt: float, bits: bytes) -> tuple:
+    """(R_Phi, G, c, run_maps, crossings) of the loop of order ``n`` and step
+    ``dt`` whose A, B, C_loop and ``nl.lines`` have these floats' bits, in
+    that order.
+
+    R_Phi stacks ``_folded_step``'s R and Phi and ``c`` is the strict lower
+    triangle of its Cm, row by row, as ``_stage_by_stage`` takes them.
+    ``run_maps[piece]`` is ``_run_map`` on ``nl.lines[piece]`` and
+    ``crossings[piece, stage, q]`` is ``_crossing_map`` with the stages
+    before ``stage`` on ``nl.lines[piece]`` and the rest, and the run after
+    them, on ``nl.lines[q]``; each is built at its first lookup and kept.
+    Its arrays are read-only, since every call on the loop reads them.
+    The key is the bits, as in ``linsys._gain_free``, since the sign of a
+    zero can reach a map.  One entry: the calls that share a loop, a
+    cycle's two runs, come in a row, and the next cycle has another dt.
+    """
+    floats = np.frombuffer(bits)
+    A = floats[: n * n].reshape(n, n)
+    B, C_loop = floats[n * n : n * n + n], floats[n * n + n : n * n + 2 * n]
+    lines = tuple(map(tuple, floats[n * n + 2 * n :].reshape(-1, 5).tolist()))
+    folded = R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
+
+    def crossing_map(key):
+        piece, stage, q = key
+        pattern = (lines[piece],) * stage + (lines[q],) * (4 - stage)
+        return _crossing_map(*folded, pattern, run_maps[q])
+
+    run_maps = _Kept(lambda piece: _run_map(*folded, lines[piece]))
+    R_Phi = np.vstack([R, Phi])
+    for a in (R_Phi, G):
+        a.flags.writeable = False
+    c = tuple(Cm[np.tril_indices(4, -1)].tolist())
+    return R_Phi, G, c, run_maps, _Kept(crossing_map)
+
+
+class _Kept(dict):
+    """A dict whose missing entry is built by ``build(key)`` and kept."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 def _stage_by_stage(R_Phi, G, c, lines, starts, s, state) -> None:
@@ -351,7 +396,7 @@ def _run_map(
     Row block k of ``map`` (of n + 5 rows), applied to [s, 1], gives the four
     stage abscissae of step k + 1, then the state after it and 1: the
     powers of ``_step``'s map with every stage on ``line``.  ``low`` and
-    ``high`` repeat ``_bounds`` for each block.
+    ``high`` repeat ``_bounds`` for each block.  ``map`` is column-major.
     """
     stages, step = _step(R, Cm, Phi, G, (line,) * 4)
     n1 = len(step)
@@ -364,7 +409,13 @@ def _run_map(
     np.matmul(stages, powers[:-1], out=blocks[:, :4])
     blocks[:, 4:] = powers[1:]
     low, high = np.tile(_bounds((line,) * 4, n1 - 1), RUN_STEPS)
-    return blocks.reshape(-1, n1), low, high
+    # column-major: applied to [s, 1], a tall map of n + 1 columns is then
+    # BLAS's gemv without transpose, which streams each column once, about
+    # twice as fast as the transposed kernel a row-major map calls
+    maps = np.asfortranarray(blocks.reshape(-1, n1)), low, high
+    for a in maps:
+        a.flags.writeable = False  # calls on one loop share it (``_loop``)
+    return maps
 
 
 def _crossing_map(
@@ -381,12 +432,15 @@ def _crossing_map(
     stages, step = _step(R, Cm, Phi, G, pattern)
     run_map, low, high = tail
     n1 = len(step)
-    matrix = np.empty((n1 + 4 + len(run_map), n1))
+    matrix = np.empty((n1 + 4 + len(run_map), n1), order="F")  # as ``_run_map``'s
     matrix[:4] = stages
     matrix[4 : n1 + 4] = step
     np.matmul(run_map, step, out=matrix[n1 + 4 :])
     first_low, first_high = _bounds(pattern, n1 - 1)
-    return matrix, np.concatenate([first_low, low]), np.concatenate([first_high, high])
+    maps = matrix, np.concatenate([first_low, low]), np.concatenate([first_high, high])
+    for a in maps:
+        a.flags.writeable = False
+    return maps
 
 
 def measure_oscillation(t: np.ndarray, x: np.ndarray) -> tuple[float, float] | None:

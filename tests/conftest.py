@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity, linsys
+from dfcycle import LinearPlant, PiecewiseNonlinearity, linsys, sim
 
 
 def random_nonlinearity(
@@ -61,6 +61,16 @@ def cold_crossing_memo():
         linsys._gain_free.cache_clear()
         linsys._axis_poles.cache_clear()
 
+    clear()
+    yield clear
+    clear()
+
+
+@pytest.fixture
+def cold_sim_memo():
+    """Empties ``sim._loop``, the memo of the folded step and its maps, before
+    and after the test; the value empties it again when called."""
+    clear = sim._loop.cache_clear
     clear()
     yield clear
     clear()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, PiecewiseNonlinearity
+from dfcycle import LinearPlant, PiecewiseNonlinearity, sim
 from dfcycle.cycles import analyze
 from dfcycle.sim import (
     CONVERGED,
@@ -224,6 +224,75 @@ class TestAgainstReference:
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.max(np.abs(res.states - ref) / scale) <= 1e-9
         return res
+
+
+class TestLoopMemo:
+    """``simulate`` builds its folded step and maps once per (plant, nl, dt)."""
+
+    @pytest.mark.parametrize(
+        "plant, nl, first, second, first_misses",
+        [
+            (plant_b(30.0), NL_B, (0.5, 60), (1.5, 20), True),
+            (plant_b(30.0), NL_B, (1.5, 20), (0.5, 60), False),
+            (plant_a(6.0), NL_A, (2.0, 40), (0.3, 40), True),  # diverges
+            (plant_a(6.0), NL_A, (0.3, 40), (2.0, 40), False),
+            (plant_a(6.0), NL_A, (2.0, 40), (2.0, 40), True),
+        ],
+        ids=["b-inner-outer", "b-outer-inner", "a-outer-inner", "a-inner-outer",
+             "a-outer-twice"],
+    )
+    def test_a_run_after_another_on_its_loop_keeps_its_bits(
+        self, monkeypatch, cold_sim_memo, plant, nl, first, second, first_misses
+    ):
+        # (scale, periods) of two runs on one cycle, so on one loop; a guess
+        # that missed in the first run is tried again in the second
+        def run(scale, periods):
+            x0, T, dt = cycle_start(plant, nl, scale, periods)
+            return simulate(plant, nl, x0, T, dt)
+
+        cold = run(*second)
+        cold_sim_memo()
+        fallbacks = []
+        stage_by_stage = sim._stage_by_stage
+
+        def counting(*args):
+            fallbacks.append(args)
+            return stage_by_stage(*args)
+
+        monkeypatch.setattr(sim, "_stage_by_stage", counting)
+        run(*first)
+        assert bool(fallbacks) == first_misses
+        monkeypatch.undo()
+        warm = run(*second)
+        assert sim._loop.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert warm.verdict == cold.verdict and len(warm.t) == len(cold.t)
+        assert np.array_equal(warm.states, cold.states)
+        assert (warm.full_steps, warm.batches) == (cold.full_steps, cold.batches)
+        assert (warm.amplitude, warm.frequency) == (cold.amplitude, cold.frequency)
+
+    def test_another_loop_is_built_anew(self, cold_sim_memo):
+        # another dt, another plant's bits or other lines rebuild the loop; an
+        # equal nonlinearity, another object, does not
+        plant, nl = plant_b(30.0), NL_B
+        x0, T, dt = cycle_start(plant, nl, 0.5, 2)
+        again = PiecewiseNonlinearity(x=nl.x, y=nl.y)  # the same lines
+        moved = PiecewiseNonlinearity(x=(3, 6, 10, math.nextafter(19, 20)), y=nl.y)
+        runs = [
+            (plant, nl, dt),
+            (plant, again, dt),
+            (plant, nl, math.nextafter(dt, 1.0)),
+            (plant_b(math.nextafter(30.0, 31.0)), nl, dt),
+            (plant, moved, dt),
+            (plant, nl, dt),
+        ]
+        misses = []
+        for p, n, h in runs:
+            simulate(p, n, x0, T, h)
+            misses.append(sim._loop.cache_info().misses)
+            assert sim._loop.cache_info().currsize == 1
+        # one loop is kept: the first one's maps are built again at the last
+        assert misses == [1, 1, 2, 3, 4, 5]
+        assert sim._loop.cache_info().maxsize == 1
 
 
 class TestMeasurement:

@@ -9,11 +9,10 @@ the vertex abscissae of ``nl.pieces`` and the sign, checks divergence
 separately on the accepted states, builds each run map by its own chain of
 products, and takes a straddling step through a generic stage loop, then
 starts a batch from the state after it.  ``simulate`` takes a straddling
-step through its stage pattern's map in front of the next batch, so the two
-round differently.  The reference runs from x0 on its own: verdicts, step
-counts and straddling-step counts must be equal, states equal within
-``STATE_TOL``.  A run with no straddling step runs the same products in the
-same order, so its states must be equal exactly.  Where a stage lands on a
+step through its stage pattern's map in front of the next batch, and
+applies its maps column-major, so the two round differently.  The reference
+runs from x0 on its own: verdicts, step counts and straddling-step counts
+must be equal, states equal within ``STATE_TOL``.  Where a stage lands on a
 jump and the two round it to either side, the runs part; there the
 reference runs along ``simulate``'s states, each batch from the state
 ``simulate`` reached.
@@ -51,7 +50,8 @@ from test_sim import NL_A, NL_B, RELAY, cycle_start, linear_gain
 # Largest state difference from the labelling loop, relative to the largest
 # state component: a straddling step through its pattern's map, and the run
 # after it through the product of two maps, round differently from the stage
-# loop and the run map applied in turn.
+# loop and the run map applied in turn; and a column-major map's product sums
+# each row in another order than the reference's row-major one.
 STATE_TOL = 1e-11
 
 
@@ -184,10 +184,7 @@ def assert_matches_reference(plant, nl, x0, T, dt, along=False):
     assert res.verdict == verdict
     assert len(res.t) == len(states)
     assert res.full_steps == full_steps
-    if full_steps:
-        assert np.max(np.abs(res.states - states)) <= STATE_TOL * np.max(np.abs(states))
-    else:  # the same products in the same order
-        assert np.array_equal(res.states, states)
+    assert np.max(np.abs(res.states - states)) <= STATE_TOL * np.max(np.abs(states))
     return res
 
 
@@ -212,7 +209,7 @@ def test_predicted_cycles_match_reference(plant, nl, scale, periods, verdict):
 
 @PREDICTED_CYCLES
 def test_crossing_maps_take_the_labelled_full_step(
-    monkeypatch, plant, nl, scale, periods, verdict
+    monkeypatch, cold_sim_memo, plant, nl, scale, periods, verdict
 ):
     # every crossing map's first block, from the state before each step of
     # the run whose stages lie on the map's pattern, gives the labelling
@@ -252,7 +249,7 @@ def test_crossing_maps_take_the_labelled_full_step(
     assert checked >= len(built)
 
 
-def test_missed_guesses_go_stage_by_stage(monkeypatch):
+def test_missed_guesses_go_stage_by_stage(monkeypatch, cold_sim_memo):
     # every crossing map guesses its last stage on the wrong piece, so its
     # one product misses in its first block, and every straddling step is
     # taken stage by stage
@@ -278,6 +275,7 @@ def test_missed_guesses_go_stage_by_stage(monkeypatch):
     # every product but the missed ones: a guess that missed is not tried
     # again
     monkeypatch.setattr(sim, "_crossing_map", lambda *args: None)
+    cold_sim_memo()  # drop the wrong guesses' maps
     plain = simulate(plant, nl, x0, T, dt)
     assert np.array_equal(plain.states, res.states)
     assert res.batches == plain.batches + len(built)
