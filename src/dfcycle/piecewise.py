@@ -205,8 +205,7 @@ class PiecewiseNonlinearity:
     def evaluate(self, x: float) -> float:
         """Value y(x) on its entry of ``lines`` (odd extension, right limit at jumps).
 
-        The lookup is ``line_at``'s, written out, as ``sim.simulate`` writes
-        it for each stage of a straddling step: the extra call would cost
+        The lookup is ``line_at``'s, written out: the extra call would cost
         about half as much again.
         """
         _, _, x0, y0, m = self.lines[bisect_right(self.line_starts, x) - 1]

@@ -32,18 +32,19 @@ accepted step.
 At a straddling step the product has already computed the abscissa of its
 first stage off the piece, exactly, since the stages before it lie on the
 piece; one bisection of the table gives that stage's piece q, and the guess
-is that the later stages lie on q too.  The crossing map for (piece, stage,
-q) stacks that pattern's step, each stage row bounded by its own piece, in
-front of q's run map times that step, so the next product takes the
-straddling step and the run after it, and its bound test checks the guess.
-A step whose guess fails goes stage by stage, each stage's line looked up in
-``nl.lines`` as ``nl.evaluate`` does, and so do the pattern's later
-straddles in the run.
+is that the later stages lie on q too.  The crossing map of a stage
+pattern, four indices into ``nl.lines``, stacks that pattern's step, each
+stage row bounded by its own piece, in front of its last piece's run map
+times that step, so the next product takes the straddling step and the run
+after it, and its bound test checks the guess.  Where the guess misses in
+that first block, at stage r on piece q, the next product takes the
+pattern that keeps the stages before r and guesses q for the rest: their
+rows keep their bits, so stage r's abscissa comes out the same and lies on
+q, and each retry fixes one more stage.
 
 The folded step, the run maps and the crossing maps are kept for the last
 (plant, nl, dt) simulated, each map built at its first use, so calls in a
-row on one loop, as a cycle's two runs are, share them.  A missed guess is
-not kept: the next call tries that crossing map again, so a call takes the
+row on one loop, as a cycle's two runs are, share them; a call takes the
 same products whatever ran before it.
 """
 
@@ -82,8 +83,7 @@ class SimResult:
     states: np.ndarray  # shape (len(t), order)
     x: np.ndarray  # loop signal fed to the nonlinearity
     verdict: str
-    # steps that straddle a breakpoint, through a crossing map or stage by stage
-    full_steps: int
+    full_steps: int  # steps that straddle a breakpoint, each through its pattern's map
     batches: int  # products with a run map or a crossing map
     amplitude: float | None = None
     frequency: float | None = None
@@ -123,14 +123,12 @@ def simulate(
     first step starts off that piece, it stops there, and the next product
     takes the piece of that step's first stage abscissa, C s: not a
     straddle.  A step that straddles a breakpoint ends the product, and the
-    next product is the crossing map from ``_crossing_map`` for (piece,
-    stage, q).  The folded step and the maps come from ``_loop``, kept
-    across calls on one (plant, nl, dt), each map built at its first use.  A step whose guess misses in the crossing
-    map's first block goes through ``_stage_by_stage``, and so do the
-    guess's later straddles in the call.  Only the short last product
-    slices its map.
-    ``full_steps`` counts the straddling steps, however they were taken, and
-    ``batches`` the products.
+    next product is the crossing map from ``_crossing_map`` for the stage
+    pattern guessed; one whose guess misses in its first block is followed
+    by the refined pattern's.  The folded step and the maps come from
+    ``_loop``, kept across calls on one (plant, nl, dt), each map built at
+    its first use.  Only the short last product slices its map.
+    ``full_steps`` counts the straddling steps and ``batches`` the products.
 
     Divergence (a state component of magnitude above 1e8) truncates the run
     with a ``diverged`` verdict; the same bound test finds it in a product.
@@ -157,10 +155,8 @@ def simulate(
         raise ValueError(f"initial state must be finite, got {x0}")
 
     bits = np.concatenate([A.ravel(), B, C_loop, np.ravel(nl.lines)]).tobytes()
-    R_Phi, G, c, run_maps, crossings = _loop(n, dt, bits)
-    lines, starts = nl.lines, nl.line_starts
-    # (piece, stage, q) whose guess missed in this call: they go stage by stage
-    missed: set = set()
+    run_maps, crossings = _loop(n, dt, bits)
+    starts = nl.line_starts
 
     steps = int(round(T / dt))
     width = n + 5
@@ -172,16 +168,16 @@ def simulate(
     flat, traj = rows.reshape(-1), rows[:, 4:-1]
     traj[0] = x0
 
-    # the crossing map the next product takes, or None for the run map of
-    # the piece
-    crossing = None
+    # the stage pattern whose crossing map the next product takes, or None
+    # for the run map of the piece
+    pattern = None
     piece = bisect_right(starts, float(C_loop.dot(x0))) - 1
     k = 0
     full_steps = batches = 0
     diverged = False
     while k < steps:
-        lead = crossing is not None  # the first block is a straddling step
-        matrix, low, high = crossing if lead else run_maps[piece]
+        lead = pattern is not None  # the first block is a straddling step
+        matrix, low, high = crossings[pattern] if lead else run_maps[piece]
         size = len(low)
         out = flat[(k + 1) * width : (k + 1) * width + size]
         if len(out) < size:  # the short last product
@@ -195,7 +191,7 @@ def simulate(
         first = int(off.argmax())
         if not off.item(first):
             k += size // width
-            crossing = None
+            pattern = None
             continue
         run, row = divmod(first, width)
         if row >= 4:  # step run + 1 stays on its pieces, and its state diverges
@@ -206,29 +202,18 @@ def simulate(
         q = bisect_right(starts, out.item(first)) - 1
         if row == 0 and run == lead:
             # the run after the lead starts on another piece: not a straddle
-            piece, crossing = q, None
-            continue
-        if run or not lead:
+            pattern = None
+        elif run or not lead:
             # step k + 1 straddles a breakpoint; the stages before `row` lie
             # on the piece, so this is the stage's abscissa: guess that it
             # and the stages after it lie on its piece q
             full_steps += 1
-            key = (piece, row, q)
-            crossing = None if key in missed else crossings[key]
-            piece = q
-            if crossing is not None:
-                continue
+            pattern = (piece,) * row + (q,) * (4 - row)
         else:
-            # the guess missed in the crossing map's first block, on a step
-            # counted already: that pattern goes stage by stage from now on
-            missed.add(key)
-        k += 1
-        state = traj[k]
-        _stage_by_stage(R_Phi, G, c, lines, starts, traj[k - 1], state)
-        if any(abs(v) > DIVERGENCE_NORM for v in state.tolist()):
-            diverged = True
-            break
-        crossing = None
+            # the guess missed in the lead at stage `row`: keep the stages
+            # before it, whose rows give that stage's abscissa again, on q
+            pattern = pattern[:row] + (q,) * (4 - row)
+        piece = q
     if not np.isfinite(traj[k]).all():
         # a NaN passes the bound tests, and every state after it is NaN
         k = int(np.flatnonzero(~np.isfinite(traj[: k + 1]).all(axis=1))[0])
@@ -252,17 +237,14 @@ def simulate(
 
 @lru_cache(maxsize=1)
 def _loop(n: int, dt: float, bits: bytes) -> tuple:
-    """(R_Phi, G, c, run_maps, crossings) of the loop of order ``n`` and step
-    ``dt`` whose A, B, C_loop and ``nl.lines`` have these floats' bits, in
-    that order.
+    """(run_maps, crossings) of the loop of order ``n`` and step ``dt`` whose
+    A, B, C_loop and ``nl.lines`` have these floats' bits, in that order.
 
-    R_Phi stacks ``_folded_step``'s R and Phi and ``c`` is the strict lower
-    triangle of its Cm, row by row, as ``_stage_by_stage`` takes them.
     ``run_maps[piece]`` is ``_run_map`` on ``nl.lines[piece]`` and
-    ``crossings[piece, stage, q]`` is ``_crossing_map`` with the stages
-    before ``stage`` on ``nl.lines[piece]`` and the rest, and the run after
-    them, on ``nl.lines[q]``; each is built at its first lookup and kept.
-    Its arrays are read-only, since every call on the loop reads them.
+    ``crossings[pattern]`` is ``_crossing_map`` with stage i on
+    ``nl.lines[pattern[i]]`` and the run after it on the last of them; each
+    is built from ``_folded_step``'s matrices at its first lookup and kept.
+    Their arrays are read-only, since every call on the loop reads them.
     The key is the bits, as in ``linsys._gain_free``, since the sign of a
     zero can reach a map.  One entry: the calls that share a loop, a
     cycle's two runs, come in a row, and the next cycle has another dt.
@@ -271,19 +253,12 @@ def _loop(n: int, dt: float, bits: bytes) -> tuple:
     A = floats[: n * n].reshape(n, n)
     B, C_loop = floats[n * n : n * n + n], floats[n * n + n : n * n + 2 * n]
     lines = tuple(map(tuple, floats[n * n + 2 * n :].reshape(-1, 5).tolist()))
-    folded = R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
-
-    def crossing_map(key):
-        piece, stage, q = key
-        pattern = (lines[piece],) * stage + (lines[q],) * (4 - stage)
-        return _crossing_map(*folded, pattern, run_maps[q])
-
+    folded = _folded_step(A, B, C_loop, dt)
     run_maps = _Kept(lambda piece: _run_map(*folded, lines[piece]))
-    R_Phi = np.vstack([R, Phi])
-    for a in (R_Phi, G):
-        a.flags.writeable = False
-    c = tuple(Cm[np.tril_indices(4, -1)].tolist())
-    return R_Phi, G, c, run_maps, _Kept(crossing_map)
+    crossings = _Kept(lambda pattern: _crossing_map(
+        *folded, tuple(lines[i] for i in pattern), run_maps[pattern[3]]
+    ))
+    return run_maps, crossings
 
 
 class _Kept(dict):
@@ -296,30 +271,6 @@ class _Kept(dict):
     def __missing__(self, key):
         value = self[key] = self.build(key)
         return value
-
-
-def _stage_by_stage(R_Phi, G, c, lines, starts, s, state) -> None:
-    """Write the RK4 step from ``s`` into ``state``, taken stage by stage.
-
-    Each stage's line is looked up in the signed line table ``lines`` as
-    ``nl.evaluate`` does; ``c`` is the strict lower triangle of the folded
-    step's ``Cm``, row by row, and ``R_Phi`` stacks its R and Phi.
-    """
-    r = R_Phi.dot(s)
-    r0, r1, r2, r3 = r[:4].tolist()
-    c10, c20, c21, c30, c31, c32 = c
-    _, _, a, b, m = lines[bisect_right(starts, r0) - 1]
-    u0 = b + m * (r0 - a)
-    x = r1 + c10 * u0
-    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-    u1 = b + m * (x - a)
-    x = r2 + (c20 * u0 + c21 * u1)
-    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-    u2 = b + m * (x - a)
-    x = r3 + (c30 * u0 + c31 * u1 + c32 * u2)
-    _, _, a, b, m = lines[bisect_right(starts, x) - 1]
-    u3 = b + m * (x - a)
-    np.add(r[4:], G.dot((u0, u1, u2, u3)), state)
 
 
 def _folded_step(
@@ -379,12 +330,15 @@ def _bounds(pattern: tuple, n: int) -> np.ndarray:
 
     ``low <= block @ [s, 1] < high`` row by row holds where stage i's
     abscissa lies within ``pattern[i]``'s [lo, hi) and each state component,
-    and the 1 after them, within ``DIVERGENCE_NORM``.
+    and the 1 after them, within ``DIVERGENCE_NORM``.  The top piece's high
+    is NaN, since x >= NaN holds for no x: +inf then lies on that piece, as
+    the bisection of ``nl.line_starts`` puts it.
     """
     above = math.nextafter(DIVERGENCE_NORM, math.inf)
     return np.array([
         [line[0] for line in pattern] + [-DIVERGENCE_NORM] * (n + 1),
-        [line[1] for line in pattern] + [above] * (n + 1),
+        [line[1] if line[1] < math.inf else math.nan for line in pattern]
+        + [above] * (n + 1),
     ])
 
 

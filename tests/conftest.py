@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -68,12 +70,28 @@ def cold_crossing_memo():
 
 @pytest.fixture
 def cold_sim_memo():
-    """Empties ``sim._loop``, the memo of the folded step and its maps, before
-    and after the test; the value empties it again when called."""
+    """Empties ``sim._loop``, the memo of a loop's run maps and crossing maps,
+    before and after the test; the value empties it again when called."""
     clear = sim._loop.cache_clear
     clear()
     yield clear
     clear()
+
+
+@pytest.fixture
+def bounded_lookups(monkeypatch):
+    """Makes ``sim.simulate``'s line lookups raise past 100 000 in the test.
+
+    A run looks up one line per product that stops early, some thousands at
+    most; a straddling step whose retries never settle would take products
+    without end, and fails here instead."""
+    calls = itertools.count(1)
+
+    def counted(starts, x):
+        assert next(calls) <= 100_000, "a straddling step takes products without end"
+        return bisect_right(starts, x)
+
+    monkeypatch.setattr(sim, "bisect_right", counted)
 
 
 @pytest.fixture

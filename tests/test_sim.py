@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dfcycle.sim import (
     simulate,
 )
 
-from conftest import plant_a, plant_b
+from conftest import plant_a, plant_b, random_nonlinearity
 
 NL_A = PiecewiseNonlinearity(x=(2, 7, 20, 20, 25), y=(0, 4.5, 7.21, 4.21, 5.25))
 NL_B = PiecewiseNonlinearity(x=(3, 6, 10, 19), y=(3, 3, 10, 10))
@@ -64,6 +66,12 @@ def reference_rk4(plant, nl, x0, T, dt):
     t = np.arange(len(traj)) * dt
     measured = measure_oscillation(t, traj @ np.array(C))
     return traj, CONVERGED if measured is None else SUSTAINED
+
+
+def line_changes(pattern) -> int:
+    """How often a step's stages change lines; a guessed pattern changes once at most,
+    so one that changes twice is a refined guess."""
+    return sum(a != b for a, b in zip(pattern, pattern[1:]))
 
 
 def cycle_start(plant, nl, scale, periods):
@@ -230,7 +238,7 @@ class TestLoopMemo:
     """``simulate`` builds its folded step and maps once per (plant, nl, dt)."""
 
     @pytest.mark.parametrize(
-        "plant, nl, first, second, first_misses",
+        "plant, nl, first, second, first_refines",
         [
             (plant_b(30.0), NL_B, (0.5, 60), (1.5, 20), True),
             (plant_b(30.0), NL_B, (1.5, 20), (0.5, 60), False),
@@ -242,28 +250,30 @@ class TestLoopMemo:
              "a-outer-twice"],
     )
     def test_a_run_after_another_on_its_loop_keeps_its_bits(
-        self, monkeypatch, cold_sim_memo, plant, nl, first, second, first_misses
+        self, monkeypatch, cold_sim_memo, bounded_lookups, plant, nl, first, second,
+        first_refines,
     ):
-        # (scale, periods) of two runs on one cycle, so on one loop; a guess
-        # that missed in the first run is tried again in the second
+        # (scale, periods) of two runs on one cycle, so on one loop; a
+        # pattern the first run built, refined ones too, is not built again
+        # in the second
         def run(scale, periods):
             x0, T, dt = cycle_start(plant, nl, scale, periods)
             return simulate(plant, nl, x0, T, dt)
 
         cold = run(*second)
         cold_sim_memo()
-        fallbacks = []
-        stage_by_stage = sim._stage_by_stage
+        built = []
+        crossing_map = sim._crossing_map
 
-        def counting(*args):
-            fallbacks.append(args)
-            return stage_by_stage(*args)
+        def recording(R, Cm, Phi, G, pattern, tail):
+            built.append(pattern)
+            return crossing_map(R, Cm, Phi, G, pattern, tail)
 
-        monkeypatch.setattr(sim, "_stage_by_stage", counting)
+        monkeypatch.setattr(sim, "_crossing_map", recording)
         run(*first)
-        assert bool(fallbacks) == first_misses
-        monkeypatch.undo()
+        assert any(line_changes(pattern) > 1 for pattern in built) == first_refines
         warm = run(*second)
+        assert len(set(built)) == len(built)
         assert sim._loop.cache_info()[:2] == (1, 1)  # (hits, misses)
         assert warm.verdict == cold.verdict and len(warm.t) == len(cold.t)
         assert np.array_equal(warm.states, cold.states)
@@ -293,6 +303,22 @@ class TestLoopMemo:
         # one loop is kept: the first one's maps are built again at the last
         assert misses == [1, 1, 2, 3, 4, 5]
         assert sim._loop.cache_info().maxsize == 1
+
+
+def test_bound_tests_agree_with_the_line_lookup():
+    # a float passes the bound test of the line the bisection of
+    # ``line_starts`` puts it on, and no other's: ±0, ±inf, the least
+    # subnormals, and every lo and hi with its two neighbours
+    rng = random.Random(2)
+    maps = [RELAY, NL_A, NL_B] + [random_nonlinearity(rng) for _ in range(300)]
+    for nl in maps:
+        low, high = np.array([sim._bounds((line,) * 4, 0)[:, 0] for line in nl.lines]).T
+        xs = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]  # a list keeps -0.0
+        for v in (end for line in nl.lines for end in line[:2]):
+            xs += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+        for x in xs:
+            on = ~((x < low) | (x >= high))
+            assert np.flatnonzero(on).tolist() == [bisect_right(nl.line_starts, x) - 1]
 
 
 class TestMeasurement:

@@ -45,7 +45,7 @@ from dfcycle.sim import (
 )
 
 from conftest import plant_a, plant_b, random_nonlinearity
-from test_sim import NL_A, NL_B, RELAY, cycle_start, linear_gain
+from test_sim import NL_A, NL_B, RELAY, cycle_start, line_changes, linear_gain
 
 # Largest state difference from the labelling loop, relative to the largest
 # state component: a straddling step through its pattern's map, and the run
@@ -249,36 +249,31 @@ def test_crossing_maps_take_the_labelled_full_step(
     assert checked >= len(built)
 
 
-def test_missed_guesses_go_stage_by_stage(monkeypatch, cold_sim_memo):
-    # every crossing map guesses its last stage on the wrong piece, so its
-    # one product misses in its first block, and every straddling step is
-    # taken stage by stage
-    plant, nl = plant_b(30.0), NL_B
-    built, fallbacks = [], []
-    crossing_map, stage_by_stage = sim._crossing_map, sim._stage_by_stage
+@pytest.mark.parametrize(
+    "plant, nl, scale, periods",
+    [(plant_a(6.0), NL_A, 2.0, 40), (plant_b(30.0), NL_B, 0.5, 60)],
+    ids=["a-outer", "b-inner"],
+)
+def test_missed_guesses_are_refined(
+    monkeypatch, cold_sim_memo, bounded_lookups, plant, nl, scale, periods
+):
+    # a guess that misses in its crossing map's first block is refined: the
+    # stages before the one that missed keep their lines, and it and the
+    # stages after it take that stage's.  Such patterns, whose stages change
+    # lines twice, occur on these runs, each pattern's map is built once,
+    # and the run is the labelling loop's
+    built = []
+    crossing_map = sim._crossing_map
 
-    def wrong_guess(R, Cm, Phi, G, pattern, tail):
-        wrong = nl.lines[0] if pattern[3] != nl.lines[0] else nl.lines[-1]
+    def recording(R, Cm, Phi, G, pattern, tail):
         built.append(pattern)
-        return crossing_map(R, Cm, Phi, G, pattern[:3] + (wrong,), tail)
+        return crossing_map(R, Cm, Phi, G, pattern, tail)
 
-    def counting(*args):
-        fallbacks.append(args)
-        return stage_by_stage(*args)
-
-    monkeypatch.setattr(sim, "_crossing_map", wrong_guess)
-    monkeypatch.setattr(sim, "_stage_by_stage", counting)
-    x0, T, dt = cycle_start(plant, nl, 0.5, 20)
-    res = assert_matches_reference(plant, nl, x0, T, dt)
-    assert len(built) > 0 and len(fallbacks) == res.full_steps > len(built)
-    # the same run with no crossing map (None marks a missed guess) takes
-    # every product but the missed ones: a guess that missed is not tried
-    # again
-    monkeypatch.setattr(sim, "_crossing_map", lambda *args: None)
-    cold_sim_memo()  # drop the wrong guesses' maps
-    plain = simulate(plant, nl, x0, T, dt)
-    assert np.array_equal(plain.states, res.states)
-    assert res.batches == plain.batches + len(built)
+    monkeypatch.setattr(sim, "_crossing_map", recording)
+    x0, T, dt = cycle_start(plant, nl, scale, periods)
+    assert_matches_reference(plant, nl, x0, T, dt)
+    assert any(line_changes(pattern) > 1 for pattern in built)
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
@@ -376,8 +371,8 @@ def test_divergence_on_the_first_step_of_a_batch_matches_reference():
 def test_divergence_with_a_stage_off_its_piece_matches_reference():
     # a breakpoint between C s before and after the step that diverges: the
     # step's first state past the norm comes before its stage abscissae in
-    # the batch, yet the step straddles the breakpoint, so it is taken stage
-    # by stage and diverges there
+    # the batch, yet the step straddles the breakpoint, so it is taken
+    # through its pattern's map and diverges there
     plant, nl = unstable_loop()
     x0, T, dt = [1.0], 50.0, 0.1
     plain = simulate(plant, nl, x0, T, dt)
@@ -417,6 +412,29 @@ def test_straddle_on_the_last_step_matches_reference():
     res = assert_matches_reference(plant, relay, [0.125, -1.0], 100 * dt, dt)
     assert res.full_steps == 1 and res.batches == 4 and len(res.t) == 101
     assert np.all(res.x[:-1] < 3.0) and res.x[-2] + dt == 3.0
+
+
+def test_step_across_two_breakpoints_matches_reference(bounded_lookups):
+    # the double integrator of the straddle on the last step, with jumps at
+    # 2.98 and 2.99, closer together than step 100's stages, which lie at
+    # 2.96875, 2.984375 (twice) and 2.99951171875: in the dead zone, on the
+    # middle piece and on the top one.  Three products reach step 100 and
+    # guess its last three stages on the middle piece; the guess misses at
+    # the last stage, and the retry takes the step: two of its at most four
+    # products
+    plant = LinearPlant(num=(1.0,), den=(1.0, 0.0, 0.0))
+    stairs = PiecewiseNonlinearity(
+        x=(2.98, 2.98, 2.99, 2.99), y=(0.0, 1.0, 1.0, 2.0), final_slope=0.0
+    )
+    x0, dt = [0.125, -1.0], 2.0**-5
+    res = assert_matches_reference(plant, stairs, x0, 100 * dt, dt)
+    A, B, C_loop = loop_matrices(plant)
+    R, Cm, Phi, G = _folded_step(A, B, C_loop, dt)
+    _, abscissae = reference_full_step(R, Cm, Phi, G, stairs, res.states[-2])
+    assert len({stairs.line_at(x) for x in abscissae}) == 3
+    assert res.full_steps == 1 and res.batches == 3 + 2 and len(res.t) == 101
+    exact = exact_rk4(plant, stairs, x0, 100, dt)
+    assert np.max(np.abs(res.states - exact)) <= STATE_TOL * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("last", [RUN_STEPS, 2 * RUN_STEPS])
