@@ -1,30 +1,25 @@
 """Limit cycle estimation: solve F(X) G(jw) = -1 and classify the solutions.
 
 Each negative-real-axis crossing of G (``linsys._crossings``) contributes a
-gain margin K; amplitudes solving F(X) = K are candidate limit cycles.  F on
-the scan's amplitude grid depends on the nonlinearity alone: its table is
-built and checked once per map (the array kernel ``descfun._df``) and kept
-on it with the index of the runs on which F is monotone.  So each K costs a
-bisection in each run, which gives its brackets and exact zeros, and the
-refinement of each bracket on its own, whose trial points take F one
-amplitude at a time in Python floats (``descfun._df_at``, with ``_df``'s
-bits).  Stability is decided by probing whether -1/F just beyond the
-candidate amplitude leaves the closed Nyquist contour while -1/F just below
-stays enclosed.  Both probes lie on the negative real axis, so each
-enclosure is a sum over the contour's signed crossings of that axis
-(``linsys.nyquist_contour``), taken as a list.  ``analyze`` takes F at
-both probes and the amplitude from ``_df_at``, and ``classify`` at both
-probes; both read the verdict off those values in ``_verdict``.  The
-steady-state orbit in state space is estimated as an ellipse spanned by two
-basis vectors, Y1 times the imaginary and the real parts of the state
-resolvent h(j omega) (``_ellipse``), which depends on the plant's
-denominator and omega alone and is kept with the crossovers
-(``linsys._gain_free``).
+gain margin K; amplitudes solving F(X) = K are candidate limit cycles.  F'
+in closed form splits the amplitudes into runs on which F rises or falls,
+kept on the map with F on a few knots of each (``_run_table``).  A run holds
+a root exactly where K lies between F at its ends, found by a bisection of
+its knots and refined in Python floats (``descfun._df_at``, with
+``descfun._df``'s bits).  A cycle is stable where the closed Nyquist contour
+encloses -1/F just below its amplitude and not just above it.  Both points
+lie on the negative real axis, so each enclosure is a sum over the contour's
+signed crossings of that axis (``linsys.nyquist_contour``): ``analyze``
+takes both sums at the crossover's own row, -1/K, and the side of -1/K each
+point is on from F's run; ``classify``, the independent check, probes F at
+X (1 -/+ ``DELTA``).  The steady-state orbit is the ellipse spanned by Y1
+times the imaginary and real parts of the resolvent h(j omega) (``_ellipse``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import neg
@@ -32,21 +27,24 @@ from operator import neg
 import numpy as np
 
 from .descfun import _df, _df_at
-from .linsys import LinearPlant, _contour, h_of_jw, log_grid
+from .linsys import LinearPlant, _contour, h_of_jw
 from .piecewise import PiecewiseNonlinearity
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 
-# Log-grid points of the F(X) = K scan, the |F - K| that ends the refinement
-# of a root, and the cap on refinement steps per bracket.
-N_GRID = 4096
+# The |F - K| that ends the refinement of a root, and the cap on refinement
+# steps per bracket.
 VALUE_TOL = 1e-10
 MAX_ITER = 200
-# Relative offsets of the run of points above a jump: 4^-k, from a quarter
-# of the log grid's step (0.39 %) down to 2e-13.
-RUN = 4.0 ** -np.arange(5, 22)
-# Relative offset of the two stability probes from the cycle amplitude.
+# ``_run_table``'s log-spaced knots per octave up to KNOT_SPAN times the last
+# breakpoint, move of F across a cell below which it is not split (relative),
+# and relative offsets of the knots above each breakpoint.
+KNOTS_PER_OCTAVE = 4
+KNOT_SPAN = 100.0
+CELL_TOL = 2.0 ** -36
+MARKS = 2.0 ** -np.arange(2, 19, 2)
+# Relative offset of classify's two stability probes from the cycle amplitude.
 DELTA = 1e-3
 
 
@@ -59,13 +57,13 @@ class NonFiniteCycleError(ValueError):
 
 
 class AmbiguousStabilityError(RuntimeError):
-    """Both amplitude probes gave the same enclosure verdict, or ``probe``
-    names the amplitude and the F <= 0 there, where -1/F is not on the
-    negative real axis (both enclosures are then None)."""
+    """The contour encloses -1/F just below and just above the cycle alike (as
+    where F turns at K), or ``probe`` names ``classify``'s probe and the F <= 0
+    there, where -1/F is not on the negative real axis (enclosures None)."""
 
     def __init__(self, X, omega, enclosed_below, enclosed_above, *, probe=None):
         if probe is None:
-            reason = f"probe below enclosed={enclosed_below}, above enclosed={enclosed_above}"
+            reason = f"-1/F enclosed just below={enclosed_below}, just above={enclosed_above}"
         else:
             reason = (f"F = {probe[1]} <= 0 at the probe X = {probe[0]}, "
                       f"so -1/F is not on the negative real axis")
@@ -102,76 +100,88 @@ class CrossoverAnalysis:
     cycles: tuple[LimitCycleEstimate, ...]
 
 
-def _scan_table(
-    nl: PiecewiseNonlinearity, x_max: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, tuple[tuple[int, int, bool], ...]]:
-    """The F = K scan's amplitudes and F on them, which no K changes, checked.
+def _slope_terms(terms, x: float) -> tuple[float, float]:
+    """The sums of the rising and of the falling terms of X^2 F' (scaled as in
+    ``_run_table``) at x >= their thresholds, a relay +-inf at its own."""
+    rising = falling = 0.0
+    for a, c, relay, up in terms:
+        u = a / x
+        w = 1.0 - u * u
+        if not relay:
+            v = c * math.sqrt(w)
+        else:
+            v = c * (1.0 - 2.0 * w) / math.sqrt(w) if w > 0.0 else math.copysign(math.inf, c)
+        if up:
+            rising += v
+        else:
+            falling += v
+    return rising, falling
 
-    The amplitudes ``Xr`` are a log grid up to ``x_max`` (default 100x the
-    last breakpoint), with the marks that end the brackets inserted; returns
-    ``Xr``, F on it (the unchecked ``descfun._df``), the positions of the log
-    grid's points in ``Xr``, the least F on them, and the run index: the
-    maximal runs ``(start, stop, rising)`` of positions on which F is
-    nondecreasing (``rising``) or nonincreasing and not NaN, in order.
-    Neighbouring runs share the position where F turns, unless a NaN (at a
-    mark, where F is not checked) lies between them; every pair of
-    neighbouring positions without a NaN lies in one run.  Raises
-    ``IntersectionError`` when the grid is not finite or positive, or F on
-    the log grid is not finite.
+
+def _run_table(nl: PiecewiseNonlinearity) -> tuple[tuple, tuple, tuple]:
+    """The knots ``X`` of F, F on them (``descfun._df``), and F's runs.
+
+    With u = a/X, (pi/4) X^2 F'(X) = sum_dead dm a sqrt(1 - u^2)
+    + sum_relay Y (2u^2 - 1)/sqrt(1 - u^2) over the terms with a < X.  Each
+    term is monotone on a cell [L, R] with no breakpoint inside, so with P, Q
+    the sums of the rising and the falling terms (``_slope_terms``), F is
+    monotone where [P(L) + Q(R), P(R) + Q(L)] has 0 at most at an end.  Other
+    cells are split at their geometric midpoint (2L where R = inf, up to the
+    largest float) until F moves across one by at most ``CELL_TOL`` of the
+    terms' size over L, by (4/pi) max |X^2 F'| (1/L - 1/R); that one takes
+    the sign of X^2 F' at L plus at R.  The
+    knots are the cells' left ends, which close in on each turn of F,
+    ``KNOTS_PER_OCTAVE`` log-spaced amplitudes up to ``KNOT_SPAN`` times the
+    last breakpoint, and ``MARKS`` above each breakpoint, where false
+    position would crawl from a wide bracket; then inf, and first 0 where y
+    jumps there.  A run ``(start, stop, rising)`` spans ``X[start:stop]``.
+    Raises ``IntersectionError`` where F is not finite at a knot.
     """
-    if x_max is None:
-        ref = nl.max_breakpoint
-        x_max = 100.0 * ref if ref > 0 else 100.0
-    if not math.isfinite(x_max):
-        raise IntersectionError(f"the amplitude grid is not finite: it ends at {x_max}")
-    lo = x_max * 1e-7
-    if not lo > 0:
-        raise IntersectionError(f"the amplitude grid is not positive: it starts at {lo}")
-    X = log_grid(lo, x_max, N_GRID)
-    # F kinks at each breakpoint and rises as a square root just above a
-    # jump, where false position crawls: the brackets also end at each
-    # breakpoint and at a geometric run of points above each jump
-    jumps = [x1 for x1, relay, _ in nl.terms if relay]
-    marks = np.concatenate([nl.breakpoints, np.outer(jumps, 1.0 + RUN).ravel()])
-    marks = np.sort(marks[(marks > lo) & (marks < x_max)])
-    at = np.searchsorted(X, marks)
-    Xr = np.insert(X, at, marks)
+    terms = nl.terms
+    if not terms:
+        return (), (), ()
+    # scaled by 2^-e, maps scaled by powers of two, subnormal ones too, get the same cells
+    e = math.frexp(terms[-1][0] or terms[0][2])[1]
+    s1, s2 = 2.0 ** (-e // 2), 2.0 ** (-e - (-e // 2))  # 2^-e in two factors; a jump
+    thresholds = [a * s1 * s2 for a, _, _ in terms]  # too tall for the scale is inf
+    params = [(t, m * s1 * s2 if relay else m * t, relay, (m > 0) != relay)
+              for t, (_, relay, m) in zip(thresholds, terms)]
+    size, far = CELL_TOL * sum(abs(c) for _, c, _, _ in params), min(2.0 ** 1000, 1e308 * s1 * s2)
+    # only a relay has a threshold of 0; alone, its jump sets the scale
+    starts = sorted({t for t in thresholds if t > 0.0}) or [0.5]
+    stack, cells = [], []
+    for L, R in reversed(list(zip(starts, starts[1:] + [math.inf]))):
+        active = params[:bisect_right(thresholds, L)]
+        stack.append((L, R, active, *_slope_terms(active, L), *_slope_terms(active, R)))
+    while stack:
+        L, R, active, PL, QL, PR, QR = stack.pop()
+        lo, hi = PL + QR, PR + QL
+        M = 2.0 * L if R == math.inf else math.sqrt(L) * math.sqrt(R)
+        monotone = not (lo < 0.0 < hi or lo == 0.0 == hi)  # NaN from a term too tall, too
+        if monotone or max(-lo, hi) * (1.0 - L / R) <= size or not L < M < min(R, far):
+            g = hi if monotone else PL + QL + PR + QR  # 0 where X^2 F' -> 0: F goes on
+            cells.append((L, g > 0.0 if g or monotone else not cells or cells[-1][1]))
+        else:
+            PM, QM = _slope_terms(active, M)
+            stack += ((M, R, active, PM, QM, PR, QR), (L, M, active, PL, QL, PM, QM))
+    lefts, rising = np.ldexp([L for L, _ in cells], e), np.array([r for _, r in cells])
+    bps = np.ldexp(starts, e).tolist()
+    top = min(KNOT_SPAN * bps[-1], sys.float_info.max)
+    n = int((math.log2(top) - math.log2(bps[0])) * KNOTS_PER_OCTAVE)
+    X = np.sort(np.concatenate([np.exp2(np.arange(n + 1) / KNOTS_PER_OCTAVE) * bps[0], lefts,
+                                np.outer(bps, 1.0 + MARKS).ravel()]))
+    X = X[np.append(True, X[1:] > X[:-1])]  # distinct; np.unique would import numpy.ma
     with np.errstate(over="ignore", invalid="ignore"):
-        Fr = _df(nl, Xr)
-    on_grid = np.delete(np.arange(len(Xr)), at + np.arange(len(marks)))
-    F = Fr[on_grid]
-    overflow = ~np.isfinite(F)
-    if overflow.any():
-        raise IntersectionError(f"F is not finite at X = {X[overflow][0]}")
-    for a in (Xr, Fr, on_grid):
-        a.flags.writeable = False
-    return Xr, Fr, on_grid, float(F.min()), _runs(Fr)
-
-
-def _runs(F: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
-    """``_scan_table``'s run index of F, by array code."""
-    nan = np.isnan(F)
-    # each step's direction: +1 up, -1 down, 0 flat, 2 to or from a NaN
-    step = (F[1:] > F[:-1]).astype(np.int8) - (F[1:] < F[:-1])
-    step[nan[1:] | nan[:-1]] = 2
-    # the first steps of the stretches of equal steps that are not flat
-    heads = np.flatnonzero(np.concatenate([[True], step[1:] != step[:-1]]))
-    moves = heads[step[heads] != 0]
-    way = step[moves]
-    # a run starts where a stretch without NaN starts, and where a step
-    # opposes the last step before it that is not flat, which only the
-    # first of equal steps can
-    first = ~nan & np.concatenate([[True], nan[:-1]])
-    first[moves[1:][way[1:] == -way[:-1]]] = True
-    firsts = np.flatnonzero(first)
-    stops = np.flatnonzero(~nan & np.concatenate([nan[1:], [True]])) + 1
-    # a run stops past the next run's first position or at its stretch's stop
-    ends = np.minimum(np.append(firsts[1:] + 1, len(F)),
-                      stops[np.searchsorted(stops, firsts, side="right")])
-    # it falls where its last step that is not flat falls; flat, it rises
-    last = np.searchsorted(moves, ends - 1) - 1
-    rising = np.append(way, 1)[last] != -1
-    return tuple(zip(firsts.tolist(), ends.tolist(), rising.tolist()))
+        F = _df(nl, X)
+    if not np.isfinite(F).all():
+        raise IntersectionError(f"F is not finite at X = {X[~np.isfinite(F)][0]}")
+    up = rising[np.searchsorted(lefts, X, side="right") - 1]
+    X, F, Y = [*X.tolist(), math.inf], [*F.tolist(), nl.last_slope], terms[0][2]
+    if thresholds[0] == 0.0:  # F(0+) = +-inf
+        X, F, up = [0.0, *X], [math.copysign(math.inf, Y), *F], np.append(Y < 0.0, up)
+    ends = (np.flatnonzero(up[1:] != up[:-1]) + 1).tolist()
+    runs = zip([0, *ends], [i + 1 for i in ends] + [len(X)], up[[0, *ends]].tolist())
+    return tuple(X), tuple(F), tuple(runs)
 
 
 def _refine_bracket(f, a, b, fa, fb, tol):
@@ -201,66 +211,60 @@ def _refine_bracket(f, a, b, fa, fb, tol):
     return t
 
 
-def find_intersections(
-    nl: PiecewiseNonlinearity,
-    gain_margin: float,
-    *,
-    x_max: float | None = None,
-) -> list[float]:
-    """All amplitudes with F(X) = gain_margin, ascending.
-
-    v = F - K is taken on ``_scan_table``'s amplitudes, a dense log grid up
-    to ``x_max`` (default 100x the last breakpoint) with marks inserted.
-    The default grid's table is kept on ``nl`` (``nl._f_scan``), so one map
-    builds and checks it once for every K; the scan runs the unchecked array
-    kernel ``descfun._df``.  A bracket opens wherever ``v_i != 0`` and
-    ``v_i * v_i+1 <= 0``, and a sample of the log grid with v = 0 is a root.
-    F is monotone on each run of the table's run index, so each run holds
-    at most one bracket and one range of zeros, found by bisection in Python
-    floats; no K touches the rest of the table.  Each bracket, split at the
-    breakpoints and above each jump at ``RUN``, is refined by
-    ``_refine_bracket`` down to ``|F - K| <= VALUE_TOL``, F at each trial
-    point from the unchecked one-amplitude ``descfun._df_at``.
-    Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` when
-    the grid is not finite or positive, F - K on its log grid is not finite,
-    or v = 0 at two consecutive samples of it.
+def _roots(nl: PiecewiseNonlinearity, gain_margin: float) -> list[tuple[float, bool, bool]]:
+    """The roots X of F(X) = K = gain_margin, ascending, as ``(X, below,
+    above)``: whether F < K just below X, and just above it.  A run of
+    ``nl._f_runs`` holds one where K lies between F at its first knot,
+    excluded, and at its last, bracketed by a bisection of its knots.
+    Raises ``ValueError`` unless 0 < K < inf, and ``IntersectionError`` where
+    F is not finite at a knot or F = K on (0, x1], below the first breakpoint.
     """
-    if not 0 < gain_margin < math.inf:
-        raise ValueError(f"gain margin must be positive and finite, got {gain_margin}")
-    Xr, Fr, on_grid, F_min, runs = nl._f_scan if x_max is None else _scan_table(nl, x_max)
-    if F_min - gain_margin == -math.inf:  # F - K overflows on the log grid
-        with np.errstate(over="ignore"):
-            at = on_grid[Fr[on_grid] - gain_margin == -math.inf][0]
-        raise IntersectionError(f"F is not finite at X = {Xr[at]}")
-    K, X, F = gain_margin, memoryview(Xr), memoryview(Fr)
-    roots, zeros = [], []
+    K = gain_margin
+    if not 0 < K < math.inf:
+        raise ValueError(f"gain margin must be positive and finite, got {K}")
+    X, F, runs = nl._f_runs
+    if K == nl.initial_slope and not nl.has_origin_jump:
+        raise IntersectionError(
+            f"F(X) = K = {K} on a plateau: F = K for every X in (0, {X[0] if X else math.inf}]"
+        )
+    roots = []
     for start, stop, rising in runs:
-        # F, or -F where F falls, ascends on the run
-        key, k = (None, K) if rising else (neg, -K)
-        i = bisect_left(F, k, start, stop, key=key)  # the first F >= K, or F <= K
-        if start < i < stop:
-            roots.append(_refine_bracket(lambda t: _df_at(nl, t) - K, X[i - 1], X[i],
-                                         F[i - 1] - K, F[i] - K, VALUE_TOL))
-        if i < stop and F[i] == K:
-            zeros += range(i, bisect_right(F, k, i, stop, key=key))
+        if F[start] == K or (F[start] < K) != rising:
+            continue
+        key, k = (None, K) if rising else (neg, -K)  # F, or -F where F falls, ascends
+        i = bisect_left(F, k, start + 1, stop, key=key)  # the first F >= K, or F <= K
+        if i == stop:
+            continue
+        if F[i] == K:  # where F turns at the knot, F < K on both sides or on neither
+            x, above = X[i], rising if i == stop - 1 else not rising
+        else:
+            f = lambda t: _df_at(nl, t) - K  # noqa: E731
+            x, above = _bracket_root(f, X[i - 1], X[i], F[i - 1] - K, F[i] - K), not rising
+        if x is not None and x < math.inf:
+            roots.append((x, rising, above))
+    return roots
 
-    at_zero = []
-    if zeros:  # rare: F equals K at a position of the table
-        zero = np.zeros(len(Xr), bool)
-        zero[zeros] = True
-        zero = zero[on_grid]
-        at_zero = Xr[on_grid[zero]]
-        if (zero[:-1] & zero[1:]).any():
-            raise IntersectionError(
-                f"F(X) = K = {gain_margin} on a plateau: F - K is exactly 0 at "
-                f"consecutive amplitudes in X = [{at_zero[0]}, {at_zero[-1]}]"
-            )
-        at_zero = at_zero.tolist()
-    dedup: list[float] = []
-    for r in sorted(roots + at_zero):
-        if not dedup or abs(r - dedup[-1]) > 1e-6 * max(abs(r), 1e-300):
-            dedup.append(r)
-    return dedup
+
+def _bracket_root(f, a, b, fa, fb):
+    """``_refine_bracket``'s root of f in [a, b], fa fb < 0, once an end at 0 or
+    inf is moved in by halving b or doubling a; None where that reaches 0 or inf."""
+    while a == 0.0 or b == math.inf:
+        t = 0.5 * b if a == 0.0 else 2.0 * a
+        v = f(t) if 0.0 < t < math.inf else math.nan  # NaN: no float, or no finite F, left
+        if v == 0.0 or v != v:
+            return t if v == 0.0 else None
+        if (v > 0) == (fa > 0):
+            a, fa = t, v
+        else:
+            b, fb = t, v
+    return _refine_bracket(f, a, b, fa, fb, VALUE_TOL)
+
+
+def find_intersections(nl: PiecewiseNonlinearity, gain_margin: float, *,
+                       x_max: float | None = None) -> list[float]:
+    """All amplitudes with F(X) = gain_margin, ascending, up to ``x_max`` if
+    given: ``_roots``, from the run table kept on the map (``nl._f_runs``)."""
+    return [X for X, _, _ in _roots(nl, gain_margin) if x_max is None or X <= x_max]
 
 
 def classify(
@@ -302,12 +306,15 @@ def _verdict(X: float, omega: float, F_below: float, F_above: float, *, contour)
             raise AmbiguousStabilityError(X, omega, None, None, probe=(xs, F))
         p = -1.0 / F
         enclosed.append(sum(n for x, n in contour if x < p) != 0)
-    below, above = enclosed
-    if below and not above:
-        return STABLE
-    if above and not below:
-        return UNSTABLE
-    raise AmbiguousStabilityError(X, omega, below, above)
+    return _label(X, omega, *enclosed)
+
+
+def _label(X: float, omega: float, enclosed_below: bool, enclosed_above: bool) -> str:
+    """Stable where the contour encloses -1/F just below the cycle amplitude
+    only, unstable where just above it only; else ``AmbiguousStabilityError``."""
+    if enclosed_below != enclosed_above:
+        return STABLE if enclosed_below else UNSTABLE
+    raise AmbiguousStabilityError(X, omega, enclosed_below, enclosed_above)
 
 
 def ellipse_estimate(
@@ -333,40 +340,30 @@ def _ellipse(Y1: float, h) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def analyze(plant: LinearPlant, nl: PiecewiseNonlinearity) -> list[CrossoverAnalysis]:
     """Full limit-cycle estimation for every phase crossover of the plant.
 
-    One crossover search gives both the crossovers and the contour's
-    crossing table that classifies their cycles.  Three ``_df_at`` calls per
-    cycle, at X*(1 - DELTA), X and X*(1 + DELTA), give both stability probes
-    and Y1 = F(X) X, with the bits of ``classify`` and ``df_value(nl, X) * X``:
-    F at an amplitude does not depend on the others in an array call, as the
-    power-of-two scale that ``_psi`` reads off the first one is exact.  The
-    ellipse is ``ellipse_estimate``'s (``_ellipse``) from the state
-    resolvent that ``_contour`` hands over with each crossover.
+    Near a root of F = K, -1/F lies left of the crossover's own row of the
+    contour's table, at -1/K, where F < K and right of it where F > K, so
+    the contour encloses it as it encloses the axis just left of that row
+    (rows with x < -1/K) or just right (x <= -1/K); ``_roots`` says where
+    F < K.  One ``_df_at`` call per cycle gives Y1 = F(X) X, with the bits
+    of ``df_value(nl, X) * X``, and the ellipse is ``ellipse_estimate``'s.
     """
     results = []
     crossovers, table, hs = _contour(plant)
     for (omega, K, _), h in zip(crossovers, hs):
-        cycles = []
-        for X in find_intersections(nl, K):
-            probes = (X * (1.0 - DELTA), X, X * (1.0 + DELTA))
-            below, F, above = (_df_at(nl, x) for x in probes)
-            stability = _verdict(X, omega, below, above, contour=table)
-            Y1 = F * X
+        cycles, p = [], -1.0 / K  # the abscissa of the crossover's own row
+        # the counts are small integers, so their sums are exact in any order
+        left = sum(n for x, n in table if x < p) != 0
+        right = sum(n for x, n in table if x <= p) != 0
+        for X, below, above in _roots(nl, K):
+            stability = _label(X, omega, left if below else right, left if above else right)
+            Y1 = _df_at(nl, X) * X
             x0, xq = _ellipse(Y1, h)
             if not all(map(math.isfinite, (Y1, *x0, *xq))):
                 raise NonFiniteCycleError(
                     f"the first harmonic Y1 = {Y1} or the state ellipse of the "
                     f"cycle at omega = {omega}, X = {X} is not finite"
                 )
-            cycles.append(
-                LimitCycleEstimate(
-                    omega=omega,
-                    X=X,
-                    stability=stability,
-                    gain_margin=K,
-                    Y1=Y1,
-                    ellipse_x0=x0,
-                    ellipse_xq=xq,
-                )
-            )
+            cycles.append(LimitCycleEstimate(omega=omega, X=X, stability=stability,
+                                             gain_margin=K, Y1=Y1, ellipse_x0=x0, ellipse_xq=xq))
         results.append(CrossoverAnalysis(omega=omega, gain_margin=K, cycles=tuple(cycles)))
     return results

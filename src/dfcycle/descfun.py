@@ -7,8 +7,8 @@ input once, then runs an unchecked kernel: ``df_value`` its amplitudes before
 ``_df``, and the curve samplers their grid in ``_sample``, the one builder of
 a ``DescribingFunctionCurve``.  ``_df`` is the kernel for arrays and the
 definition of F; ``_df_at`` repeats its operations on one amplitude in
-Python floats, with its bits, for the F = K refinement and the stability
-probes of ``cycles``.
+Python floats, with its bits, for the F = K refinement, Y1 and the
+stability probes of ``cycles.classify``.
 
 ``df_oracle`` recomputes the same value by quadrature of the first Fourier
 harmonic and serves as an independent cross-check of the closed forms: it

@@ -177,14 +177,14 @@ class PiecewiseNonlinearity:
         return tuple(sorted({xb for xb, _, _ in self.terms}))
 
     @cached_property
-    def _f_scan(self):
-        """``cycles.find_intersections``' table of F on its default amplitude
-        grid and its run index (``cycles._scan_table``), which no gain
-        margin changes: kept on the map, built on first use, and rebuilt
-        (raising again) while the build fails."""
-        from .cycles import _scan_table
+    def _f_runs(self):
+        """``cycles.find_intersections``' run table of F: its knots, F on
+        them and the runs on which F is monotone (``cycles._run_table``),
+        which no gain margin changes: kept on the map, built on first use,
+        and rebuilt (raising again) while the build fails."""
+        from .cycles import _run_table
 
-        return _scan_table(self)
+        return _run_table(self)
 
     @property
     def max_breakpoint(self) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity, cli, cycles, descfun, phase_crossovers
 from dfcycle.cli import MAX_POINTS, main
-from dfcycle.linsys import OMEGA_RANGE
+from dfcycle.linsys import OMEGA_RANGE, nyquist_contour
 
 NL_A = {"x": [2, 7, 20, 20, 25], "y": [0, 4.5, 7.21, 4.21, 5.25]}
 NL_B = {"x": [3, 6, 10, 19], "y": [3, 3, 10, 10]}
@@ -268,13 +268,14 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "plant_desc, X",
         [
-            ({**PLANT_B, "k": 5}, "1.003943799283937e-300"),
+            ({**PLANT_B, "k": 5}, "1.0000038146972656e-300"),
             (PLANT_STATIC, "1.01e-300"),
         ],
     )
     def test_overflowing_describing_function_exits_2(self, runner, tmp_path, plant_desc, X):
-        # with a crossover the F(X) = K scan refuses F, without one the report's
-        # curve, on the df command's default grid
+        # with a crossover the run table of F refuses F at its first knot
+        # above the jump, without one the report's curve, on the df command's
+        # default grid
         nl = write(tmp_path, "nl.json", NL_TALL)
         plant = write(tmp_path, "plant.json", plant_desc)
         res = runner.invoke(main, ["analyze", nl, plant])
@@ -284,13 +285,32 @@ class TestAnalyze:
         assert res.stdout == ""
 
     def test_amplitude_grid_up_to_the_largest_float(self, runner, tmp_path):
-        # the F(X) = K scan runs up to 100 times the breakpoint, the largest float
-        nl = write(tmp_path, "nl.json", {"x": [1.7976931348623157e306], "y": [1]})
-        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 5})
+        # the run table's log knots run up to 100 times the last breakpoint,
+        # or to the largest float; F = 1/x is flat, so there is no cycle
+        for last in (1.7976931348623157e306, 1e307):
+            nl = write(tmp_path, "nl.json", {"x": [last], "y": [1]})
+            plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 5})
+            res = runner.invoke(main, ["analyze", nl, plant])
+            assert res.exit_code == 0
+            assert res.stderr == ""
+            assert [co["cycles"] for co in json.loads(res.stdout)["crossovers"]] == [[]]
+
+    def test_cycle_far_above_the_last_breakpoint(self, runner, tmp_path):
+        # K = 0.005 meets F = 40/(pi X) on NL_B's tail at X = 2 546, past 100
+        # times its last breakpoint, where a log scan of F up to there ends
+        nl = write(tmp_path, "nl.json", NL_B)
+        plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 2400})
         res = runner.invoke(main, ["analyze", nl, plant])
         assert res.exit_code == 0
-        assert res.stderr == ""
-        assert [co["cycles"] for co in json.loads(res.stdout)["crossovers"]] == [[]]
+        [co] = json.loads(res.stdout)["crossovers"]
+        assert co["gain_margin"] == pytest.approx(0.005)
+        [cycle] = co["cycles"]
+        assert cycle["X"] == pytest.approx(2546.47, rel=1e-6)
+        nl_b = PiecewiseNonlinearity(**NL_B)
+        contour = nyquist_contour(LinearPlant(**PLANT_B, k=2400))
+        assert cycle["stability"] == cycles.classify(
+            None, nl_b, cycle["X"], co["omega"], contour=contour
+        )
 
     def test_bad_plant_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_B)
@@ -364,10 +384,10 @@ class TestAnalyze:
         assert res.stdout == ""
 
     def test_ambiguous_stability_exits_2(self, runner, tmp_path, monkeypatch):
-        def ambiguous(X, omega, F_below, F_above, **kwargs):
+        def ambiguous(X, omega, enclosed_below, enclosed_above):
             raise cycles.AmbiguousStabilityError(X, omega, True, True)
 
-        monkeypatch.setattr(cycles, "_verdict", ambiguous)
+        monkeypatch.setattr(cycles, "_label", ambiguous)
         nl = write(tmp_path, "nl.json", NL_A)
         plant = write(tmp_path, "plant.json", {**PLANT_A, "k": 2.5})
         res = runner.invoke(main, ["analyze", nl, plant])
@@ -381,27 +401,30 @@ class TestAnalyze:
         assert res.stdout == ""
 
     def test_nonpositive_f_at_a_probe_names_the_probe(self, runner, tmp_path):
-        # F(X) = K is tiny here, and F falls below 0 just above the cycle: -1/F
-        # at the upper probe is not on the negative real axis
-        nl = write(tmp_path, "nl.json", {"x": [1], "y": [1], "final_slope": -2})
+        # F(X) = K is tiny here, and F falls below 0 just above the cycle:
+        # -1/F at classify's upper probe is not on the negative real axis, and
+        # classify names the probe; analyze reads the label off F's run instead
+        nl_data = {"x": [1], "y": [1], "final_slope": -2}
+        nl = write(tmp_path, "nl.json", nl_data)
         plant = write(tmp_path, "plant.json", {**PLANT_B, "k": 1e7})
         res = runner.invoke(main, ["analyze", nl, plant])
-        assert res.exit_code == 2
-        assert isinstance(res.exception, SystemExit)
-        [line] = res.stderr.splitlines()
-        head, reason = line.split(": F = ")
-        assert head.startswith(
-            f"error: {plant}: cannot classify the stability of the cycle at X = "
-        )
+        assert res.exit_code == 0
+        [co] = json.loads(res.stdout)["crossovers"]
+        [cycle] = co["cycles"]
+        assert cycle["stability"] == "stable"
+        nl_map = PiecewiseNonlinearity(**nl_data)
+        contour = nyquist_contour(LinearPlant(**PLANT_B, k=1e7))
+        with pytest.raises(cycles.AmbiguousStabilityError) as err:
+            cycles.classify(None, nl_map, cycle["X"], co["omega"], contour=contour)
+        head, reason = str(err.value).split(": F = ")
+        assert head.startswith("cannot classify the stability of the cycle at X = ")
         F, X = reason.removesuffix(", so -1/F is not on the negative real axis").split(
             " <= 0 at the probe X = "
         )
         X = float(X)
-        cycle_X = float(head.split("X = ")[1].split(",")[0])
-        assert X == cycle_X * (1.0 + cycles.DELTA)
-        assert float(F) == descfun.df_value(PiecewiseNonlinearity(x=(1,), y=(1,), final_slope=-2), X)
+        assert X == cycle["X"] * (1.0 + cycles.DELTA)
+        assert float(F) == descfun.df_value(nl_map, X)
         assert float(F) <= 0
-        assert res.stdout == ""
 
     def test_overflowing_slope_exits_2(self, runner, tmp_path):
         nl = write(tmp_path, "nl.json", NL_SLOPE_OVERFLOW)
@@ -655,8 +678,9 @@ class TestMalformedInput:
             ("df", {"x": [1e308], "y": [1]}, None, "a grid up to 3 * 1e+308 is past"),
             ("analyze", {"x": [1e308], "y": [1]}, {"num": [1], "den": [1, 1]},
              "a grid up to 3 * 1e+308 is past"),
-            ("analyze", {"x": [1e307], "y": [1]}, {**PLANT_B, "k": 5},
-             "the amplitude grid is not finite: it ends at inf"),
+            # F = K at X = 9e307, near the largest float, where Y1 = F X overflows
+            ("analyze", {"x": [1e307], "y": [1.7e308], "final_slope": 0}, {**PLANT_B, "k": 5},
+             "the first harmonic Y1 = inf or the state ellipse of the cycle at omega = 1.73"),
             ("analyze", NL_B, {**PLANT_B, "k": 1e-310},
              "the gain margin 1/|G| is inf at omega = 1.73"),
             ("analyze", NL_B, {**PLANT_B, "k": 1e305}, "the Nyquist contour is not finite"),
@@ -667,9 +691,10 @@ class TestMalformedInput:
             ("analyze", {"x": [1e305], "y": [1e305], "final_slope": 0},
              {"num": [1], "den": [1, 0.02, 0.0001, 0], "k": 5e-6},
              "or the state ellipse of the cycle at omega = "),
-            # a subnormal breakpoint: the amplitude grid starts at 1e-7 x its end, 0.0
+            # a cycle above a subnormal breakpoint, and a report's curve that
+            # underflows there
             ("analyze", {"x": [5e-324], "y": [5e-324], "final_slope": 0}, {**PLANT_B, "k": 30},
-             "the amplitude grid is not positive: it starts at 0.0"),
+             "the default grid underflows at the last breakpoint 5e-324"),
         ],
     )
     def test_past_the_largest_float(self, runner, tmp_path, command, nl_data, plant_data, message):

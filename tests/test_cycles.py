@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -30,6 +31,13 @@ from dfcycle.piecewise import NonlinearityError
 from conftest import plant_a, plant_b, random_nonlinearity
 from test_contour_reference import random_coefficients
 from test_enclosure_reference import winding_number
+
+
+def draws(seed):
+    """``random_nonlinearity``'s maps from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    while True:
+        yield random_nonlinearity(rng)
 
 
 def closed_circle(turns: float, n: int, sign: float = 1.0) -> np.ndarray:
@@ -89,7 +97,7 @@ class TestIntersections:
         # unit saturation: F = 1 exactly on every amplitude below X = 1
         sat = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=0.0)
         with pytest.raises(
-            IntersectionError, match=r"K = 1\.0 on a plateau: .* X = \[9\.99+e-06, 1\.0\]$"
+            IntersectionError, match=r"K = 1\.0 on a plateau: F = K for every X in \(0, 1\.0\]$"
         ):
             find_intersections(sat, 1.0)
         assert len(find_intersections(sat, 0.5)) == 1
@@ -104,23 +112,70 @@ class TestIntersections:
             with pytest.raises(ValueError, match="gain margin must be positive and finite"):
                 find_intersections(nl_b, km)
 
-    def test_grid_past_the_largest_float_raises(self):
-        # the default grid ends at 100 times the last breakpoint
-        wide = PiecewiseNonlinearity(x=(1e307,), y=(1.0,))
-        with pytest.raises(IntersectionError, match=r"grid is not finite: it ends at inf$"):
-            find_intersections(wide, 2.4)
+    def test_roots_up_to_the_largest_float(self):
+        # saturation at 1e307: F = 4e307/(pi X) above it, which is 0.1 at
+        # 1.27e308 and 0.01 only past the largest float
+        wide = PiecewiseNonlinearity(x=(1e307,), y=(1e307,), final_slope=0.0)
+        for km in (0.5, 0.1):
+            [X] = find_intersections(wide, km)
+            assert abs(_df_at(wide, X) - km) <= cycles.VALUE_TOL, (km, X)
+        assert find_intersections(wide, 0.01) == []
 
-    def test_grid_that_underflows_to_zero_raises(self):
-        # the default grid starts at 1e-7 times its end, 100 times the breakpoint
+    def test_roots_above_a_subnormal_breakpoint(self):
+        # saturation at the smallest subnormal: F = 4e-324/(pi X) / 5e-324
+        # above it, so F = K at X = 2.5e-324/K, a few subnormals up
         tiny = PiecewiseNonlinearity(x=(5e-324,), y=(5e-324,), final_slope=0.0)
-        with pytest.raises(
-            IntersectionError, match=r"grid is not positive: it starts at 0\.0$"
-        ):
-            find_intersections(tiny, 0.5)
+        for km, at in ((0.5, 1.5e-323), (0.01, 6.3e-322)):
+            assert find_intersections(tiny, km) == [at]
+            below, above = math.nextafter(at, 0.0), math.nextafter(at, math.inf)
+            assert _df_at(tiny, below) > km > _df_at(tiny, above)
+
+    def test_roots_far_from_the_breakpoints(self, nl_b):
+        # F = 40/(pi X) on NL_B's tail, past 100 times its last breakpoint,
+        # and F = 0.75 at 2.3e-8, below 1e-7 of 100 times the last: a
+        # 4 096-point log scan between those ends finds neither
+        for km, at in ((0.006, 2122.05), (0.005, 2546.47), (0.001, 12732.4)):
+            assert find_intersections(nl_b, km) == [pytest.approx(at, rel=1e-5)]
+        low = PiecewiseNonlinearity(x=(1e-8, 1.0), y=(1e-8, 0.5 + 0.5e-8), final_slope=0.2)
+        [X] = find_intersections(low, 0.75)
+        assert X == pytest.approx(2.4754e-8, rel=1e-4)
+        assert abs(_df_at(low, X) - 0.75) <= cycles.VALUE_TOL
+
+    def test_gain_margin_at_a_turn_of_f_is_a_double_root(self, nl_b):
+        # K = F at a knot where F turns: one root, with F < K on both sides
+        # at a peak and on neither at a trough, which no label can tell
+        X, F, runs = nl_b._f_runs
+        for _, stop, rising in runs[:-1]:
+            turn = stop - 1
+            assert (X[turn], rising, rising) in cycles._roots(nl_b, F[turn])
+            for enclosed in (False, True):
+                with pytest.raises(cycles.AmbiguousStabilityError):
+                    cycles._label(X[turn], 1.0, enclosed, enclosed)
+
+    @pytest.mark.parametrize("draw, margin, count", [
+        (455, 0.9437244738577499, 3),
+        (665, 0.09773883765421576, 4),
+        (1068, 0.13976199148601787, 3),
+        (1303, 0.7712669956100676, 5),
+    ])
+    def test_two_extrema_a_fraction_of_a_percent_apart(self, draw, margin, count):
+        # maps whose F has two extrema within 0.5 % of each other, at the
+        # midpoint of F's values there: a log scan 0.5 % a step misses the
+        # two roots between them
+        nl = list(itertools.islice(draws(2026), draw, draw + 1))[0]
+        roots = find_intersections(nl, margin)
+        assert len(roots) == count, roots
+        for X in roots:
+            assert abs(_df_at(nl, X) - margin) <= cycles.VALUE_TOL
+        # plant_b(12/K) crosses at K: the labels alternate along the roots,
+        # where classify's probes, 0.1 % away, reach past a neighbour
+        [co] = analyze(plant_b(12.0 / margin), nl)
+        labels = [c.stability for c in co.cycles]
+        assert len(labels) == count and all(a != b for a, b in zip(labels, labels[1:])), labels
 
 
 class TestKeptTable:
-    """``find_intersections`` keeps its F = K scan's table on the map."""
+    """``find_intersections`` keeps its run table of F on the map."""
 
     @staticmethod
     def fresh(nl):
@@ -131,44 +186,46 @@ class TestKeptTable:
         for nl in (nl_a, nl_b, random_nonlinearity(rng), random_nonlinearity(rng)):
             margins = [math.exp(rng.uniform(math.log(0.05), math.log(5.0))) for _ in range(50)]
             kept = [find_intersections(nl, km) for km in margins]
-            assert "_f_scan" in vars(nl)
+            assert "_f_runs" in vars(nl)
             assert kept == [find_intersections(self.fresh(nl), km) for km in margins]
             assert any(kept), nl
 
     def test_an_explicit_grid_end_is_not_kept(self, nl_b):
-        ref = nl_b.max_breakpoint
-        for km in (2.4, 0.8, 0.4):
-            assert find_intersections(nl_b, km, x_max=100.0 * ref) == find_intersections(
-                self.fresh(nl_b), km
-            )
-        assert "_f_scan" not in vars(nl_b)
+        # x_max caps the amplitudes returned; the table kept is the one
+        # that a call without it builds
+        for km in (2.4, 0.8, 0.4, 0.005):
+            every = find_intersections(self.fresh(nl_b), km)
+            for x_max in (10.0, 1e3, math.inf):
+                assert find_intersections(nl_b, km, x_max=x_max) == [
+                    x for x in every if x <= x_max
+                ]
+            assert find_intersections(nl_b, km, x_max=None) == every
+        fresh = self.fresh(nl_b)
+        find_intersections(fresh, 0.8)
+        assert vars(nl_b)["_f_runs"] == vars(fresh)["_f_runs"]
 
     def test_a_map_whose_f_overflows_raises_on_every_call(self):
         tall = PiecewiseNonlinearity(x=(1e-300, 1e-300), y=(0.0, 1e300))
         for km in (2.4, 2.4, 0.5):
             with pytest.raises(IntersectionError, match=r"^F is not finite at X = 1\.00"):
                 find_intersections(tall, km)
-        assert "_f_scan" not in vars(tall)
+        assert "_f_runs" not in vars(tall)
         with pytest.raises(ValueError, match="gain margin must be positive and finite"):
             find_intersections(tall, math.nan)  # K is checked first
 
-    def test_f_minus_k_that_overflows_raises(self):
-        # F = -1e308 below X = 1 is finite, but F - K overflows for K = 1e308
+    def test_f_minus_k_that_overflows(self):
+        # F = -1e308 below X = 1 is finite, and F - K overflows for K = 1e308;
+        # F < 0 < K on every run, so no bracket is refined and none raises
         deep = PiecewiseNonlinearity(x=(1.0,), y=(-1e308,), final_slope=0.0)
-        assert find_intersections(deep, 1e300) == []
-        for _ in range(2):
-            with pytest.raises(
-                IntersectionError, match=r"^F is not finite at X = 9\.999999999999999e-06$"
-            ):
-                find_intersections(deep, 1e308)
-        assert find_intersections(deep, 1e300) == []
+        for km in (1e300, 1e308, 1e308, 1e300):
+            assert find_intersections(deep, km) == []
 
     def test_the_table_lives_and_dies_with_its_map(self):
         # a map no other test builds, so that no cache keyed by equal maps
         # could hold an earlier object in its place
         nl = PiecewiseNonlinearity(x=(3.0, 6.0, 10.0, 19.125), y=(3.0, 3.0, 10.0, 10.0))
         assert len(find_intersections(nl, 0.8)) == 3
-        assert "_f_scan" in vars(nl)
+        assert "_f_runs" in vars(nl)
         ref = weakref.ref(nl)
         del nl
         gc.collect()
@@ -328,15 +385,20 @@ class TestAnalyze:
             assert calls == [("N", 2 + roots), ("D", 2 + roots)], (plant, calls)
 
 
-def composed_analyze(plant, nl):
+def composed_analyze(plant, nl, label=None):
     """``analyze`` from its public calls, as the benchmark's traced op makes
-    them: ``classify`` per cycle, then Y1 = ``df_value(nl, X) * X``."""
+    them: ``classify`` per cycle (or ``label(plant, nl, X, omega, K,
+    contour)``),
+    then Y1 = ``df_value(nl, X) * X``."""
     contour = nyquist_contour(plant)
     results = []
     for omega, K in phase_crossovers(plant):
         cycles = []
         for X in find_intersections(nl, K):
-            stability = classify(plant, nl, X, omega, contour=contour)
+            if label is None:
+                stability = classify(plant, nl, X, omega, contour=contour)
+            else:
+                stability = label(plant, nl, X, omega, K, contour)
             Y1 = df_value(nl, X) * X
             with np.errstate(over="ignore", invalid="ignore"):
                 x0, xq = ellipse_estimate(plant, omega, Y1)
@@ -359,6 +421,38 @@ def outcome(f, *args):
         return f(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+def probes_are_clear(nl, X, K, contour):
+    """Whether ``classify``'s probes X (1 -/+ DELTA) hold no breakpoint and
+    no other root of F = K between them, F > 0 at both, and the contour has
+    no row between their -1/F but the crossover's own, at -1/K: only then do
+    the probes see the side of the cycle that ``analyze`` reads off F's run."""
+    lo, hi = X * (1.0 - DELTA), X * (1.0 + DELTA)
+    others = [x for x in find_intersections(nl, K) if x != X] + list(nl.breakpoints)
+    if any(lo <= x <= hi for x in others):
+        return False
+    F = [_df_at(nl, x) for x in (lo, hi)]
+    if not min(F) > 0.0:
+        return False
+    p_lo, p_hi = sorted(-1.0 / f for f in F)
+    return not any(p_lo <= x <= p_hi and x != -1.0 / K for x, _ in contour.tolist())
+
+
+def classify_where_clear(labelled, unclear):
+    """A ``label`` for ``composed_analyze``: ``classify`` where the probes
+    are clear (``probes_are_clear``), else the cycle's label in the result
+    ``labelled`` of ``analyze``, each such cycle appended to ``unclear``."""
+    given = {(c.omega, c.X): c.stability
+             for co in (labelled if isinstance(labelled, list) else []) for c in co.cycles}
+
+    def label(plant, nl, X, omega, K, contour):
+        if (omega, X) in given and not probes_are_clear(nl, X, K, contour):
+            unclear.append((nl, X))
+            return given[omega, X]
+        return classify(plant, nl, X, omega, contour=contour)
+
+    return label
 
 
 def assert_public_crossings_are_analyzes(plant, nl):
@@ -401,8 +495,10 @@ EXPONENTS = (0, -1060, -1040, -1010, -1000, 1000, 1010)
 
 @pytest.mark.parametrize("e", EXPONENTS)
 def test_analyze_equals_its_public_parts(e):
+    # each label is classify's, except on a cycle whose probes reach past a
+    # breakpoint, another root or another row of the contour
     rng = random.Random(1234 + e)
-    cycles = 0
+    cycles, unclear = 0, []
     for _ in range(20):
         # an integrator and two or three lags: the plant crosses the axis
         lags = [rng.uniform(0.2, 5.0) for _ in range(rng.randint(2, 3))]
@@ -421,7 +517,7 @@ def test_analyze_equals_its_public_parts(e):
             final_slope=sign * nl.final_slope,
         )
         got = outcome(analyze, plant, nl)
-        assert got == outcome(composed_analyze, plant, nl)
+        assert got == outcome(composed_analyze, plant, nl, classify_where_clear(got, unclear))
         for co in got if isinstance(got, list) else []:
             for c in co.cycles:
                 # analyze's one-amplitude calls give the values of df_value's
@@ -429,15 +525,16 @@ def test_analyze_equals_its_public_parts(e):
                 triple = [c.X * (1.0 - DELTA), c.X, c.X * (1.0 + DELTA)]
                 assert [_df_at(nl, x) for x in triple] == [df_value(nl, x) for x in triple]
                 cycles += 1
-    assert cycles >= 15  # the comparison is not vacuous
+    assert cycles >= 15 and len(unclear) <= cycles // 4  # the comparison is not vacuous
 
 
 def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, nl_b):
     # on a warm memo and a kept table, the work per K and per cycle runs in
     # Python floats, and the contour's arc and chord in closed form: no
     # h_of_jw, np.angle, np.exp or np.sign call at all; and the cycles keep
-    # the bits of classify, df_value(nl, X) * X and ellipse_estimate, which
-    # the benchmark's traced op composes
+    # the bits of df_value(nl, X) * X and ellipse_estimate and the labels of
+    # classify where its probes are clear, which the benchmark's traced op
+    # composes
     rng = random.Random(77)
     cases = [(plant_a(k), nl_a) for k in (1.0, 2.5, 6.0)]
     cases += [(plant_b(k), nl_b) for k in (5.0, 15.0, 30.0, -15.0)]
@@ -474,8 +571,8 @@ def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, n
         return g
 
     n_cycles = errors = 0
+    unclear = []
     for plant, nl in cases:
-        want = outcome(composed_analyze, plant, nl)
         outcome(analyze, plant, nl)  # warms the memo and the table
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "angle", counted("angle", np.angle))
@@ -486,12 +583,13 @@ def test_warm_analyze_takes_no_resolvent_and_scans_no_table(monkeypatch, nl_a, n
             calls.clear()
             got = outcome(analyze, plant, nl)
         assert calls == [], (plant, nl, calls)
+        want = outcome(composed_analyze, plant, nl, classify_where_clear(got, unclear))
         assert repr(got) == repr(want), (plant, nl)
         if isinstance(got, list):
             n_cycles += sum(len(co.cycles) for co in got)
         else:
             errors += got[0] is NonFiniteCycleError
-    assert n_cycles >= 40 and errors == 2, (n_cycles, errors)
+    assert n_cycles >= 40 and errors == 2 and len(unclear) <= n_cycles // 4, (n_cycles, errors)
 
 
 def test_one_call_on_the_probe_triple_keeps_each_value():

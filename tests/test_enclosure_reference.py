@@ -9,8 +9,10 @@ times the innermost radius, closed back to the first sample; its winding
 number about a point counts the signed crossings of a horizontal ray by the
 polygon's edges.
 
-``analyze`` with the reference's labels must equal ``analyze`` on the
-benchmark's ops and the case studies.  On a family of plant shapes the two
+``analyze`` reads its labels off the same table, at the crossover's own
+row, and F's run.  ``analyze`` with labels from the reference's winding
+numbers at ``classify``'s probes must equal ``analyze`` on the benchmark's
+ops and the case studies.  On a family of plant shapes the two
 enclosures must agree at log-spaced probes, except where a polygon chord cuts
 a sharp crossing: there the table counts the crossing at its exact abscissa,
 so a probe within 1e-3 of it may disagree once, and the table must then give
@@ -75,10 +77,11 @@ def table_winding(table: np.ndarray, p: float) -> float:
 
 
 def reference_analyze(plant, nl):
-    """``analyze`` with each cycle labelled by the polygon's winding numbers."""
+    """``analyze`` with each cycle labelled by the polygon's winding numbers
+    at ``classify``'s probes."""
     built = []  # the polygon, at the first cycle: most ops have none
 
-    def polygon_verdict(X, omega, F_below, F_above, *, contour):
+    def polygon_label(X, omega, enclosed_below, enclosed_above):
         # F at each probe comes from its own df_value call, not from analyze
         if not built:
             built.append(polygon(plant))
@@ -89,7 +92,7 @@ def reference_analyze(plant, nl):
         return {(True, False): STABLE, (False, True): UNSTABLE}[below, above]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_verdict", polygon_verdict)
+        mp.setattr(cycles, "_label", polygon_label)
         return analyze(plant, nl)
 
 
