@@ -132,8 +132,8 @@ def _run_table(nl: PiecewiseNonlinearity) -> tuple[tuple, tuple, tuple]:
     the sign of X^2 F' at L plus at R.  The
     knots are the cells' left ends, which close in on each turn of F,
     ``KNOTS_PER_OCTAVE`` log-spaced amplitudes up to ``KNOT_SPAN`` times the
-    last breakpoint, and ``MARKS`` above each breakpoint, where false
-    position would crawl from a wide bracket; then inf, and first 0 where y
+    last breakpoint, and ``MARKS`` above each breakpoint (up to the largest
+    float), where false position would crawl from a wide bracket; then inf, and first 0 where y
     jumps there.  A run ``(start, stop, rising)`` spans ``X[start:stop]``.
     Raises ``IntersectionError`` where F is not finite at a knot.
     """
@@ -168,8 +168,15 @@ def _run_table(nl: PiecewiseNonlinearity) -> tuple[tuple, tuple, tuple]:
     bps = np.ldexp(starts, e).tolist()
     top = min(KNOT_SPAN * bps[-1], sys.float_info.max)
     n = int((math.log2(top) - math.log2(bps[0])) * KNOTS_PER_OCTAVE)
-    X = np.sort(np.concatenate([np.exp2(np.arange(n + 1) / KNOTS_PER_OCTAVE) * bps[0], lefts,
-                                np.outer(bps, 1.0 + MARKS).ravel()]))
+    octaves = np.arange(n + 1) / KNOTS_PER_OCTAVE
+    # 2^octaves overflows past 1023 octaves (breakpoints as far apart as 1e-300
+    # and 1e12): those knots are counted from the 1000th octave
+    past = octaves > 1000.0
+    knots = [np.exp2(octaves[~past]) * bps[0],
+             np.exp2(octaves[past] - 1000.0) * (bps[0] * 2.0**1000)]
+    with np.errstate(over="ignore"):  # marks past the largest float are left out
+        marks = np.outer(bps, 1.0 + MARKS).ravel()
+    X = np.sort(np.concatenate([*knots, lefts, marks[marks < math.inf]]))
     X = X[np.append(True, X[1:] > X[:-1])]  # distinct; np.unique would import numpy.ma
     with np.errstate(over="ignore", invalid="ignore"):
         F = _df(nl, X)

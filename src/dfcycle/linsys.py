@@ -9,9 +9,11 @@ the real roots of P, and G is evaluated only there and at the range's ends.
 All of that but G's gain k is kept per coefficient set in two small memos,
 so a plant shape swept over gains finds its crossovers once; the state
 resolvent h(j omega) at each crossover, which spans a cycle's ellipse, is
-kept with them.  The Nyquist contour's crossings of the negative real axis
-away from the crossovers lie where plane geometry puts them, in closed form
-from G at the range's ends (``nyquist_contour``).
+kept with them.  Each call forms G = k N / D from the kept N and D in Python
+floats, by NumPy's own steps and so with the bits of its array quotient, and
+takes |G| in one NumPy call.  The Nyquist contour's crossings of the negative
+real axis away from the crossovers lie where plane geometry puts them, in
+closed form from G at the range's ends (``nyquist_contour``).
 """
 
 from __future__ import annotations
@@ -300,13 +302,15 @@ def _newton(p, size, a: float, b: float, sign_a: int, t: float) -> float:
 @lru_cache(maxsize=MEMO_SIZE)
 def _gain_free(
     num_bits: bytes, den_bits: bytes, lo: float, hi: float
-) -> tuple[tuple[float, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, tuple]:
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...], tuple[complex, ...],
+           tuple[complex, ...], tuple]:
     """What ``_crossings`` finds without G's gain k, kept per coefficient set
     and range: the phase crossovers' candidates ``roots``, the real roots of P
     in (lo, hi) at which it changes sign and N(j omega) is not negligible,
-    P's sign at each one's left edge, the read-only arrays
-    ``ws = [lo, *roots, hi]``, N(j ws) and D(j ws) (``_checked_den``), and
-    ``h_of_jw`` at each root, from its D, as a tuple of complex numbers.
+    P's sign at each one's left edge, ``ws = (lo, *roots, hi)``, N(j ws) and
+    D(j ws) (``_checked_den``), each a tuple of Python numbers with the bits
+    of its NumPy array, and ``h_of_jw`` at each root, from its D, as a tuple
+    of complex numbers.
     P comes from num and den scaled to a largest |coefficient| of 1.
     (lo, hi) is split at the midpoints between the candidates, the real
     parts in it of P's roots with imaginary parts at most 1e-7 of them.  Each
@@ -358,11 +362,10 @@ def _gain_free(
         at = [0, *(i + 1 for i in keep), len(ws) - 1]
         roots, left_signs = [roots[i] for i in keep], [left_signs[i] for i in keep]
         ws, n, d = ws[at], n[at], d[at]
-    for a in (ws, n, d):
-        a.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
         hs = tuple(tuple(_resolvent(den, 1j * w, v).tolist()) for w, v in zip(roots, d[1:-1]))
-    return tuple(roots), tuple(left_signs), ws, n, d, hs
+    return (tuple(roots), tuple(left_signs), tuple(ws.tolist()), tuple(n.tolist()),
+            tuple(d.tolist()), hs)
 
 
 def _size(coeffs: tuple[float, ...], w: float) -> float:
@@ -380,24 +383,57 @@ def _crossings(
     (lo, hi), ``h_of_jw`` at each as a tuple, G and ``np.abs`` of G at lo,
     and G at hi; ``den_bits`` is ``_bits(plant.den)``, which the caller
     packs once.
-    The crossovers are ``_gain_free``'s roots of P at which Re G < 0,
-    G = k N / D with ``transfer``'s bits.  The direction is Im G's sign at
-    the root's left edge, +1 where Im G falls through 0.  Raises
-    ``PoleOnAxisError`` as ``_gain_free`` and ``phase_crossovers`` say."""
+    The crossovers are ``_gain_free``'s roots of P at which Re G < 0.
+    G = k N / D is formed in Python floats by NumPy's own steps, so with the
+    bits of ``k * n / d`` on arrays (and of ``transfer``): k + 0j times N,
+    each part one fused multiply-add, then NumPy's complex division loop,
+    Smith's quotient with a reciprocal (R. L. Smith, "Algorithm 116: Complex
+    division", CACM 5(8), 1962).  |G| stays one ``np.abs`` call, which is
+    not ``hypot``: Python's ``abs`` differs from it by up to 2 ulp.  It
+    raises no floating-point warning, also where |G| overflows, and at a
+    crossover |G| >= |Re G| > 0, so the gain margin 1/|G| is a Python float
+    division.  The direction is Im G's sign at the root's left edge, +1
+    where Im G falls through 0.  Raises ``PoleOnAxisError`` as
+    ``_gain_free`` and ``phase_crossovers`` say, naming the first omega at
+    which G is not finite."""
     roots, left_signs, ws, n, d, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = _finite(plant.k * n / d, ws)
-        size = np.abs(g)
-        margins = (1.0 / size).tolist()
-    sign = math.copysign(1.0, plant.k)  # Im G = k P / |D|^2
-    crossing = [re < 0 for re in g.real.tolist()[1:-1]]
-    rows = [[w, km, sign * s] for w, km, s, c in
-            zip(roots, margins[1:-1], left_signs, crossing) if c]
-    for w, km, _ in rows:
-        if not 0.0 < km < math.inf:
-            raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
-    g_lo, g_hi = complex(g[0]), complex(g[-1])
-    return rows, [h for h, c in zip(hs, crossing) if c], g_lo, float(size[0]), g_hi
+    k, g = plant.k, []
+    for w, a, b in zip(ws, n, d):
+        # k + 0j times N, each part k x + c rounded once (a fused multiply-add)
+        # with c = +-0.0 or NaN: k x, whose sign where it underflows to 0 is
+        # the exact product's, which adding c = 0.0 would lose
+        nr, ni = a.real, a.imag
+        ar, c = k * nr, -(0.0 * ni)
+        ar = ar if ar == 0.0 and k and nr and c == c else ar + c
+        ai, c = k * ni, 0.0 * nr
+        ai = ai if ai == 0.0 and k and ni and c == c else ai + c
+        dr, di = b.real, b.imag
+        try:
+            if abs(dr) >= abs(di):
+                rat = di / dr
+                scl = 1.0 / (dr + di * rat)
+                x, y = (ar + ai * rat) * scl, (ai - ar * rat) * scl
+            else:  # also where dr or di is NaN
+                rat = dr / di
+                scl = 1.0 / (di + dr * rat)
+                x, y = (ar * rat + ai) * scl, (ai * rat - ar) * scl
+        except ZeroDivisionError:  # D = 0 or NaN + 0j, which _checked_den and
+            # _horner do not give, and where NumPy's G is inf or NaN
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PoleOnAxisError(f"G(j omega) is not finite at omega = {w}")
+        g.append(complex(x, y))
+    size = np.abs(g).tolist()
+    sign = math.copysign(1.0, k)  # Im G = k P / |D|^2
+    rows, kept = [], []
+    for w, z, s, left, h in zip(roots, g[1:-1], size[1:-1], left_signs, hs):
+        if z.real < 0:
+            km = 1.0 / s
+            if not 0.0 < km < math.inf:
+                raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
+            rows.append([w, km, sign * left])
+            kept.append(h)
+    return rows, kept, g[0], size[0], g[-1]
 
 
 def phase_crossovers(

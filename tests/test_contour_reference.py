@@ -30,6 +30,12 @@ cannot meet its tolerance on Im G / |G| there, runs to neighbouring floats
 about the zero), so both drop the same band.  The plant
 1/(s^5 + s^4 + 2 s^3 + 3 s^2 + (1 + eps) s + 1) shows what the grid missed:
 two crossings 1e-4 apart, inside one grid cell.
+
+``array_g_crossings`` is ``linsys._crossings`` with G = k N / D formed on
+NumPy arrays at ``_gain_free``'s points, as it was before G was formed in
+Python floats.  With it in ``_crossings``' place, ``nyquist_contour`` and
+``phase_crossovers`` must give the same bits and errors on random plants with
+0-2 poles at the origin and gains of both signs.
 """
 
 from __future__ import annotations
@@ -42,13 +48,15 @@ import sys
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant, cycles
+from dfcycle import LinearPlant, cycles, linsys
 from dfcycle.cycles import analyze
 from dfcycle.linsys import (
     NUM_ZERO,
     OMEGA_RANGE,
     PoleOnAxisError,
+    _bits,
     _contour,
+    _gain_free,
     _roots,
     freq_response,
     h_of_jw,
@@ -496,3 +504,59 @@ def test_coefficients_at_float_extremes(num, den, crossings):
     for (w, km), (w_ref, km_ref) in zip(found, crossings):
         assert w == pytest.approx(w_ref, rel=1e-12)
         assert km == pytest.approx(km_ref, rel=1e-12)
+
+
+def array_g_crossings(plant, den_bits, lo, hi):
+    """``linsys._crossings`` with G = k N / D, |G| and 1/|G| on NumPy arrays."""
+    roots, left_signs, ws, n, d, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
+    ws, n, d = np.array(ws), np.array(n), np.array(d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = plant.k * n / d
+        overflow = ~np.isfinite(g)
+        if overflow.any():
+            raise PoleOnAxisError(f"G(j omega) is not finite at omega = {ws[overflow][0]}")
+        size = np.abs(g)
+        margins = (1.0 / size).tolist()
+    sign = math.copysign(1.0, plant.k)
+    crossing = [re < 0 for re in g.real.tolist()[1:-1]]
+    rows = [[w, km, sign * s] for w, km, s, c in
+            zip(roots, margins[1:-1], left_signs, crossing) if c]
+    for w, km, _ in rows:
+        if not 0.0 < km < math.inf:
+            raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
+    hs = [h for h, c in zip(hs, crossing) if c]
+    return rows, hs, complex(g[0]), float(size[0]), complex(g[-1])
+
+
+def public_outcome(plant):
+    """``nyquist_contour``'s bytes and ``phase_crossovers``, or the error."""
+    try:
+        return nyquist_contour(plant).tobytes(), phase_crossovers(plant)
+    except PoleOnAxisError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_g_in_python_floats_matches_array_g(seed, monkeypatch):
+    # the arc's row at -10 |G(j omega_min)| and every gain margin take
+    # np.abs's bits: Python's abs moves them on about one plant in six
+    rng = random.Random(seed)
+    seen = {q: 0 for q in range(3)}
+    for _ in range(200):
+        num, den = random_coefficients(rng)
+        q = rng.randint(0, 2)
+        den = den[:len(den) - next(i for i, c in enumerate(reversed(den)) if c != 0.0)]
+        if q and num[-1] == 0.0:
+            num = num[:-1] + (1.0,)
+        k = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        try:
+            plant = LinearPlant(num, den + (0.0,) * q, k)
+        except ValueError:  # improper once den's trailing zeros are replaced
+            continue
+        got = public_outcome(plant)
+        with monkeypatch.context() as mp:
+            mp.setattr(linsys, "_crossings", array_g_crossings)
+            want = public_outcome(plant)
+        assert got == want, plant
+        seen[q] += not isinstance(got, str)
+    assert min(seen.values()) >= 30, seen

@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from dfcycle.cycles import (
     NonFiniteCycleError,
     analyze,
     classify,
+    _run_table,
     ellipse_estimate,
     find_intersections,
 )
@@ -219,6 +221,20 @@ class TestKeptTable:
         deep = PiecewiseNonlinearity(x=(1.0,), y=(-1e308,), final_slope=0.0)
         for km in (1e300, 1e308, 1e308, 1e300):
             assert find_intersections(deep, km) == []
+
+    @pytest.mark.parametrize("x, y, slope", [((1e-300, 1e12), (1.0, 1.0), 1.0),
+                                             ((1.7e308, 1.7e308), (1.0, 2.0), None)])
+    def test_knots_of_breakpoints_at_the_ends_of_the_float_range(self, x, y, slope):
+        # 2^(i/4) overflowed past 1023 octaves above the first breakpoint,
+        # and the marks above a breakpoint overflowed past the largest float:
+        # each raised a RuntimeWarning
+        X, F, _ = _run_table(PiecewiseNonlinearity(x=x, y=y, final_slope=slope))
+        knots = np.array(X[:-1])
+        assert X[-1] == math.inf and np.isfinite(knots).all() and np.isfinite(F).all()
+        assert (knots[1:] > knots[:-1]).all()
+        # the log-spaced knots run a quarter octave short of 100 times the
+        # last breakpoint, or of the largest float
+        assert knots[-1] >= min(100.0 * x[-1], sys.float_info.max) * 2.0**-0.25
 
     def test_the_table_lives_and_dies_with_its_map(self):
         # a map no other test builds, so that no cache keyed by equal maps

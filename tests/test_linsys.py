@@ -376,15 +376,21 @@ class TestMemo:
                 assert memo.cache_info().currsize <= memo.cache_info().maxsize == MEMO_SIZE
         assert _gain_free.cache_info().currsize == MEMO_SIZE
 
-    def test_stored_arrays_are_read_only(self, cold_crossing_memo):
+    def test_entry_holds_only_tuples_of_python_numbers(self, cold_crossing_memo):
+        # a tuple cannot be changed by a caller, and a NumPy scalar, a list
+        # or an array in an entry would fail here
+        def python_numbers(v):
+            if type(v) is tuple:
+                return all(map(python_numbers, v))
+            return type(v) in (int, float, complex)
+
         plant = plant_b(15.0)
         nyquist_contour(plant)
         assert _gain_free.cache_info().currsize == 1
-        roots, _, ws, n, d, _ = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
-        assert len(ws) == len(n) == len(d) == 2 + len(roots) == 3
-        for a in (ws, n, d):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+        entry = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
+        roots, _, ws, n, d, hs = entry
+        assert len(ws) == len(n) == len(d) == 2 + len(roots) == 3 and len(hs) == 1
+        assert python_numbers(entry)
 
     def test_holds_no_plant(self, cold_crossing_memo):
         plant = LinearPlant(num=(1.0, 0.5), den=(1.0, 5.0, 6.0, 0.0, 0.0), k=4.0)
@@ -427,6 +433,22 @@ class TestMemo:
         for k in (5.0, 30.0, -15.0):
             analyze(plant_b(k), nl_b)
         assert calls == []
+
+    def test_warm_analyze_calls_numpy_only_for_abs(self, cold_crossing_memo, monkeypatch, nl_b):
+        # G = k N / D and the gain margins are formed in Python floats; only
+        # |G| stays one NumPy call, so that its bits are np.abs's
+        looked_up = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return getattr(np, name)
+
+        analyze(plant_b(15.0), nl_b)
+        monkeypatch.setattr(linsys, "np", CountedNumpy())
+        for k in (5.0, 30.0, -15.0):
+            analyze(plant_b(k), nl_b)
+        assert looked_up == ["abs"] * 3
 
     def test_warm_analyze_packs_each_key_once(self, cold_crossing_memo, monkeypatch, nl_b):
         # den's key serves both memos, so an op packs den once and num once

@@ -8,6 +8,13 @@ functions below are the ``np.polyval`` form it replaced:
 1e300, at scalar and array s, ``transfer``, ``freq_response`` and
 ``h_of_jw`` must give the same bits, the same result types and the same
 errors as these.
+
+``linsys._crossings`` forms G = k N / D in Python floats by NumPy's own
+steps.  On 100 000 drawn quotients, with parts from 2^-1000 to 2^1000,
+signed zeros, subnormals, and infinities and NaNs, it must give the bits of
+NumPy's ``k * n / d`` on arrays, or raise ``PoleOnAxisError`` naming the
+first omega where that is not finite.  A NumPy release or a CPU that
+multiplies or divides otherwise fails here.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import random
 import numpy as np
 import pytest
 
-from dfcycle import LinearPlant
-from dfcycle.linsys import PoleOnAxisError, freq_response, h_of_jw
+from dfcycle import LinearPlant, linsys
+from dfcycle.linsys import PoleOnAxisError, _crossings, freq_response, h_of_jw
 
 from conftest import plant_a
 
@@ -131,3 +138,69 @@ def test_errors_match_the_polyval_form(plant, s, message):
     assert got[0] is PoleOnAxisError
     with pytest.raises(PoleOnAxisError, match=message), np.errstate(all="ignore"):
         plant.transfer(s)
+
+
+def random_part(rng: random.Random, special: float) -> float:
+    """A float of either sign from 2^-1000 to 2^1000; or, each one time in
+    25, a signed zero or a subnormal; or, with probability ``special``,
+    an infinity or a NaN."""
+    u = rng.random()
+    if u < special:
+        return rng.choice((math.inf, -math.inf, math.nan))
+    sign = rng.choice((-1.0, 1.0))
+    if u < special + 0.04:
+        return sign * 0.0
+    if u < special + 0.08:
+        return sign * rng.uniform(0.0, 2.0**-1022)
+    return sign * math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1000, 1000))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crossings_form_g_with_numpys_bits(seed, monkeypatch):
+    # _crossings at a range's two ends, with _gain_free's N and D replaced
+    # by drawn ones: 2 quotients a call, 25 000 a seed
+    rng = random.Random(seed)
+    ws = (1e-3, 1e3)
+    drawn = {}
+    monkeypatch.setattr(linsys, "_gain_free", lambda *key: drawn["entry"])
+    finite = failed = 0
+    for _ in range(12_500):
+        k = rng.choice((0.0, -0.0, *(random_part(rng, 0.0) for _ in range(6))))
+        n = tuple(complex(random_part(rng, 0.02), random_part(rng, 0.02)) for _ in ws)
+        d = tuple(complex(random_part(rng, 0.005), random_part(rng, 0.005)) for _ in ws)
+        drawn["entry"] = ((), (), ws, n, d, ())
+        with np.errstate(all="ignore"):
+            want = k * np.array(n) / np.array(d)
+        plant = LinearPlant((1.0,), (1.0, 1.0), k)
+        bad = ~np.isfinite(want)
+        if bad.any():
+            message = f"^G\\(j omega\\) is not finite at omega = {np.array(ws)[bad][0]}$"
+            with pytest.raises(PoleOnAxisError, match=message):
+                _crossings(plant, b"", *ws)
+            failed += 1
+            continue
+        _, _, g_lo, size_lo, g_hi = _crossings(plant, b"", *ws)
+        got = np.array([g_lo, g_hi])
+        assert got.tobytes() == want.tobytes(), (k, n, d, got, want)
+        with np.errstate(all="ignore"):
+            assert size_lo == np.abs(want[0]), (k, n, d)
+        finite += 1
+    # both outcomes are drawn often
+    assert finite > 5_000 and failed > 1_000, (finite, failed)
+
+
+def test_finite_g_whose_size_overflows(monkeypatch):
+    # np.abs gives inf there without a warning; at a crossover the gain
+    # margin 1/|G| is then 0, which is refused
+    plant, ws = LinearPlant((1.0,), (1.0, 1.0), 1.0), (1e-3, 1.0, 1e3)
+    big = complex(1.5e308, 1.5e308)
+    for n, crossover in (((big, complex(-1.7e308, -1e308), 1 + 0j), True),
+                         ((big, 1j, 1 + 0j), False)):
+        entry = ((1.0,), (1,), ws, n, (1 + 0j,) * 3, ((1j,),))
+        monkeypatch.setattr(linsys, "_gain_free", lambda *key, entry=entry: entry)
+        if crossover:
+            with pytest.raises(PoleOnAxisError, match=r"^the gain margin 1/\|G\| is 0\.0 at omega = 1\.0$"):
+                _crossings(plant, b"", 1e-3, 1e3)
+        else:
+            rows, _, g_lo, size_lo, _ = _crossings(plant, b"", 1e-3, 1e3)
+            assert (rows, g_lo, size_lo) == ([], big, math.inf)
