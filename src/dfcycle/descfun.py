@@ -15,7 +15,9 @@ harmonic and serves as an independent cross-check of the closed forms: it
 splits the period where X sin t meets a breakpoint and integrates each
 panel's own linear piece of y, read from the nonlinearity's signed line table
 (``lines``), never from its ``terms``, with one fixed 16-node Gauss-Legendre
-rule per panel.
+rule per panel.  The map keeps that table as a read-only array, beside the
+exponent bound that lets ``_shift`` skip its loop over the pieces
+(``_oracle_table``), so a call on a warm map rebuilds neither.
 """
 
 from __future__ import annotations
@@ -197,31 +199,49 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS = _gauss_legendre(16)
 
 
+def _oracle_table(nl: PiecewiseNonlinearity):
+    """The per-map facts of the quadrature, which ``nl._oracle_table`` keeps.
+
+    ``lines`` is ``nl.lines`` as a read-only array in column-major order, so
+    its ``lo`` column, which every lookup bisects, is contiguous.  ``top_y``
+    and ``top_m`` are the largest frexp exponents of the ordinates and the
+    slopes of ``nl.pieces``, from which ``_shift`` bounds its ``top``.
+    """
+    lines = np.asfortranarray(nl.lines)
+    lines.flags.writeable = False
+    _, ys, slopes = nl.pieces
+    return lines, max(math.frexp(y)[1] for y in ys), max(math.frexp(m)[1] for m in slopes)
+
+
 def _integrate_piecewise(nl, X, shift, quarter, full):
     """Integrals of ``2^shift y(X sin t)`` times sin t between the ascending
     splits ``quarter``, and times cos t between ``full``, in one pass.
 
     Between two splits X sin t stays on one linear piece of y.  Each panel
-    looks that piece up once in ``nl.lines``, at its midpoint, and
-    integrates the piece's line with the Gauss-Legendre rule, whose nodes lie
-    inside the panel, so a jump of y sitting on a split never leaks into the
-    panel.  All panels are evaluated as one array.  The map and X are scaled
-    exactly by 2^shift; a line whose anchor overflows lies past X.  A
-    non-finite integral raises ``QuadratureError``, the sine integral first.
+    looks that piece up once in the map's kept line table (``nl.lines`` as an
+    array, ``_oracle_table``), at its midpoint, and integrates the piece's
+    line with the Gauss-Legendre rule, whose nodes lie inside the panel, so
+    a jump of y sitting on a split never leaks into the panel.  All panels
+    are evaluated as one array.  The map and X are scaled exactly by
+    2^shift, on a copy of the table where the shift is not 0; a line whose
+    anchor overflows lies past X.  A non-finite integral raises
+    ``QuadratureError``, the sine integral first.
     """
     Xs = math.ldexp(X, shift)
     q = len(quarter) - 1  # row q, from pi/2 back to -pi, is no panel: it is skipped
     splits = np.array(quarter + full)
-    a, width = splits[:-1], np.diff(splits)
-    x_mid = Xs * np.sin(a + 0.5 * width)
-    lines = np.array(nl.lines)
-    with np.errstate(over="ignore"):
-        lines[:, :4] = np.ldexp(lines[:, :4], shift)
-    _, _, x0, y0, m = lines[np.searchsorted(lines[:, 0], x_mid, side="right") - 1].T
-    y_mid = y0 + m * (x_mid - x0)
-    t = a[:, None] + width[:, None] * _NODES
-    sin_t = np.sin(t)
+    a = splits[:-1]
+    width = splits[1:] - a
+    lines = nl._oracle_table[0]
     with np.errstate(all="ignore"):
+        if shift:
+            lines = lines.copy()
+            lines[:, :4] = np.ldexp(lines[:, :4], shift)
+        x_mid = Xs * np.sin(a + 0.5 * width)
+        _, _, x0, y0, m = lines[lines[:, 0].searchsorted(x_mid, side="right") - 1].T
+        y_mid = y0 + m * (x_mid - x0)
+        t = a[:, None] + width[:, None] * _NODES
+        sin_t = np.sin(t)
         f = y_mid[:, None] + m[:, None] * (Xs * sin_t - x_mid[:, None])
         f[:q] *= sin_t[:q]
         f[q + 1:] *= np.cos(t[q + 1:])
@@ -241,13 +261,19 @@ def _shift(nl: PiecewiseNonlinearity, X: float) -> int:
     A subnormal X loses digits in the integrand: scale up to 2^-1000, no
     further.  Else, where the ordinates on [-X, X] near the largest float,
     scale down until they stay below 2^1017, so no panel sum overflows; X
-    stays above 2^-1009 then.  Their bound comes from exponents,
-    |y0| + |m| (X - x0) on each piece from its vertex x0 <= X, as y(X) itself
-    may overflow.  Else the shift is 0.
+    stays above 2^-1009 then.  Their bound ``top`` comes from exponents,
+    |y0| + |m| (X - x0) on each piece from its vertex x0 <= X, as y(X)
+    itself may overflow.  Else the shift is 0.  Since 0 <= X - x0 <= X,
+    ``top`` is at most max(top_y, top_m + max(e(X), 0)) from the map's kept
+    exponents (``_oracle_table``): where that is at most 1016, the shift is
+    0 without the loop over the pieces.
     """
-    up = -1000 - math.frexp(X)[1]
-    if up > 0:
-        return up
+    e = math.frexp(X)[1]
+    if e < -1000:
+        return -1000 - e
+    _, top_y, top_m = nl._oracle_table
+    if max(top_y, top_m + max(e, 0)) <= 1016:
+        return 0
     xs, ys, slopes = nl.pieces
     top = max(
         max(math.frexp(y0)[1], math.frexp(m)[1] + math.frexp(X - x0)[1])

@@ -186,6 +186,15 @@ class PiecewiseNonlinearity:
 
         return _run_table(self)
 
+    @cached_property
+    def _oracle_table(self):
+        """``descfun.df_oracle``'s per-map facts (``descfun._oracle_table``):
+        ``lines`` as a read-only array and the bound of ``descfun._shift``,
+        kept on the map and built on first use."""
+        from .descfun import _oracle_table
+
+        return _oracle_table(self)
+
     @property
     def max_breakpoint(self) -> float:
         """Largest vertex abscissa (0 when only the origin is recorded)."""

@@ -242,6 +242,52 @@ class TestOracle:
         for (nl, X), f in zip(cases, expected):
             assert df_oracle(nl, X) == pytest.approx(f, rel=1e-9)
 
+    def test_warm_call_rebuilds_no_table_and_skips_the_shift_loop(self, monkeypatch):
+        # a warm map's oracle reads its kept line table and exponent bound:
+        # no NumPy call takes nl.lines, and _shift does not read nl.pieces
+        # for its loop unless the bound exceeds 1016
+        rng = random.Random(39)
+        steep = PiecewiseNonlinearity(x=(1.0,), y=(1.0,), final_slope=1e308)
+        cases = [(random_nonlinearity(rng), X) for X in (0.3, 2.0, 7.5, 20.0)]
+        cases += [(steep, 1.5), (steep, 3.0)]  # bound and shift: 1025, -8 and 1026, -10
+        built, reads = [], []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                f = getattr(np, name)
+                if not callable(f):
+                    return f
+
+                def g(*args, **kwargs):
+                    built.extend(name for a in args if any(a is nl.lines for nl, _ in cases))
+                    return f(*args, **kwargs)
+
+                return g
+
+        pieces = PiecewiseNonlinearity.pieces.func
+
+        def counted(self):
+            reads.append(self)
+            return pieces(self)
+
+        monkeypatch.setattr(descfun, "np", CountedNumpy())
+        df_oracle(*cases[0])  # a cold map builds its table from nl.lines
+        assert built == ["asfortranarray"]
+        for nl, X in cases:
+            df_oracle(nl, X)
+            lines = nl._oracle_table[0]
+            assert not lines.flags.writeable and lines[:, 0].flags.c_contiguous
+            with pytest.raises(ValueError):
+                lines[0, 0] = 0.0
+        built.clear()
+        # a class-level property overrides the value cached on the instance
+        monkeypatch.setattr(PiecewiseNonlinearity, "pieces", property(counted))
+        for nl, X in cases:
+            df_oracle(nl, X)
+            assert reads == ([nl] if nl is steep else []), X
+            reads.clear()
+        assert built == []
+
     def test_amplitude_just_above_a_breakpoint(self):
         # X is about 1e-15 relative above the breakpoint 3.5587784291319564;
         # the a1 panel next to the jump's split (t near -3.055) must converge

@@ -4,10 +4,12 @@
 formats a polyline in one operation (``dfcycle df`` writes its CSV rows the
 same way), ``descfun._phi`` and ``_psi`` evaluate in place, and
 ``df_oracle`` integrates its quarter-period b1 panels and its full-period a1
-panels in one pass.  Each rewrite keeps the arithmetic of the form it
-replaced, so the references below, copies of those forms, must give the same
-bits: ``==`` on every value, byte equality on every SVG and CSV document,
-and the same ``QuadratureError`` message where the reference raises one.
+panels in one pass, with ``_shift`` skipping its loop over the pieces below
+the map's kept exponent bound.  Each rewrite keeps the arithmetic of the
+form it replaced, so the references below, copies of those forms, must give
+the same bits: ``==`` on every value, byte equality on every SVG and CSV
+document, and the same ``QuadratureError`` message where the reference
+raises one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dfcycle import PiecewiseNonlinearity, descfun, qualdf
+from dfcycle import NonlinearityError, PiecewiseNonlinearity, descfun, qualdf
 from dfcycle.cli import main
 from dfcycle.descfun import _NODES, _WEIGHTS, SYMMETRY_TOL, QuadratureError
 from dfcycle.svg import HEIGHT, WIDTH, Series, line_plot
@@ -154,6 +156,19 @@ def reference_integral(nl, X, shift, weight, splits, name):
             f"quadrature gave a non-finite value in the {name} integral at X = {X}"
         )
     return total
+
+
+def reference_shift(nl, X):
+    """``descfun._shift`` with its loop over the pieces on every call."""
+    up = -1000 - math.frexp(X)[1]
+    if up > 0:
+        return up
+    xs, ys, slopes = nl.pieces
+    top = max(
+        max(math.frexp(y0)[1], math.frexp(m)[1] + math.frexp(X - x0)[1])
+        for x0, y0, m in zip(xs, ys, slopes) if x0 <= X
+    )
+    return min(0, 1016 - top)
 
 
 def reference_oracle(nl, X):
@@ -299,6 +314,46 @@ def test_oracle_at_the_float_limits():
     cases += [(steep, math.nextafter(1.0, 2.0))]
     for nl, X in cases:
         assert outcome(descfun.df_oracle, nl, X) == outcome(reference_oracle, nl, X)
+
+
+def wide_nonlinearity(rng):
+    """A map with breakpoints from subnormals up, and ordinates and slopes up
+    to 1e308, or None where a slope overflows."""
+    ex, ey = rng.randint(-1074, 1020), rng.randint(-1074, 1023)
+    x = sorted(math.ldexp(rng.uniform(0.5, 8.0), ex + rng.randint(-30, 0))
+               for _ in range(rng.randint(1, 5)))
+    y = [rng.choice((-1.0, 1.0)) * math.ldexp(rng.random(), ey + rng.randint(-30, 0))
+         for _ in x]
+    slope = rng.choice((-1.0, 1.0)) * math.ldexp(rng.random(), rng.randint(-1074, 1023))
+    try:
+        return PiecewiseNonlinearity(tuple(x), tuple(y), rng.choice((None, slope)))
+    except NonlinearityError:
+        return None
+
+
+def test_shift_bound_keeps_the_per_piece_shift():
+    # the kept bound max(top_y, top_m + max(e(X), 0)) skips the loop only
+    # where the loop gives 0; X from the least subnormal to 1e308
+    rng = random.Random(20261019)
+    maps = shifted = skipped = 0
+    while maps < 5000:
+        nl = wide_nonlinearity(rng)
+        if nl is None:
+            continue
+        maps += 1
+        _, top_y, top_m = nl._oracle_table
+        xs = [math.ldexp(rng.random(), rng.randint(-1074, 1024)) for _ in range(4)]
+        b = rng.choice(nl.x)
+        xs += [b, math.nextafter(b, math.inf)]
+        xs += [5e-324, 1e308, math.ldexp(1.0, -1000), math.ldexp(1.0, -1001)]
+        for X in xs:
+            if not X > 0:
+                continue
+            want = reference_shift(nl, X)
+            assert descfun._shift(nl, X) == want, (nl, X)
+            shifted += want < 0
+            skipped += max(top_y, top_m + max(math.frexp(X)[1], 0)) <= 1016
+    assert shifted >= 2000 and skipped >= 10000, (shifted, skipped)
 
 
 def test_quarter_integral_error_comes_first(monkeypatch):

@@ -14,12 +14,13 @@ also stop within ``MAX_CALLS`` steps of each bracket.
 
 The F = K reference is a dense log scan of F - K, ``SCAN_PER_OCTAVE``
 amplitudes an octave from ``SCAN_BELOW`` times the first breakpoint to
-``SCAN_SPAN`` times the last, with each sign change bisected.  It knows
-nothing of F's runs, so on thousands of seeded maps, scaled by 2^+-1000 too,
-and at gain margins between F's values at random amplitudes and between
-neighbouring extrema of F, its count of roots must equal
-``find_intersections``' in every scan interval, except in one where the
-library finds two roots or more, whose signs the scan cannot tell apart.
+``SCAN_SPAN`` times the last, and the breakpoints, with each sign change
+bisected.  It knows nothing of F's runs, so on thousands of seeded maps,
+scaled by 2^+-1000 too, and at gain margins between F's values at random
+amplitudes and between neighbouring extrema of F, its count of roots must
+equal ``find_intersections``' in every scan interval, except in one where
+the library finds two roots or more, whose signs the scan cannot tell
+apart.
 
 ``_refine_bracket`` keeps one bracket's bookkeeping in Python floats and
 calls ``f`` on one trial point a step.  ``array_refine`` below is the array
@@ -41,7 +42,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfcycle import LinearPlant, PiecewiseNonlinearity, cycles
@@ -96,10 +97,13 @@ def reference_crossovers(plant):
 
 def scan_grid(nl):
     """The reference scan's amplitudes: a log grid from ``SCAN_BELOW`` times
-    the first breakpoint above 0 to ``SCAN_SPAN`` times the last."""
+    the first breakpoint above 0 to ``SCAN_SPAN`` times the last, and the
+    breakpoints themselves.  F turns at a jump's threshold with an infinite
+    slope on one side, so the two roots of F = K beside it can lie closer
+    than the grid's step."""
     positive = [x for x in nl.breakpoints if x > 0.0] or [1.0]
     lo, hi = SCAN_BELOW * positive[0], SCAN_SPAN * positive[-1]
-    return log_grid(lo, hi, int(math.log2(hi / lo) * SCAN_PER_OCTAVE) + 2)
+    return np.union1d(log_grid(lo, hi, int(math.log2(hi / lo) * SCAN_PER_OCTAVE) + 2), positive)
 
 
 def reference_intersections(nl, gain_margin, grid=None, F=None):
@@ -214,6 +218,10 @@ def test_root_just_above_a_jump_matches_reference():
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
+# F = K just below F's peak at a downward jump: one root below the jump's
+# threshold and one just above it, closer together than the log grid's step
+@example(lags=[0.2], rhp_zero=1.0, k=31.0, seed=300)
+@example(lags=[0.2, 0.5], rhp_zero=3.430366507556697, k=35.0, seed=956)
 def test_random_loops_match_reference(lags, rhp_zero, k, seed):
     # integrator plus one to three lags: plant order 2-4
     den = np.poly([0.0] + [-p for p in lags])
