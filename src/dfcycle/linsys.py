@@ -7,13 +7,12 @@ the steady-state geometry and the time simulator.  G(j omega) is real where
 P(omega) = Im N(j omega) conj(D(j omega)) = 0, so the phase crossovers are
 the real roots of P, and G is evaluated only there and at the range's ends.
 All of that but G's gain k is kept per coefficient set in two small memos,
-so a plant shape swept over gains finds its crossovers once; the state
-resolvent h(j omega) at each crossover, which spans a cycle's ellipse, is
-kept with them.  Each call forms G = k N / D from the kept N and D in Python
-floats, by NumPy's own steps and so with the bits of its array quotient, and
-takes |G| in one NumPy call.  The Nyquist contour's crossings of the negative
-real axis away from the crossovers lie where plane geometry puts them, in
-closed form from G at the range's ends (``nyquist_contour``).
+with G1 = N / D there and the state resolvent h(j omega) at each crossover,
+which spans a cycle's ellipse; so a plant shape swept over gains finds its
+crossovers once, and each call forms G = k G1 in Python floats.  The Nyquist
+contour's crossings of the negative real axis away from the crossovers lie
+where plane geometry puts them, in closed form from G at the range's ends
+(``nyquist_contour``).
 """
 
 from __future__ import annotations
@@ -108,16 +107,7 @@ class LinearPlant:
         ``PoleOnAxisError`` naming the first s at which the denominator is
         negligible.
         """
-        return self.k * _horner(self.num, s) / self._den_at(s)
-
-    @cached_property
-    def _abs_den(self) -> tuple[float, ...]:
-        """|den|'s coefficients, whose polynomial at |s| bounds |den(s)|."""
-        return tuple(abs(c) for c in self.den)
-
-    def _den_at(self, s: complex | np.ndarray) -> complex | np.ndarray:
-        """den(s), checked as ``_checked_den`` says."""
-        return _checked_den(self.den, self._abs_den, s)
+        return self.k * _horner(self.num, s) / _checked_den(self.den, s)
 
     @cached_property
     def state_space(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -178,13 +168,13 @@ def _horner(coeffs: tuple[float, ...], s):
     return y[()]
 
 
-def _checked_den(den: tuple[float, ...], abs_den: tuple[float, ...], s):
+def _checked_den(den: tuple[float, ...], s):
     """den(s): ``PoleOnAxisError`` where it is negligible against the sum of
-    its terms' sizes (a pole), |den|'s polynomial ``abs_den`` at |s|, or
-    where that sum overflows, which leaves no size to compare den(s) with."""
+    its terms' sizes (a pole), the polynomial of |den|'s coefficients at |s|,
+    or where that sum overflows, which leaves no size to compare den(s) with."""
     value = _horner(den, s)
     # the sum is >= 0 or NaN: all of its terms are
-    scale = np.maximum(_horner(abs_den, np.abs(s)), 1.0)
+    scale = np.maximum(_horner(map(abs, den), np.abs(s)), 1.0)
     # also holds wherever the scale is inf, unless den(s) is nan
     bad = np.abs(value) <= 1e-14 * scale
     if bad.any():
@@ -303,14 +293,13 @@ def _newton(p, size, a: float, b: float, sign_a: int, t: float) -> float:
 def _gain_free(
     num_bits: bytes, den_bits: bytes, lo: float, hi: float
 ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...], tuple[complex, ...],
-           tuple[complex, ...], tuple]:
+           tuple]:
     """What ``_crossings`` finds without G's gain k, kept per coefficient set
     and range: the phase crossovers' candidates ``roots``, the real roots of P
     in (lo, hi) at which it changes sign and N(j omega) is not negligible,
-    P's sign at each one's left edge, ``ws = (lo, *roots, hi)``, N(j ws) and
-    D(j ws) (``_checked_den``), each a tuple of Python numbers with the bits
-    of its NumPy array, and ``h_of_jw`` at each root, from its D, as a tuple
-    of complex numbers.
+    P's sign at each one's left edge, ``ws = (lo, *roots, hi)``, G1 = N / D
+    at ws (D by ``_checked_den``), and ``h_of_jw`` at each root, from its D,
+    each a tuple of Python numbers.
     P comes from num and den scaled to a largest |coefficient| of 1.
     (lo, hi) is split at the midpoints between the candidates, the real
     parts in it of P's roots with imaginary parts at most 1e-7 of them.  Each
@@ -355,17 +344,17 @@ def _gain_free(
     ws = np.array([lo, *roots, hi])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = _horner(num, 1j * ws)
-        d = _checked_den(den, tuple(map(abs, den)), 1j * ws)
+        d = _checked_den(den, 1j * ws)
+        g1 = n / d
     keep = [i for i, (w, v) in enumerate(zip(roots, n[1:-1].tolist()))
             if not abs(v) <= NUM_ZERO * _size(num, w) < math.inf]
     if len(keep) < len(roots):
         at = [0, *(i + 1 for i in keep), len(ws) - 1]
         roots, left_signs = [roots[i] for i in keep], [left_signs[i] for i in keep]
-        ws, n, d = ws[at], n[at], d[at]
+        ws, g1, d = ws[at], g1[at], d[at]
     with np.errstate(over="ignore", invalid="ignore"):
         hs = tuple(tuple(_resolvent(den, 1j * w, v).tolist()) for w, v in zip(roots, d[1:-1]))
-    return (tuple(roots), tuple(left_signs), tuple(ws.tolist()), tuple(n.tolist()),
-            tuple(d.tolist()), hs)
+    return tuple(roots), tuple(left_signs), tuple(ws.tolist()), tuple(g1.tolist()), hs
 
 
 def _size(coeffs: tuple[float, ...], w: float) -> float:
@@ -380,60 +369,34 @@ def _crossings(
     plant: LinearPlant, den_bits: bytes, lo: float, hi: float
 ) -> tuple[list[list], list[tuple], complex, float, complex]:
     """``[omega, gain margin, direction]`` rows of the phase crossovers in
-    (lo, hi), ``h_of_jw`` at each as a tuple, G and ``np.abs`` of G at lo,
-    and G at hi; ``den_bits`` is ``_bits(plant.den)``, which the caller
-    packs once.
-    The crossovers are ``_gain_free``'s roots of P at which Re G < 0.
-    G = k N / D is formed in Python floats by NumPy's own steps, so with the
-    bits of ``k * n / d`` on arrays (and of ``transfer``): k + 0j times N,
-    each part one fused multiply-add, then NumPy's complex division loop,
-    Smith's quotient with a reciprocal (R. L. Smith, "Algorithm 116: Complex
-    division", CACM 5(8), 1962).  |G| stays one ``np.abs`` call, which is
-    not ``hypot``: Python's ``abs`` differs from it by up to 2 ulp.  It
-    raises no floating-point warning, also where |G| overflows, and at a
-    crossover |G| >= |Re G| > 0, so the gain margin 1/|G| is a Python float
-    division.  The direction is Im G's sign at the root's left edge, +1
-    where Im G falls through 0.  Raises ``PoleOnAxisError`` as
+    (lo, hi), ``h_of_jw`` at each as a tuple, G and |G| at lo, and G at hi;
+    ``den_bits`` is ``_bits(plant.den)``, which the caller packs once.
+    The gain enters last: G = k G1 from ``_gain_free``'s G1, each part one
+    Python float product, so the crossovers, ``_gain_free``'s roots of P at
+    which Re G < 0, do not move with k's size, and the gain margin 1/|G|
+    scales as 1/|k|.  |G| is ``math.hypot``, which gives inf where |G|
+    overflows (``abs`` of a complex raises there); at a crossover
+    |G| >= |Re G| > 0.  The direction is Im G's sign at the root's left edge,
+    +1 where Im G falls through 0.  Raises ``PoleOnAxisError`` as
     ``_gain_free`` and ``phase_crossovers`` say, naming the first omega at
     which G is not finite."""
-    roots, left_signs, ws, n, d, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
+    roots, left_signs, ws, g1, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
     k, g = plant.k, []
-    for w, a, b in zip(ws, n, d):
-        # k + 0j times N, each part k x + c rounded once (a fused multiply-add)
-        # with c = +-0.0 or NaN: k x, whose sign where it underflows to 0 is
-        # the exact product's, which adding c = 0.0 would lose
-        nr, ni = a.real, a.imag
-        ar, c = k * nr, -(0.0 * ni)
-        ar = ar if ar == 0.0 and k and nr and c == c else ar + c
-        ai, c = k * ni, 0.0 * nr
-        ai = ai if ai == 0.0 and k and ni and c == c else ai + c
-        dr, di = b.real, b.imag
-        try:
-            if abs(dr) >= abs(di):
-                rat = di / dr
-                scl = 1.0 / (dr + di * rat)
-                x, y = (ar + ai * rat) * scl, (ai - ar * rat) * scl
-            else:  # also where dr or di is NaN
-                rat = dr / di
-                scl = 1.0 / (di + dr * rat)
-                x, y = (ar * rat + ai) * scl, (ai * rat - ar) * scl
-        except ZeroDivisionError:  # D = 0 or NaN + 0j, which _checked_den and
-            # _horner do not give, and where NumPy's G is inf or NaN
-            x = y = math.nan
+    for w, z in zip(ws, g1):
+        x, y = k * z.real, k * z.imag
         if not (math.isfinite(x) and math.isfinite(y)):
             raise PoleOnAxisError(f"G(j omega) is not finite at omega = {w}")
         g.append(complex(x, y))
-    size = np.abs(g).tolist()
     sign = math.copysign(1.0, k)  # Im G = k P / |D|^2
     rows, kept = [], []
-    for w, z, s, left, h in zip(roots, g[1:-1], size[1:-1], left_signs, hs):
+    for w, z, left, h in zip(roots, g[1:-1], left_signs, hs):
         if z.real < 0:
-            km = 1.0 / s
+            km = 1.0 / math.hypot(z.real, z.imag)
             if not 0.0 < km < math.inf:
                 raise PoleOnAxisError(f"the gain margin 1/|G| is {km} at omega = {w}")
             rows.append([w, km, sign * left])
             kept.append(h)
-    return rows, kept, g[0], size[0], g[-1]
+    return rows, kept, g[0], math.hypot(g[0].real, g[0].imag), g[-1]
 
 
 def phase_crossovers(
@@ -451,11 +414,11 @@ def phase_crossovers(
     return [(w, km) for w, km, _ in _crossings(plant, _bits(plant.den), lo, hi)[0]]
 
 
-def _negligible_den(den: tuple[float, ...], abs_den: tuple[float, ...], omega: float) -> bool:
+def _negligible_den(den: tuple[float, ...], omega: float) -> bool:
     """Whether ``_checked_den`` refuses j omega: den is negligible there, or
     the sum of its terms' sizes overflows."""
     try:
-        _checked_den(den, abs_den, 1j * omega)
+        _checked_den(den, 1j * omega)
     except PoleOnAxisError:
         return True
     return False
@@ -469,11 +432,10 @@ def _axis_poles(den_bits: bytes) -> None:
     den = _floats(den_bits)
     q = next(i for i, c in enumerate(reversed(den)) if c != 0.0)  # den[0] != 0
     r = _roots(den[:len(den) - q], "the denominator")
-    abs_den = tuple(map(abs, den))
     on_axis = [z.imag for z in r if z.imag > 0 and (
         abs(z.real) <= 1e-9 * z.imag
         # np.roots moves a double root about 1e-8 off the axis
-        or (abs(z.real) <= 1e-7 * z.imag and _negligible_den(den, abs_den, z.imag)))]
+        or (abs(z.real) <= 1e-7 * z.imag and _negligible_den(den, z.imag)))]
     if on_axis:
         raise PoleOnAxisError(f"pole at s = {min(on_axis):.7g}j")
 
@@ -540,7 +502,7 @@ def h_of_jw(plant: LinearPlant, omega: float) -> np.ndarray:
     at s = j omega (Kailath, *Linear Systems*, 1980).
     """
     s = 1j * omega
-    return _resolvent(plant.den, s, plant._den_at(s))
+    return _resolvent(plant.den, s, _checked_den(plant.den, s))
 
 
 def _resolvent(den: tuple[float, ...], s: complex, den_s) -> np.ndarray:

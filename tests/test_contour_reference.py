@@ -32,10 +32,13 @@ about the zero), so both drop the same band.  The plant
 two crossings 1e-4 apart, inside one grid cell.
 
 ``array_g_crossings`` is ``linsys._crossings`` with G = k N / D formed on
-NumPy arrays at ``_gain_free``'s points, as it was before G was formed in
-Python floats.  With it in ``_crossings``' place, ``nyquist_contour`` and
-``phase_crossovers`` must give the same bits and errors on random plants with
-0-2 poles at the origin and gains of both signs.
+NumPy arrays at ``_gain_free``'s points and |G| taken by ``np.abs``, as it
+was before G was formed as k times the kept G1 = N / D.  With it in
+``_crossings``' place, ``nyquist_contour`` and ``phase_crossovers`` must give
+the same omega bits, row counts, directions and errors on random plants with
+0-2 poles at the origin and gains of both signs, and gain margins and
+abscissae within ``conftest.ULPS`` ulps (of |G| at a range's end for Re G
+there).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import math
 import random
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,7 +69,7 @@ from dfcycle.linsys import (
     phase_crossovers,
 )
 
-from conftest import plant_b
+from conftest import plant_b, within_ulps
 from test_scan_reference import array_refine_sign_changes
 
 # Relative tolerance on omega, fixed before the polynomial search was
@@ -458,8 +462,12 @@ def test_subnormal_response_at_the_range_ends():
     )
     g_lo = complex(plant.transfer(1j * OMEGA_RANGE[0]))
     assert g_lo.imag == -5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, table, _ = _contour(plant)
     # the chord from conj(G(j omega_min)) to G(j omega_min) crosses at its midpoint
-    assert _contour(plant)[0] == [] and nyquist_contour(plant).tolist() == [[g_lo.real, 1.0]]
+    assert rows == [] and [n for _, n in table] == [1.0]
+    assert within_ulps(table[0][0], g_lo.real, abs(g_lo))
 
 
 def test_roots_have_the_bits_of_np_roots():
@@ -508,10 +516,10 @@ def test_coefficients_at_float_extremes(num, den, crossings):
 
 def array_g_crossings(plant, den_bits, lo, hi):
     """``linsys._crossings`` with G = k N / D, |G| and 1/|G| on NumPy arrays."""
-    roots, left_signs, ws, n, d, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
-    ws, n, d = np.array(ws), np.array(n), np.array(d)
+    roots, left_signs, ws, _, hs = _gain_free(_bits(plant.num), den_bits, lo, hi)
+    ws = np.array(ws)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = plant.k * n / d
+        g = plant.k * np.polyval(plant.num, 1j * ws) / np.polyval(plant.den, 1j * ws)
         overflow = ~np.isfinite(g)
         if overflow.any():
             raise PoleOnAxisError(f"G(j omega) is not finite at omega = {ws[overflow][0]}")
@@ -529,19 +537,22 @@ def array_g_crossings(plant, den_bits, lo, hi):
 
 
 def public_outcome(plant):
-    """``nyquist_contour``'s bytes and ``phase_crossovers``, or the error."""
+    """``nyquist_contour`` as a list of rows and ``phase_crossovers``, or
+    the error."""
     try:
-        return nyquist_contour(plant).tobytes(), phase_crossovers(plant)
+        return nyquist_contour(plant).tolist(), phase_crossovers(plant)
     except PoleOnAxisError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_g_in_python_floats_matches_array_g(seed, monkeypatch):
-    # the arc's row at -10 |G(j omega_min)| and every gain margin take
-    # np.abs's bits: Python's abs moves them on about one plant in six
+    # G = k (N / D) rounds otherwise than (k N) / D, and hypot otherwise than
+    # np.abs: the margins or abscissae move by a few ulps on about half the
+    # plants
     rng = random.Random(seed)
     seen = {q: 0 for q in range(3)}
+    moved = 0
     for _ in range(200):
         num, den = random_coefficients(rng)
         q = rng.randint(0, 2)
@@ -554,9 +565,29 @@ def test_g_in_python_floats_matches_array_g(seed, monkeypatch):
         except ValueError:  # improper once den's trailing zeros are replaced
             continue
         got = public_outcome(plant)
+        ends = []
+
+        def crossings(*args):
+            found = array_g_crossings(*args)
+            ends[:] = found[2:]
+            return found
+
         with monkeypatch.context() as mp:
-            mp.setattr(linsys, "_crossings", array_g_crossings)
+            mp.setattr(linsys, "_crossings", crossings)
             want = public_outcome(plant)
-        assert got == want, plant
-        seen[q] += not isinstance(got, str)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, plant
+            continue
+        (table, found), (table_ref, found_ref) = got, want
+        assert [w for w, _ in found] == [w for w, _ in found_ref], plant
+        assert all(within_ulps(km, ref) for (_, km), (_, ref) in zip(found, found_ref)), plant
+        assert [n for _, n in table] == [n for _, n in table_ref], plant
+        # the segment's and the chord's abscissae are Re G at a range's end
+        g_lo, size_lo, g_hi = ends
+        scales = {g_hi.real: abs(g_hi), (20.0 / 11.0 if q else 1.0) * g_lo.real: size_lo}
+        assert all(within_ulps(a, ref, scales.get(ref, ref))
+                   for (a, _), (ref, _) in zip(table, table_ref)), plant
+        moved += got != want
+        seen[q] += 1
     assert min(seen.values()) >= 30, seen
+    assert moved >= 60, moved  # the bound is exercised

@@ -381,10 +381,10 @@ class TestAnalyze:
                 calls.append(("N", np.size(s)))
             return horner(coeffs, s)
 
-        def counted_den(den, abs_den, s):
+        def counted_den(den, s):
             if np.ndim(s) == 1:
                 calls.append(("D", np.size(s)))
-            return checked_den(den, abs_den, s)
+            return checked_den(den, s)
 
         monkeypatch.setattr(linsys, "_horner", counted_horner)
         monkeypatch.setattr(linsys, "_checked_den", counted_den)

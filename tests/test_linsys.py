@@ -388,8 +388,8 @@ class TestMemo:
         nyquist_contour(plant)
         assert _gain_free.cache_info().currsize == 1
         entry = _gain_free(_bits(plant.num), _bits(plant.den), *OMEGA_RANGE)
-        roots, _, ws, n, d, hs = entry
-        assert len(ws) == len(n) == len(d) == 2 + len(roots) == 3 and len(hs) == 1
+        roots, _, ws, g1, hs = entry
+        assert len(ws) == len(g1) == 2 + len(roots) == 3 and len(hs) == 1
         assert python_numbers(entry)
 
     def test_holds_no_plant(self, cold_crossing_memo):
@@ -434,9 +434,8 @@ class TestMemo:
             analyze(plant_b(k), nl_b)
         assert calls == []
 
-    def test_warm_analyze_calls_numpy_only_for_abs(self, cold_crossing_memo, monkeypatch, nl_b):
-        # G = k N / D and the gain margins are formed in Python floats; only
-        # |G| stays one NumPy call, so that its bits are np.abs's
+    def test_warm_analyze_looks_up_no_numpy_attribute(self, cold_crossing_memo, monkeypatch, nl_b):
+        # G = k G1, |G| and the gain margins are formed in Python floats
         looked_up = []
 
         class CountedNumpy:
@@ -448,7 +447,7 @@ class TestMemo:
         monkeypatch.setattr(linsys, "np", CountedNumpy())
         for k in (5.0, 30.0, -15.0):
             analyze(plant_b(k), nl_b)
-        assert looked_up == ["abs"] * 3
+        assert looked_up == []
 
     def test_warm_analyze_packs_each_key_once(self, cold_crossing_memo, monkeypatch, nl_b):
         # den's key serves both memos, so an op packs den once and num once
@@ -493,6 +492,49 @@ class TestMemo:
                     keyed += len(keys) > 1
         assert differ == 0
         assert keyed >= 60, keyed  # the key check is not vacuous
+
+
+def crossovers_and_table(plant):
+    """``phase_crossovers`` and ``nyquist_contour``'s rows as lists, or None
+    where either raises."""
+    try:
+        return phase_crossovers(plant), nyquist_contour(plant).tolist()
+    except PoleOnAxisError:
+        return None
+
+
+def test_the_gain_enters_last(cold_crossing_memo):
+    # G = k G1: at 2^j k the crossovers stay put, each gain margin scales by
+    # 2^-j and each abscissa by 2^j, exactly; at -k the crossovers are the
+    # other roots of P, those where Re G1 > 0
+    rng = random.Random(3)
+    shapes = [(p.num, p.den) for p in (plant_a(1.0), plant_b(1.0))]
+    shapes += [random_coefficients(rng) for _ in range(200)]
+    checked = crossed = 0
+    for num, den in shapes:
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        base = crossovers_and_table(LinearPlant(num, den, k))
+        if base is None:  # a pole on the axis, at every gain
+            continue
+        roots, _, _, g1, _ = _gain_free(_bits(num), _bits(den), *OMEGA_RANGE)
+        # 2^-8 k G1 and 2^8 k G1 stay clear of underflow and overflow
+        if not all(x == 0.0 or 2.0**-1000 < abs(x) < 2.0**1000
+                   for z in g1 for x in (z.real, z.imag)):
+            continue
+        found, table = base
+        for j in (*range(-8, 0), *range(1, 9)):
+            scale = 2.0**j
+            assert crossovers_and_table(LinearPlant(num, den, scale * k)) == (
+                [(w, km / scale) for w, km in found],
+                [[scale * a, n] for a, n in table],
+            ), (num, den, k, j)
+        assert [w for w, _ in found] == [w for w, z in zip(roots, g1[1:-1]) if z.real < 0]
+        found_at_minus_k = crossovers_and_table(LinearPlant(num, den, -k))[0]
+        assert [w for w, _ in found_at_minus_k] == [
+            w for w, z in zip(roots, g1[1:-1]) if z.real > 0], (num, den, k)
+        checked += 1
+        crossed += bool(found) + bool(found_at_minus_k)
+    assert checked >= 180 and crossed >= 80, (checked, crossed)
 
 
 class TestSerialization:

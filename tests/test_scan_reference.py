@@ -50,7 +50,7 @@ from dfcycle.cycles import MAX_ITER, VALUE_TOL, _refine_bracket, find_intersecti
 from dfcycle.descfun import _df_at, df_value
 from dfcycle.linsys import OMEGA_RANGE, log_grid, phase_crossovers
 
-from conftest import plant_a, plant_b, random_nonlinearity
+from conftest import plant_a, plant_b, random_nonlinearity, within_ulps
 
 # Steps (calls of ``f``) that the refinement of one bracket may make; halving
 # took up to about 30.  From a run's knots, false position took 4.9 on
@@ -175,7 +175,7 @@ def assert_matches_reference(plant, nl):
     for (w, km), xs in zip(crossings, roots):
         g = plant.transfer(1j * w)
         assert abs(g.imag) <= 1e-12 * abs(g) and g.real < 0
-        assert km == 1.0 / abs(g)
+        assert within_ulps(km, 1.0 / abs(g))
 
         x_ref = reference_intersections(nl, km)
         assert len(xs) == len(x_ref)

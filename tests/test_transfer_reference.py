@@ -1,20 +1,21 @@
 """``LinearPlant.transfer`` against its ``np.polyval`` form, bit for bit.
 
-``transfer`` and ``_den_at`` evaluate their polynomials with
-``linsys._horner``, an in-place copy of ``np.polyval``'s loop.  The
-functions below are the ``np.polyval`` form it replaced:
+``transfer``, ``h_of_jw`` and ``_gain_free`` evaluate their polynomials with
+``linsys._horner``, an in-place copy of ``np.polyval``'s loop, and check
+den(s) with ``_checked_den``.  The functions below are the ``np.polyval``
+form it replaced:
 ``G = k num(s) / den(s)``, with den(s) checked against the polynomial of
 |den|'s coefficients at |s|.  On random plants of order 1-6 with gains up to
 1e300, at scalar and array s, ``transfer``, ``freq_response`` and
 ``h_of_jw`` must give the same bits, the same result types and the same
 errors as these.
 
-``linsys._crossings`` forms G = k N / D in Python floats by NumPy's own
-steps.  On 100 000 drawn quotients, with parts from 2^-1000 to 2^1000,
-signed zeros, subnormals, and infinities and NaNs, it must give the bits of
-NumPy's ``k * n / d`` on arrays, or raise ``PoleOnAxisError`` naming the
-first omega where that is not finite.  A NumPy release or a CPU that
-multiplies or divides otherwise fails here.
+``linsys._crossings`` applies the gain last: it forms G = k G1 from the
+kept G1 = N / D, each part one Python float product.  On 100 000 drawn G1
+and gains, with parts from 2^-1000 to 2^1000, signed zeros, subnormals, and
+infinities and NaNs, it must give NumPy's products ``k * g1.real`` and
+``k * g1.imag``, or raise ``PoleOnAxisError`` naming the first omega where
+one is not finite; |G| may overflow to inf there without an error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 from dfcycle import LinearPlant, linsys
 from dfcycle.linsys import PoleOnAxisError, _crossings, freq_response, h_of_jw
 
-from conftest import plant_a
+from conftest import plant_a, within_ulps
 
 
 def reference_den_at(plant, s):
@@ -156,9 +157,9 @@ def random_part(rng: random.Random, special: float) -> float:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_crossings_form_g_with_numpys_bits(seed, monkeypatch):
-    # _crossings at a range's two ends, with _gain_free's N and D replaced
-    # by drawn ones: 2 quotients a call, 25 000 a seed
+def test_crossings_form_g_as_k_times_g1(seed, monkeypatch):
+    # _crossings at a range's two ends, with _gain_free's G1 replaced by
+    # drawn ones: 2 products a call, 25 000 a seed
     rng = random.Random(seed)
     ws = (1e-3, 1e3)
     drawn = {}
@@ -166,11 +167,12 @@ def test_crossings_form_g_with_numpys_bits(seed, monkeypatch):
     finite = failed = 0
     for _ in range(12_500):
         k = rng.choice((0.0, -0.0, *(random_part(rng, 0.0) for _ in range(6))))
-        n = tuple(complex(random_part(rng, 0.02), random_part(rng, 0.02)) for _ in ws)
-        d = tuple(complex(random_part(rng, 0.005), random_part(rng, 0.005)) for _ in ws)
-        drawn["entry"] = ((), (), ws, n, d, ())
+        g1 = tuple(complex(random_part(rng, 0.02), random_part(rng, 0.02)) for _ in ws)
+        drawn["entry"] = ((), (), ws, g1, ())
+        parts = np.array(g1)
         with np.errstate(all="ignore"):
-            want = k * np.array(n) / np.array(d)
+            want = np.empty(len(ws), complex)
+            want.real, want.imag = k * parts.real, k * parts.imag
         plant = LinearPlant((1.0,), (1.0, 1.0), k)
         bad = ~np.isfinite(want)
         if bad.any():
@@ -181,22 +183,23 @@ def test_crossings_form_g_with_numpys_bits(seed, monkeypatch):
             continue
         _, _, g_lo, size_lo, g_hi = _crossings(plant, b"", *ws)
         got = np.array([g_lo, g_hi])
-        assert got.tobytes() == want.tobytes(), (k, n, d, got, want)
+        assert got.tobytes() == want.tobytes(), (k, g1, got, want)
         with np.errstate(all="ignore"):
-            assert size_lo == np.abs(want[0]), (k, n, d)
+            assert within_ulps(size_lo, float(np.abs(want[0]))), (k, g1)
         finite += 1
     # both outcomes are drawn often
     assert finite > 5_000 and failed > 1_000, (finite, failed)
 
 
 def test_finite_g_whose_size_overflows(monkeypatch):
-    # np.abs gives inf there without a warning; at a crossover the gain
-    # margin 1/|G| is then 0, which is refused
+    # |G| = hypot(Re G, Im G) gives inf there without an error or a warning
+    # (abs(complex) raises OverflowError); at a crossover the gain margin
+    # 1/|G| is then 0, which is refused
     plant, ws = LinearPlant((1.0,), (1.0, 1.0), 1.0), (1e-3, 1.0, 1e3)
     big = complex(1.5e308, 1.5e308)
-    for n, crossover in (((big, complex(-1.7e308, -1e308), 1 + 0j), True),
-                         ((big, 1j, 1 + 0j), False)):
-        entry = ((1.0,), (1,), ws, n, (1 + 0j,) * 3, ((1j,),))
+    for g1, crossover in (((big, complex(-1.7e308, -1e308), 1 + 0j), True),
+                          ((big, 1j, 1 + 0j), False)):
+        entry = ((1.0,), (1,), ws, g1, ((1j,),))
         monkeypatch.setattr(linsys, "_gain_free", lambda *key, entry=entry: entry)
         if crossover:
             with pytest.raises(PoleOnAxisError, match=r"^the gain margin 1/\|G\| is 0\.0 at omega = 1\.0$"):
